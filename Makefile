@@ -46,6 +46,10 @@
 #                   per sync policy (never/interval/every/group), plus an
 #                   sgbench fill sweep with per-batch Barrier acknowledgment
 #                   showing the group-commit batching counters (EXPERIMENTS.md)
+#   make perfbench-test — vet and test the nested perfbench module (outside
+#                   the root module's ./...): the oracle fault-injection
+#                   self-test, a tiny smoke run of every workload, and the
+#                   BENCHMARK.json consistency test
 #   make fuzz-smoke — 30s of coverage-guided fuzzing per fuzz target (the
 #                   go tool accepts one -fuzz pattern per run, hence one
 #                   invocation each); seed-corpus replay is part of plain `test`
@@ -57,9 +61,9 @@ PERSISTKEYS ?= 2000000
 PERSISTDIR ?= /tmp/layeredsg-persist
 WALKEYS ?= 500000
 
-.PHONY: ci build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal bench bench-alloc bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
+.PHONY: ci build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal perfbench-test bench bench-alloc bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
 
-ci: build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal
+ci: build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal perfbench-test
 
 build:
 	$(GO) build ./...
@@ -97,6 +101,9 @@ race-persist:
 race-wal:
 	$(GO) test -race -run 'TestWAL|TestSyncPolicy|FuzzWALSync' ./internal/persist
 	$(GO) test -race -run 'TestStoreBarrier|TestStoreErr|TestStoreWALSync' .
+
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Store' -benchtime 3x .

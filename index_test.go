@@ -150,7 +150,7 @@ func TestIndexObsCounters(t *testing.T) {
 	if s.Index.Stale == 0 {
 		t.Fatalf("index stale = 0, want > 0 (%+v)", s.Index)
 	}
-	if s.Index.Publishes == 0 || s.Index.Entries == 0 || s.Index.Buckets == 0 {
+	if s.Index.Publishes == 0 || s.Index.Entries == 0 || s.Index.Slots == 0 {
 		t.Fatalf("index gauge not wired: %+v", s.Index)
 	}
 }
@@ -279,6 +279,61 @@ func TestIndexStaleGeneration(t *testing.T) {
 	}
 	if err := m.SharedStructure().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIndexDriftPlateau churns fresh keys through a MaintBackground map —
+// at most 96 live at a time, about 1.5 k distinct — flushing until the
+// removed nodes retire, and checks that the hash index's claimed slots stay
+// within a constant multiple of the live set instead of growing with every
+// distinct key ever published.
+func TestIndexDriftPlateau(t *testing.T) {
+	tracer := NewTracer(TracerConfig{Name: "index-drift"})
+	defer tracer.Close()
+	var now atomic.Int64
+	m, err := New[int64, int64](Config{
+		Machine:          testMachine(t, 4),
+		Kind:             core.LazyLayeredSG,
+		Seed:             1,
+		CommissionPeriod: 500,
+		Maintenance:      MaintBackground,
+		Clock:            func() int64 { return now.Add(50) },
+		Tracer:           tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h := m.Handle(0)
+	const (
+		live   = 96
+		cycles = 16
+	)
+	ceiling := int64(4 * live)
+	for c := int64(0); c < cycles; c++ {
+		base := c * live
+		for k := base; k < base+live; k++ {
+			if !h.Insert(k, k) {
+				t.Fatalf("cycle %d: Insert(%d) failed", c, k)
+			}
+		}
+		for k := base; k < base+live; k++ {
+			if !h.Remove(k) {
+				t.Fatalf("cycle %d: Remove(%d) failed", c, k)
+			}
+		}
+		for f := 0; f < 6; f++ {
+			m.Maintenance().Flush()
+		}
+		if e := tracer.Snapshot().Index.Entries; e > ceiling {
+			t.Fatalf("cycle %d: index holds %d entries after %d distinct keys with at most %d live (ceiling %d)",
+				c, e, (c+1)*live, live, ceiling)
+		}
+	}
+	for k := int64(0); k < cycles*live; k++ {
+		if h.Contains(k) {
+			t.Fatalf("Contains(%d) = true after its removal", k)
+		}
 	}
 }
 

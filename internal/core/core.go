@@ -191,7 +191,7 @@ func (r ReclaimMode) String() string {
 	}
 }
 
-// IndexMode selects whether the map layers a shared lock-free hash index
+// IndexMode selects whether the map layers a shared hash index
 // (internal/hindex) over the skip graph for O(1) point operations.
 type IndexMode int
 
@@ -271,10 +271,6 @@ type Config struct {
 	// Index selects the shared hash index layer: IndexAuto (on, the default)
 	// or IndexOff.
 	Index IndexMode
-	// IndexSizeHint pre-sizes the hash index's bucket directory for the
-	// expected number of distinct keys; 0 starts at the minimum size and
-	// grows by doubling.
-	IndexSizeHint int
 	// Clock overrides the structure clock (tests); nil uses real time.
 	Clock func() int64
 	// Seed seeds the per-thread RNGs drawing sparse node heights.
@@ -417,9 +413,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 	if cfg.Index < IndexAuto || cfg.Index > IndexOff {
 		return nil, fmt.Errorf("core: unknown index mode %d", int(cfg.Index))
 	}
-	if cfg.IndexSizeHint < 0 {
-		return nil, fmt.Errorf("core: negative IndexSizeHint %d", cfg.IndexSizeHint)
-	}
 	if cfg.WAL != "" && !(cfg.Kind.lazy() && cfg.Reclaim == ReclaimAuto) {
 		return nil, fmt.Errorf("core: %s with Reclaim=%s supports no WAL (the log's ordering guarantee is the MVCC stamp order; use a lazy variant with ReclaimAuto)", cfg.Kind, cfg.Reclaim)
 	}
@@ -493,7 +486,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		m.history = newRevivalLog[K, V](domain)
 	}
 	if cfg.Index == IndexAuto {
-		hidx := hindex.New[K, V](cfg.IndexSizeHint)
+		hidx := hindex.New[K, V]()
 		m.hidx = hidx
 		tracer := cfg.Tracer
 		// Retire is the single funnel every lazy retirement passes through
@@ -509,7 +502,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		if cfg.Tracer != nil {
 			cfg.Tracer.SetIndexStats(func() obs.IndexSizeSnapshot {
 				st := hidx.Stats()
-				return obs.IndexSizeSnapshot{Entries: st.Entries, Dummies: st.Dummies, Buckets: st.Buckets}
+				return obs.IndexSizeSnapshot{Entries: st.Entries, Slots: st.Slots}
 			})
 		}
 	}
@@ -815,8 +808,9 @@ func (h *Handle[K, V]) usable(r local.Ref[K, V]) bool {
 // other threads inserted. A hit is re-verified live (the same check usable
 // applies to local entries) under the operation's pin, so entries whose
 // nodes were retired — or whose arena slots were recycled into new lives —
-// fail closed and are pruned. Callers must still linearize on the node's
-// marked/valid bits exactly as they would for a local-hash hit.
+// fail closed and are pruned. The index matches on 64-bit hashes, so a live
+// node holding another key is a miss. Callers must still linearize on the
+// node's marked/valid bits exactly as they would for a local-hash hit.
 func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
 	x := h.m.hidx
 	if x == nil {
@@ -838,6 +832,10 @@ func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
 		x.Unpublish(key, n)
 		tracer.RecordIndex(obs.IndexStale)
 		tracer.RecordIndex(obs.IndexUnpublish)
+		return nil, false
+	}
+	if n.Key() != key {
+		tracer.RecordIndex(obs.IndexMiss)
 		return nil, false
 	}
 	tracer.RecordIndex(obs.IndexHit)

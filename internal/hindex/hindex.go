@@ -1,168 +1,139 @@
 // Package hindex implements the shared hash index layered over the skip
-// graph: a concurrent, lock-free, resizable hash table mapping key → shared
-// node, so point operations (Get/Contains/Insert/Remove by key) from *any*
-// stripe resolve their node in O(1) instead of descending the shared
-// structure from a head tower. The ordered skip graph remains the source of
-// truth for scans and predecessor queries — the index is pure acceleration,
-// and every consumer must re-verify what it finds (see "Fail-closed
-// entries").
+// graph: a concurrent hash table mapping key → shared node, so point
+// operations (Get/Contains/Insert/Remove by key) from *any* stripe resolve
+// their node in O(1) instead of descending the shared structure from a head
+// tower. The ordered skip graph remains the source of truth for scans and
+// predecessor queries — the index is pure acceleration, and every consumer
+// must re-verify what it finds (see "Fail-closed entries").
 //
-// # Structure: a split-ordered list
+// # Structure: flat sharded open addressing
 //
-// The index is Shalev & Shavit's split-ordered list ("Split-Ordered Lists:
-// Lock-Free Extensible Hash Tables", JACM 2006), simplified by this repo's
-// usage: one lock-free linked list holds every entry, sorted by the
-// bit-reversal of the entry's hash, and a lazily materialized bucket array
-// holds shortcut pointers ("dummy" entries) into the list. Doubling the
-// bucket count never moves an entry — a new bucket's dummy splits an old
-// bucket's chain in place — which is what makes the table resizable without
-// locks, rehashing, or copy phases.
+// The index is a fixed power-of-two set of shards, each on its own cache
+// lines. A shard is one open-addressed, linear-probing array of slots
+// {hash, node, life ID}; every slot field is an atomic word. The top bits
+// of a key's 64-bit hash pick the shard, the low bits the home slot, so a
+// lookup is one shard-header load plus a probe that usually stays in one
+// cache line of the array. Lookup takes no lock and allocates nothing.
+// Publish, Unpublish and the rehash take the shard's mutex.
 //
-// Entries are never physically deleted. Unpublishing a key tombstones its
-// entry (the node pointer drops to nil) and a later publish of the same key
-// revives the entry in place, so the list needs no marked bits and searches
-// never race unlink CASes. The cost is that the index's memory is bounded by
-// the number of *distinct keys ever published*, not the number currently
-// present — the same monotonic-footprint trade the node arena made before
-// slot reclamation, acceptable because tombstoned entries are tiny and are
-// reused by every re-publish of their key.
+// Slots hold the hash, not the key. A slot claims its hash once and keeps
+// it for the array's lifetime: unpublishing tombstones the slot (node = nil)
+// and a later publish under the same hash revives it in place. Once claimed
+// slots (live plus tombstones) pass half the array, the publisher rebuilds
+// the shard into a fresh array holding only live entries, sized for them,
+// and swaps it in. Tombstones therefore last until their shard's next
+// rehash, and index memory tracks live keys rather than distinct keys ever.
 //
 // # Fail-closed entries
 //
-// An entry stores a raw node pointer and the node's life ID, written as two
-// independent atomic stores. Life IDs are drawn from a global counter and
-// never reused (Arena.Free zeroes a slot's ID; reallocation publishes a
-// fresh one), so a torn read that pairs one publish's pointer with another's
-// ID can never validate: node.LiveAs(id) fails unless the pointer and ID
-// belong to the same live, unmarked life. Consumers must therefore gate
-// every use on LiveAs under an epoch pin (or on the node's marked bit when
-// the structure never reclaims slots) and fall back to the ordered descent
-// when the check fails. Nothing in the map's correctness ever depends on an
-// index entry being present or current — stale entries are pruned on
-// discovery, missing entries mean a descent.
+// The index is lossy. Two keys sharing a 64-bit hash share a slot, and a
+// slot's node pointer and life ID are written as two independent atomic
+// stores. Life IDs are drawn from a global counter and never reused
+// (Arena.Free zeroes a slot's ID; reallocation publishes a fresh one), so a
+// torn read that pairs one publish's pointer with another's ID can never
+// validate: node.LiveAs(id) fails unless the pointer and ID belong to the
+// same live, unmarked life. Consumers must therefore gate every use on
+// LiveAs under an epoch pin (or on the node's marked bit when the structure
+// never reclaims slots), then check that the node holds the key they asked
+// for, and treat any failure exactly like a miss. A reader still probing an
+// array that a rehash has replaced may miss an entry published since, but
+// every node it can return was published under the key's hash. Nothing in
+// the map's correctness depends on an entry being present or current.
 package hindex
 
 import (
 	"cmp"
 	"math"
-	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"layeredsg/internal/node"
 )
 
 const (
-	// initialBuckets is the bucket count at construction. Must be a power of
-	// two.
-	initialBucketBits = 8
-	initialBuckets    = 1 << initialBucketBits
-	// maxBuckets caps bucket-array doubling.
-	maxBuckets = 1 << 24
-	// maxSegments bounds the segment directory; segment 0 holds
-	// initialBuckets buckets and every later segment doubles the table, so
-	// the directory covers maxBuckets with room to spare.
-	maxSegments = 24
-	// loadFactor is the entries-per-bucket threshold that doubles the bucket
-	// count.
-	loadFactor = 2
+	// shardBits sets the shard count; the top shardBits of a hash pick the
+	// shard.
+	shardBits = 5
+	nShards   = 1 << shardBits
+	// minSlots is a shard's smallest array. Must be a power of two.
+	minSlots = 8
+	// cacheLine pads shard headers apart.
+	cacheLine = 64
 )
 
-// entry is one list node: the split-order key (bit-reversed hash, LSB 1 for
-// regular entries and 0 for bucket dummies), the map key, the singly-linked
-// successor, and the indexed node reference (pointer + life ID). next is
-// written once by the linking CAS and then only read; n and id churn with
-// publishes and tombstones.
-type entry[K cmp.Ordered, V any] struct {
-	so   uint64
-	key  K
-	next atomic.Pointer[entry[K, V]]
+// slot is one array cell. hash is 0 while the slot is free and set once
+// when a publish claims it; n is nil while free or tombstoned.
+type slot[K cmp.Ordered, V any] struct {
+	hash atomic.Uint64
 	n    atomic.Pointer[node.Node[K, V]]
 	id   atomic.Uint64
 }
 
-func (e *entry[K, V]) dummy() bool { return e.so&1 == 0 }
-
-// less orders the list: by split-order key, then — among regular entries
-// sharing a hash — by map key. Dummies share their split-order key with no
-// regular entry (the LSB differs), so the key tiebreak never compares a
-// dummy.
-func (e *entry[K, V]) less(so uint64, key K) bool {
-	if e.so != so {
-		return e.so < so
-	}
-	return !e.dummy() && e.key < key
+// shard keeps the array pointer readers load on its own cache line, apart
+// from the mutex and counters publishers write.
+type shard[K cmp.Ordered, V any] struct {
+	tab atomic.Pointer[[]slot[K, V]]
+	_   [cacheLine - 8]byte
+	mu  sync.Mutex
+	// used counts claimed slots (live plus tombstones) and live those
+	// holding a node; both are guarded by mu.
+	used, live int
+	_          [cacheLine - 24]byte
 }
 
 // Index is the shared hash index. All methods are safe for concurrent use.
 type Index[K cmp.Ordered, V any] struct {
-	// segments is the two-level bucket directory: segment 0 holds
-	// initialBuckets dummy slots, segment k > 0 holds initialBuckets<<(k-1)
-	// — each new segment doubles the table. Slots hold the bucket's dummy
-	// entry once initialized.
-	segments [maxSegments]atomic.Pointer[[]atomic.Pointer[entry[K, V]]]
-	// buckets is the current bucket count (power of two). Grown by CAS when
-	// the load factor is exceeded; never shrunk.
-	buckets atomic.Uint64
-	// entries counts regular (non-dummy) entries ever linked — tombstoned
-	// entries stay counted, matching the structure's monotonic footprint.
-	entries atomic.Int64
-	// dummies counts materialized bucket dummies (including bucket 0).
-	dummies atomic.Int64
+	shards [nShards]shard[K, V]
 }
 
-// New builds an empty index. sizeHint, when positive, pre-sizes the bucket
-// count so a preloaded working set skips the doubling ramp.
-func New[K cmp.Ordered, V any](sizeHint int) *Index[K, V] {
+// New builds an empty index.
+func New[K cmp.Ordered, V any]() *Index[K, V] {
 	x := &Index[K, V]{}
-	b := uint64(initialBuckets)
-	for int64(b)*loadFactor < int64(sizeHint) && b < maxBuckets {
-		b <<= 1
+	for i := range x.shards {
+		tab := make([]slot[K, V], minSlots)
+		x.shards[i].tab.Store(&tab)
 	}
-	x.buckets.Store(b)
-	seg0 := make([]atomic.Pointer[entry[K, V]], initialBuckets)
-	head := &entry[K, V]{so: 0} // bucket 0's dummy doubles as the list head
-	seg0[0].Store(head)
-	x.segments[0].Store(&seg0)
-	x.dummies.Store(1)
 	return x
 }
 
 // Stats is a point-in-time size summary for gauges.
 type Stats struct {
-	// Entries counts distinct keys ever published (tombstoned entries
-	// included — they are the index's retained footprint).
+	// Entries counts claimed slots: live entries plus the tombstones left
+	// until their shard's next rehash.
 	Entries int64
-	// Dummies counts materialized bucket shortcuts.
-	Dummies int64
-	// Buckets is the current logical bucket count.
-	Buckets int64
+	// Slots is the summed array capacity of all shards.
+	Slots int64
 }
 
 // Stats snapshots the index's size counters.
 func (x *Index[K, V]) Stats() Stats {
-	return Stats{
-		Entries: x.entries.Load(),
-		Dummies: x.dummies.Load(),
-		Buckets: int64(x.buckets.Load()),
+	var st Stats
+	for i := range x.shards {
+		s := &x.shards[i]
+		s.mu.Lock()
+		st.Entries += int64(s.used)
+		st.Slots += int64(len(*s.tab.Load()))
+		s.mu.Unlock()
 	}
+	return st
 }
 
-// Lookup returns the node and life ID indexed under key. A true ok only
-// means an entry existed and was not tombstoned: the caller owns
-// re-validation (node.LiveAs under a pin, or the marked bit when slots are
-// never reclaimed) and must treat a failed validation exactly like a miss.
-// Lookup never allocates: uninitialized buckets fall back to the nearest
-// materialized parent dummy instead of materializing one.
+// Lookup returns the node and life ID indexed under key's hash. A true ok
+// only means a non-tombstoned entry existed: the caller owns re-validation
+// (node.LiveAs under a pin, or the marked bit when slots are never
+// reclaimed) and the key check, and must treat a failure exactly like a
+// miss.
 func (x *Index[K, V]) Lookup(key K) (*node.Node[K, V], uint64, bool) {
-	h := hash(key)
-	so := bits.Reverse64(h) | 1
-	e := x.walkFrom(x.nearestDummy(h), so, key)
-	if e == nil {
+	return x.lookup(hash(key))
+}
+
+func (x *Index[K, V]) lookup(h uint64) (*node.Node[K, V], uint64, bool) {
+	e, claimed := probe(*x.shardOf(h).tab.Load(), h)
+	if !claimed {
 		return nil, 0, false
 	}
 	// The ID is read after the pointer: pairing a publish's pointer with a
-	// *later* publish's ID is indistinguishable (to LiveAs) from the torn
-	// pairs the package comment rules out, so any mix fails closed.
+	// later publish's ID fails LiveAs like any torn pair.
 	n := e.n.Load()
 	if n == nil {
 		return nil, 0, false
@@ -170,205 +141,114 @@ func (x *Index[K, V]) Lookup(key K) (*node.Node[K, V], uint64, bool) {
 	return n, e.id.Load(), true
 }
 
-// Publish records key → (n, id), creating or reviving the key's entry. id
-// must be the life ID the publisher observed on n at its linearization point
-// (insert link, revive CAS). A racing publish of a *different* node for the
-// same key is resolved in favor of whichever node is still live — at most
-// one unmarked node per key exists at any instant, so a live incumbent
-// proves the caller's node is the stale one.
+// Publish records key → (n, id), claiming or reviving the slot for key's
+// hash. id must be the life ID the publisher observed on n at its
+// linearization point (insert link, revive CAS). A live incumbent keeps the
+// slot: at most one unmarked node per key exists at any instant, so it
+// proves the caller's node is the stale one — or it holds another key with
+// the same hash, which the consumer's key check turns into misses.
 func (x *Index[K, V]) Publish(key K, n *node.Node[K, V], id uint64) {
-	e := x.entryFor(key)
-	cur := e.n.Load()
-	if cur == n {
-		if e.id.Load() != id {
+	x.publish(hash(key), n, id)
+}
+
+func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
+	s := x.shardOf(h)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tab := *s.tab.Load()
+	e, claimed := probe(tab, h)
+	if claimed {
+		cur := e.n.Load()
+		switch {
+		case cur == n:
 			e.id.Store(id)
+			return
+		case cur == nil:
+			s.live++
+		case cur.LiveAs(e.id.Load(), nil):
+			return
 		}
-		return
-	}
-	if cur != nil && cur != n && cur.LiveAs(e.id.Load(), nil) {
-		// A different live node owns this key; the caller's publish is a
-		// laggard from a previous life. Correctness does not depend on this
-		// guard (a stale entry fails LiveAs at the reader), it just keeps
-		// the entry pointing at the useful node.
+		e.id.Store(id)
+		e.n.Store(n)
 		return
 	}
 	e.id.Store(id)
 	e.n.Store(n)
+	e.hash.Store(h)
+	s.used++
+	s.live++
+	if 2*s.used > len(tab) {
+		s.rehash(tab)
+	}
 }
 
 // Unpublish tombstones key's entry if it still references n (hygiene on
-// retirement and on reader-detected staleness). The CAS never clobbers a
-// racing publish of a newer node.
+// retirement and on reader-detected staleness). It never clobbers a newer
+// publish of a different node.
 func (x *Index[K, V]) Unpublish(key K, n *node.Node[K, V]) {
-	h := hash(key)
-	so := bits.Reverse64(h) | 1
-	if e := x.walkFrom(x.nearestDummy(h), so, key); e != nil {
-		e.n.CompareAndSwap(n, nil)
+	x.unpublish(hash(key), n)
+}
+
+func (x *Index[K, V]) unpublish(h uint64, n *node.Node[K, V]) {
+	s := x.shardOf(h)
+	s.mu.Lock()
+	if e, claimed := probe(*s.tab.Load(), h); claimed && e.n.Load() == n {
+		e.n.Store(nil)
+		s.live--
 	}
+	s.mu.Unlock()
 }
 
-// entryFor returns key's entry, linking a fresh one (and growing the table)
-// when none exists.
-func (x *Index[K, V]) entryFor(key K) *entry[K, V] {
-	h := hash(key)
-	so := bits.Reverse64(h) | 1
-	start := x.bucketDummy(h)
-	for {
-		pred, curr := x.find(start, so, key)
-		if curr != nil && curr.so == so && curr.key == key {
-			return curr
-		}
-		e := &entry[K, V]{so: so, key: key}
-		e.next.Store(curr)
-		if pred.next.CompareAndSwap(curr, e) {
-			if n := x.entries.Add(1); n > loadFactor*int64(x.buckets.Load()) {
-				x.grow()
-			}
-			return e
-		}
-		// A concurrent link landed between pred and curr. Entries are never
-		// unlinked, so pred is still in the list: rescan from it.
-		start = pred
+// rehash rebuilds the shard from old's live entries into an array at most
+// a third full, dropping tombstones and entries whose node has retired.
+// Readers still probing old keep a consistent, frozen view. Caller holds
+// s.mu.
+func (s *shard[K, V]) rehash(old []slot[K, V]) {
+	size := minSlots
+	for size < 3*s.live {
+		size <<= 1
 	}
-}
-
-// find walks from start to the insertion point for (so, key): it returns the
-// last entry ordered before it and the first ordered at-or-after (nil at the
-// list tail).
-func (x *Index[K, V]) find(start *entry[K, V], so uint64, key K) (pred, curr *entry[K, V]) {
-	pred = start
-	for curr = pred.next.Load(); curr != nil && curr.less(so, key); curr = curr.next.Load() {
-		pred = curr
-	}
-	return pred, curr
-}
-
-// walkFrom returns the entry matching (so, key) at or after start, or nil.
-func (x *Index[K, V]) walkFrom(start *entry[K, V], so uint64, key K) *entry[K, V] {
-	for e := start; e != nil; e = e.next.Load() {
-		if e.so == so && e.key == key {
-			return e
+	tab := make([]slot[K, V], size)
+	live := 0
+	for i := range old {
+		n, id := old[i].n.Load(), old[i].id.Load()
+		if n == nil || !n.LiveAs(id, nil) {
+			continue
 		}
-		if e.so > so {
-			return nil
-		}
+		h := old[i].hash.Load()
+		e, _ := probe(tab, h)
+		e.hash.Store(h)
+		e.n.Store(n)
+		e.id.Store(id)
+		live++
 	}
-	return nil
+	s.used, s.live = live, live
+	s.tab.Store(&tab)
 }
 
-// bucketOf maps a hash onto the current bucket array.
-func (x *Index[K, V]) bucketOf(h uint64) uint64 {
-	return h & (x.buckets.Load() - 1)
-}
-
-// nearestDummy returns the hash's bucket dummy when materialized, else the
-// closest materialized ancestor (bucket 0 always exists). Allocation-free —
-// this is the read-path bucket resolution.
-func (x *Index[K, V]) nearestDummy(h uint64) *entry[K, V] {
-	b := x.bucketOf(h)
-	for {
-		if d := x.dummySlot(b).Load(); d != nil {
-			return d
-		}
-		b = parentBucket(b)
-	}
-}
-
-// bucketDummy returns the hash's bucket dummy, materializing it (and,
-// recursively, its ancestors) on first touch — the write-path bucket
-// resolution.
-func (x *Index[K, V]) bucketDummy(h uint64) *entry[K, V] {
-	return x.initBucket(x.bucketOf(h))
-}
-
-func (x *Index[K, V]) initBucket(b uint64) *entry[K, V] {
-	slot := x.dummySlot(b)
-	if d := slot.Load(); d != nil {
-		return d
-	}
-	// Split-ordered bucket initialization: link this bucket's dummy into the
-	// list starting from the parent bucket's dummy (the parent's chain is a
-	// superset of this bucket's). The dummy's split-order key is the bit
-	// reversal of the bucket number — even, so it sorts immediately before
-	// the bucket's regular entries.
-	parent := x.initBucket(parentBucket(b))
-	so := bits.Reverse64(b)
-	var zero K
-	for {
-		pred, curr := x.find(parent, so, zero)
-		if curr != nil && curr.so == so {
-			// Another initializer already linked this bucket's dummy; adopt it.
-			slot.CompareAndSwap(nil, curr)
-			return slot.Load()
-		}
-		d := &entry[K, V]{so: so}
-		d.next.Store(curr)
-		if pred.next.CompareAndSwap(curr, d) {
-			x.dummies.Add(1)
-			slot.CompareAndSwap(nil, d)
-			return slot.Load()
-		}
-		parent = pred
-	}
-}
-
-// dummySlot returns the directory slot for bucket b, materializing the
-// segment holding it on first touch.
-func (x *Index[K, V]) dummySlot(b uint64) *atomic.Pointer[entry[K, V]] {
-	seg, off := segmentOf(b)
-	sp := x.segments[seg].Load()
-	if sp == nil {
-		size := initialBuckets
-		if seg > 0 {
-			size = initialBuckets << (seg - 1)
-		}
-		fresh := make([]atomic.Pointer[entry[K, V]], size)
-		if x.segments[seg].CompareAndSwap(nil, &fresh) {
-			sp = &fresh
-		} else {
-			sp = x.segments[seg].Load()
-		}
-	}
-	return &(*sp)[off]
-}
-
-// segmentOf maps a bucket number onto (segment, offset): segment 0 covers
-// [0, initialBuckets) and segment k > 0 covers the doubling range
-// [initialBuckets<<(k-1), initialBuckets<<k).
-func segmentOf(b uint64) (int, uint64) {
-	if b < initialBuckets {
-		return 0, b
-	}
-	k := bits.Len64(b >> initialBucketBits)
-	return k, b - initialBuckets<<(k-1)
-}
-
-// parentBucket clears the bucket's highest set bit: the bucket whose chain
-// was split to create b.
-func parentBucket(b uint64) uint64 {
-	if b == 0 {
-		return 0
-	}
-	return b &^ (1 << (bits.Len64(b) - 1))
-}
-
-// grow doubles the bucket count (a single CAS — no entries move; new buckets
-// materialize their dummies lazily on first touch).
-func (x *Index[K, V]) grow() {
-	for {
-		b := x.buckets.Load()
-		if b >= maxBuckets || x.entries.Load() <= loadFactor*int64(b) {
-			return
-		}
-		if x.buckets.CompareAndSwap(b, b<<1) {
-			return
+// probe returns the slot holding h (claimed) or the free slot that ends
+// h's probe run. A claim past half an array rehashes it, so a free slot
+// always ends the run.
+func probe[K cmp.Ordered, V any](tab []slot[K, V], h uint64) (*slot[K, V], bool) {
+	mask := uint64(len(tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch tab[i].hash.Load() {
+		case h:
+			return &tab[i], true
+		case 0:
+			return &tab[i], false
 		}
 	}
 }
 
-// hash maps a key to 64 well-mixed bits: the key's own bits (FNV-1a for
-// strings) through a splitmix64 finalizer, so dense integer key spaces
-// spread across buckets instead of filling one split-order range.
+func (x *Index[K, V]) shardOf(h uint64) *shard[K, V] {
+	return &x.shards[h>>(64-shardBits)]
+}
+
+// hash maps a key to 64 well-mixed, nonzero bits: the key's own bits
+// (FNV-1a for strings) through a splitmix64 finalizer, so dense integer key
+// spaces spread across shards and slots. 0 marks a free slot, so a key
+// hashing to 0 shares hash 1.
 func hash[K cmp.Ordered](key K) uint64 {
 	var h uint64
 	switch k := any(&key).(type) {
@@ -410,5 +290,8 @@ func hash[K cmp.Ordered](key K) uint64 {
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
+	if h == 0 {
+		h = 1
+	}
 	return h
 }

@@ -2,7 +2,6 @@ package hindex
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"testing"
 
@@ -16,8 +15,81 @@ func newNode(key int64, id uint64) *node.Node[int64, int64] {
 	return node.NewData[int64, int64](key, key, 0, 0, node.Owner{}, id, 0)
 }
 
+// retire marks n's level-0 reference, as a lazy retirement does: LiveAs
+// fails from then on.
+func retire(n *node.Node[int64, int64]) { n.RawStore(0, nil, true, false) }
+
+// find is the consumer's side of the contract (core's indexFind): a hit
+// counts only if the node is live as the indexed life and holds key.
+func find(x *Index[int64, int64], h uint64, key int64) (*node.Node[int64, int64], bool) {
+	n, id, ok := x.lookup(h)
+	if !ok || !n.LiveAs(id, nil) || n.Key() != key {
+		return nil, false
+	}
+	return n, true
+}
+
+// rehashAll rebuilds every shard, as a claim past half its array would.
+func rehashAll(x *Index[int64, int64]) {
+	for i := range x.shards {
+		s := &x.shards[i]
+		s.mu.Lock()
+		s.rehash(*s.tab.Load())
+		s.mu.Unlock()
+	}
+}
+
+// checkLayout asserts the open-addressing invariants of every shard: each
+// claimed hash belongs to its shard, is claimed once, and is reachable from
+// its home slot without crossing a free slot; the counters match the array;
+// and a free slot remains.
+func checkLayout(t *testing.T, x *Index[int64, int64]) {
+	t.Helper()
+	for si := range x.shards {
+		s := &x.shards[si]
+		s.mu.Lock()
+		tab := *s.tab.Load()
+		mask := uint64(len(tab) - 1)
+		used, live := 0, 0
+		seen := map[uint64]bool{}
+		for i := range tab {
+			h := tab[i].hash.Load()
+			if h == 0 {
+				if tab[i].n.Load() != nil {
+					t.Errorf("shard %d slot %d: node in a free slot", si, i)
+				}
+				continue
+			}
+			used++
+			if tab[i].n.Load() != nil {
+				live++
+			}
+			if x.shardOf(h) != s {
+				t.Errorf("shard %d slot %d: hash %#x belongs to another shard", si, i, h)
+			}
+			if seen[h] {
+				t.Errorf("shard %d: hash %#x claimed twice", si, h)
+			}
+			seen[h] = true
+			for j := h & mask; j != uint64(i); j = (j + 1) & mask {
+				if tab[j].hash.Load() == 0 {
+					t.Errorf("shard %d: hash %#x at slot %d is cut off from home slot %d", si, h, i, h&mask)
+					break
+				}
+			}
+		}
+		if used != s.used || live != s.live {
+			t.Errorf("shard %d: counters used=%d live=%d, array holds %d and %d", si, s.used, s.live, used, live)
+		}
+		if 2*used > len(tab) {
+			t.Errorf("shard %d: %d of %d slots claimed", si, used, len(tab))
+		}
+		s.mu.Unlock()
+	}
+}
+
 func TestPublishLookupRoundTrip(t *testing.T) {
-	x := New[int64, int64](0)
+	x := New[int64, int64]()
 	const keys = 1000
 	nodes := make([]*node.Node[int64, int64], keys)
 	for k := int64(0); k < keys; k++ {
@@ -33,26 +105,25 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 	if _, _, ok := x.Lookup(keys + 1); ok {
 		t.Fatal("Lookup of an unpublished key returned ok")
 	}
-	st := x.Stats()
-	if st.Entries != keys {
+	if st := x.Stats(); st.Entries != keys {
 		t.Fatalf("Stats.Entries = %d, want %d", st.Entries, keys)
 	}
 }
 
 func TestUnpublishTombstonesAndRevives(t *testing.T) {
-	x := New[int64, int64](0)
+	x := New[int64, int64]()
 	n1 := newNode(7, 1)
 	x.Publish(7, n1, 1)
 	x.Unpublish(7, n1)
 	if _, _, ok := x.Lookup(7); ok {
 		t.Fatal("Lookup found a tombstoned entry")
 	}
-	// A republish revives the same entry in place.
+	// A republish revives the same slot in place.
 	before := x.Stats().Entries
 	n2 := newNode(7, 2)
 	x.Publish(7, n2, 2)
 	if got := x.Stats().Entries; got != before {
-		t.Fatalf("republish allocated a new entry: Entries %d -> %d", before, got)
+		t.Fatalf("republish claimed a new slot: Entries %d -> %d", before, got)
 	}
 	n, id, ok := x.Lookup(7)
 	if !ok || n != n2 || id != 2 {
@@ -66,18 +137,17 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 }
 
 func TestPublishKeepsLiveIncumbent(t *testing.T) {
-	x := New[int64, int64](0)
+	x := New[int64, int64]()
 	live := newNode(3, 10) // unmarked: LiveAs(10) holds
 	x.Publish(3, live, 10)
 	// A laggard publish from a previous life must lose to the live incumbent.
-	stale := newNode(3, 4)
-	x.Publish(3, stale, 4)
+	x.Publish(3, newNode(3, 4), 4)
 	n, id, ok := x.Lookup(3)
 	if !ok || n != live || id != 10 {
 		t.Fatalf("Lookup(3) = (%p, %d, %v), want the live incumbent", n, id, ok)
 	}
 	// Once the incumbent is retired (marked), a new publish wins.
-	live.RawStore(0, nil, true, false)
+	retire(live)
 	next := newNode(3, 11)
 	x.Publish(3, next, 11)
 	n, id, ok = x.Lookup(3)
@@ -87,73 +157,91 @@ func TestPublishKeepsLiveIncumbent(t *testing.T) {
 }
 
 func TestGrowthKeepsAllEntriesReachable(t *testing.T) {
-	x := New[int64, int64](0)
-	const keys = initialBuckets * loadFactor * 8 // forces several doublings
+	x := New[int64, int64]()
+	const keys = nShards * minSlots * 64 // forces several rehashes per shard
 	for k := int64(0); k < keys; k++ {
 		x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
 	}
-	st := x.Stats()
-	if st.Buckets <= initialBuckets {
-		t.Fatalf("bucket count never grew: %d", st.Buckets)
+	if st := x.Stats(); st.Slots < 2*keys {
+		t.Fatalf("Stats.Slots = %d for %d entries, want at least twice as many", st.Slots, keys)
 	}
 	for k := int64(0); k < keys; k++ {
 		if _, id, ok := x.Lookup(k); !ok || id != uint64(k+1) {
 			t.Fatalf("Lookup(%d) after growth = (id=%d, ok=%v)", k, id, ok)
 		}
 	}
+	checkLayout(t, x)
 }
 
-func TestSizeHintPresizes(t *testing.T) {
-	x := New[int64, int64](1 << 16)
-	if got := x.Stats().Buckets; got < (1<<16)/loadFactor {
-		t.Fatalf("Stats.Buckets = %d, want >= %d", got, (1<<16)/loadFactor)
+// TestRehashDropsTombstones checks that a rehash keeps every live entry and
+// drops every tombstone and every entry whose node has retired, and that
+// under drift — fresh keys published and unpublished, few live at a time —
+// claimed slots track the live set instead of the keys ever published.
+func TestRehashDropsTombstones(t *testing.T) {
+	x := New[int64, int64]()
+	const keys = 2000
+	nodes := make([]*node.Node[int64, int64], keys)
+	for k := int64(0); k < keys; k++ {
+		nodes[k] = newNode(k, uint64(k+1))
+		x.Publish(k, nodes[k], uint64(k+1))
 	}
-}
-
-// TestListOrderInvariant walks the whole split-ordered list checking it is
-// strictly sorted by (split-order key, map key) with dummies interleaved at
-// their bucket positions.
-func TestListOrderInvariant(t *testing.T) {
-	x := New[int64, int64](0)
-	for k := int64(0); k < 5000; k++ {
-		x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
-	}
-	head := x.segments[0].Load()
-	prev := (*head)[0].Load()
-	count := 0
-	for e := prev.next.Load(); e != nil; e = e.next.Load() {
-		if e.so < prev.so || (e.so == prev.so && (prev.dummy() || e.dummy() || e.key <= prev.key)) {
-			t.Fatalf("list order violated: (%d,%v) then (%d,%v)", prev.so, prev.key, e.so, e.key)
+	live := 0
+	for k := int64(0); k < keys; k++ {
+		switch k % 4 {
+		case 0:
+			x.Unpublish(k, nodes[k]) // tombstone
+		case 1:
+			retire(nodes[k]) // dead but still indexed
+		default:
+			live++
 		}
-		if e.dummy() {
-			b := bits.Reverse64(e.so)
-			if d := x.dummySlot(b).Load(); d != e {
-				t.Fatalf("dummy for bucket %d not registered in the directory", b)
-			}
-		} else {
-			count++
+	}
+	rehashAll(x)
+	if st := x.Stats(); st.Entries != int64(live) {
+		t.Fatalf("Stats.Entries after rehash = %d, want the %d live entries", st.Entries, live)
+	}
+	for k := int64(0); k < keys; k++ {
+		_, _, ok := x.Lookup(k)
+		if want := k%4 >= 2; ok != want {
+			t.Fatalf("Lookup(%d) after rehash ok=%v, want %v", k, ok, want)
 		}
-		prev = e
 	}
-	if count != 5000 {
-		t.Fatalf("walked %d regular entries, want 5000", count)
+	checkLayout(t, x)
+
+	// Drift: 64 keys live at a time, 20 000 distinct keys in all.
+	y := New[int64, int64]()
+	const window = 64
+	ring := make([]*node.Node[int64, int64], window)
+	for k := int64(0); k < 20000; k++ {
+		if old := ring[k%window]; old != nil {
+			y.Unpublish(old.Key(), old)
+		}
+		ring[k%window] = newNode(k, uint64(k+1))
+		y.Publish(k, ring[k%window], uint64(k+1))
+		if k%window != 0 {
+			continue
+		}
+		if e := y.Stats().Entries; e > 8*window {
+			t.Fatalf("after %d distinct keys, %d live: Entries = %d", k+1, window, e)
+		}
 	}
+	checkLayout(t, y)
 }
 
-// TestCollidingHashes forces distinct keys into identical split-order
-// positions via the string key type (crafted FNV collisions are hard; instead
-// this exercises the key tiebreak by checking many keys per bucket at the
-// initial table size, where 64-bit hashes collide per-bucket constantly).
+// TestCollidingBuckets fills the index with string keys (the FNV-1a hash
+// path). Arrays run up to half full, so home slots collide often: keys
+// sharing a home slot share a probe run and must all stay reachable
+// through it.
 func TestCollidingBuckets(t *testing.T) {
-	x := New[string, int64](0)
-	keys := make([]string, 3000) // ~12 keys per initial bucket
+	x := New[string, int64]()
+	keys := make([]string, 3000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%05d", i)
 		n := node.NewData[string, int64](keys[i], int64(i), 0, 0, node.Owner{}, uint64(i+1), 0)
 		x.Publish(keys[i], n, uint64(i+1))
 	}
 	for i, k := range keys {
-		if _, id, ok := x.Lookup(k); !ok || id != uint64(i+1) {
+		if n, id, ok := x.Lookup(k); !ok || id != uint64(i+1) || n.Key() != k {
 			t.Fatalf("Lookup(%q) = (id=%d, ok=%v)", k, id, ok)
 		}
 	}
@@ -162,63 +250,128 @@ func TestCollidingBuckets(t *testing.T) {
 	}
 }
 
-// TestConcurrentPublishLookup hammers the index from many goroutines —
-// publishes, lookups, tombstones, and revives on an overlapping key range —
-// primarily as a -race target, with per-key referential integrity checked
-// throughout: a lookup must only ever return a node that was published under
-// that key.
+// TestHashCollisionFailsClosed forces two keys onto one 64-bit hash through
+// the hash-taking internals. The slot serves whichever key's node holds it,
+// and the consumer's key check turns the other key's lookups into misses.
+func TestHashCollisionFailsClosed(t *testing.T) {
+	x := New[int64, int64]()
+	const a, b = 1, 2
+	h := hash(int64(a))
+	na := newNode(a, 1)
+	x.publish(h, na, 1)
+	if n, ok := find(x, h, a); !ok || n != na {
+		t.Fatalf("key %d not found under its own hash", a)
+	}
+	if n, _, ok := x.lookup(h); !ok || n.Key() != a {
+		t.Fatalf("lookup(h) = (%v, %v), want key %d's node", n, ok, a)
+	}
+	if _, ok := find(x, h, b); ok {
+		t.Fatalf("key check accepted key %d's node for key %d", a, b)
+	}
+	// b's publish loses to the live incumbent, even though it holds a
+	// different key.
+	nb := newNode(b, 2)
+	x.publish(h, nb, 2)
+	if n, _, _ := x.lookup(h); n != na {
+		t.Fatal("publish under a colliding hash displaced a live incumbent")
+	}
+	if _, ok := find(x, h, b); ok {
+		t.Fatalf("key %d resolved while key %d holds the slot", b, a)
+	}
+	// Once a retires, b takes the slot and a's lookups miss.
+	retire(na)
+	x.publish(h, nb, 2)
+	if n, ok := find(x, h, b); !ok || n != nb {
+		t.Fatalf("key %d not found after the incumbent retired", b)
+	}
+	if _, ok := find(x, h, a); ok {
+		t.Fatalf("key check accepted key %d's node for key %d", b, a)
+	}
+	if st := x.Stats(); st.Entries != 1 {
+		t.Fatalf("colliding keys claimed %d slots, want 1", st.Entries)
+	}
+}
+
+// TestConcurrentPublishLookup hammers the index from many goroutines with
+// publishes, lookups, tombstones, retirements, and the rehashes that fresh
+// keys trigger, primarily as a -race target. Every node published under
+// key k's hash holds k or k's alias (a distinct key forced onto the same
+// hash), so the integrity rule is the consumer's key check: a lookup may
+// miss, but a node it returns must hold one of those two keys, and a hit
+// that passes the check holds k.
 func TestConcurrentPublishLookup(t *testing.T) {
-	x := New[int64, int64](0)
+	x := New[int64, int64]()
 	const (
 		workers = 8
 		keys    = 512
-		rounds  = 2000
+		alias   = 1 << 40
+		rounds  = 3000
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			fresh := int64(1<<32) + int64(w)<<20
 			for r := 0; r < rounds; r++ {
 				k := int64((r*7 + w*13) % keys)
+				h := hash(k)
 				id := uint64(w*rounds+r) + 1
-				n := newNode(k, id)
-				switch r % 3 {
+				switch r % 5 {
 				case 0:
-					x.Publish(k, n, id)
+					x.publish(h, newNode(k, id), id)
 				case 1:
-					if got, _, ok := x.Lookup(k); ok && got.Key() != k {
-						t.Errorf("Lookup(%d) returned a node holding key %d", k, got.Key())
+					x.publish(h, newNode(k+alias, id), id)
+				case 2:
+					if n, _, ok := x.lookup(h); ok && n.Key() != k && n.Key() != k+alias {
+						t.Errorf("lookup under key %d's hash returned a node holding key %d", k, n.Key())
 						return
 					}
-				case 2:
-					if got, _, ok := x.Lookup(k); ok {
-						x.Unpublish(k, got)
+					if n, ok := find(x, h, k); ok && n.Key() != k {
+						t.Errorf("key check passed key %d's node for key %d", n.Key(), k)
+						return
 					}
+				case 3:
+					if n, _, ok := x.lookup(h); ok {
+						if r%2 == 0 {
+							retire(n)
+						} else {
+							x.unpublish(h, n)
+						}
+					}
+				case 4:
+					// A fresh key claims a slot and tombstones it at once:
+					// claims keep crossing half an array, so shards rehash
+					// throughout.
+					n := newNode(fresh, id)
+					x.Publish(fresh, n, id)
+					x.Unpublish(fresh, n)
+					fresh++
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Every key is still resolvable after a fresh publish. Live incumbents win
-	// publish races by design, so retire the storm's survivor first — in real
-	// use the lazy protocol guarantees at most one unmarked node per key.
+	checkLayout(t, x)
+	// Every key is resolvable after a fresh publish once the storm's
+	// survivor retires: in real use the lazy protocol guarantees at most one
+	// unmarked node per key, and live incumbents win publish races.
 	for k := int64(0); k < keys; k++ {
-		if got, _, ok := x.Lookup(k); ok {
-			got.RawStore(0, nil, true, false)
+		if n, _, ok := x.Lookup(k); ok {
+			retire(n)
 		}
 		n := newNode(k, uint64(1<<40)+uint64(k))
 		x.Publish(k, n, n.ID())
-		if got, _, ok := x.Lookup(k); !ok || got != n {
-			t.Fatalf("Lookup(%d) after final publish = (%p, ok=%v), want %p", k, got, ok, n)
+		if got, ok := find(x, hash(k), k); !ok || got != n {
+			t.Fatalf("find(%d) after final publish = (%p, ok=%v), want %p", k, got, ok, n)
 		}
 	}
 }
 
-// TestConcurrentGrowth races bucket doubling against publishes: every entry
-// linked during the storm must stay reachable afterwards.
+// TestConcurrentGrowth races rehashes against publishes: every entry
+// published during the storm must stay reachable afterwards.
 func TestConcurrentGrowth(t *testing.T) {
-	x := New[int64, int64](0)
+	x := New[int64, int64]()
 	const (
 		workers = 8
 		perW    = 4000
@@ -232,6 +385,10 @@ func TestConcurrentGrowth(t *testing.T) {
 			for i := int64(0); i < perW; i++ {
 				k := base + i
 				x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
+				if _, _, ok := x.Lookup(base); !ok {
+					t.Errorf("Lookup(%d) missed during growth", base)
+					return
+				}
 			}
 		}(w)
 	}
@@ -244,4 +401,30 @@ func TestConcurrentGrowth(t *testing.T) {
 	if st := x.Stats(); st.Entries != workers*perW {
 		t.Fatalf("Stats.Entries = %d, want %d", st.Entries, workers*perW)
 	}
+	checkLayout(t, x)
+}
+
+// TestProbeInvariant runs a mixed publish/unpublish/retire sequence with
+// rehashes along the way and checks the open-addressing layout after each
+// phase.
+func TestProbeInvariant(t *testing.T) {
+	x := New[int64, int64]()
+	nodes := map[int64]*node.Node[int64, int64]{}
+	for phase := int64(0); phase < 4; phase++ {
+		for k := phase * 1500; k < phase*1500+3000; k++ {
+			if n := nodes[k]; n != nil && k%3 == 0 {
+				x.Unpublish(k, n)
+				continue
+			}
+			n := newNode(k, uint64(phase<<32)+uint64(k)+1)
+			if old := nodes[k]; old != nil {
+				retire(old)
+			}
+			nodes[k] = n
+			x.Publish(k, n, n.ID())
+		}
+		checkLayout(t, x)
+	}
+	rehashAll(x)
+	checkLayout(t, x)
 }

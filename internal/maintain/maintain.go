@@ -118,6 +118,10 @@ type Engine[K cmp.Ordered, V any] struct {
 	pins    []*epoch.Pin
 	syncMu  sync.Mutex
 	syncPin *epoch.Pin
+	// passMu is read-held by each helper across one working pass and
+	// write-held by Flush, so a Flush never runs while a helper holds
+	// popped items, a detached held or limbo list, or an epoch pin.
+	passMu sync.RWMutex
 
 	// held parks popped retire items that cannot resolve yet — still inside
 	// their commission period, or blocked by the MVCC retire gate while a
@@ -428,6 +432,7 @@ func (e *Engine[K, V]) run(h int) {
 		pin:      e.pins[h],
 	}
 	for {
+		e.passMu.RLock()
 		worked := w.drainPass(false)
 		if w.drainPending() {
 			worked = true
@@ -441,6 +446,7 @@ func (e *Engine[K, V]) run(h int) {
 				worked = true
 			}
 		}
+		e.passMu.RUnlock()
 		if worked {
 			continue
 		}
@@ -762,11 +768,14 @@ func (w *worker[K, V]) finalDrain() {
 // limbo round, so Manual-mode tests reclaim deterministically (call it until
 // LimboDepth drains). Returns the number of items executed. Safe concurrently
 // with helpers and operations (the per-node claim/dedup bits arbitrate) —
-// concurrent Flush/Close calls serialize on an internal mutex — but recorded
-// under no thread recorder.
+// concurrent Flush/Close calls serialize on an internal mutex, and Flush
+// waits out any helper pass in progress, so no work is in a helper's hands
+// while it runs — but recorded under no thread recorder.
 func (e *Engine[K, V]) Flush() int {
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
+	e.passMu.Lock()
+	defer e.passMu.Unlock()
 	w := &worker[K, V]{e: e, numaNode: -1, res: e.sg.NewSearchResult(), pin: e.syncPin}
 	executed := 0
 	var requeue []item[K, V]

@@ -65,13 +65,11 @@ func (t *Tracer) RecordIndex(k IndexKind) {
 // IndexSizeSnapshot gauges the hash index's current shape — typically
 // hindex.Index.Stats.
 type IndexSizeSnapshot struct {
-	// Entries is the number of key slots ever linked (live + tombstoned:
-	// the split-ordered list never unlinks).
+	// Entries is the number of claimed slots: live entries plus tombstones
+	// awaiting their shard's next rehash.
 	Entries int64 `json:"entries"`
-	// Dummies is the number of materialized bucket sentinels.
-	Dummies int64 `json:"dummies"`
-	// Buckets is the current logical bucket count.
-	Buckets int64 `json:"buckets"`
+	// Slots is the summed capacity of the index's slot arrays.
+	Slots int64 `json:"slots"`
 }
 
 // SetIndexStats installs the gauge snapshots read for the index section of
@@ -94,11 +92,10 @@ type IndexSnapshot struct {
 	// Publishes and Unpublishes count entry installs and tombstones.
 	Publishes   uint64 `json:"publishes"`
 	Unpublishes uint64 `json:"unpublishes"`
-	// Entries, Dummies, and Buckets gauge the index's current size (live
-	// values, independent of Enabled).
+	// Entries and Slots gauge the index's current size (live values,
+	// independent of Enabled).
 	Entries int64 `json:"entries"`
-	Dummies int64 `json:"dummies"`
-	Buckets int64 `json:"buckets"`
+	Slots   int64 `json:"slots"`
 }
 
 // indexSnapshot builds the Snapshot section, or nil when the structure runs
@@ -120,6 +117,6 @@ func (t *Tracer) indexSnapshot() *IndexSnapshot {
 		return &s
 	}
 	sz := (*fn)()
-	s.Entries, s.Dummies, s.Buckets = sz.Entries, sz.Dummies, sz.Buckets
+	s.Entries, s.Slots = sz.Entries, sz.Slots
 	return &s
 }

@@ -201,9 +201,9 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	if x := s.Index; x != nil {
 		if _, err := fmt.Fprintf(w,
-			"  index    hits=%d misses=%d stale=%d fallbacks=%d publishes=%d unpublishes=%d entries=%d buckets=%d\n",
+			"  index    hits=%d misses=%d stale=%d fallbacks=%d publishes=%d unpublishes=%d entries=%d slots=%d\n",
 			x.Hits, x.Misses, x.Stale, x.Fallbacks, x.Publishes, x.Unpublishes,
-			x.Entries, x.Buckets); err != nil {
+			x.Entries, x.Slots); err != nil {
 			return err
 		}
 	}

@@ -131,11 +131,11 @@ func CommissionPeriodFor(threads int, perThread time.Duration) time.Duration {
 // must be safe for concurrent use; a nil Hooks (the default) keeps every
 // deferral inline, exactly as the paper specifies.
 type Hooks[K cmp.Ordered, V any] struct {
-	// EnqueueRetire hands an invalid node observed by a search to the
-	// engine: during its commission period (expired=false, alongside the
-	// recorded deferral) so retirement happens off-path as soon as the
-	// period ends, and after it (expired=true). Returns whether the node
-	// was accepted (or already queued).
+	// EnqueueRetire hands an invalid node to the engine: at the removal
+	// that invalidated it and whenever a search observes it during its
+	// commission period (expired=false, so retirement happens off-path as
+	// soon as the period ends), and after it (expired=true). Returns
+	// whether the node was accepted (or already queued).
 	EnqueueRetire func(n *node.Node[K, V], expired bool) bool
 	// EnqueueRelink hands the first node of an observed chain of marked
 	// references to the engine for off-path physical unlinking (the lazy

@@ -131,8 +131,8 @@ const (
 	ReclaimOff = core.ReclaimOff
 )
 
-// IndexMode selects whether the map layers a shared lock-free hash index
-// over the skip graph; see Config.Index and DESIGN.md §9.
+// IndexMode selects whether the map layers a shared hash index over the
+// skip graph; see Config.Index and DESIGN.md §9.
 type IndexMode = core.IndexMode
 
 // Hash-index modes.
