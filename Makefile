@@ -4,14 +4,16 @@
 #   make race     — short-mode race pass over the confinement-sensitive
 #                   packages: internal/core (handle migration contract),
 #                   the root package (Store facade leasing), and
-#                   internal/sbench (oversubscribed trials)
+#                   internal/sbench (oversubscribed trials); plus the node
+#                   arena's CAS paths: internal/atomicmark, internal/node,
+#                   the internal/direct and internal/competitors baselines,
+#                   and the full TestTorture run over every algorithm
+#                   (including the skip list, whose arena is taller than
+#                   the inline level words)
 #   make race-maintain — race pass over the background-maintenance surface:
 #                   internal/maintain plus the root scenarios that run
 #                   helpers against inline searches (claim arbitration,
 #                   Close-during-drain, scheduled linearizability)
-#   make race-refs — race pass over the node-representation surface: the
-#                   packed/cell torture scenarios and differential fuzz
-#                   seed corpus, plus internal/atomicmark and internal/node
 #   make race-reclaim — race pass over the reclamation/snapshot surface:
 #                   internal/epoch plus the root snapshot, plateau,
 #                   slot-recycle-ABA, and Close-blocks-on-snapshot
@@ -33,9 +35,6 @@
 #   make bench-reclaim — the reclamation benchmarks: slot-churn turnover
 #                   and revival with reclamation on/off, snapshot acquire,
 #                   and consistent-vs-weak RangeScan (see EXPERIMENTS.md)
-#   make bench-alloc — the representation benchmarks with -benchmem and
-#                   GODEBUG=gctrace=1, for allocs/op and GC-pause deltas
-#                   (see EXPERIMENTS.md); gctrace logs go to stderr
 #   make bench-json — the fixed sgbench scenario grid (index on/off across
 #                   the paper's contention cells plus a hotspot-skew cell),
 #                   written to BENCH.json for cross-PR diffing
@@ -61,9 +60,9 @@ PERSISTKEYS ?= 2000000
 PERSISTDIR ?= /tmp/layeredsg-persist
 WALKEYS ?= 500000
 
-.PHONY: ci build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal perfbench-test bench bench-alloc bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
+.PHONY: ci build test vet race race-maintain race-reclaim race-index race-persist race-wal perfbench-test bench bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
 
-ci: build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal perfbench-test
+ci: build test vet race race-maintain race-reclaim race-index race-persist race-wal perfbench-test
 
 build:
 	$(GO) build ./...
@@ -76,14 +75,12 @@ vet:
 
 race:
 	$(GO) test -race -short ./internal/core ./internal/sbench .
+	$(GO) test -race ./internal/atomicmark ./internal/node ./internal/direct ./internal/competitors
+	$(GO) test -race -run '^TestTorture$$' .
 
 race-maintain:
 	$(GO) test -race ./internal/maintain
 	$(GO) test -race -run 'Maint|TestCloseDuringDrain|TestStoreCloseLifecycle|TestHelperVsInline' .
-
-race-refs:
-	$(GO) test -race ./internal/atomicmark ./internal/node
-	$(GO) test -race -run 'TestTorturePackedRefs|FuzzRefRepresentations' .
 
 race-reclaim:
 	$(GO) test -race ./internal/epoch
@@ -107,10 +104,6 @@ perfbench-test:
 
 bench:
 	$(GO) test -run '^$$' -bench 'Store' -benchtime 3x .
-
-bench-alloc:
-	GODEBUG=gctrace=1 $(GO) test -run '^$$' -bench 'RefRepresentation/churn' -benchmem -benchtime 200000x .
-	GODEBUG=gctrace=1 $(GO) test -run '^$$' -bench 'RefRepresentation/trial' -benchmem -benchtime 3x .
 
 bench-reclaim:
 	$(GO) test -run '^$$' -bench 'Reclaim/(turnover|revive)' -benchmem -benchtime 200000x .

@@ -18,7 +18,6 @@ package layeredsg
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -287,81 +286,6 @@ func BenchmarkMaintainOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkRefRepresentation compares the two node representations — arena-
-// backed packed level references vs pointer-to-cell references — on the
-// insert/remove hot path. Run with -benchmem: the headline number is
-// allocs/op (the packed representation's link mutations are allocation-free,
-// so its remaining allocations are amortized arena chunks), alongside ns/op
-// and the GC stop-the-world pause accumulated per operation. The concurrent
-// sub-benchmarks report trial throughput; `make bench-alloc` adds
-// GODEBUG=gctrace=1 for raw GC logs. Results in EXPERIMENTS.md.
-func BenchmarkRefRepresentation(b *testing.B) {
-	modes := []struct {
-		name string
-		refs RefMode
-	}{
-		{"packed", RefPacked},
-		{"cells", RefCells},
-	}
-	// Single-handle churn: alternating insert/remove over a small key window,
-	// the paper's update hot path minus workload-generator noise.
-	for _, kind := range []Kind{LayeredSG, LazyLayeredSG} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("churn/%s/%s", kind, mode.name), func(b *testing.B) {
-				machine := benchMachine(b, 4)
-				m, err := New[int64, int64](Config{Machine: machine, Kind: kind, Refs: mode.refs, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				h := m.Handle(0)
-				for k := int64(0); k < 1024; k++ {
-					h.Insert(k, k)
-				}
-				var before runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ReportAllocs()
-				b.ResetTimer()
-				// Each iteration is one guaranteed-successful remove+insert
-				// pair on a preloaded key (failed ops mutate no links and
-				// would dilute allocs/op with zeros).
-				for i := 0; i < b.N; i++ {
-					k := int64(i*2654435761) % 1024
-					h.Remove(k)
-					h.Insert(k, k)
-				}
-				b.StopTimer()
-				var after runtime.MemStats
-				runtime.ReadMemStats(&after)
-				b.ReportMetric(float64(after.PauseTotalNs-before.PauseTotalNs)/float64(b.N), "gcPauseNs/op")
-			})
-		}
-	}
-	// Concurrent write-heavy trials: representation impact on throughput.
-	machine := benchMachine(b, benchThreads)
-	for _, mode := range modes {
-		b.Run("trial/HC_WH/"+mode.name, func(b *testing.B) {
-			var opsPerMs float64
-			for i := 0; i < b.N; i++ {
-				a, err := NewAdapter("lazy_layered_sg", machine, AdapterOptions{
-					KeySpace: experiments.HC.KeySpace,
-					Refs:     mode.refs,
-					Seed:     int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sbench.Trial(machine, a, benchWorkload(experiments.HC, experiments.WH))
-				a.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				opsPerMs += res.OpsPerMs
-			}
-			b.ReportMetric(opsPerMs/float64(b.N), "ops/ms")
-		})
-	}
-}
-
 // BenchmarkIndexOverhead measures the shared hash index (internal/hindex,
 // DESIGN.md §9) on its target workload: point reads of keys *other stripes*
 // inserted. The local structures cannot serve those — without the index every
@@ -492,8 +416,7 @@ func BenchmarkPQueue(b *testing.B) {
 // the same remove+insert workload with reclamation on and off (same engine,
 // same flush cadence): ns/op between the two is the pipeline's hot-path toll
 // (stamp sequencer + epoch pins + limbo hand-off; see EXPERIMENTS.md for the
-// measured deltas against the packed-representation churn numbers of
-// BenchmarkRefRepresentation), while slotsCarved/slotsLive
+// measured deltas), while slotsCarved/slotsLive
 // show the capacity story: with reclamation on, carved slots plateau near
 // the working set instead of tracking total allocations. The snapshot
 // sub-benchmarks price acquisition and the consistent-vs-weak RangeScan.
@@ -560,11 +483,10 @@ func BenchmarkReclaim(b *testing.B) {
 			b.ReportMetric(float64(st.SlotsLive()), "slotsLive")
 			b.ReportMetric(float64(st.SlotsReclaimed)/float64(b.N), "reclaimed/op")
 		})
-		// revive: PR 5's packed-churn shape — remove+insert of the same
-		// preloaded key, which the lazy protocol resolves as an in-place
-		// revival. No slots turn over; the ns/op delta against
-		// BenchmarkRefRepresentation/churn is the MVCC machinery's hot-path
-		// toll (epoch pins plus born/dead stamping).
+		// revive: remove+insert of the same preloaded key, which the lazy
+		// protocol resolves as an in-place revival. No slots turn over; the
+		// ns/op delta between reclaim on and off is the MVCC machinery's
+		// hot-path toll (epoch pins plus born/dead stamping).
 		b.Run("revive/"+mode.name, func(b *testing.B) {
 			m, _ := newChurnMap(b, mode.reclaim)
 			defer m.Close()

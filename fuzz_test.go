@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"layeredsg/internal/core"
+	"layeredsg/internal/node"
 )
 
 // The fuzz targets replay byte-encoded operation sequences against a model
@@ -254,12 +255,16 @@ func replayMaintainOps(t *testing.T, kind core.Kind, policy core.MaintenancePoli
 	checkModel(t, kind, m, model)
 }
 
-// FuzzRefRepresentations is the differential target for the two node
-// representations: every sequence runs once against a map forced onto the
-// arena-backed packed level references and once against the cell-based
-// representation, with identical deterministic configs. Each operation's
-// result must match between the twins, and the final key sets must be
-// identical — any divergence is a packed-representation bug (or a cell one).
+// FuzzRefRepresentations is the differential target for the two places a
+// node's level word lives: inline in the node (levels below
+// node.MaxArenaLevels) and in its chunk's overflow words (levels above, in
+// arenas taller than that). Every sequence runs once against a map on the
+// small fuzz machine, whose towers fit inline, and once against a map on a
+// 320-thread machine, whose height-8 towers put their top level in overflow
+// words, with otherwise identical deterministic configs. Each operation's
+// result must match between the twins and the model, and the final key sets
+// must be identical — any divergence is an overflow-word bug (or an inline
+// one).
 func FuzzRefRepresentations(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 1, 2, 1, 3, 1, 0, 1, 3, 1})
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 2, 20, 4, 0, 0, 20, 5, 0})
@@ -272,67 +277,78 @@ func FuzzRefRepresentations(f *testing.F) {
 }
 
 func replayDifferentialOps(t *testing.T, kind core.Kind, data []byte) {
-	machine := fuzzMachine(t)
-	newMap := func(refs core.RefMode) *Map[int64, int64] {
-		cfg := fuzzConfig(machine, kind)
-		cfg.Refs = refs
-		m, err := New[int64, int64](cfg)
+	topo, err := NewTopology(4, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tallMachine, err := Pin(topo, 320)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMap := func(machine *Machine) *Map[int64, int64] {
+		m, err := New[int64, int64](fuzzConfig(machine, kind))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	packed := newMap(core.RefPacked)
-	cells := newMap(core.RefCells)
-	if !packed.PackedRefs() || cells.PackedRefs() {
-		t.Fatal("RefMode did not select the requested representations")
+	inline, tall := newMap(fuzzMachine(t)), newMap(tallMachine)
+	defer inline.Close()
+	defer tall.Close()
+	if inline.MaxLevel() >= node.MaxArenaLevels ||
+		(kind != core.LayeredLL && tall.MaxLevel() < node.MaxArenaLevels) {
+		t.Fatalf("%v: heights %d and %d do not straddle the %d inline words",
+			kind, inline.MaxLevel(), tall.MaxLevel(), node.MaxArenaLevels)
 	}
+	// The tall twin's handle steps by the ratio of thread counts, so the two
+	// rotate through their machines' sockets together.
+	stride := tall.Threads() / inline.Threads()
 	model := map[int64]int64{}
 	thread := 0
-	hp, hc := packed.Handle(0), cells.Handle(0)
+	hi, ht := inline.Handle(0), tall.Handle(0)
 	for i := 0; i+1 < len(data); i += 2 {
 		sel, kb := data[i], data[i+1]
 		key := int64(kb) % fuzzKeySpace
 		_, present := model[key]
 		switch sel % 6 {
 		case 0, 1:
-			gp, gc := hp.Insert(key, key), hc.Insert(key, key)
-			if gp != gc || gp != !present {
-				t.Fatalf("%v op %d: Insert(%d) packed=%v cells=%v present=%v", kind, i/2, key, gp, gc, present)
+			gi, gt := hi.Insert(key, key), ht.Insert(key, key)
+			if gi != gt || gi != !present {
+				t.Fatalf("%v op %d: Insert(%d) inline=%v tall=%v present=%v", kind, i/2, key, gi, gt, present)
 			}
 			model[key] = key
 		case 2:
-			gp, gc := hp.Remove(key), hc.Remove(key)
-			if gp != gc || gp != present {
-				t.Fatalf("%v op %d: Remove(%d) packed=%v cells=%v present=%v", kind, i/2, key, gp, gc, present)
+			gi, gt := hi.Remove(key), ht.Remove(key)
+			if gi != gt || gi != present {
+				t.Fatalf("%v op %d: Remove(%d) inline=%v tall=%v present=%v", kind, i/2, key, gi, gt, present)
 			}
 			delete(model, key)
 		case 3:
-			vp, okp := hp.Get(key)
-			vc, okc := hc.Get(key)
-			if okp != okc || vp != vc || okp != present || (okp && vp != key) {
-				t.Fatalf("%v op %d: Get(%d) packed=(%d,%v) cells=(%d,%v) present=%v", kind, i/2, key, vp, okp, vc, okc, present)
+			vi, oki := hi.Get(key)
+			vt, okt := ht.Get(key)
+			if oki != okt || vi != vt || oki != present || (oki && vi != key) {
+				t.Fatalf("%v op %d: Get(%d) inline=(%d,%v) tall=(%d,%v) present=%v", kind, i/2, key, vi, oki, vt, okt, present)
 			}
 		case 4:
-			gp, gc := hp.Contains(key), hc.Contains(key)
-			if gp != gc || gp != present {
-				t.Fatalf("%v op %d: Contains(%d) packed=%v cells=%v present=%v", kind, i/2, key, gp, gc, present)
+			gi, gt := hi.Contains(key), ht.Contains(key)
+			if gi != gt || gi != present {
+				t.Fatalf("%v op %d: Contains(%d) inline=%v tall=%v present=%v", kind, i/2, key, gi, gt, present)
 			}
 		case 5:
-			// Rotate both twins to the next confined handle together.
-			thread = (thread + 1) % packed.Threads()
-			hp, hc = packed.Handle(thread), cells.Handle(thread)
+			// Rotate both twins to their next confined handle together.
+			thread = (thread + 1) % inline.Threads()
+			hi, ht = inline.Handle(thread), tall.Handle(thread*stride)
 		}
 	}
-	checkModel(t, kind, packed, model)
-	checkModel(t, kind, cells, model)
-	pk, ck := packed.Keys(), cells.Keys()
-	if len(pk) != len(ck) {
-		t.Fatalf("%v: packed keys %v != cell keys %v", kind, pk, ck)
+	checkModel(t, kind, inline, model)
+	checkModel(t, kind, tall, model)
+	ik, tk := inline.Keys(), tall.Keys()
+	if len(ik) != len(tk) {
+		t.Fatalf("%v: inline keys %v != tall keys %v", kind, ik, tk)
 	}
-	for i := range pk {
-		if pk[i] != ck[i] {
-			t.Fatalf("%v: packed keys %v != cell keys %v", kind, pk, ck)
+	for i := range ik {
+		if ik[i] != tk[i] {
+			t.Fatalf("%v: inline keys %v != tall keys %v", kind, ik, tk)
 		}
 	}
 }
@@ -726,8 +742,8 @@ func FuzzDumpLoad(f *testing.F) {
 
 // replayDumpLoad is the differential round trip: a prefix of operations
 // against a store and a twin model, StoreToDisk, LoadFromDisk under a
-// DIFFERENT shape (machine topology, node representation, and hash index all
-// varied by the fuzzed selector — so membership vectors, arena placement, and
+// DIFFERENT shape (machine topology and hash index both varied by the fuzzed
+// selector — so membership vectors, arena placement, and
 // index entries are re-derived, never restored), a suffix of operations
 // against the loaded store, then a full model and invariant check.
 func replayDumpLoad(t *testing.T, kind core.Kind, variant byte, prefix, suffix []byte) {
@@ -765,9 +781,6 @@ func replayDumpLoad(t *testing.T, kind core.Kind, variant byte, prefix, suffix [
 		t.Fatal(err)
 	}
 	cfg := persistFuzzConfig(machine, kind)
-	if variant&4 != 0 {
-		cfg.Refs = RefCells
-	}
 	if variant&8 != 0 {
 		cfg.Index = IndexOff
 	}

@@ -1,23 +1,17 @@
-// Package atomicmark provides atomic references that carry a pointer together
-// with a "marked" and a "valid" bit, all of which can be inspected and
-// replaced with a single compare-and-swap.
+// Package atomicmark provides atomic references that carry a successor
+// together with a "marked" and a "valid" bit, all of which can be inspected
+// and replaced with a single compare-and-swap.
 //
 // The layered skip graph protocol (and the baseline lock-free skip list)
 // requires operations such as casMarkValid(exp, new), which atomically flip
-// the mark/valid bits of a level reference while leaving the successor pointer
+// the mark/valid bits of a level reference while leaving the successor
 // untouched, and casNext(expMiddle, new), which replaces a chain of marked
 // references with a single CAS (the paper's "relink optimization"). Both need
-// (pointer, mark, valid) to behave as one atomic word.
-//
-// Instead of stealing pointer bits (which requires unsafe and fights the Go
-// garbage collector), a Ref holds an atomic.Pointer to an immutable cell.
-// Every mutation installs a fresh cell, so CAS on the cell pointer gives CAS
-// semantics over the whole triple. Crucially, marked cells are never mutated
-// afterwards (marked references are immutable in the protocol, Appendix C of
+// (successor, mark, valid) to behave as one atomic word: PackedRef packs them
+// into one uint64, with the successor expressed as an arena slot reference
+// (see packed.go). A marked reference is never mutated again (Appendix C of
 // the paper), which is what makes the relink optimization sound.
 package atomicmark
-
-import "sync/atomic"
 
 // Snapshot is an immutable view of a reference: the successor pointer plus
 // the marked and valid bits, observed atomically.
@@ -29,145 +23,4 @@ type Snapshot[T any] struct {
 	// Valid reports whether the reference is logically valid (lazy variant);
 	// non-lazy structures leave it permanently true.
 	Valid bool
-}
-
-// cell is the heap representation of a Snapshot. Cells are immutable after
-// publication; Ref mutations swap whole cells.
-type cell[T any] struct {
-	next   *T
-	marked bool
-	valid  bool
-}
-
-// Ref is an atomic (pointer, marked, valid) triple. The zero value is a nil,
-// unmarked, *invalid* reference; call Init or Store before first use when a
-// different initial state is needed.
-type Ref[T any] struct {
-	p atomic.Pointer[cell[T]]
-}
-
-// Init sets the initial state without synchronization guarantees beyond those
-// of Store. Intended for node constructors, before the node is published.
-func (r *Ref[T]) Init(next *T, marked, valid bool) {
-	r.p.Store(&cell[T]{next: next, marked: marked, valid: valid})
-}
-
-// Load returns an atomic snapshot of the reference.
-func (r *Ref[T]) Load() Snapshot[T] {
-	c := r.p.Load()
-	if c == nil {
-		return Snapshot[T]{}
-	}
-	return Snapshot[T]{Next: c.next, Marked: c.marked, Valid: c.valid}
-}
-
-// Next returns the successor pointer.
-func (r *Ref[T]) Next() *T {
-	c := r.p.Load()
-	if c == nil {
-		return nil
-	}
-	return c.next
-}
-
-// Marked returns the marked bit.
-func (r *Ref[T]) Marked() bool {
-	c := r.p.Load()
-	return c != nil && c.marked
-}
-
-// Valid returns the valid bit.
-func (r *Ref[T]) Valid() bool {
-	c := r.p.Load()
-	return c != nil && c.valid
-}
-
-// MarkValid returns the (marked, valid) pair atomically.
-func (r *Ref[T]) MarkValid() (marked, valid bool) {
-	c := r.p.Load()
-	if c == nil {
-		return false, false
-	}
-	return c.marked, c.valid
-}
-
-// Store unconditionally replaces the reference. Use only before the owning
-// node is published, or in sequential contexts (tests, repair tooling).
-func (r *Ref[T]) Store(next *T, marked, valid bool) {
-	r.p.Store(&cell[T]{next: next, marked: marked, valid: valid})
-}
-
-// CASNext replaces the successor pointer from expNext to newNext, preserving
-// the current mark/valid bits, provided the reference is currently unmarked
-// and its successor is expNext. It fails if the reference is marked — marked
-// references are immutable. Returns true on success.
-func (r *Ref[T]) CASNext(expNext, newNext *T) bool {
-	for {
-		c := r.p.Load()
-		if c == nil || c.marked || c.next != expNext {
-			return false
-		}
-		if r.p.CompareAndSwap(c, &cell[T]{next: newNext, marked: false, valid: c.valid}) {
-			return true
-		}
-	}
-}
-
-// CASMark flips the marked bit from expMarked to newMarked, preserving the
-// pointer and valid bit. Returns true on success; false if the current mark
-// differs from expMarked (the pointer may have changed concurrently — callers
-// marking a node retry until Marked() holds, per the retire protocol).
-func (r *Ref[T]) CASMark(expMarked, newMarked bool) bool {
-	for {
-		c := r.p.Load()
-		if c == nil || c.marked != expMarked {
-			return false
-		}
-		if r.p.CompareAndSwap(c, &cell[T]{next: c.next, marked: newMarked, valid: c.valid}) {
-			return true
-		}
-	}
-}
-
-// CASValid flips the valid bit from expValid to newValid, preserving pointer
-// and mark. Returns true on success.
-func (r *Ref[T]) CASValid(expValid, newValid bool) bool {
-	for {
-		c := r.p.Load()
-		if c == nil || c.valid != expValid {
-			return false
-		}
-		if r.p.CompareAndSwap(c, &cell[T]{next: c.next, marked: c.marked, valid: newValid}) {
-			return true
-		}
-	}
-}
-
-// CASMarkValid atomically replaces the (marked, valid) pair, preserving the
-// pointer, provided the current pair equals (expMarked, expValid). This is
-// the paper's casMarkValid and defines the linearization points of insert
-// (invalid→valid) and remove (valid→invalid) in the lazy variant.
-func (r *Ref[T]) CASMarkValid(expMarked, expValid, newMarked, newValid bool) bool {
-	for {
-		c := r.p.Load()
-		if c == nil || c.marked != expMarked || c.valid != expValid {
-			return false
-		}
-		if r.p.CompareAndSwap(c, &cell[T]{next: c.next, marked: newMarked, valid: newValid}) {
-			return true
-		}
-	}
-}
-
-// CASSnapshot performs a full-triple CAS: it succeeds only if the current
-// state equals exp in all three components, installing next/marked/valid from
-// want. It is the most general primitive; the relink optimization uses it to
-// swing a predecessor's pointer across a chain of marked nodes while asserting
-// the predecessor itself is still unmarked.
-func (r *Ref[T]) CASSnapshot(exp, want Snapshot[T]) bool {
-	c := r.p.Load()
-	if c == nil || c.next != exp.Next || c.marked != exp.Marked || c.valid != exp.Valid {
-		return false
-	}
-	return r.p.CompareAndSwap(c, &cell[T]{next: want.Next, marked: want.Marked, valid: want.Valid})
 }

@@ -2,21 +2,19 @@ package atomicmark
 
 import "sync/atomic"
 
-// PackedRef is the arena-backed sibling of Ref: the same atomic
-// (successor, marked, valid) triple, but with the successor expressed as a
-// generation-tagged arena slot reference instead of a pointer, so the whole
-// triple fits one machine word:
+// PackedRef is an atomic (successor, marked, valid) triple with the
+// successor expressed as a generation-tagged arena slot reference instead of
+// a pointer, so the whole triple fits one machine word:
 //
 //	bits 34..63  successor slot's reuse generation (30 bits, wraps)
 //	bits 2..33   successor's arena index (0 = nil)
 //	bit  1       valid
 //	bit  0       marked
 //
-// Every mutation is a single CAS on the word — no cell allocation, no
-// pointer-bit stealing (the word is a plain integer the GC never scans), and
-// the same immutability discipline as Ref: a marked reference is never
-// mutated again, which keeps the relink optimization sound (Appendix C of
-// the paper).
+// Every mutation is a single CAS on the word — no allocation, no
+// pointer-bit stealing (the word is a plain integer the GC never scans) —
+// and a marked reference is never mutated again, which keeps the relink
+// optimization sound (Appendix C of the paper).
 //
 // The generation tag exists because arena slots are reclaimed and reused
 // (see internal/node's free lists): each time a slot returns to its shard's
@@ -31,12 +29,12 @@ import "sync/atomic"
 // PackedRef deliberately knows nothing about arenas: it speaks slot
 // references (MakeRef/RefIndex/RefGen), and the owner (internal/node)
 // translates between references and *Node via its Arena. The zero value is a
-// nil, unmarked, *invalid* reference, mirroring Ref's zero value.
+// nil, unmarked, *invalid* reference.
 type PackedRef struct {
 	w atomic.Uint64
 }
 
-// PackedSnapshot is an immutable view of a PackedRef, mirroring Snapshot in
+// PackedSnapshot is an immutable view of a PackedRef: Snapshot in
 // slot-reference space.
 type PackedSnapshot struct {
 	// Ref is the successor's generation-tagged slot reference

@@ -15,6 +15,24 @@ func TestPackedZeroValue(t *testing.T) {
 	}
 }
 
+// TestZeroValue checks that every accessor reads a zero PackedRef as the nil
+// reference, unmarked and invalid.
+func TestZeroValue(t *testing.T) {
+	var r PackedRef
+	if r.Ref() != 0 || r.Index() != 0 {
+		t.Fatalf("zero Ref() = %#x, Index() = %d, want 0", r.Ref(), r.Index())
+	}
+	if r.Marked() {
+		t.Fatal("zero Marked()")
+	}
+	if r.Valid() {
+		t.Fatal("zero Valid()")
+	}
+	if m, v := r.MarkValid(); m || v {
+		t.Fatalf("zero MarkValid() = %v,%v", m, v)
+	}
+}
+
 func TestPackWordRoundTrip(t *testing.T) {
 	f := func(index, gen uint32, marked, valid bool) bool {
 		ref := MakeRef(index, gen)
@@ -79,6 +97,35 @@ func TestPackedCASNext(t *testing.T) {
 	}
 }
 
+// TestCASNext checks that a successor swing needs the exact current
+// reference, and that a failed swing on a marked reference leaves the whole
+// word as it was.
+func TestCASNext(t *testing.T) {
+	var r PackedRef
+	a, b, c := MakeRef(1, 0), MakeRef(2, 1), MakeRef(3, 2)
+	r.Init(a, false, true)
+
+	if !r.CASNext(a, b) {
+		t.Fatal("CASNext a→b failed")
+	}
+	if r.Ref() != b {
+		t.Fatalf("Ref() = %#x, want %#x", r.Ref(), b)
+	}
+	if r.CASNext(a, c) {
+		t.Fatal("CASNext with stale expected succeeded")
+	}
+	// Marked references are immutable.
+	if !r.CASMark(false, true) {
+		t.Fatal("CASMark failed")
+	}
+	if r.CASNext(b, c) {
+		t.Fatal("CASNext on marked reference succeeded")
+	}
+	if got := r.Load(); got.Ref != b || !got.Marked || !got.Valid {
+		t.Fatalf("marked reference changed: %+v", got)
+	}
+}
+
 // TestPackedCASNextGenMismatch is the ABA guard in miniature: an expectation
 // holding yesterday's generation of the same index must fail even though the
 // index half matches exactly.
@@ -120,6 +167,66 @@ func TestPackedCASMarkValid(t *testing.T) {
 	}
 }
 
+// TestCASMarkValid starts from an unmarked, invalid word (a node removed
+// lazily and waiting for revival) and checks that the combined CAS matches
+// on both flags before it reaches revival and retirement.
+func TestCASMarkValid(t *testing.T) {
+	var r PackedRef
+	a := MakeRef(1, 6)
+	r.Init(a, false, false)
+	if r.CASMarkValid(false, true, false, false) {
+		t.Fatal("CASMarkValid with wrong valid expectation succeeded")
+	}
+	if r.CASMarkValid(true, false, false, true) {
+		t.Fatal("CASMarkValid with wrong marked expectation succeeded")
+	}
+	if !r.CASMarkValid(false, false, false, true) {
+		t.Fatal("revival CAS failed")
+	}
+	if m, v := r.MarkValid(); m || !v {
+		t.Fatalf("after revival: %v,%v", m, v)
+	}
+	// Retire: (false,*)→(true,*) only via exact expectation.
+	if !r.CASMarkValid(false, true, false, false) {
+		t.Fatal("invalidate failed")
+	}
+	if !r.CASMarkValid(false, false, true, false) {
+		t.Fatal("retire failed")
+	}
+	if got := r.Load(); !got.Marked || got.Valid || got.Ref != a {
+		t.Fatalf("after retire: %+v", got)
+	}
+}
+
+// TestCASSnapshot checks that the full-triple CAS fails when its expectation
+// differs from the word in any one field: the generation, the mark or the
+// valid flag.
+func TestCASSnapshot(t *testing.T) {
+	var r PackedRef
+	a, b := MakeRef(1, 0), MakeRef(2, 0)
+	r.Init(a, false, true)
+	exp := PackedSnapshot{Ref: a, Marked: false, Valid: true}
+	want := PackedSnapshot{Ref: b, Marked: false, Valid: true}
+	for _, wrong := range []PackedSnapshot{
+		{Ref: MakeRef(1, 1), Marked: false, Valid: true},
+		{Ref: a, Marked: true, Valid: true},
+		{Ref: a, Marked: false, Valid: false},
+	} {
+		if r.CASSnapshot(wrong, want) {
+			t.Fatalf("CASSnapshot expecting %+v succeeded on %+v", wrong, exp)
+		}
+	}
+	if !r.CASSnapshot(exp, want) {
+		t.Fatal("CASSnapshot failed")
+	}
+	if r.CASSnapshot(exp, want) {
+		t.Fatal("stale CASSnapshot succeeded")
+	}
+	if got := r.Load(); got != want {
+		t.Fatalf("Load = %+v want %+v", got, want)
+	}
+}
+
 func TestPackedCASSnapshot(t *testing.T) {
 	var r PackedRef
 	r.Init(3, false, true)
@@ -136,9 +243,8 @@ func TestPackedCASSnapshot(t *testing.T) {
 	}
 }
 
-// TestPackedMarkWins mirrors the cell-based representation's mark/CASNext
-// race test: concurrent marking and successor swings never resurrect a
-// successor past a mark.
+// TestPackedMarkWins races marking against a successor swing: the two never
+// resurrect a successor past a mark.
 func TestPackedMarkWins(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		var r PackedRef
@@ -164,67 +270,246 @@ func TestPackedMarkWins(t *testing.T) {
 	}
 }
 
-// TestPackedVsCellDifferential drives the same randomized operation sequence
-// through a PackedRef and a cell-based Ref and asserts snapshot-for-snapshot
-// equality after every step. Successors are drawn from a small pool mapped
-// 1:1 between slot-reference space (index i+1, generation i%3) and pointer
-// space (&pool[i]) — the varying generations keep the tag honest in the
-// word-compare paths.
-func TestPackedVsCellDifferential(t *testing.T) {
-	pool := make([]item, 8)
+// TestInitAndLoad checks that Init installs exactly the requested triple and
+// that every reader agrees on it.
+func TestInitAndLoad(t *testing.T) {
+	var r PackedRef
+	ref := MakeRef(11, 5)
+	r.Init(ref, false, true)
+	if got := r.Load(); got.Ref != ref || got.Marked || !got.Valid {
+		t.Fatalf("Load = %+v", got)
+	}
+	if r.Ref() != ref || r.Index() != 11 || r.Marked() || !r.Valid() {
+		t.Fatalf("accessors disagree: ref %#x index %d marked %v valid %v", r.Ref(), r.Index(), r.Marked(), r.Valid())
+	}
+	if m, v := r.MarkValid(); m || !v {
+		t.Fatalf("MarkValid = %v,%v", m, v)
+	}
+}
+
+func TestCASMarkPreservesPointerAndValid(t *testing.T) {
+	var r PackedRef
+	ref := MakeRef(4, 9)
+	r.Init(ref, false, true)
+	if !r.CASMark(false, true) {
+		t.Fatal("CASMark false→true failed")
+	}
+	if got := r.Load(); got.Ref != ref || !got.Marked || !got.Valid {
+		t.Fatalf("after mark: %+v", got)
+	}
+	if r.CASMark(false, true) {
+		t.Fatal("CASMark with wrong expectation succeeded")
+	}
+}
+
+func TestCASValid(t *testing.T) {
+	var r PackedRef
+	ref := MakeRef(4, 9)
+	r.Init(ref, false, true)
+	if !r.CASValid(true, false) {
+		t.Fatal("CASValid true→false failed")
+	}
+	if r.Valid() {
+		t.Fatal("still valid")
+	}
+	if r.CASValid(true, false) {
+		t.Fatal("CASValid with wrong expectation succeeded")
+	}
+	if got := r.Load(); got.Ref != ref || got.Marked {
+		t.Fatalf("CASValid disturbed other fields: %+v", got)
+	}
+}
+
+// TestConcurrentMarkOnce checks that among many concurrent CASMark attempts
+// exactly one succeeds — the linearization guarantee every protocol step
+// relies on.
+func TestConcurrentMarkOnce(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		var r PackedRef
+		r.Init(MakeRef(1, 0), false, true)
+		const n = 8
+		results := make([]bool, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i] = r.CASMark(false, true)
+			}(i)
+		}
+		wg.Wait()
+		wins := 0
+		for _, ok := range results {
+			if ok {
+				wins++
+			}
+		}
+		if wins != 1 {
+			t.Fatalf("iter %d: %d winners, want exactly 1", iter, wins)
+		}
+	}
+}
+
+// TestConcurrentReviveRetireExclusive checks that revival (invalid→valid)
+// and retirement (unmarked-invalid→marked-invalid) of the same reference are
+// mutually exclusive: exactly one of the two racing transitions wins.
+func TestConcurrentReviveRetireExclusive(t *testing.T) {
+	for iter := 0; iter < 300; iter++ {
+		var r PackedRef
+		r.Init(MakeRef(1, 0), false, false)
+		var revived, retired bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			revived = r.CASMarkValid(false, false, false, true)
+		}()
+		go func() {
+			defer wg.Done()
+			retired = r.CASMarkValid(false, false, true, false)
+		}()
+		wg.Wait()
+		if revived == retired {
+			t.Fatalf("iter %d: revived=%v retired=%v, want exactly one", iter, revived, retired)
+		}
+	}
+}
+
+// TestQuickTransitions property-tests that arbitrary sequences of CAS
+// operations issued with the current state as expectation always leave the
+// word in the state the last winner installed, and that CASNext never
+// succeeds on a marked reference.
+func TestQuickTransitions(t *testing.T) {
+	refs := []uint64{MakeRef(1, 0), MakeRef(2, 7), MakeRef(3, PackedGenMask)}
+	f := func(ops []uint8) bool {
+		var r PackedRef
+		r.Init(refs[0], false, true)
+		cur := PackedSnapshot{Ref: refs[0], Valid: true}
+		for _, op := range ops {
+			switch op % 4 {
+			case 0:
+				next := refs[int(op/4)%len(refs)]
+				if r.CASNext(cur.Ref, next) {
+					if cur.Marked {
+						return false
+					}
+					cur.Ref = next
+				}
+			case 1:
+				if r.CASMark(cur.Marked, !cur.Marked) {
+					cur.Marked = !cur.Marked
+				}
+			case 2:
+				if r.CASValid(cur.Valid, !cur.Valid) {
+					cur.Valid = !cur.Valid
+				}
+			case 3:
+				if r.CASMarkValid(cur.Marked, cur.Valid, !cur.Marked, !cur.Valid) {
+					cur.Marked = !cur.Marked
+					cur.Valid = !cur.Valid
+				}
+			}
+			if r.Load() != cur {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refModel is the sequential specification of a PackedRef: a plain
+// (ref, marked, valid) triple whose CAS methods spell out each operation's
+// contract one comparison at a time.
+type refModel struct {
+	ref           uint64
+	marked, valid bool
+}
+
+func (m *refModel) casNext(exp, next uint64) bool {
+	if m.marked || m.ref != exp {
+		return false
+	}
+	m.ref = next
+	return true
+}
+
+func (m *refModel) casMark(exp, next bool) bool {
+	if m.marked != exp {
+		return false
+	}
+	m.marked = next
+	return true
+}
+
+func (m *refModel) casValid(exp, next bool) bool {
+	if m.valid != exp {
+		return false
+	}
+	m.valid = next
+	return true
+}
+
+func (m *refModel) casMarkValid(expM, expV, newM, newV bool) bool {
+	if m.marked != expM || m.valid != expV {
+		return false
+	}
+	m.marked, m.valid = newM, newV
+	return true
+}
+
+func (m *refModel) casSnapshot(exp, want PackedSnapshot) bool {
+	if m.ref != exp.Ref || m.marked != exp.Marked || m.valid != exp.Valid {
+		return false
+	}
+	m.ref, m.marked, m.valid = want.Ref, want.Marked, want.Valid
+	return true
+}
+
+// TestPackedVsModelDifferential drives a randomized operation sequence
+// through a PackedRef and the sequential refModel and asserts result-for-
+// result and state-for-state equality after every step. Successors are drawn
+// from a small pool of slot references (index i, generation i%3); the
+// varying generations keep the tag honest in the word-compare paths.
+func TestPackedVsModelDifferential(t *testing.T) {
 	toRef := func(i uint32) uint64 {
 		if i == 0 {
 			return 0
 		}
 		return MakeRef(i, (i-1)%3)
 	}
-	toPtr := func(i uint32) *item {
-		if i == 0 {
-			return nil
-		}
-		return &pool[i-1]
-	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		var p PackedRef
-		var c Ref[item]
 		p.Init(0, false, true)
-		c.Init(nil, false, true)
+		m := refModel{valid: true}
 		for step := 0; step < 300; step++ {
-			a := uint32(rng.Intn(len(pool) + 1)) // 0 = nil
-			b := uint32(rng.Intn(len(pool) + 1))
+			a := toRef(uint32(rng.Intn(9))) // 0 = nil
+			b := toRef(uint32(rng.Intn(9)))
 			m1, m2 := rng.Intn(2) == 0, rng.Intn(2) == 0
 			v1, v2 := rng.Intn(2) == 0, rng.Intn(2) == 0
-			var okP, okC bool
+			var okP, okM bool
 			switch rng.Intn(5) {
 			case 0:
-				okP = p.CASNext(toRef(a), toRef(b))
-				okC = c.CASNext(toPtr(a), toPtr(b))
+				okP, okM = p.CASNext(a, b), m.casNext(a, b)
 			case 1:
-				okP = p.CASMark(m1, m2)
-				okC = c.CASMark(m1, m2)
+				okP, okM = p.CASMark(m1, m2), m.casMark(m1, m2)
 			case 2:
-				okP = p.CASValid(v1, v2)
-				okC = c.CASValid(v1, v2)
+				okP, okM = p.CASValid(v1, v2), m.casValid(v1, v2)
 			case 3:
-				okP = p.CASMarkValid(m1, v1, m2, v2)
-				okC = c.CASMarkValid(m1, v1, m2, v2)
+				okP, okM = p.CASMarkValid(m1, v1, m2, v2), m.casMarkValid(m1, v1, m2, v2)
 			case 4:
-				okP = p.CASSnapshot(
-					PackedSnapshot{Ref: toRef(a), Marked: m1, Valid: v1},
-					PackedSnapshot{Ref: toRef(b), Marked: m2, Valid: v2},
-				)
-				okC = c.CASSnapshot(
-					Snapshot[item]{Next: toPtr(a), Marked: m1, Valid: v1},
-					Snapshot[item]{Next: toPtr(b), Marked: m2, Valid: v2},
-				)
+				exp := PackedSnapshot{Ref: a, Marked: m1, Valid: v1}
+				want := PackedSnapshot{Ref: b, Marked: m2, Valid: v2}
+				okP, okM = p.CASSnapshot(exp, want), m.casSnapshot(exp, want)
 			}
-			if okP != okC {
-				t.Fatalf("trial %d step %d: packed ok=%v cell ok=%v", trial, step, okP, okC)
+			if okP != okM {
+				t.Fatalf("trial %d step %d: packed ok=%v model ok=%v", trial, step, okP, okM)
 			}
-			ps, cs := p.Load(), c.Load()
-			if toPtr(ps.Index()) != cs.Next || ps.Marked != cs.Marked || ps.Valid != cs.Valid {
-				t.Fatalf("trial %d step %d: packed %+v cell %+v", trial, step, ps, cs)
+			if got := p.Load(); got != (PackedSnapshot{Ref: m.ref, Marked: m.marked, Valid: m.valid}) {
+				t.Fatalf("trial %d step %d: packed %+v model %+v", trial, step, got, m)
 			}
 		}
 	}

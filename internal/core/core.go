@@ -123,41 +123,6 @@ func (p MaintenancePolicy) String() string {
 	}
 }
 
-// RefMode selects the node / level-reference representation of the shared
-// structure (see DESIGN.md, "Memory layout").
-type RefMode int
-
-const (
-	// RefAuto (the zero value) uses the arena-backed packed representation
-	// whenever the structure's height fits it, falling back to cell-based
-	// references otherwise. Layered-map heights are ceil(log2 T) - 1, so on
-	// any machine up to 256 threads RefAuto means packed.
-	RefAuto RefMode = iota
-	// RefCells forces the cell-based representation: level references are
-	// atomic pointers to immutable heap cells, one allocation per link
-	// mutation. Kept for differential testing and as the fallback for
-	// structures taller than packed refs support.
-	RefCells
-	// RefPacked forces the arena-backed packed representation and makes
-	// construction fail if the structure's height exceeds
-	// node.MaxArenaLevels - 1.
-	RefPacked
-)
-
-// String implements fmt.Stringer.
-func (r RefMode) String() string {
-	switch r {
-	case RefAuto:
-		return "auto"
-	case RefCells:
-		return "cells"
-	case RefPacked:
-		return "packed"
-	default:
-		return fmt.Sprintf("RefMode(%d)", int(r))
-	}
-}
-
 // ReclaimMode selects whether the map runs the epoch-based reclamation and
 // snapshot machinery (internal/epoch).
 type ReclaimMode int
@@ -165,13 +130,11 @@ type ReclaimMode int
 const (
 	// ReclaimAuto (the zero value) builds an epoch domain for lazy variants:
 	// operations pin it, MVCC life stamps are maintained, Snapshot works, and
-	// — when the structure is arena-backed and a background maintenance
-	// engine runs — retired nodes' slots return to the arena free lists. Lazy
-	// variants with inline-only maintenance or cell-based references keep the
-	// domain for snapshots but leave slot recycling to Go's GC (cells) or to
-	// nobody (the packed arena grows monotonically, as before this
-	// subsystem). Non-lazy variants never build a domain: removals unlink
-	// promptly and nodes are heap-reclaimed by the GC where applicable.
+	// — when a background maintenance engine runs — retired nodes' slots
+	// return to the arena free lists. Lazy variants with inline-only
+	// maintenance keep the domain for snapshots but never free a slot (the
+	// arena grows monotonically). Non-lazy variants never build a domain:
+	// removals unlink promptly, and their slots are never freed either.
 	ReclaimAuto ReclaimMode = iota
 	// ReclaimOff builds no domain even for lazy variants: the pre-reclamation
 	// behaviour (arena slots are never freed, Snapshot unavailable), for
@@ -262,9 +225,6 @@ type Config struct {
 	// counter deltas from the recorder, so setting Tracer without Recorder
 	// creates a recorder implicitly.
 	Tracer *obs.Tracer
-	// Refs selects the node representation: RefAuto (packed wherever the
-	// height fits — the default and the fast path), RefCells, or RefPacked.
-	Refs RefMode
 	// Reclaim selects the epoch/snapshot machinery: ReclaimAuto (on for lazy
 	// variants) or ReclaimOff.
 	Reclaim ReclaimMode
@@ -394,19 +354,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		}
 		commission = skipgraph.CommissionPeriodFor(eff, cfg.CommissionPerThread)
 	}
-	var packed bool
-	switch cfg.Refs {
-	case RefAuto:
-		packed = maxLevel < node.MaxArenaLevels
-	case RefCells:
-	case RefPacked:
-		if maxLevel >= node.MaxArenaLevels {
-			return nil, fmt.Errorf("core: RefPacked requires MaxLevel < %d, got %d", node.MaxArenaLevels, maxLevel)
-		}
-		packed = true
-	default:
-		return nil, fmt.Errorf("core: unknown ref mode %d", int(cfg.Refs))
-	}
 	if cfg.Reclaim < ReclaimAuto || cfg.Reclaim > ReclaimOff {
 		return nil, fmt.Errorf("core: unknown reclaim mode %d", int(cfg.Reclaim))
 	}
@@ -429,7 +376,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		CleanupDuringSearch: !cfg.Kind.lazy(),
 		CommissionPeriod:    commission,
 		Clock:               cfg.Clock,
-		PackedRefs:          packed,
 		ArenaShards:         cfg.Machine.Topology().Nodes(),
 	}
 	if domain != nil {
@@ -447,31 +393,29 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		if cfg.Recorder == nil {
 			cfg.Recorder = stats.NewRecorder(cfg.Machine, nil)
 		}
-		if sg.PackedRefs() {
-			cfg.Tracer.SetArenaStats(func() obs.ArenaSnapshot {
-				st := sg.ArenaStats()
-				out := obs.ArenaSnapshot{
-					Shards:         make([]obs.ArenaShardSnapshot, len(st.Shards)),
-					Chunks:         st.Chunks,
-					SlotsUsed:      st.SlotsUsed,
-					SlotsReserved:  st.SlotsReserved,
-					SlotsFree:      st.SlotsFree,
-					SlotsReclaimed: st.SlotsReclaimed,
-					SlotsReused:    st.SlotsReused,
+		cfg.Tracer.SetArenaStats(func() obs.ArenaSnapshot {
+			st := sg.ArenaStats()
+			out := obs.ArenaSnapshot{
+				Shards:         make([]obs.ArenaShardSnapshot, len(st.Shards)),
+				Chunks:         st.Chunks,
+				SlotsUsed:      st.SlotsUsed,
+				SlotsReserved:  st.SlotsReserved,
+				SlotsFree:      st.SlotsFree,
+				SlotsReclaimed: st.SlotsReclaimed,
+				SlotsReused:    st.SlotsReused,
+			}
+			for i, sh := range st.Shards {
+				out.Shards[i] = obs.ArenaShardSnapshot{
+					Chunks:         sh.Chunks,
+					SlotsUsed:      sh.SlotsUsed,
+					SlotsReserved:  sh.SlotsReserved,
+					SlotsFree:      sh.SlotsFree,
+					SlotsReclaimed: sh.SlotsReclaimed,
+					SlotsReused:    sh.SlotsReused,
 				}
-				for i, sh := range st.Shards {
-					out.Shards[i] = obs.ArenaShardSnapshot{
-						Chunks:         sh.Chunks,
-						SlotsUsed:      sh.SlotsUsed,
-						SlotsReserved:  sh.SlotsReserved,
-						SlotsFree:      sh.SlotsFree,
-						SlotsReclaimed: sh.SlotsReclaimed,
-						SlotsReused:    sh.SlotsReused,
-					}
-				}
-				return out
-			})
-		}
+			}
+			return out
+		})
 	}
 
 	m := &Map[K, V]{
@@ -685,10 +629,6 @@ func (m *Map[K, V]) Vector(thread int) uint32 { return m.vectors[thread] }
 
 // MaxLevel returns the shared structure's height.
 func (m *Map[K, V]) MaxLevel() int { return m.sg.MaxLevel() }
-
-// PackedRefs reports whether the shared structure uses the arena-backed
-// packed node representation (see Config.Refs).
-func (m *Map[K, V]) PackedRefs() bool { return m.sg.PackedRefs() }
 
 // Len counts logically present keys. O(n); for tests and tooling.
 func (m *Map[K, V]) Len() int { return m.sg.Len() }

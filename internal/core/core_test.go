@@ -107,6 +107,62 @@ func TestSequentialBasics(t *testing.T) {
 	}
 }
 
+// TestTallMachineArena builds the lazy map on a 320-thread machine, whose
+// paper height (ceil(log2 T)-1 = 8) needs more level words than a node
+// inlines: the top level lives in the arena's overflow words. Each inserting
+// handle's later operations finish its earlier inserts, so level 8 gets
+// linked through those words.
+func TestTallMachineArena(t *testing.T) {
+	topo, err := numa.New(4, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := numa.Pin(topo, 320)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New[int64, int64](Config{Machine: machine, Kind: LazyLayeredSG, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := m.MaxLevel(); got != 8 {
+		t.Fatalf("MaxLevel = %d, want 8", got)
+	}
+	for k := int64(0); k < 64; k++ {
+		if !m.Handle(int(k%4)*80).Insert(k, k*3) {
+			t.Fatalf("Insert(%d) failed", k)
+		}
+	}
+	h := m.Handle(319)
+	for k := int64(0); k < 64; k++ {
+		if v, ok := h.Get(k); !ok || v != k*3 {
+			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
+		}
+	}
+	for k := int64(0); k < 64; k += 2 {
+		if !h.Remove(k) {
+			t.Fatalf("Remove(%d) failed", k)
+		}
+	}
+	if got := m.Len(); got != 32 {
+		t.Fatalf("Len = %d, want 32", got)
+	}
+	top := 0
+	for label := uint32(0); label < 1<<8; label++ {
+		top += m.SharedStructure().LevelLen(8, label)
+	}
+	if top == 0 {
+		t.Fatal("no node linked at level 8")
+	}
+	if st := m.SharedStructure().ArenaStats(); st.SlotsUsed == 0 {
+		t.Fatalf("320-thread map reports no arena slots: %+v", st)
+	}
+	if err := m.SharedStructure().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCrossThreadVisibility(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {

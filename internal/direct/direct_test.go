@@ -52,37 +52,59 @@ func TestValidation(t *testing.T) {
 func TestSequentialModel(t *testing.T) {
 	for _, shape := range shapes() {
 		t.Run(shape.String(), func(t *testing.T) {
-			m := newMap(t, shape, 2)
-			h := m.Handle(0)
-			model := make(map[int64]bool)
-			rng := rand.New(rand.NewSource(17))
-			for i := 0; i < 5000; i++ {
-				key := rng.Int63n(200)
-				switch rng.Intn(3) {
-				case 0:
-					if got, want := h.Insert(key, key*2), !model[key]; got != want {
-						t.Fatalf("op %d Insert(%d)=%v want %v", i, key, got, want)
-					}
-					model[key] = true
-				case 1:
-					if got, want := h.Remove(key), model[key]; got != want {
-						t.Fatalf("op %d Remove(%d)=%v want %v", i, key, got, want)
-					}
-					delete(model, key)
-				default:
-					v, ok := h.Get(key)
-					if ok != model[key] {
-						t.Fatalf("op %d Get(%d) present=%v want %v", i, key, ok, model[key])
-					}
-					if ok && v != key*2 {
-						t.Fatalf("op %d Get(%d) value=%d", i, key, v)
-					}
-				}
-			}
-			if m.Len() != len(model) {
-				t.Fatalf("Len=%d model=%d", m.Len(), len(model))
-			}
+			replayModel(t, newMap(t, shape, 2))
 		})
+	}
+	// The LC skip list (height log2 of a 2^17 key space) is taller than the
+	// nodes' inline level words: its upper levels link through the arena's
+	// per-chunk overflow words.
+	t.Run("skiplist_lc", func(t *testing.T) {
+		m, err := New[int64, int64](Config{Machine: machine(t, 2), Shape: SkipList, Height: 17, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayModel(t, m)
+		if st := m.SharedStructure().ArenaStats(); st.SlotsUsed == 0 {
+			t.Fatalf("height-17 skip list reports no arena slots: %+v", st)
+		}
+		if err := m.SharedStructure().Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// replayModel drives one handle through a random insert/remove/get sequence
+// against a map model.
+func replayModel(t *testing.T, m *Map[int64, int64]) {
+	t.Helper()
+	h := m.Handle(0)
+	model := make(map[int64]bool)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 5000; i++ {
+		key := rng.Int63n(200)
+		switch rng.Intn(3) {
+		case 0:
+			if got, want := h.Insert(key, key*2), !model[key]; got != want {
+				t.Fatalf("op %d Insert(%d)=%v want %v", i, key, got, want)
+			}
+			model[key] = true
+		case 1:
+			if got, want := h.Remove(key), model[key]; got != want {
+				t.Fatalf("op %d Remove(%d)=%v want %v", i, key, got, want)
+			}
+			delete(model, key)
+		default:
+			v, ok := h.Get(key)
+			if ok != model[key] {
+				t.Fatalf("op %d Get(%d) present=%v want %v", i, key, ok, model[key])
+			}
+			if ok && v != key*2 {
+				t.Fatalf("op %d Get(%d) value=%d", i, key, v)
+			}
+		}
+	}
+	if m.Len() != len(model) {
+		t.Fatalf("Len=%d model=%d", m.Len(), len(model))
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"layeredsg/internal/node"
 )
 
-// newNode allocates a heap data node with a given life ID, standing in for
-// arena slots in these unit tests (the index never cares which representation
-// backs a node).
+// testArena backs the int64 nodes these unit tests publish.
+var testArena = node.NewArena[int64, int64](1, 1)
+
+// newNode allocates a data node with a given life ID.
 func newNode(key int64, id uint64) *node.Node[int64, int64] {
-	return node.NewData[int64, int64](key, key, 0, 0, node.Owner{}, id, 0)
+	return testArena.NewData(key, key, 0, 0, node.Owner{}, id, 0)
 }
 
 // retire marks n's level-0 reference, as a lazy retirement does: LiveAs
@@ -235,9 +236,10 @@ func TestRehashDropsTombstones(t *testing.T) {
 func TestCollidingBuckets(t *testing.T) {
 	x := New[string, int64]()
 	keys := make([]string, 3000)
+	a := node.NewArena[string, int64](1, 1)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%05d", i)
-		n := node.NewData[string, int64](keys[i], int64(i), 0, 0, node.Owner{}, uint64(i+1), 0)
+		n := a.NewData(keys[i], int64(i), 0, 0, node.Owner{}, uint64(i+1), 0)
 		x.Publish(keys[i], n, uint64(i+1))
 	}
 	for i, k := range keys {

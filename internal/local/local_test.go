@@ -6,8 +6,10 @@ import (
 	"layeredsg/internal/node"
 )
 
+var testArena = node.NewArena[int64, int64](1, 1)
+
 func mkNode(key int64) *node.Node[int64, int64] {
-	return node.NewData[int64, int64](key, key, 0, 0, node.Owner{}, uint64(key), 0)
+	return testArena.NewData(key, key, 0, 0, node.Owner{}, uint64(key), 0)
 }
 
 func TestPutEraseBothViews(t *testing.T) {

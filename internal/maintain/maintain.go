@@ -78,9 +78,7 @@ type Config[K cmp.Ordered, V any] struct {
 	// pass through a limbo list, and their arena slots return to the free
 	// list once every pin from before the hand-off has drained. The engine
 	// registers Helpers()+1 pin participants (one per helper plus one for
-	// synchronous drains). Reclamation additionally requires the structure to be
-	// arena-backed (skipgraph.SG.PackedRefs); otherwise the domain is used
-	// for pinning only and Go's GC reclaims nodes.
+	// synchronous drains).
 	Domain *epoch.Domain
 	// ParkInterval overrides the idle re-check interval for held retire
 	// items (tests); 0 uses the default.
@@ -110,11 +108,10 @@ type Engine[K cmp.Ordered, V any] struct {
 	steals   atomic.Uint64
 	drops    atomic.Uint64
 
-	// Slot reclamation (nil domain or cell-backed structure: reclaim is
-	// false and everything below is dormant). pins[h] is helper h's epoch
-	// pin; syncPin serves Flush and Close's synchronous drains under syncMu.
+	// Slot reclamation (nil domain: everything below is dormant). pins[h] is
+	// helper h's epoch pin; syncPin serves Flush and Close's synchronous
+	// drains under syncMu.
 	domain  *epoch.Domain
-	reclaim bool
 	pins    []*epoch.Pin
 	syncMu  sync.Mutex
 	syncPin *epoch.Pin
@@ -198,7 +195,6 @@ func New[K cmp.Ordered, V any](cfg Config[K, V]) (*Engine[K, V], error) {
 		tracer:       cfg.Tracer,
 		parkInterval: park,
 		domain:       cfg.Domain,
-		reclaim:      cfg.Domain != nil && cfg.SG.PackedRefs(),
 		pins:         make([]*epoch.Pin, helpers),
 		wake:         make(chan struct{}, helpers),
 		stop:         make(chan struct{}),
@@ -290,7 +286,7 @@ func (e *Engine[K, V]) Stats() Stats {
 func (e *Engine[K, V]) LimboDepth() int64 { return e.limboDepth.Load() }
 
 // Reclaiming reports whether epoch-based slot reclamation is active.
-func (e *Engine[K, V]) Reclaiming() bool { return e.reclaim }
+func (e *Engine[K, V]) Reclaiming() bool { return e.domain != nil }
 
 // stripeOf keys a node's work to its owner stripe, so socket-local helpers
 // pick it up and the maintenance CAS stays NUMA-local.
@@ -408,7 +404,7 @@ func (e *Engine[K, V]) heldLen() int {
 // stamped at an epoch our pin holds back, so the result stays trustworthy
 // until Unpin.
 func (w *worker[K, V]) stale(it item[K, V]) bool {
-	if !w.e.reclaim {
+	if w.e.domain == nil {
 		return false
 	}
 	if it.n.ID() != it.id || it.n.MaintHas(node.MaintLimbo) {
@@ -437,7 +433,7 @@ func (e *Engine[K, V]) run(h int) {
 		if w.drainPending() {
 			worked = true
 		}
-		if e.reclaim {
+		if e.domain != nil {
 			// Advancing between passes is what lets limbo entries age out:
 			// MinPinned can only pass an entry's stamp once the global epoch
 			// has moved beyond it.
@@ -590,7 +586,7 @@ func (e *Engine[K, V]) EnterLimbo(n *node.Node[K, V]) {
 // sequence before any epoch clock starts ticking toward a free. A hand-off
 // while links remain is safe, just rounds slower.
 func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
-	if !e.reclaim {
+	if e.domain == nil {
 		return
 	}
 	if marked, _ := n.RawMarkValid(); !marked {
@@ -636,7 +632,7 @@ func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
 // next pass at the earliest.
 func (w *worker[K, V]) processLimbo() bool {
 	e := w.e
-	if !e.reclaim {
+	if e.domain == nil {
 		return false
 	}
 	e.limboMu.Lock()
@@ -676,10 +672,9 @@ func (w *worker[K, V]) processLimbo() bool {
 			kept = append(kept, le)
 			continue
 		}
-		if e.sg.FreeNode(le.n) {
-			e.reclaimed.Add(1)
-			e.tracer.RecordMaint(obs.MaintReclaim)
-		}
+		e.sg.FreeNode(le.n)
+		e.reclaimed.Add(1)
+		e.tracer.RecordMaint(obs.MaintReclaim)
 		e.limboDepth.Add(-1)
 		worked = true
 	}
@@ -844,7 +839,7 @@ func (e *Engine[K, V]) Flush() int {
 		}
 		e.depth.Add(1)
 	}
-	if e.reclaim {
+	if e.domain != nil {
 		e.domain.Advance()
 		w.processLimbo()
 	}
@@ -892,7 +887,7 @@ func (e *Engine[K, V]) Close() {
 		w.order[i] = i
 	}
 	w.finalDrain()
-	if e.reclaim {
+	if e.domain != nil {
 		// One last limbo round now that the helpers' pins are released.
 		// Entries still held back by a live handle pin are abandoned: the
 		// structure is being torn down and the arena goes with it.

@@ -1,6 +1,6 @@
-// Arena-backed node allocation: per-socket chunked slabs addressed by 32-bit
-// indices, the memory layout behind the packed level-reference representation
-// (see internal/atomicmark.PackedRef).
+// Arena node allocation: per-socket chunked slabs addressed by 32-bit
+// indices, the memory layout behind the packed level references (see
+// internal/atomicmark.PackedRef).
 //
 // Layout of an arena index (32 bits, 0 reserved as nil):
 //
@@ -10,9 +10,11 @@
 // NUMA node come from that node's shard, so a node's backing memory lands on
 // its owner's socket under first-touch allocation — the same locality story
 // the paper tells for its C++ allocator. A shard grows in chunks of
-// arenaChunkSlots slots; each slot inlines the node and a fixed-size array of
-// MaxArenaLevels packed level words, so a node and its level references share
-// one contiguous block (no per-node `next` slice, no per-mutation cell).
+// arenaChunkSlots nodes. Each node inlines MaxArenaLevels packed level words,
+// so a node and its level references share one contiguous block with no
+// per-node slice and no per-mutation allocation. An arena built with more
+// levels than that gives every chunk one overflow array holding its nodes'
+// words from MaxArenaLevels up.
 //
 // Slots are allocated from a per-shard free list when one is populated, and
 // from a per-shard atomic bump cursor otherwise. Retired nodes return to
@@ -38,11 +40,11 @@ import (
 )
 
 const (
-	// MaxArenaLevels is the per-slot level-reference capacity: arena-backed
-	// structures support MaxLevel <= MaxArenaLevels-1. The paper's height is
-	// ceil(log2 T)-1, so 8 levels cover machines up to 256 hardware threads;
-	// taller ablation structures (skip-list baselines built with explicit
-	// heights) keep the cell-based representation.
+	// MaxArenaLevels is the number of level words inlined in every node.
+	// The paper's height is ceil(log2 T)-1, so 8 levels cover layered maps
+	// on machines up to 256 hardware threads. Taller arenas (the skip-list
+	// baseline's log2(keyspace) heights, larger machines) keep the words
+	// above it in a per-chunk overflow array.
 	MaxArenaLevels = 8
 
 	arenaSlotBits  = 9 // 512 slots per chunk
@@ -57,12 +59,12 @@ const (
 	MaxArenaShards = 1 << arenaShardBits
 )
 
-// arenaSlot inlines one node together with its packed level words, so the
-// references live adjacent to the node they belong to instead of behind a
-// separately-allocated slice.
-type arenaSlot[K cmp.Ordered, V any] struct {
-	n Node[K, V]
-	w [MaxArenaLevels]atomicmark.PackedRef
+// arenaChunk is one slab of nodes. In an arena taller than the inline
+// words, slot s also owns over[s*extra : (s+1)*extra], its words from level
+// MaxArenaLevels up (extra = levels - MaxArenaLevels); otherwise over is nil.
+type arenaChunk[K cmp.Ordered, V any] struct {
+	nodes []Node[K, V]
+	over  []atomicmark.PackedRef
 }
 
 // arenaShard is one socket's slab. The bump cursor and the published chunk
@@ -77,7 +79,7 @@ type arenaShard[K cmp.Ordered, V any] struct {
 	next atomic.Uint64
 	// chunks is the published chunk table. Readers resolve indices through
 	// an atomic load; growth replaces the whole table under mu.
-	chunks atomic.Pointer[[][]arenaSlot[K, V]]
+	chunks atomic.Pointer[[]arenaChunk[K, V]]
 	mu     sync.Mutex
 
 	// free is the shard's reclaimed-slot stack, fed by Free and drained by
@@ -96,18 +98,22 @@ type arenaShard[K cmp.Ordered, V any] struct {
 // indices are meaningful only within the arena that issued them.
 type Arena[K cmp.Ordered, V any] struct {
 	shards []arenaShard[K, V]
+	// levels is the level-word count of every data node: the structure's
+	// MaxLevel+1.
+	levels int
 }
 
 // NewArena builds an arena with one shard per socket (clamped to
-// [1, MaxArenaShards]).
-func NewArena[K cmp.Ordered, V any](shards int) *Arena[K, V] {
+// [1, MaxArenaShards]) whose data nodes span up to levels levels (at least
+// one).
+func NewArena[K cmp.Ordered, V any](shards, levels int) *Arena[K, V] {
 	if shards < 1 {
 		shards = 1
 	}
 	if shards > MaxArenaShards {
 		shards = MaxArenaShards
 	}
-	a := &Arena[K, V]{shards: make([]arenaShard[K, V], shards)}
+	a := &Arena[K, V]{shards: make([]arenaShard[K, V], shards), levels: max(levels, 1)}
 	// Burn shard 0's slot 0 so no node ever receives index 0, which packed
 	// references reserve as nil.
 	a.shards[0].next.Store(1)
@@ -136,14 +142,13 @@ func (a *Arena[K, V]) alloc(shard int) *Node[K, V] {
 	chunk := pos >> arenaSlotBits
 	chunks := s.chunks.Load()
 	for chunks == nil || uint64(len(*chunks)) <= chunk {
-		s.grow(chunk)
+		s.grow(chunk, a.levels)
 		chunks = s.chunks.Load()
 	}
-	sl := &(*chunks)[chunk][pos&(arenaChunkSlots-1)]
-	sl.n.ar = a
-	sl.n.self = uint32(shard)<<arenaPosBits | uint32(pos)
-	sl.n.pw = &sl.w
-	return &sl.n
+	n := &(*chunks)[chunk].nodes[pos&(arenaChunkSlots-1)]
+	n.ar = a
+	n.self = uint32(shard)<<arenaPosBits | uint32(pos)
+	return n
 }
 
 // allocFree pops a reclaimed slot off the shard's free list, or returns nil
@@ -166,11 +171,11 @@ func (a *Arena[K, V]) allocFree(s *arenaShard[K, V]) *Node[K, V] {
 // the slot's reuse generation and resetting all per-life node state. The
 // caller owns the safety argument: the node must be physically unreachable
 // and every reader pinned before its retire epoch must have unpinned (the
-// epoch-based reclamation pipeline establishes both). Sentinels and heap
-// nodes are never freed.
+// epoch-based reclamation pipeline establishes both). Sentinels are never
+// freed.
 func (a *Arena[K, V]) Free(n *Node[K, V]) {
-	if n == nil || n.self == 0 || n.kind != Data {
-		panic("node: Free of a sentinel, heap node, or nil")
+	if n == nil || n.kind != Data {
+		panic("node: Free of a sentinel or nil")
 	}
 	// Zero the life ID before anything else: stale-pointer holders (local
 	// structures, jump indexes) validate with LiveAs, which loads the marked
@@ -184,8 +189,11 @@ func (a *Arena[K, V]) Free(n *Node[K, V]) {
 	n.maint.Store(0)
 	n.born.Store(0)
 	n.dead.Store(0)
-	for i := range n.pw {
-		n.pw[i].Init(0, false, false)
+	for i := range n.w {
+		n.w[i].Init(0, false, false)
+	}
+	for i := MaxArenaLevels; i < a.levels; i++ {
+		a.overWord(n.self, i).Init(0, false, false)
 	}
 	s := &a.shards[n.self>>arenaPosBits]
 	s.freed.Add(1)
@@ -197,10 +205,10 @@ func (a *Arena[K, V]) Free(n *Node[K, V]) {
 // grow extends the chunk table far enough to cover chunk, publishing the new
 // table atomically. Readers holding the old table stay correct: chunk slices
 // themselves never move.
-func (s *arenaShard[K, V]) grow(chunk uint64) {
+func (s *arenaShard[K, V]) grow(chunk uint64, levels int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var chunks [][]arenaSlot[K, V]
+	var chunks []arenaChunk[K, V]
 	if cur := s.chunks.Load(); cur != nil {
 		if uint64(len(*cur)) > chunk {
 			return // Another allocator grew past us while we queued on mu.
@@ -208,9 +216,19 @@ func (s *arenaShard[K, V]) grow(chunk uint64) {
 		chunks = append(chunks, *cur...)
 	}
 	for uint64(len(chunks)) <= chunk {
-		chunks = append(chunks, make([]arenaSlot[K, V], arenaChunkSlots))
+		chunks = append(chunks, newChunk[K, V](levels))
 	}
 	s.chunks.Store(&chunks)
+}
+
+// newChunk allocates one chunk of nodes, with an overflow array when levels
+// exceeds the inline words.
+func newChunk[K cmp.Ordered, V any](levels int) arenaChunk[K, V] {
+	c := arenaChunk[K, V]{nodes: make([]Node[K, V], arenaChunkSlots)}
+	if extra := levels - MaxArenaLevels; extra > 0 {
+		c.over = make([]atomicmark.PackedRef, arenaChunkSlots*extra)
+	}
+	return c
 }
 
 // At resolves an arena index to its node; 0 resolves to nil. The index must
@@ -223,16 +241,25 @@ func (a *Arena[K, V]) At(idx uint32) *Node[K, V] {
 	}
 	pos := idx & arenaPosMask
 	chunks := *a.shards[idx>>arenaPosBits].chunks.Load()
-	return &chunks[pos>>arenaSlotBits][pos&(arenaChunkSlots-1)].n
+	return &chunks[pos>>arenaSlotBits].nodes[pos&(arenaChunkSlots-1)]
 }
 
-// NewData allocates an arena-backed data node on the owner's shard,
-// participating in levels 0..topLevel with all references nil, unmarked and
-// valid (the lazy protocol's required initial state). topLevel must be below
-// MaxArenaLevels.
+// overWord returns the level-i word (i >= MaxArenaLevels) of the node at
+// arena index idx, from its chunk's overflow array.
+func (a *Arena[K, V]) overWord(idx uint32, i int) *atomicmark.PackedRef {
+	pos := idx & arenaPosMask
+	chunks := *a.shards[idx>>arenaPosBits].chunks.Load()
+	extra := a.levels - MaxArenaLevels
+	return &chunks[pos>>arenaSlotBits].over[int(pos&(arenaChunkSlots-1))*extra+i-MaxArenaLevels]
+}
+
+// NewData allocates a data node on the owner's shard, participating in
+// levels 0..topLevel with all references nil, unmarked and valid (the lazy
+// protocol's required initial state). topLevel must be below the arena's
+// levels.
 func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner Owner, id uint64, allocTS int64) *Node[K, V] {
-	if topLevel >= MaxArenaLevels {
-		panic(fmt.Sprintf("node: arena node top level %d exceeds MaxArenaLevels-1", topLevel))
+	if topLevel >= a.levels {
+		panic(fmt.Sprintf("node: top level %d needs more than the arena's %d levels", topLevel, a.levels))
 	}
 	n := a.alloc(int(owner.Node))
 	n.key = key
@@ -240,8 +267,9 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 	if n.kind != Data {
 		// Written on the slot's first carve only: freed slots are always
 		// data slots (Free rejects sentinels), and stale-pointer validators
-		// (LiveAs) read kind through refMarked before the ID gate, so a
-		// reused slot must not see this field rewritten mid-validation.
+		// (LiveAs) read kind, through word's level mapping, before the ID
+		// gate, so a reused slot must not see this field rewritten
+		// mid-validation.
 		n.kind = Data
 	}
 	n.topLevel = int32(topLevel)
@@ -250,7 +278,7 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 	n.ownerNode = owner.Node
 	n.allocTS = allocTS
 	for i := 0; i <= topLevel; i++ {
-		n.pw[i].Init(0, false, true)
+		n.word(i).Init(0, false, true)
 	}
 	// Publish the new life ID only after the words above are initialized:
 	// LiveAs loads marked-then-ID, so an ID match implies the words read
@@ -259,9 +287,9 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 	return n
 }
 
-// NewHead allocates the arena-backed sentinel fronting the (level, label)
-// list, pointing at tail. Like its heap sibling it carries a single level
-// reference — sentinels are sized once (see node.NewHead).
+// NewHead allocates the sentinel fronting the (level, label) list, pointing
+// at tail. It carries a single level reference that stands for its own level
+// (see "Sentinel sizing" in the package comment).
 func (a *Arena[K, V]) NewHead(level int, label uint32, tail *Node[K, V], id uint64) *Node[K, V] {
 	n := a.alloc(int(HeadOwner.Node))
 	n.kind = Head
@@ -270,11 +298,14 @@ func (a *Arena[K, V]) NewHead(level int, label uint32, tail *Node[K, V], id uint
 	n.ownerThread = HeadOwner.Thread
 	n.ownerNode = HeadOwner.Node
 	n.id.Store(id)
-	n.pw[0].Init(refOf(tail), false, true)
+	n.w[0].Init(refOf(tail), false, true)
 	return n
 }
 
-// NewTail allocates the arena-backed shared terminating sentinel.
+// NewTail allocates the shared terminating sentinel. It carries a single
+// level reference shared by all levels, never followed by traversals (see
+// "Sentinel sizing" in the package comment); maxLevel only sets its
+// TopLevel.
 func (a *Arena[K, V]) NewTail(maxLevel int, id uint64) *Node[K, V] {
 	n := a.alloc(int(HeadOwner.Node))
 	n.kind = Tail
@@ -282,7 +313,7 @@ func (a *Arena[K, V]) NewTail(maxLevel int, id uint64) *Node[K, V] {
 	n.ownerThread = HeadOwner.Thread
 	n.ownerNode = HeadOwner.Node
 	n.id.Store(id)
-	n.pw[0].Init(0, false, true)
+	n.w[0].Init(0, false, true)
 	return n
 }
 

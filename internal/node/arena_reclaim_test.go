@@ -13,7 +13,7 @@ import (
 // observed at link time — must never CAS against the new occupant, even
 // though the arena index (and therefore the node pointer) is identical.
 func TestArenaRecycleABA(t *testing.T) {
-	a := NewArena[int64, int64](1)
+	a := NewArena[int64, int64](1, 1)
 	owner := Owner{Thread: 0, Node: 0}
 	pred := a.NewData(1, 1, 0, 0, owner, 1, 0)
 
@@ -59,14 +59,14 @@ func TestArenaRecycleABA(t *testing.T) {
 	// the exp reference carries the old generation, the word holds the new
 	// one — the CAS must fail despite the matching index.
 	pred.RawStore(0, n2, false, true)
-	if pred.pw[0].CASNext(staleRef, 0) {
+	if pred.w[0].CASNext(staleRef, 0) {
 		t.Fatalf("stale packed reference CASed across a slot recycle (ABA)")
 	}
 	if got := pred.RawLoad(0).Next; got != n2 {
 		t.Fatalf("stale CAS corrupted the link: next = %v", got)
 	}
 	// The current-generation reference still works.
-	if !pred.pw[0].CASNext(atomicmark.MakeRef(idx, n2.Gen()), 0) {
+	if !pred.w[0].CASNext(atomicmark.MakeRef(idx, n2.Gen()), 0) {
 		t.Fatalf("current-generation CAS failed")
 	}
 }
@@ -76,7 +76,7 @@ func TestArenaRecycleABA(t *testing.T) {
 // stale CAS must never land (run under -race: it also exercises the
 // free-list and generation-bump paths for data races).
 func TestArenaRecycleABAConcurrent(t *testing.T) {
-	a := NewArena[int64, int64](1)
+	a := NewArena[int64, int64](1, 1)
 	owner := Owner{Thread: 0, Node: 0}
 	pred := a.NewData(1, 1, 0, 0, owner, 1, 0)
 
@@ -113,7 +113,7 @@ func TestArenaRecycleABAConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			if pred.pw[0].CASNext(staleRef, 0) {
+			if pred.w[0].CASNext(staleRef, 0) {
 				t.Errorf("stale reference CASed against a later life of the slot")
 				return
 			}

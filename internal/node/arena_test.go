@@ -3,10 +3,12 @@ package node
 import (
 	"sync"
 	"testing"
+
+	"layeredsg/internal/atomicmark"
 )
 
 func TestArenaIndexZeroIsNil(t *testing.T) {
-	a := NewArena[int, int](2)
+	a := NewArena[int, int](2, 1)
 	if a.At(0) != nil {
 		t.Fatal("index 0 did not resolve to nil")
 	}
@@ -22,7 +24,7 @@ func TestArenaIndexZeroIsNil(t *testing.T) {
 }
 
 func TestArenaRoundTripAcrossChunks(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 2)
 	// Allocate past a chunk boundary so At must walk the grown chunk table.
 	nodes := make([]*Node[int, int], 3*arenaChunkSlots/2)
 	for i := range nodes {
@@ -39,7 +41,7 @@ func TestArenaRoundTripAcrossChunks(t *testing.T) {
 }
 
 func TestArenaShardRouting(t *testing.T) {
-	a := NewArena[int, int](2)
+	a := NewArena[int, int](2, 1)
 	n0 := a.NewData(1, 1, 0, 0, Owner{Thread: 0, Node: 0}, 1, 0)
 	n1 := a.NewData(2, 2, 0, 0, Owner{Thread: 4, Node: 1}, 2, 0)
 	if got := n0.ArenaIndex() >> arenaPosBits; got != 0 {
@@ -56,7 +58,7 @@ func TestArenaShardRouting(t *testing.T) {
 }
 
 func TestArenaConcurrentAlloc(t *testing.T) {
-	a := NewArena[int, int](2)
+	a := NewArena[int, int](2, 3)
 	const goroutines, each = 8, 2000
 	var wg sync.WaitGroup
 	out := make([][]*Node[int, int], goroutines)
@@ -95,7 +97,7 @@ func TestArenaConcurrentAlloc(t *testing.T) {
 }
 
 func TestArenaDataNodeInitialState(t *testing.T) {
-	a := NewArena[int, string](1)
+	a := NewArena[int, string](1, 4)
 	n := a.NewData(7, "seven", 3, 0b101, Owner{Thread: 1, Node: 0}, 42, 1000)
 	if n.Key() != 7 || n.Value() != "seven" || !n.IsData() || n.TopLevel() != 3 {
 		t.Fatal("payload wrong")
@@ -109,7 +111,7 @@ func TestArenaDataNodeInitialState(t *testing.T) {
 }
 
 func TestArenaSentinels(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 4)
 	tail := a.NewTail(3, 1)
 	head := a.NewHead(3, 0b1, tail, 2)
 	if head.RawNext(3) != tail {
@@ -123,7 +125,7 @@ func TestArenaSentinels(t *testing.T) {
 }
 
 func TestArenaLinkOpsThroughNodeAPI(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 2)
 	tail := a.NewTail(1, 1)
 	head := a.NewHead(1, 0, tail, 2)
 	n := a.NewData(5, 5, 1, 0, Owner{}, 3, 0)
@@ -153,24 +155,55 @@ func TestArenaLinkOpsThroughNodeAPI(t *testing.T) {
 	}
 }
 
+// TestArenaRejectsTallNodes checks that a data node may span at most the
+// levels its arena was built with, below and above the inline words.
 func TestArenaRejectsTallNodes(t *testing.T) {
-	a := NewArena[int, int](1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewData above MaxArenaLevels-1 did not panic")
-		}
-	}()
-	a.NewData(1, 1, MaxArenaLevels, 0, Owner{}, 1, 0)
+	for _, levels := range []int{3, MaxArenaLevels, 18} {
+		a := NewArena[int, int](1, levels)
+		a.NewData(1, 1, levels-1, 0, Owner{}, 1, 0) // the tallest legal node
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewData at top level %d on a %d-level arena did not panic", levels, levels)
+				}
+			}()
+			a.NewData(2, 2, levels, 0, Owner{}, 2, 0)
+		}()
+	}
 }
 
-func TestHeapNodeInPackedStructurePanics(t *testing.T) {
-	a := NewArena[int, int](1)
-	arenaNode := a.NewData(1, 1, 0, 0, Owner{}, 1, 0)
-	heapNode := NewData[int, int](2, 2, 0, 0, Owner{}, 2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("linking a heap node into an arena node did not panic")
+// TestArenaTallNodeOverflowWords drives a node of an arena taller than the
+// inline words (the LC skip-list baseline's height 17): its levels above
+// MaxArenaLevels link, mark and CAS through the chunk overflow array, and a
+// freed and reused slot comes back with every word reset.
+func TestArenaTallNodeOverflowWords(t *testing.T) {
+	const top = 17
+	a := NewArena[int, int](1, top+1)
+	tail := a.NewTail(top, 1)
+	n := a.NewData(5, 5, top, 0, Owner{}, 2, 0)
+	m := a.NewData(6, 6, top, 0, Owner{}, 3, 0)
+	for level := 0; level <= top; level++ {
+		if snap := n.RawLoad(level); snap.Next != nil || snap.Marked || !snap.Valid {
+			t.Fatalf("level %d initial state %+v", level, snap)
 		}
-	}()
-	arenaNode.RawStore(0, heapNode, false, true)
+		n.RawStore(level, tail, false, true)
+		m.RawStore(level, tail, false, true)
+	}
+	// Neighbouring nodes of one chunk own disjoint overflow windows.
+	if !n.RawCASNext(top, tail, m) || m.RawNext(top) != tail || n.RawNext(top) != m {
+		t.Fatal("overflow-level link did not take, or leaked into a neighbour")
+	}
+	if !n.CASMark(top, false, true, nil) || !n.RawMarked(top) || n.RawMarked(top-1) {
+		t.Fatal("overflow-level mark wrong")
+	}
+	a.Free(n)
+	r := a.NewData(7, 7, 0, 0, Owner{}, 4, 0)
+	if r != n {
+		t.Fatal("freed slot was not reused")
+	}
+	for level := MaxArenaLevels; level <= top; level++ {
+		if w := r.word(level).Load(); w != (atomicmark.PackedSnapshot{}) {
+			t.Fatalf("reused slot's overflow word %d = %+v, want reset", level, w)
+		}
+	}
 }

@@ -5,13 +5,11 @@
 // A shared node carries:
 //
 //   - an array of level references (next pointers with marked/valid bits) —
-//     s.next[i] in the paper — in one of two interchangeable representations:
-//     cell-based (internal/atomicmark.Ref: an atomic pointer to an immutable
-//     heap cell, swapped on every mutation) or arena-backed packed words
-//     (atomicmark.PackedRef: one atomic uint64 per reference packing a 32-bit
-//     arena index with the marked/valid bits, CAS-able with zero allocation —
-//     see arena.go). A structure picks one representation at construction;
-//     the algorithms above this package cannot tell them apart;
+//     s.next[i] in the paper. Every node lives in an Arena (see arena.go),
+//     and each reference is one atomicmark.PackedRef word packing a
+//     generation-tagged arena index with the marked/valid bits, CAS-able
+//     with zero allocation. The first MaxArenaLevels words sit inside the
+//     node; taller arenas keep the rest in a per-chunk overflow array;
 //   - first-touch ownership (allocating thread and its NUMA node), used by
 //     the instrumentation to classify accesses as local or remote;
 //   - the allocation timestamp used by the lazy variant's commission period;
@@ -60,9 +58,8 @@ const (
 	Tail
 )
 
-// Node is a shared node. The zero value is not usable; construct with
-// NewData, NewHead, or NewTail (cell-based) or through an Arena
-// (packed).
+// Node is a shared node. The zero value is not usable; construct through
+// an Arena.
 type Node[K cmp.Ordered, V any] struct {
 	key   K
 	value V
@@ -85,9 +82,9 @@ type Node[K cmp.Ordered, V any] struct {
 	id      atomic.Uint64
 	allocTS int64
 
-	// gen is the node's slot reuse generation. Heap nodes and sentinels stay
-	// at 0; arena data nodes carry the generation their slot had when it was
-	// (re)allocated, bumped by Arena.Free. Every packed reference to the node
+	// gen is the node's slot reuse generation. Sentinels stay at 0; data
+	// nodes carry the generation their slot had when it was (re)allocated,
+	// bumped by Arena.Free. Every packed reference to the node
 	// embeds this value (see refOf), so a CAS expecting a reference captured
 	// before the slot was recycled fails instead of ABA-ing onto the new
 	// occupant. Written only while the slot is unreferenced (allocation and
@@ -114,17 +111,19 @@ type Node[K cmp.Ordered, V any] struct {
 	// node's own level references.
 	maint atomic.Uint32
 
-	// Exactly one of the two level-reference representations is populated.
-	//
-	// next: cell-based references (heap nodes). Data nodes carry
-	// topLevel+1 entries; sentinels carry one (see "Sentinel sizing").
-	next []atomicmark.Ref[Node[K, V]]
-	// ar/self/pw: arena-backed packed references. self is this node's
-	// index in ar (never 0); pw points at the packed words inlined next to
-	// the node in its arena slot.
+	// ar is the arena the node lives in and self its index there (never 0).
 	ar   *Arena[K, V]
 	self uint32
-	pw   *[MaxArenaLevels]atomicmark.PackedRef
+	// _ keeps Node[int64,int64] at 192 B: three whole cache lines, the key
+	// in the first and w in the third, the layout DESIGN.md §7 measured.
+	// It is padding rather than a per-node overflow slice because a second
+	// pointer slot per node measured slower in the GC's mark phase.
+	_ [24]byte
+	// w holds the level words below MaxArenaLevels (see word); the arena
+	// keeps higher ones in its chunk overflow arrays. It is the last field:
+	// layouts that put the words ahead of the header or outside the node
+	// measured slower on level-0 walks (DESIGN.md §7).
+	w [MaxArenaLevels]atomicmark.PackedRef
 }
 
 // Maintenance-state bits, set and cleared through TrySetMaint/ClearMaint.
@@ -162,63 +161,6 @@ type Owner struct {
 // HeadOwner attributes head-array accesses to thread 0 on node 0, matching
 // the paper's arbitrary attribution of the head array (Fig. 8 discussion).
 var HeadOwner = Owner{Thread: 0, Node: 0}
-
-// NewData allocates a heap (cell-based) data node participating in levels
-// 0..topLevel, with all level references pointing at succ, unmarked and
-// valid. The lazy protocol requires new nodes to be allocated unmarked and
-// valid. Arena-backed structures use Arena.NewData instead.
-func NewData[K cmp.Ordered, V any](key K, value V, topLevel int, vector uint32, owner Owner, id uint64, allocTS int64) *Node[K, V] {
-	n := &Node[K, V]{
-		key:         key,
-		value:       value,
-		kind:        Data,
-		topLevel:    int32(topLevel),
-		vector:      vector,
-		ownerThread: owner.Thread,
-		ownerNode:   owner.Node,
-		allocTS:     allocTS,
-	}
-	n.id.Store(id)
-	n.next = make([]atomicmark.Ref[Node[K, V]], topLevel+1)
-	for i := range n.next {
-		n.next[i].Init(nil, false, true)
-	}
-	return n
-}
-
-// NewHead allocates the sentinel fronting the (level, label) list, pointing
-// at tail. Sentinels are sized once: a head carries a single reference that
-// stands for its own level (see "Sentinel sizing" in the package comment).
-func NewHead[K cmp.Ordered, V any](level int, label uint32, tail *Node[K, V], id uint64) *Node[K, V] {
-	n := &Node[K, V]{
-		kind:        Head,
-		topLevel:    int32(level),
-		vector:      label,
-		ownerThread: HeadOwner.Thread,
-		ownerNode:   HeadOwner.Node,
-	}
-	n.id.Store(id)
-	n.next = make([]atomicmark.Ref[Node[K, V]], 1)
-	n.next[0].Init(tail, false, true)
-	return n
-}
-
-// NewTail allocates the shared terminating sentinel. It carries a single
-// level reference shared by all levels, never followed by traversals (see
-// "Sentinel sizing" in the package comment); maxLevel only sets its
-// TopLevel.
-func NewTail[K cmp.Ordered, V any](maxLevel int, id uint64) *Node[K, V] {
-	n := &Node[K, V]{
-		kind:        Tail,
-		topLevel:    int32(maxLevel),
-		ownerThread: HeadOwner.Thread,
-		ownerNode:   HeadOwner.Node,
-	}
-	n.id.Store(id)
-	n.next = make([]atomicmark.Ref[Node[K, V]], 1)
-	n.next[0].Init(nil, false, true)
-	return n
-}
 
 // Key returns the node's key. Only meaningful for data nodes.
 func (n *Node[K, V]) Key() K { return n.key }
@@ -269,7 +211,7 @@ func (n *Node[K, V]) LiveAs(id uint64, tr *stats.ThreadRecorder) bool {
 	// reallocation rewrites. The marked word and the ID are atomic; kind is
 	// slot-constant (Free never returns sentinels, so a data slot stays a
 	// data slot for the arena's lifetime).
-	if n.refMarked(0) {
+	if n.word(0).Marked() {
 		return false
 	}
 	if n.id.Load() != id {
@@ -279,8 +221,7 @@ func (n *Node[K, V]) LiveAs(id uint64, tr *stats.ThreadRecorder) bool {
 	return true
 }
 
-// ArenaIndex returns the node's arena index, or 0 for heap (cell-based)
-// nodes. For tests and tooling.
+// ArenaIndex returns the node's arena index. For tests and tooling.
 func (n *Node[K, V]) ArenaIndex() uint32 { return n.self }
 
 // AllocTS returns the allocation timestamp (structure-relative nanoseconds),
@@ -293,8 +234,7 @@ func (n *Node[K, V]) Inserted() bool { return n.inserted.Load() }
 // MarkInserted records that all levels have been linked.
 func (n *Node[K, V]) MarkInserted() { n.inserted.Store(true) }
 
-// Gen returns the node's slot reuse generation (0 for heap nodes and
-// sentinels).
+// Gen returns the node's slot reuse generation (0 for sentinels).
 func (n *Node[K, V]) Gen() uint32 { return n.gen }
 
 // --- Life-interval stamps (MVCC snapshot visibility) -----------------------
@@ -411,129 +351,56 @@ func (n *Node[K, V]) KeyEquals(key K) bool {
 	return n.kind == Data && n.key == key
 }
 
-// --- Representation funnel ------------------------------------------------
+// --- Level-word funnel -----------------------------------------------------
 //
 // Every level-reference access goes through the helpers below, which map the
-// requested level onto the node's reference array (sentinels hold a single
-// shared reference) and branch between the packed and cell representations.
-// The branch is on a per-node pointer that is constant for the lifetime of a
-// structure, so it predicts perfectly on hot paths.
+// requested level onto the node's words (sentinels hold a single shared
+// reference) and translate between packed slot references and *Node.
 
-// refIndex maps a level onto the node's reference array. Data nodes index
-// directly; a tail's single reference stands for every level (only its
-// always-false mark bit is ever read); a head's single reference stands for
-// the one level it fronts.
-func (n *Node[K, V]) refIndex(level int) int {
+// word returns the node's level-`level` packed word. A data node's words
+// below MaxArenaLevels, the hot case, are read inline; sentinels and higher
+// levels go through wordSlow, kept out of line so word stays inlinable.
+func (n *Node[K, V]) word(level int) *atomicmark.PackedRef {
+	if n.kind == Data && level < MaxArenaLevels {
+		return &n.w[level]
+	}
+	return n.wordSlow(level)
+}
+
+// wordSlow serves the cases word hands off. A data node's words from
+// MaxArenaLevels up live in its chunk's overflow array. A tail's single
+// reference stands for every level (only its always-false mark bit is ever
+// read); a head's single reference stands for the one level it fronts.
+func (n *Node[K, V]) wordSlow(level int) *atomicmark.PackedRef {
 	switch n.kind {
 	case Data:
-		return level
+		return n.ar.overWord(n.self, level)
 	case Tail:
-		return 0
+		return &n.w[0]
 	default: // Head
 		if level != int(n.topLevel) {
 			panic("node: head sentinel accessed outside the level it fronts")
 		}
-		return 0
+		return &n.w[0]
 	}
 }
 
-// refOf translates a successor pointer into the packed representation's
-// slot-reference space: the node's arena index tagged with its current reuse
-// generation. Only arena-backed nodes may circulate inside a packed
-// structure; linking a heap node would silently alias nil, so it panics.
+// refOf translates a successor pointer into slot-reference space: the node's
+// arena index tagged with its current reuse generation.
 func refOf[K cmp.Ordered, V any](p *Node[K, V]) uint64 {
 	if p == nil {
 		return 0
-	}
-	if p.self == 0 {
-		panic("node: cell-based node linked into an arena-backed structure")
 	}
 	return atomicmark.MakeRef(p.self, p.gen)
 }
 
 func (n *Node[K, V]) refLoad(level int) atomicmark.Snapshot[Node[K, V]] {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		ps := n.pw[i].Load()
-		return atomicmark.Snapshot[Node[K, V]]{Next: n.ar.At(ps.Index()), Marked: ps.Marked, Valid: ps.Valid}
-	}
-	return n.next[i].Load()
+	ps := n.word(level).Load()
+	return atomicmark.Snapshot[Node[K, V]]{Next: n.ar.At(ps.Index()), Marked: ps.Marked, Valid: ps.Valid}
 }
 
 func (n *Node[K, V]) refNext(level int) *Node[K, V] {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.ar.At(n.pw[i].Index())
-	}
-	return n.next[i].Next()
-}
-
-func (n *Node[K, V]) refMarked(level int) bool {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].Marked()
-	}
-	return n.next[i].Marked()
-}
-
-func (n *Node[K, V]) refMarkValid(level int) (marked, valid bool) {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].MarkValid()
-	}
-	return n.next[i].MarkValid()
-}
-
-func (n *Node[K, V]) refStore(level int, next *Node[K, V], marked, valid bool) {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		n.pw[i].Store(refOf(next), marked, valid)
-		return
-	}
-	n.next[i].Store(next, marked, valid)
-}
-
-func (n *Node[K, V]) refCASNext(level int, exp, next *Node[K, V]) bool {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].CASNext(refOf(exp), refOf(next))
-	}
-	return n.next[i].CASNext(exp, next)
-}
-
-func (n *Node[K, V]) refCASMark(level int, exp, new bool) bool {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].CASMark(exp, new)
-	}
-	return n.next[i].CASMark(exp, new)
-}
-
-func (n *Node[K, V]) refCASValid(level int, exp, new bool) bool {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].CASValid(exp, new)
-	}
-	return n.next[i].CASValid(exp, new)
-}
-
-func (n *Node[K, V]) refCASMarkValid(level int, expMarked, expValid, newMarked, newValid bool) bool {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].CASMarkValid(expMarked, expValid, newMarked, newValid)
-	}
-	return n.next[i].CASMarkValid(expMarked, expValid, newMarked, newValid)
-}
-
-func (n *Node[K, V]) refCASSnapshot(level int, exp, want atomicmark.Snapshot[Node[K, V]]) bool {
-	i := n.refIndex(level)
-	if n.pw != nil {
-		return n.pw[i].CASSnapshot(
-			atomicmark.PackedSnapshot{Ref: refOf(exp.Next), Marked: exp.Marked, Valid: exp.Valid},
-			atomicmark.PackedSnapshot{Ref: refOf(want.Next), Marked: want.Marked, Valid: want.Valid},
-		)
-	}
-	return n.next[i].CASSnapshot(exp, want)
+	return n.ar.At(n.word(level).Index())
 }
 
 // --- Instrumented access functions (the paper's "node access functions") ---
@@ -557,13 +424,13 @@ func (n *Node[K, V]) Load(level int, tr *stats.ThreadRecorder) atomicmark.Snapsh
 // Marked returns the level-i marked bit, recording a read.
 func (n *Node[K, V]) Marked(level int, tr *stats.ThreadRecorder) bool {
 	n.read(tr)
-	return n.refMarked(level)
+	return n.word(level).Marked()
 }
 
 // MarkValid returns the level-i (marked, valid) pair, recording a read.
 func (n *Node[K, V]) MarkValid(level int, tr *stats.ThreadRecorder) (marked, valid bool) {
 	n.read(tr)
-	return n.refMarkValid(level)
+	return n.word(level).MarkValid()
 }
 
 func (n *Node[K, V]) cas(tr *stats.ThreadRecorder, ok bool) bool {
@@ -574,7 +441,7 @@ func (n *Node[K, V]) cas(tr *stats.ThreadRecorder, ok bool) bool {
 // CASNext swings the level-i successor from exp to next, failing if the
 // reference is marked. Records a maintenance CAS.
 func (n *Node[K, V]) CASNext(level int, exp, next *Node[K, V], tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.refCASNext(level, exp, next))
+	return n.cas(tr, n.word(level).CASNext(refOf(exp), refOf(next)))
 }
 
 // CASSnapshot performs a full-triple CAS on the level-i reference, recording
@@ -582,24 +449,27 @@ func (n *Node[K, V]) CASNext(level int, exp, next *Node[K, V], tr *stats.ThreadR
 // `middle` node observed when the predecessor was identified, and want.Next
 // skips the whole chain of marked references.
 func (n *Node[K, V]) CASSnapshot(level int, exp, want atomicmark.Snapshot[Node[K, V]], tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.refCASSnapshot(level, exp, want))
+	return n.cas(tr, n.word(level).CASSnapshot(
+		atomicmark.PackedSnapshot{Ref: refOf(exp.Next), Marked: exp.Marked, Valid: exp.Valid},
+		atomicmark.PackedSnapshot{Ref: refOf(want.Next), Marked: want.Marked, Valid: want.Valid},
+	))
 }
 
 // CASMark flips the level-i marked bit, recording a maintenance CAS.
 func (n *Node[K, V]) CASMark(level int, exp, next bool, tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.refCASMark(level, exp, next))
+	return n.cas(tr, n.word(level).CASMark(exp, next))
 }
 
 // CASValid flips the level-i valid bit, recording a maintenance CAS.
 func (n *Node[K, V]) CASValid(level int, exp, next bool, tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.refCASValid(level, exp, next))
+	return n.cas(tr, n.word(level).CASValid(exp, next))
 }
 
 // CASMarkValid atomically replaces the level-i (marked, valid) pair,
 // recording a maintenance CAS. This is the linearization CAS of lazy insert
 // and remove.
 func (n *Node[K, V]) CASMarkValid(level int, expMarked, expValid, newMarked, newValid bool, tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.refCASMarkValid(level, expMarked, expValid, newMarked, newValid))
+	return n.cas(tr, n.word(level).CASMarkValid(expMarked, expValid, newMarked, newValid))
 }
 
 // --- Raw access functions (inserting-node traffic, excluded from metrics) ---
@@ -616,23 +486,23 @@ func (n *Node[K, V]) RawLoad(level int) atomicmark.Snapshot[Node[K, V]] {
 
 // RawMarked returns the level-i marked bit without recording.
 func (n *Node[K, V]) RawMarked(level int) bool {
-	return n.refMarked(level)
+	return n.word(level).Marked()
 }
 
 // RawMarkValid returns the level-0 (marked, valid) pair without recording.
 func (n *Node[K, V]) RawMarkValid() (marked, valid bool) {
-	return n.refMarkValid(0)
+	return n.word(0).MarkValid()
 }
 
 // RawStore unconditionally sets the level-i reference. Only safe on a node
 // not yet published (e.g. toInsert.setNext(0, successors[0]) before the link
 // CAS).
 func (n *Node[K, V]) RawStore(level int, next *Node[K, V], marked, valid bool) {
-	n.refStore(level, next, marked, valid)
+	n.word(level).Store(refOf(next), marked, valid)
 }
 
 // RawCASNext swings the level-i successor without recording (used by
 // finishInsert on the thread's own inserting node).
 func (n *Node[K, V]) RawCASNext(level int, exp, next *Node[K, V]) bool {
-	return n.refCASNext(level, exp, next)
+	return n.word(level).CASNext(refOf(exp), refOf(next))
 }

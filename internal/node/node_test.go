@@ -21,7 +21,7 @@ func recorder(t *testing.T) *stats.Recorder {
 }
 
 func TestNewDataInitialState(t *testing.T) {
-	n := NewData[int, string](7, "seven", 3, 0b101, Owner{Thread: 1, Node: 1}, 42, 1000)
+	n := NewArena[int, string](2, 4).NewData(7, "seven", 3, 0b101, Owner{Thread: 1, Node: 1}, 42, 1000)
 	if n.Key() != 7 || n.Value() != "seven" || !n.IsData() {
 		t.Fatal("payload wrong")
 	}
@@ -49,9 +49,10 @@ func TestNewDataInitialState(t *testing.T) {
 }
 
 func TestSentinelOrdering(t *testing.T) {
-	tail := NewTail[int, string](2, 1)
-	head := NewHead[int, string](2, 0b11, tail, 2)
-	data := NewData[int, string](5, "", 2, 0, Owner{}, 3, 0)
+	a := NewArena[int, string](1, 3)
+	tail := a.NewTail(2, 1)
+	head := a.NewHead(2, 0b11, tail, 2)
+	data := a.NewData(5, "", 2, 0, Owner{}, 3, 0)
 
 	if !head.LessThan(-1 << 60) {
 		t.Fatal("head not below everything")
@@ -88,8 +89,9 @@ func TestSentinelOrdering(t *testing.T) {
 }
 
 func TestHeadAccessOutsideItsLevelPanics(t *testing.T) {
-	tail := NewTail[int, string](2, 1)
-	head := NewHead[int, string](2, 0, tail, 2)
+	a := NewArena[int, string](1, 3)
+	tail := a.NewTail(2, 1)
+	head := a.NewHead(2, 0, tail, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("accessing a head outside the level it fronts did not panic")
@@ -101,9 +103,10 @@ func TestHeadAccessOutsideItsLevelPanics(t *testing.T) {
 func TestInstrumentedAccessRecords(t *testing.T) {
 	r := recorder(t)
 	tr := r.ThreadRecorder(0) // node 0
-	tail := NewTail[int, int](1, 1)
+	a := NewArena[int, int](2, 2)
+	tail := a.NewTail(1, 1)
 	// Owner on node 1 → accesses from thread 0 are remote.
-	n := NewData[int, int](1, 1, 1, 0, Owner{Thread: 1, Node: 1}, 2, 0)
+	n := a.NewData(1, 1, 1, 0, Owner{Thread: 1, Node: 1}, 2, 0)
 	n.RawStore(0, tail, false, true)
 
 	if n.Next(0, tr) != tail {
@@ -137,7 +140,7 @@ func TestInstrumentedAccessRecords(t *testing.T) {
 func TestRawAccessDoesNotRecord(t *testing.T) {
 	r := recorder(t)
 	tr := r.ThreadRecorder(0)
-	n := NewData[int, int](1, 1, 1, 0, Owner{Thread: 1, Node: 1}, 2, 0)
+	n := NewArena[int, int](2, 2).NewData(1, 1, 1, 0, Owner{Thread: 1, Node: 1}, 2, 0)
 	n.RawNext(0)
 	n.RawLoad(0)
 	n.RawMarked(0)
@@ -153,7 +156,7 @@ func TestRawAccessDoesNotRecord(t *testing.T) {
 func TestCASMarkValidFlow(t *testing.T) {
 	r := recorder(t)
 	tr := r.ThreadRecorder(0)
-	n := NewData[int, int](1, 1, 0, 0, Owner{}, 1, 0)
+	n := NewArena[int, int](1, 1).NewData(1, 1, 0, 0, Owner{}, 1, 0)
 	// Remove: valid→invalid.
 	if !n.CASMarkValid(0, false, true, false, false, tr) {
 		t.Fatal("invalidate failed")
@@ -180,8 +183,9 @@ func TestCASMarkValidFlow(t *testing.T) {
 }
 
 func TestHeadOwnerAttribution(t *testing.T) {
-	tail := NewTail[int, int](0, 1)
-	head := NewHead[int, int](0, 0, tail, 2)
+	a := NewArena[int, int](1, 1)
+	tail := a.NewTail(0, 1)
+	head := a.NewHead(0, 0, tail, 2)
 	if head.OwnerThread() != HeadOwner.Thread || head.OwnerNode() != HeadOwner.Node {
 		t.Fatal("head not attributed to the conventional owner")
 	}

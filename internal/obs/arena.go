@@ -1,9 +1,9 @@
 package obs
 
-// Arena-occupancy gauge: structures using the arena-backed packed node
-// representation (see internal/node, DESIGN.md "Memory layout") install a
-// stats callback so snapshots report how much slab memory the structure
-// holds and how full it is. Mirrors the maintenance queue-depth gauge.
+// Arena-occupancy gauge: a structure's node arena (see internal/node,
+// DESIGN.md "Memory layout") installs a stats callback so snapshots report
+// how much slab memory the structure holds and how full it is. Mirrors the
+// maintenance queue-depth gauge.
 
 // ArenaShardSnapshot describes one arena shard's (socket slab's) occupancy.
 type ArenaShardSnapshot struct {
@@ -53,8 +53,8 @@ func (t *Tracer) SetArenaStats(f func() ArenaSnapshot) {
 	t.arenaStats.Store(&f)
 }
 
-// arenaSnapshot builds the Snapshot section, or nil when the structure does
-// not use an arena.
+// arenaSnapshot builds the Snapshot section, or nil before a structure
+// attaches.
 func (t *Tracer) arenaSnapshot() *ArenaSnapshot {
 	fn := t.arenaStats.Load()
 	if fn == nil {

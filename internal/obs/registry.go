@@ -82,8 +82,8 @@ type Snapshot struct {
 	// Maintenance summarizes the background maintenance engine, when one is
 	// attached (nil otherwise).
 	Maintenance *MaintSnapshot `json:"maintenance,omitempty"`
-	// Arena summarizes node-arena occupancy for structures using the packed
-	// representation (nil for cell-based structures).
+	// Arena summarizes node-arena occupancy of the attached structure (nil
+	// before one attaches).
 	Arena *ArenaSnapshot `json:"arena,omitempty"`
 	// Epoch summarizes the epoch domain and reclamation pipeline, when the
 	// structure reclaims slots (nil otherwise).

@@ -47,7 +47,7 @@ type Tracer struct {
 	queueDepth atomic.Pointer[func() int64]
 
 	// arenaStats, when set, gauges the attached structure's node-arena
-	// occupancy for snapshots (packed representation only).
+	// occupancy for snapshots.
 	arenaStats atomic.Pointer[func() ArenaSnapshot]
 
 	// epochStats, when set, gauges the attached structure's epoch domain and

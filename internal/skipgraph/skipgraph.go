@@ -63,18 +63,9 @@ type Config struct {
 	// Clock returns monotonic nanoseconds; nil uses a time.Since-based clock.
 	// Injectable for deterministic tests.
 	Clock func() int64
-	// PackedRefs selects the arena-backed node representation: nodes come
-	// from per-socket slabs and every level reference is one packed atomic
-	// word (gen|index|marked|valid) instead of a pointer to a heap-allocated
-	// immutable cell — allocation-free link mutations. Retired nodes' slots
-	// return to their shard's free list through the epoch-based reclamation
-	// pipeline (internal/epoch plus the maintenance engine); the embedded
-	// generation tag keeps recycled indices from ABA-ing stale CASes.
-	// Requires MaxLevel < node.MaxArenaLevels.
-	PackedRefs bool
-	// ArenaShards is the arena shard (socket) count when PackedRefs is set;
-	// <= 0 means one shard. Node owners allocate from the shard matching
-	// their NUMA node, giving first-touch socket locality.
+	// ArenaShards is the node arena's shard (socket) count; <= 0 means one
+	// shard. Node owners allocate from the shard matching their NUMA node,
+	// giving first-touch socket locality.
 	ArenaShards int
 	// CanRetire, when non-nil, gates retirement on MVCC snapshot visibility:
 	// checkRetire consults it with the node's death sequence before marking,
@@ -168,8 +159,12 @@ type SG[K cmp.Ordered, V any] struct {
 	// via SetRetireObserver before concurrent use; layered indexes use it to
 	// drop the node's entry. Must be fast and must not re-enter the graph.
 	retireObserver func(*node.Node[K, V])
-	// arena backs all of the structure's nodes when cfg.PackedRefs is set;
-	// nil means the cell-based representation.
+	// arena backs all of the structure's nodes: per-socket slabs whose level
+	// references are packed atomic words (gen|index|marked|valid), so link
+	// mutations allocate nothing. Retired nodes' slots return to their
+	// shard's free list through the epoch-based reclamation pipeline
+	// (internal/epoch plus the maintenance engine); the embedded generation
+	// tag keeps recycled indices from ABA-ing stale CASes.
 	arena *node.Arena[K, V]
 }
 
@@ -187,20 +182,13 @@ func New[K cmp.Ordered, V any](cfg Config) (*SG[K, V], error) {
 	if cfg.Lazy && cfg.CommissionPeriod <= 0 {
 		return nil, fmt.Errorf("skipgraph: lazy structure requires a positive CommissionPeriod")
 	}
-	if cfg.PackedRefs && cfg.MaxLevel >= node.MaxArenaLevels {
-		return nil, fmt.Errorf("skipgraph: MaxLevel %d too tall for packed refs (max %d); use the cell-based representation", cfg.MaxLevel, node.MaxArenaLevels-1)
-	}
 	sg := &SG[K, V]{cfg: cfg, started: time.Now()}
 	if sg.cfg.Clock == nil {
 		start := sg.started
 		sg.cfg.Clock = func() int64 { return int64(time.Since(start)) }
 	}
-	if cfg.PackedRefs {
-		sg.arena = node.NewArena[K, V](cfg.ArenaShards)
-		sg.tail = sg.arena.NewTail(cfg.MaxLevel, sg.nextID.Add(1))
-	} else {
-		sg.tail = node.NewTail[K, V](cfg.MaxLevel, sg.nextID.Add(1))
-	}
+	sg.arena = node.NewArena[K, V](cfg.ArenaShards, cfg.MaxLevel+1)
+	sg.tail = sg.arena.NewTail(cfg.MaxLevel, sg.nextID.Add(1))
 	sg.heads = make([][]*node.Node[K, V], cfg.MaxLevel+1)
 	for level := 0; level <= cfg.MaxLevel; level++ {
 		lists := 1
@@ -209,11 +197,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*SG[K, V], error) {
 		}
 		sg.heads[level] = make([]*node.Node[K, V], lists)
 		for label := 0; label < lists; label++ {
-			if sg.arena != nil {
-				sg.heads[level][label] = sg.arena.NewHead(level, uint32(label), sg.tail, sg.nextID.Add(1))
-			} else {
-				sg.heads[level][label] = node.NewHead[K, V](level, uint32(label), sg.tail, sg.nextID.Add(1))
-			}
+			sg.heads[level][label] = sg.arena.NewHead(level, uint32(label), sg.tail, sg.nextID.Add(1))
 		}
 	}
 	return sg, nil
@@ -280,18 +264,11 @@ func (sg *SG[K, V]) RandomTopLevel(rng *rand.Rand) int {
 
 // NewNode allocates a data node owned by the given thread, stamping the
 // allocation timestamp used by the commission period. The node participates
-// in levels 0..topLevel of the lists its vector selects. With PackedRefs the
-// node comes from the owner's arena shard (socket-local backing memory).
+// in levels 0..topLevel of the lists its vector selects, and comes from the
+// owner's arena shard (socket-local backing memory).
 func (sg *SG[K, V]) NewNode(key K, value V, vector uint32, owner node.Owner, topLevel int) *node.Node[K, V] {
-	if sg.arena != nil {
-		return sg.arena.NewData(key, value, topLevel, vector, owner, sg.nextID.Add(1), sg.Now())
-	}
-	return node.NewData(key, value, topLevel, vector, owner, sg.nextID.Add(1), sg.Now())
+	return sg.arena.NewData(key, value, topLevel, vector, owner, sg.nextID.Add(1), sg.Now())
 }
-
-// PackedRefs reports whether the structure uses the arena-backed packed
-// level-reference representation.
-func (sg *SG[K, V]) PackedRefs() bool { return sg.arena != nil }
 
 // CanRetireNode reports whether the MVCC retire gate (Config.CanRetire)
 // allows marking n for physical removal right now. Always true without a
@@ -303,28 +280,14 @@ func (sg *SG[K, V]) CanRetireNode(n *node.Node[K, V]) bool {
 	return true
 }
 
-// FreeNode returns a reclaimed node's slot to its arena shard's free list,
-// reporting whether a slot was actually freed (false for cell-based
-// structures, where dropping references is all the reclamation the Go GC
-// needs). The caller owns the safety argument: the node must have been
-// verified unreachable and every pin from before its retire epoch released —
-// the maintenance engine's limbo pipeline establishes both.
-func (sg *SG[K, V]) FreeNode(n *node.Node[K, V]) bool {
-	if sg.arena == nil {
-		return false
-	}
-	sg.arena.Free(n)
-	return true
-}
+// FreeNode returns a reclaimed node's slot to its arena shard's free list.
+// The caller owns the safety argument: the node must have been verified
+// unreachable and every pin from before its retire epoch released — the
+// maintenance engine's limbo pipeline establishes both.
+func (sg *SG[K, V]) FreeNode(n *node.Node[K, V]) { sg.arena.Free(n) }
 
-// ArenaStats snapshots arena occupancy; the zero value for cell-based
-// structures.
-func (sg *SG[K, V]) ArenaStats() node.ArenaStats {
-	if sg.arena == nil {
-		return node.ArenaStats{}
-	}
-	return sg.arena.Stats()
-}
+// ArenaStats snapshots arena occupancy.
+func (sg *SG[K, V]) ArenaStats() node.ArenaStats { return sg.arena.Stats() }
 
 // SearchResult carries lazyRelinkSearch's per-level output: predecessors,
 // the references observed immediately after each predecessor (middle), and

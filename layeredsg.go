@@ -96,25 +96,6 @@ const (
 	LayeredSL = core.LayeredSL
 )
 
-// RefMode selects the node / level-reference representation of the shared
-// structure; see Config.Refs and DESIGN.md, "Memory layout".
-type RefMode = core.RefMode
-
-// Node-representation modes.
-const (
-	// RefAuto (the default) uses the arena-backed packed representation
-	// whenever the structure's height fits it: nodes come from per-socket
-	// slabs and each level reference is one packed atomic word, making link
-	// mutations allocation-free.
-	RefAuto = core.RefAuto
-	// RefCells forces the cell-based representation (one heap cell per link
-	// mutation). For differential testing and very tall structures.
-	RefCells = core.RefCells
-	// RefPacked forces the packed representation; construction fails if the
-	// structure is too tall for it.
-	RefPacked = core.RefPacked
-)
-
 // ReclaimMode selects whether retired nodes' arena slots are reclaimed; see
 // Config.Reclaim and DESIGN.md §7.
 type ReclaimMode = core.ReclaimMode

@@ -67,10 +67,6 @@ type AdapterOptions struct {
 	// helper pool, or both (see MaintBackground / MaintHybrid). Other
 	// algorithms ignore it.
 	Maintenance MaintenancePolicy
-	// Refs selects the node representation for the layered variants (packed
-	// arena words vs heap cells); zero value RefAuto picks packed whenever
-	// the structure's height fits. Other algorithms ignore it.
-	Refs RefMode
 	// Index selects the shared hash index layer for the layered variants:
 	// zero value IndexAuto builds it (O(1) point operations from any
 	// stripe), IndexOff descends for every cross-stripe point operation.
@@ -122,7 +118,6 @@ func layeredBuilder(kind core.Kind) algoBuilder {
 			Maintenance:      o.Maintenance,
 			Recorder:         o.Recorder,
 			Tracer:           o.Observe,
-			Refs:             o.Refs,
 			Index:            o.Index,
 			Seed:             o.Seed,
 		}

@@ -90,11 +90,12 @@ func TestTorture(t *testing.T) {
 	}
 }
 
-// TestTorturePackedRefs is the representation-torture run: the same
-// owned-range + shared-chaos workload as TestTorture, but pinned explicitly
-// to each node representation (packed arena words and heap cells) on the
-// layered variants, so `go test -race` exercises the packed CAS protocol
-// under real concurrency even if the RefAuto default ever changes.
+// TestTorturePackedRefs runs the owned-range + shared-chaos workload of
+// TestTorture straight through the layered maps' handles, so the packed
+// arena-word CAS protocol (link, mark, revive, retire) runs under real
+// concurrency on each layered skip-graph variant. It then checks the owned
+// ranges exactly, the shared structure's invariants, and that the arena
+// served the map's nodes.
 func TestTorturePackedRefs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture is slow")
@@ -105,75 +106,74 @@ func TestTorturePackedRefs(t *testing.T) {
 		sharedOps = 4000
 	)
 	for _, kind := range []Kind{LayeredSG, LazyLayeredSG, LayeredSSG} {
-		for _, refs := range []RefMode{RefPacked, RefCells} {
-			t.Run(kind.String()+"/"+refs.String(), func(t *testing.T) {
-				machine := testMachine(t, threads)
-				m, err := New[int64, int64](Config{
-					Machine:          machine,
-					Kind:             kind,
-					CommissionPeriod: 30 * time.Microsecond,
-					Refs:             refs,
-					Seed:             99,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.PackedRefs() != (refs == RefPacked) {
-					t.Fatalf("PackedRefs() = %v under %v", m.PackedRefs(), refs)
-				}
-				var wg sync.WaitGroup
-				for th := 0; th < threads; th++ {
-					wg.Add(1)
-					go func(th int) {
-						defer wg.Done()
-						h := m.Handle(th)
-						rng := rand.New(rand.NewSource(int64(th) * 17))
-						base := int64(1<<20) + int64(th)*10000
-						for k := int64(0); k < ownedKeys; k++ {
-							if !h.Insert(base+k, k) {
-								t.Errorf("thread %d: owned insert %d failed", th, base+k)
-								return
-							}
-							for j := 0; j < sharedOps/ownedKeys; j++ {
-								key := rng.Int63n(512)
-								switch rng.Intn(3) {
-								case 0:
-									h.Insert(key, key)
-								case 1:
-									h.Remove(key)
-								default:
-									h.Contains(key)
-								}
-							}
-							if k%2 == 1 {
-								if !h.Remove(base + k) {
-									t.Errorf("thread %d: owned remove %d failed", th, base+k)
-									return
-								}
-							}
-							runtime.Gosched()
-						}
-					}(th)
-				}
-				wg.Wait()
-				if t.Failed() {
-					return
-				}
-				h := m.Handle(0)
-				for th := 0; th < threads; th++ {
+		t.Run(kind.String()+"/packed", func(t *testing.T) {
+			machine := testMachine(t, threads)
+			m, err := New[int64, int64](Config{
+				Machine:          machine,
+				Kind:             kind,
+				CommissionPeriod: 30 * time.Microsecond,
+				Seed:             99,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			var wg sync.WaitGroup
+			for th := 0; th < threads; th++ {
+				wg.Add(1)
+				go func(th int) {
+					defer wg.Done()
+					h := m.Handle(th)
+					rng := rand.New(rand.NewSource(int64(th) * 17))
 					base := int64(1<<20) + int64(th)*10000
 					for k := int64(0); k < ownedKeys; k++ {
-						want := k%2 == 0
-						if got := h.Contains(base + k); got != want {
-							t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
+						if !h.Insert(base+k, k) {
+							t.Errorf("thread %d: owned insert %d failed", th, base+k)
+							return
 						}
+						for j := 0; j < sharedOps/ownedKeys; j++ {
+							key := rng.Int63n(512)
+							switch rng.Intn(3) {
+							case 0:
+								h.Insert(key, key)
+							case 1:
+								h.Remove(key)
+							default:
+								h.Contains(key)
+							}
+						}
+						if k%2 == 1 {
+							if !h.Remove(base + k) {
+								t.Errorf("thread %d: owned remove %d failed", th, base+k)
+								return
+							}
+						}
+						runtime.Gosched()
+					}
+				}(th)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			h := m.Handle(0)
+			for th := 0; th < threads; th++ {
+				base := int64(1<<20) + int64(th)*10000
+				for k := int64(0); k < ownedKeys; k++ {
+					want := k%2 == 0
+					if got := h.Contains(base + k); got != want {
+						t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
 					}
 				}
-				if err := m.SharedStructure().Validate(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+			}
+			if err := m.SharedStructure().Validate(); err != nil {
+				t.Fatal(err)
+			}
+			// Every owned key was new when inserted, so each took a slot.
+			if st := m.SharedStructure().ArenaStats(); st.SlotsUsed < uint64(threads*ownedKeys) {
+				t.Fatalf("arena carved %d slots for %d owned inserts: %+v", st.SlotsUsed, threads*ownedKeys, st)
+			}
+		})
 	}
 }
 
