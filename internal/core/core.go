@@ -210,9 +210,6 @@ type Config struct {
 	// variants only): the paper's inline protocol (zero value), the
 	// internal/maintain background helper pool, or both.
 	Maintenance MaintenancePolicy
-	// MaintHelpers sizes the background helper pool; 0 uses one helper per
-	// socket.
-	MaintHelpers int
 	// MaintQueueCap bounds each stripe's maintenance queue; 0 uses
 	// maintain.DefaultQueueCap.
 	MaintQueueCap int
@@ -393,29 +390,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		if cfg.Recorder == nil {
 			cfg.Recorder = stats.NewRecorder(cfg.Machine, nil)
 		}
-		cfg.Tracer.SetArenaStats(func() obs.ArenaSnapshot {
-			st := sg.ArenaStats()
-			out := obs.ArenaSnapshot{
-				Shards:         make([]obs.ArenaShardSnapshot, len(st.Shards)),
-				Chunks:         st.Chunks,
-				SlotsUsed:      st.SlotsUsed,
-				SlotsReserved:  st.SlotsReserved,
-				SlotsFree:      st.SlotsFree,
-				SlotsReclaimed: st.SlotsReclaimed,
-				SlotsReused:    st.SlotsReused,
-			}
-			for i, sh := range st.Shards {
-				out.Shards[i] = obs.ArenaShardSnapshot{
-					Chunks:         sh.Chunks,
-					SlotsUsed:      sh.SlotsUsed,
-					SlotsReserved:  sh.SlotsReserved,
-					SlotsFree:      sh.SlotsFree,
-					SlotsReclaimed: sh.SlotsReclaimed,
-					SlotsReused:    sh.SlotsReused,
-				}
-			}
-			return out
-		})
 	}
 
 	m := &Map[K, V]{
@@ -443,12 +417,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 			hidx.Unpublish(n.Key(), n)
 			tracer.RecordIndex(obs.IndexUnpublish)
 		})
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetIndexStats(func() obs.IndexSizeSnapshot {
-				st := hidx.Stats()
-				return obs.IndexSizeSnapshot{Entries: st.Entries, Slots: st.Slots}
-			})
-		}
 	}
 	for t := 0; t < threads; t++ {
 		var tr *stats.ThreadRecorder
@@ -470,10 +438,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 	}
 
 	if cfg.Kind.lazy() && cfg.Maintenance != MaintInline {
-		helpers := cfg.MaintHelpers
-		if helpers <= 0 {
-			helpers = cfg.Machine.Topology().Sockets()
-		}
+		helpers := cfg.Machine.Topology().Sockets()
 		var recorders []*stats.ThreadRecorder
 		if cfg.Recorder != nil {
 			// One proxy recorder per helper, attributed to a thread on the
@@ -488,11 +453,9 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		eng, err := maintain.New(maintain.Config[K, V]{
 			SG:         sg,
 			Machine:    cfg.Machine,
-			Helpers:    helpers,
 			QueueCap:   cfg.MaintQueueCap,
 			Commission: commission,
 			Recorders:  recorders,
-			Tracer:     cfg.Tracer,
 			Domain:     domain,
 		})
 		if err != nil {
@@ -508,23 +471,18 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 			RetireInline:  cfg.Maintenance == MaintHybrid,
 		})
 	}
-	if cfg.Tracer != nil && domain != nil {
-		// Installed after engine creation so the gauge can fold in limbo depth.
-		eng := m.engine
-		cfg.Tracer.SetEpochStats(func() obs.EpochSnapshot {
-			st := domain.Stats()
-			out := obs.EpochSnapshot{
-				Epoch:         st.Epoch,
-				MinPinned:     st.MinPinned,
-				PinLag:        st.PinLag,
-				Seq:           st.Seq,
-				LiveSnapshots: st.LiveSnapshots,
-			}
-			if eng != nil {
-				out.LimboDepth = eng.LimboDepth()
-			}
-			return out
-		})
+	if cfg.Tracer != nil {
+		src := obs.Sources{Arena: sg.ArenaStats}
+		if domain != nil {
+			src.Epoch = domain.Stats
+		}
+		if m.hidx != nil {
+			src.Index = m.hidx.Stats
+		}
+		if m.engine != nil {
+			src.Maintenance = m.engine.Stats
+		}
+		cfg.Tracer.SetSources(src)
 	}
 	return m, nil
 }
@@ -1013,16 +971,7 @@ func (h *Handle[K, V]) remove(key K) bool {
 			done, removed := h.m.sg.RemoveHelper(r.N, h.tr)
 			if done {
 				if removed {
-					h.m.stampDead(r.N, h.tr)
-					if !h.m.sg.Lazy() {
-						// Non-lazy removal marks the node; prune eagerly. The
-						// lazy protocol keeps the mapping (the node may be
-						// revived) and prunes on later detection. The index
-						// entry follows the same rule: non-lazy removals have
-						// no Retire funnel to observe, so unpublish here.
-						h.ls.Erase(key)
-						h.unpublishIndex(key, r.N)
-					}
+					h.finishRemove(key, r.N)
 				}
 				return removed
 			}
@@ -1033,16 +982,27 @@ func (h *Handle[K, V]) remove(key K) bool {
 		done, removed := h.m.sg.RemoveHelper(n, h.tr)
 		if done {
 			if removed {
-				h.m.stampDead(n, h.tr)
-				if !h.m.sg.Lazy() {
-					h.unpublishIndex(key, n)
-				}
+				h.finishRemove(key, n)
 			}
 			return removed
 		}
 		h.indexFallback(key, n) // Marked since verification; descend.
 	}
 	return h.lazyRemove(key)
+}
+
+// finishRemove is the bookkeeping after this thread won the removal of n:
+// it closes the node's life (the dead stamp snapshots and the WAL read). A
+// non-lazy removal marks the node and has no Retire funnel for the index to
+// observe, so it also drops the key's local and index entries here; the lazy
+// protocol keeps them (the node may be revived) and prunes on later
+// detection.
+func (h *Handle[K, V]) finishRemove(key K, n *node.Node[K, V]) {
+	h.m.stampDead(n, h.tr)
+	if !h.m.sg.Lazy() {
+		h.ls.Erase(key)
+		h.unpublishIndex(key, n)
+	}
 }
 
 // lazyRemove is the paper's Alg. 13.
@@ -1058,10 +1018,7 @@ func (h *Handle[K, V]) lazyRemove(key K) bool {
 		done, removed := h.m.sg.RemoveHelper(found, h.tr)
 		if done {
 			if removed {
-				h.m.stampDead(found, h.tr)
-				if !h.m.sg.Lazy() {
-					h.unpublishIndex(key, found)
-				}
+				h.finishRemove(key, found)
 			}
 			return removed
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAscendOrdered(t *testing.T) {
@@ -180,6 +181,54 @@ func TestRemoveMinRelaxed(t *testing.T) {
 	}
 	if m.Len() != 0 {
 		t.Fatalf("len = %d", m.Len())
+	}
+}
+
+// TestRemoveMinReinsert pops a key and inserts it again on every kind. A pop
+// must close the node's life like Remove does: a lazy revival waits for the
+// remover's dead stamp, so a pop that skips it hangs the next Insert, and a
+// non-lazy pop must drop the key's index entry.
+func TestRemoveMinReinsert(t *testing.T) {
+	pops := map[string]func(h *Handle[int64, int64]) (int64, int64, bool){
+		"exact":   (*Handle[int64, int64]).RemoveMin,
+		"relaxed": func(h *Handle[int64, int64]) (int64, int64, bool) { return h.RemoveMinRelaxed(2) },
+	}
+	for _, kind := range allKinds() {
+		for name, pop := range pops {
+			t.Run(kind.String()+"/"+name, func(t *testing.T) {
+				m := newMap(t, kind, 4)
+				h := m.Handle(0)
+				done := make(chan string, 1)
+				go func() {
+					for round := 0; round < 3; round++ {
+						if !h.Insert(5, 50) {
+							done <- "Insert(5) after a pop = false"
+							return
+						}
+						if k, _, ok := pop(h); !ok || k != 5 {
+							done <- "pop did not return key 5"
+							return
+						}
+						if _, _, ok := m.hidx.Lookup(5); ok && !kind.lazy() {
+							done <- "index entry survived a non-lazy pop"
+							return
+						}
+					}
+					done <- ""
+				}()
+				select {
+				case msg := <-done:
+					if msg != "" {
+						t.Fatal(msg)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("Insert after a pop hung: the pop left no dead stamp")
+				}
+				if h.Contains(5) {
+					t.Fatal("key 5 present after its last pop")
+				}
+			})
+		}
 	}
 }
 

@@ -7,9 +7,12 @@ import "layeredsg/internal/node"
 // results for and its conclusion names as future work. The minimum is found
 // by walking the bottom list from the head, skipping marked and
 // logically-deleted nodes; deletion linearizes on the same helper CAS as
-// Remove, so contending consumers each extract a distinct element.
+// Remove, so contending consumers each extract a distinct element, and is
+// stamped for snapshots and journaled to the WAL like a Remove.
 func (h *Handle[K, V]) RemoveMin() (K, V, bool) {
 	defer h.tr.Op()
+	h.pin.Pin()
+	defer h.pin.Unpin()
 	var zeroK K
 	var zeroV V
 	sg := h.m.sg
@@ -28,6 +31,7 @@ func (h *Handle[K, V]) RemoveMin() (K, V, bool) {
 		}
 		done, removed := sg.RemoveHelper(n, h.tr)
 		if done && removed {
+			h.finishRemove(n.Key(), n)
 			return n.Key(), n.Value(), true
 		}
 		// Someone beat us to this node; rescan for the next minimum.
@@ -46,6 +50,8 @@ func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 		width = 2
 	}
 	h.tr.Op()
+	h.pin.Pin()
+	defer h.pin.Unpin()
 	sg := h.m.sg
 	landed := sg.Spray(h.vector, h.rng, width, h.tr)
 	n := landed
@@ -56,6 +62,7 @@ func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 		marked, valid := n.MarkValid(0, h.tr)
 		if !marked && valid {
 			if done, removed := sg.RemoveHelper(n, h.tr); done && removed {
+				h.finishRemove(n.Key(), n)
 				return n.Key(), n.Value(), true
 			}
 		}
@@ -68,6 +75,8 @@ func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 // Min returns the smallest logically-present key without removing it.
 func (h *Handle[K, V]) Min() (K, V, bool) {
 	defer h.tr.Op()
+	h.pin.Pin()
+	defer h.pin.Unpin()
 	var zeroK K
 	var zeroV V
 	for n := h.m.sg.BottomHead().Next(0, h.tr); n != nil && n.Kind() != node.Tail; n = n.Next(0, h.tr) {

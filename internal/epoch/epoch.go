@@ -415,16 +415,18 @@ func (d *Domain) SafeToRetire(dead uint64) bool {
 // Stats is the domain's observability snapshot.
 type Stats struct {
 	// Epoch is the current global epoch.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// MinPinned is the oldest pinned epoch (0 when nothing is pinned).
-	MinPinned uint64
+	MinPinned uint64 `json:"min_pinned"`
 	// PinLag is Epoch - MinPinned (0 when nothing is pinned): how far the
-	// slowest pinner trails the reclamation frontier.
-	PinLag uint64
+	// slowest pinner trails the reclamation frontier. A persistently large
+	// lag means a stalled participant is blocking reclamation.
+	PinLag uint64 `json:"pin_lag"`
 	// Seq is the latest mutation sequence.
-	Seq uint64
-	// LiveSnapshots is the number of open snapshot tickets.
-	LiveSnapshots int
+	Seq uint64 `json:"seq"`
+	// LiveSnapshots is the number of open snapshot tickets. Any nonzero
+	// value freezes slot reclamation and retirement of contended nodes.
+	LiveSnapshots int `json:"live_snapshots"`
 }
 
 // Stats snapshots the domain for gauges. Safe concurrently; not atomic as a

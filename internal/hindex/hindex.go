@@ -100,9 +100,9 @@ func New[K cmp.Ordered, V any]() *Index[K, V] {
 type Stats struct {
 	// Entries counts claimed slots: live entries plus the tombstones left
 	// until their shard's next rehash.
-	Entries int64
+	Entries int64 `json:"entries"`
 	// Slots is the summed array capacity of all shards.
-	Slots int64
+	Slots int64 `json:"slots"`
 }
 
 // Stats snapshots the index's size counters.

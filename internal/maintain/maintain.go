@@ -41,7 +41,6 @@ import (
 	"layeredsg/internal/epoch"
 	"layeredsg/internal/node"
 	"layeredsg/internal/numa"
-	"layeredsg/internal/obs"
 	"layeredsg/internal/skipgraph"
 	"layeredsg/internal/stats"
 )
@@ -70,9 +69,6 @@ type Config[K cmp.Ordered, V any] struct {
 	// stats.Recorder.HelperRecorder) so maintenance traffic keeps its
 	// local/remote classification. Missing entries record nothing.
 	Recorders []*stats.ThreadRecorder
-	// Tracer, when non-nil, receives enqueue/drain/steal/drop events and
-	// the queue-depth gauge (internal/obs).
-	Tracer *obs.Tracer
 	// Domain, when non-nil, enables epoch-based slot reclamation: helpers
 	// pin the domain around every traversal, fully unlinked retired nodes
 	// pass through a limbo list, and their arena slots return to the free
@@ -99,7 +95,6 @@ type Engine[K cmp.Ordered, V any] struct {
 	order        [][]int
 	helperNodes  []int
 	trs          []*stats.ThreadRecorder
-	tracer       *obs.Tracer
 	parkInterval time.Duration
 
 	depth    atomic.Int64
@@ -130,12 +125,13 @@ type Engine[K cmp.Ordered, V any] struct {
 
 	// limbo holds retired, unlinked nodes waiting out epoch pins taken
 	// before their hand-off; processLimbo re-verifies and frees them.
-	limboMu    sync.Mutex
-	limbo      []limboEntry[K, V]
-	limboDepth atomic.Int64
-	reclaimed  atomic.Uint64
-	restamps   atomic.Uint64
-	staleDrops atomic.Uint64
+	limboMu     sync.Mutex
+	limbo       []limboEntry[K, V]
+	limboDepth  atomic.Int64
+	limboEnters atomic.Uint64
+	reclaimed   atomic.Uint64
+	restamps    atomic.Uint64
+	staleDrops  atomic.Uint64
 
 	wake   chan struct{}
 	stop   chan struct{}
@@ -192,7 +188,6 @@ func New[K cmp.Ordered, V any](cfg Config[K, V]) (*Engine[K, V], error) {
 		order:        make([][]int, helpers),
 		helperNodes:  make([]int, helpers),
 		trs:          make([]*stats.ThreadRecorder, helpers),
-		tracer:       cfg.Tracer,
 		parkInterval: park,
 		domain:       cfg.Domain,
 		pins:         make([]*epoch.Pin, helpers),
@@ -225,7 +220,6 @@ func New[K cmp.Ordered, V any](cfg Config[K, V]) (*Engine[K, V], error) {
 			e.trs[h] = cfg.Recorders[h]
 		}
 	}
-	e.tracer.SetQueueDepth(e.QueueDepth)
 	if !cfg.Manual {
 		e.done.Add(helpers)
 		for h := 0; h < helpers; h++ {
@@ -242,43 +236,48 @@ func (e *Engine[K, V]) Helpers() int { return e.helpers }
 // retire items waiting out their commission period are not counted).
 func (e *Engine[K, V]) QueueDepth() int64 { return e.depth.Load() }
 
-// Stats is a point-in-time snapshot of the engine's counters.
+// Stats is a point-in-time snapshot of the engine's counters, which count
+// from the engine's start. It is also the maintenance section of an
+// observability snapshot (internal/obs).
 type Stats struct {
 	// Enqueues counts accepted work items; Drains counts executed ones.
-	Enqueues uint64
-	Drains   uint64
+	Enqueues uint64 `json:"enqueues"`
+	Drains   uint64 `json:"drains"`
 	// Steals counts executed items whose owner stripe was pinned to a
 	// different socket than the executing helper (a subset of Drains).
-	Steals uint64
+	Steals uint64 `json:"steals"`
 	// Drops counts enqueues rejected by a full queue (the work fell back to
 	// the inline protocol).
-	Drops uint64
+	Drops uint64 `json:"drops"`
 	// QueueDepth is the current total queue length.
-	QueueDepth int64
+	QueueDepth int64 `json:"queue_depth"`
 	// LimboDepth is the number of retired nodes currently awaiting slot
-	// reclamation; Reclaimed counts slots returned to the arena free lists.
-	LimboDepth int64
-	Reclaimed  uint64
+	// reclamation; LimboEnters counts hand-offs to limbo and Reclaimed counts
+	// slots returned to the arena free lists.
+	LimboDepth  int64  `json:"limbo_depth"`
+	LimboEnters uint64 `json:"limbo_enters"`
+	Reclaimed   uint64 `json:"reclaims"`
 	// Restamps counts limbo entries found re-linked at reclamation time and
 	// sent around for another epoch round; StaleDrops counts queued items
 	// dropped because their node entered limbo (or its slot was recycled)
-	// before execution. Both are zero with reclamation off.
-	Restamps   uint64
-	StaleDrops uint64
+	// before execution. The limbo counters are zero with reclamation off.
+	Restamps   uint64 `json:"restamps"`
+	StaleDrops uint64 `json:"stale_drops"`
 }
 
 // Stats snapshots the engine counters.
 func (e *Engine[K, V]) Stats() Stats {
 	return Stats{
-		Enqueues:   e.enqueues.Load(),
-		Drains:     e.drains.Load(),
-		Steals:     e.steals.Load(),
-		Drops:      e.drops.Load(),
-		QueueDepth: e.depth.Load(),
-		LimboDepth: e.limboDepth.Load(),
-		Reclaimed:  e.reclaimed.Load(),
-		Restamps:   e.restamps.Load(),
-		StaleDrops: e.staleDrops.Load(),
+		Enqueues:    e.enqueues.Load(),
+		Drains:      e.drains.Load(),
+		Steals:      e.steals.Load(),
+		Drops:       e.drops.Load(),
+		QueueDepth:  e.depth.Load(),
+		LimboDepth:  e.limboDepth.Load(),
+		LimboEnters: e.limboEnters.Load(),
+		Reclaimed:   e.reclaimed.Load(),
+		Restamps:    e.restamps.Load(),
+		StaleDrops:  e.staleDrops.Load(),
 	}
 }
 
@@ -335,12 +334,10 @@ func (e *Engine[K, V]) enqueue(it item[K, V], bit uint32) bool {
 		// re-enqueued later, and tell the caller to fall back inline.
 		it.n.ClearMaint(bit)
 		e.drops.Add(1)
-		e.tracer.RecordMaint(obs.MaintDrop)
 		return false
 	}
 	e.depth.Add(1)
 	e.enqueues.Add(1)
-	e.tracer.RecordMaint(obs.MaintEnqueue)
 	select {
 	case e.wake <- struct{}{}:
 	default:
@@ -409,7 +406,6 @@ func (w *worker[K, V]) stale(it item[K, V]) bool {
 	}
 	if it.n.ID() != it.id || it.n.MaintHas(node.MaintLimbo) {
 		w.e.staleDrops.Add(1)
-		w.e.tracer.RecordMaint(obs.MaintStaleDrop)
 		return true
 	}
 	return false
@@ -505,10 +501,8 @@ func (w *worker[K, V]) execute(it item[K, V], ownerNode int, force bool) {
 		}
 	}
 	e.drains.Add(1)
-	e.tracer.RecordMaint(obs.MaintDrain)
 	if ownerNode >= 0 && w.numaNode >= 0 && ownerNode != w.numaNode {
 		e.steals.Add(1)
-		e.tracer.RecordMaint(obs.MaintSteal)
 	}
 	switch it.kind {
 	case FinishInsertItem:
@@ -599,7 +593,7 @@ func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
 	e.limbo = append(e.limbo, limboEntry[K, V]{n: n})
 	e.limboMu.Unlock()
 	e.limboDepth.Add(1)
-	e.tracer.RecordMaint(obs.MaintLimboEnter)
+	e.limboEnters.Add(1)
 }
 
 // processLimbo advances every limbo entry one state if it can.
@@ -656,7 +650,6 @@ func (w *worker[K, V]) processLimbo() bool {
 			if !e.sg.Unlinked(le.n, w.tr) {
 				e.sg.CleanupSearch(le.n.Key(), le.n.Vector(), w.res, w.tr)
 				e.restamps.Add(1)
-				e.tracer.RecordMaint(obs.MaintRestamp)
 				kept = append(kept, le)
 				w.pin.Unpin()
 				worked = true
@@ -674,7 +667,6 @@ func (w *worker[K, V]) processLimbo() bool {
 		}
 		e.sg.FreeNode(le.n)
 		e.reclaimed.Add(1)
-		e.tracer.RecordMaint(obs.MaintReclaim)
 		e.limboDepth.Add(-1)
 		worked = true
 	}
@@ -720,7 +712,6 @@ func (w *worker[K, V]) drainPending() bool {
 				kept = append(kept, it)
 			} else {
 				e.drains.Add(1)
-				e.tracer.RecordMaint(obs.MaintDrain)
 				worked = true
 			}
 		default:
@@ -742,7 +733,6 @@ func (w *worker[K, V]) finalDrain() {
 		w.pin.Pin()
 		if !w.stale(it) {
 			w.e.drains.Add(1)
-			w.e.tracer.RecordMaint(obs.MaintDrain)
 			if w.executeRetire(it) {
 				// Gate-blocked at shutdown: release the dedup bit so the
 				// inline protocol can retire the node once the snapshot
@@ -802,7 +792,6 @@ func (e *Engine[K, V]) Flush() int {
 				continue
 			}
 			e.drains.Add(1)
-			e.tracer.RecordMaint(obs.MaintDrain)
 			w.pin.Unpin()
 			executed++
 		}
@@ -828,7 +817,6 @@ func (e *Engine[K, V]) Flush() int {
 			continue
 		}
 		e.drains.Add(1)
-		e.tracer.RecordMaint(obs.MaintDrain)
 		w.pin.Unpin()
 		executed++
 	}

@@ -317,35 +317,36 @@ func (a *Arena[K, V]) NewTail(maxLevel int, id uint64) *Node[K, V] {
 	return n
 }
 
-// ArenaShardStats describes one shard's occupancy.
+// ArenaShardStats describes one shard's (socket slab's) occupancy.
 type ArenaShardStats struct {
 	// Chunks is the number of chunk slabs allocated so far.
-	Chunks int
+	Chunks int `json:"chunks"`
 	// SlotsUsed is the number of slots ever carved from the bump cursor
 	// (including shard 0's reserved nil slot). Reuse through the free list
 	// does not advance it.
-	SlotsUsed uint64
+	SlotsUsed uint64 `json:"slots_used"`
 	// SlotsReserved is the slot capacity of the allocated chunks.
-	SlotsReserved uint64
+	SlotsReserved uint64 `json:"slots_reserved"`
 	// SlotsFree is the current depth of the shard's reclaimed-slot free
 	// list.
-	SlotsFree uint64
+	SlotsFree uint64 `json:"slots_free"`
 	// SlotsReclaimed is the cumulative number of Free calls on this shard.
-	SlotsReclaimed uint64
+	SlotsReclaimed uint64 `json:"slots_reclaimed"`
 	// SlotsReused is the cumulative number of allocations served from the
 	// free list.
-	SlotsReused uint64
+	SlotsReused uint64 `json:"slots_reused"`
 }
 
-// ArenaStats aggregates occupancy over all shards.
+// ArenaStats aggregates occupancy over all shards. It is also the arena
+// section of an observability snapshot (internal/obs).
 type ArenaStats struct {
-	Shards         []ArenaShardStats
-	Chunks         int
-	SlotsUsed      uint64
-	SlotsReserved  uint64
-	SlotsFree      uint64
-	SlotsReclaimed uint64
-	SlotsReused    uint64
+	Shards         []ArenaShardStats `json:"shards"`
+	Chunks         int               `json:"chunks"`
+	SlotsUsed      uint64            `json:"slots_used"`
+	SlotsReserved  uint64            `json:"slots_reserved"`
+	SlotsFree      uint64            `json:"slots_free"`
+	SlotsReclaimed uint64            `json:"slots_reclaimed"`
+	SlotsReused    uint64            `json:"slots_reused"`
 }
 
 // SlotsLive is the number of slots currently occupied by a node: carved

@@ -1,11 +1,11 @@
 package obs
 
-import "fmt"
+import "layeredsg/internal/hindex"
 
 // IndexKind identifies a hash-index event (see internal/hindex and the core
-// fast paths layered over it). Like maintenance events these are not
-// operations — they annotate how point operations resolved — so they
-// aggregate into plain counters instead of the per-stripe event rings.
+// fast paths layered over it). These are not operations — they annotate how
+// point operations resolved — so they aggregate into plain counters instead
+// of the per-stripe event rings.
 type IndexKind uint8
 
 const (
@@ -33,26 +33,6 @@ const (
 	nIndexKinds = int(IndexUnpublish) + 1
 )
 
-// String implements fmt.Stringer.
-func (k IndexKind) String() string {
-	switch k {
-	case IndexHit:
-		return "hit"
-	case IndexMiss:
-		return "miss"
-	case IndexStale:
-		return "stale"
-	case IndexFallback:
-		return "fallback"
-	case IndexPublish:
-		return "publish"
-	case IndexUnpublish:
-		return "unpublish"
-	default:
-		return fmt.Sprintf("IndexKind(%d)", int(k))
-	}
-}
-
 // RecordIndex counts one hash-index event. Like operation tracing it is
 // gated on Enabled, so a disabled tracer costs one load and branch.
 func (t *Tracer) RecordIndex(k IndexKind) {
@@ -60,25 +40,6 @@ func (t *Tracer) RecordIndex(k IndexKind) {
 		return
 	}
 	t.index[k].Add(1)
-}
-
-// IndexSizeSnapshot gauges the hash index's current shape — typically
-// hindex.Index.Stats.
-type IndexSizeSnapshot struct {
-	// Entries is the number of claimed slots: live entries plus tombstones
-	// awaiting their shard's next rehash.
-	Entries int64 `json:"entries"`
-	// Slots is the summed capacity of the index's slot arrays.
-	Slots int64 `json:"slots"`
-}
-
-// SetIndexStats installs the gauge snapshots read for the index section of
-// Snapshot. A nil tracer ignores the call.
-func (t *Tracer) SetIndexStats(f func() IndexSizeSnapshot) {
-	if t == nil {
-		return
-	}
-	t.indexStats.Store(&f)
 }
 
 // IndexSnapshot summarizes the hash index layer's activity and size.
@@ -92,16 +53,15 @@ type IndexSnapshot struct {
 	// Publishes and Unpublishes count entry installs and tombstones.
 	Publishes   uint64 `json:"publishes"`
 	Unpublishes uint64 `json:"unpublishes"`
-	// Entries and Slots gauge the index's current size (live values,
-	// independent of Enabled).
-	Entries int64 `json:"entries"`
-	Slots   int64 `json:"slots"`
+	// Stats gauges the index's current size: Entries and Slots (live
+	// values, independent of Enabled).
+	hindex.Stats
 }
 
-// indexSnapshot builds the Snapshot section, or nil when the structure runs
-// without a hash index.
-func (t *Tracer) indexSnapshot() *IndexSnapshot {
-	fn := t.indexStats.Load()
+// indexSnapshot builds the Snapshot section from the event counters and
+// the index's size gauge, or nil when the structure runs without a hash
+// index.
+func (t *Tracer) indexSnapshot(size func() hindex.Stats) *IndexSnapshot {
 	s := IndexSnapshot{
 		Hits:        t.index[IndexHit].Load(),
 		Misses:      t.index[IndexMiss].Load(),
@@ -110,13 +70,12 @@ func (t *Tracer) indexSnapshot() *IndexSnapshot {
 		Publishes:   t.index[IndexPublish].Load(),
 		Unpublishes: t.index[IndexUnpublish].Load(),
 	}
-	if fn == nil {
+	if size == nil {
 		if s.Hits == 0 && s.Misses == 0 && s.Publishes == 0 {
 			return nil
 		}
 		return &s
 	}
-	sz := (*fn)()
-	s.Entries, s.Slots = sz.Entries, sz.Slots
+	s.Stats = size()
 	return &s
 }

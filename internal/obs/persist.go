@@ -1,7 +1,5 @@
 package obs
 
-import "fmt"
-
 // PersistKind identifies a persistence event (see internal/persist). Unlike
 // the per-operation tracing these are cold-path events — a handful per dump
 // or load, never per map operation — so they are recorded on any non-nil
@@ -49,36 +47,6 @@ const (
 
 	nPersistKinds = int(PersistWALErrs) + 1
 )
-
-// String implements fmt.Stringer.
-func (k PersistKind) String() string {
-	switch k {
-	case PersistDumpRecords:
-		return "dump_records"
-	case PersistDumpBytes:
-		return "dump_bytes"
-	case PersistLoadRecords:
-		return "load_records"
-	case PersistLoadBytes:
-		return "load_bytes"
-	case PersistWALReplay:
-		return "wal_replay"
-	case PersistWALDiscard:
-		return "wal_discard"
-	case PersistWALFsyncs:
-		return "wal_fsyncs"
-	case PersistWALCommits:
-		return "wal_commits"
-	case PersistWALGroupCommits:
-		return "wal_group_commits"
-	case PersistWALCommitWaitNs:
-		return "wal_commit_wait_ns"
-	case PersistWALErrs:
-		return "wal_errs"
-	default:
-		return fmt.Sprintf("PersistKind(%d)", int(k))
-	}
-}
 
 // RecordPersist adds n to a persistence counter. Not gated on Enabled (see
 // PersistKind); a nil tracer ignores the call.

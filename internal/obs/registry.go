@@ -8,6 +8,9 @@ import (
 	"sort"
 	"sync"
 
+	"layeredsg/internal/epoch"
+	"layeredsg/internal/maintain"
+	"layeredsg/internal/node"
 	"layeredsg/internal/stats"
 )
 
@@ -79,15 +82,16 @@ type Snapshot struct {
 	Enabled bool                  `json:"enabled"`
 	Stripes int                   `json:"stripes"`
 	Ops     map[string]OpSnapshot `json:"ops"`
-	// Maintenance summarizes the background maintenance engine, when one is
-	// attached (nil otherwise).
-	Maintenance *MaintSnapshot `json:"maintenance,omitempty"`
-	// Arena summarizes node-arena occupancy of the attached structure (nil
+	// Maintenance reports the background maintenance engine, when one is
+	// attached (nil otherwise). Its counters count from the engine's start,
+	// whether or not tracing was enabled.
+	Maintenance *maintain.Stats `json:"maintenance,omitempty"`
+	// Arena reports node-arena occupancy of the attached structure (nil
 	// before one attaches).
-	Arena *ArenaSnapshot `json:"arena,omitempty"`
-	// Epoch summarizes the epoch domain and reclamation pipeline, when the
-	// structure reclaims slots (nil otherwise).
-	Epoch *EpochSnapshot `json:"epoch,omitempty"`
+	Arena *node.ArenaStats `json:"arena,omitempty"`
+	// Epoch reports the epoch domain, when the structure reclaims slots (nil
+	// otherwise).
+	Epoch *epoch.Stats `json:"epoch,omitempty"`
 	// Index summarizes the shared hash index layer, when one is attached
 	// (nil otherwise).
 	Index *IndexSnapshot `json:"index,omitempty"`
@@ -133,10 +137,14 @@ func (t *Tracer) Snapshot() Snapshot {
 		return s
 	}
 	s.Stripes = t.Stripes()
-	s.Maintenance = t.maintSnapshot()
-	s.Arena = t.arenaSnapshot()
-	s.Epoch = t.epochSnapshot()
-	s.Index = t.indexSnapshot()
+	var src Sources
+	if p := t.sources.Load(); p != nil {
+		src = *p
+	}
+	s.Maintenance = section(src.Maintenance)
+	s.Arena = section(src.Arena)
+	s.Epoch = section(src.Epoch)
+	s.Index = t.indexSnapshot(src.Index)
 	s.Persist = t.persistSnapshot()
 	for k := 1; k < nOpKinds; k++ {
 		m := &t.ops[k]
@@ -165,6 +173,15 @@ func (t *Tracer) Snapshot() Snapshot {
 	return s
 }
 
+// section reads one subsystem section, or nil when the subsystem is absent.
+func section[T any](read func() T) *T {
+	if read == nil {
+		return nil
+	}
+	v := read()
+	return &v
+}
+
 // WriteJSON dumps the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -179,8 +196,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	if m := s.Maintenance; m != nil {
 		if _, err := fmt.Fprintf(w,
-			"  maintain enqueues=%d drains=%d steals=%d drops=%d queue_depth=%d\n",
-			m.Enqueues, m.Drains, m.Steals, m.Drops, m.QueueDepth); err != nil {
+			"  maintain enqueues=%d drains=%d steals=%d drops=%d queue_depth=%d limbo_depth=%d\n",
+			m.Enqueues, m.Drains, m.Steals, m.Drops, m.QueueDepth, m.LimboDepth); err != nil {
 			return err
 		}
 	}
@@ -194,8 +211,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	if e := s.Epoch; e != nil {
 		if _, err := fmt.Fprintf(w,
-			"  epoch    epoch=%d min_pinned=%d pin_lag=%d seq=%d live_snapshots=%d limbo_depth=%d\n",
-			e.Epoch, e.MinPinned, e.PinLag, e.Seq, e.LiveSnapshots, e.LimboDepth); err != nil {
+			"  epoch    epoch=%d min_pinned=%d pin_lag=%d seq=%d live_snapshots=%d\n",
+			e.Epoch, e.MinPinned, e.PinLag, e.Seq, e.LiveSnapshots); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"layeredsg/internal/epoch"
+	"layeredsg/internal/hindex"
+	"layeredsg/internal/maintain"
+	"layeredsg/internal/node"
 	"layeredsg/internal/stats"
 )
 
@@ -40,24 +44,13 @@ type Tracer struct {
 
 	ops [nOpKinds]opMetrics
 
-	// maint counts background-maintenance engine events (enqueue, drain,
-	// steal, drop-to-inline); queueDepth, when set, gauges the engine's
-	// total queued work for snapshots.
-	maint      [nMaintKinds]atomic.Uint64
-	queueDepth atomic.Pointer[func() int64]
-
-	// arenaStats, when set, gauges the attached structure's node-arena
-	// occupancy for snapshots.
-	arenaStats atomic.Pointer[func() ArenaSnapshot]
-
-	// epochStats, when set, gauges the attached structure's epoch domain and
-	// reclamation pipeline for snapshots (reclaiming maps only).
-	epochStats atomic.Pointer[func() EpochSnapshot]
+	// sources, once a map attaches, reads the subsystem sections of
+	// snapshots.
+	sources atomic.Pointer[Sources]
 
 	// index counts hash-index events (hit, miss, stale, fallback, publish,
-	// unpublish); indexStats, when set, gauges the index's size.
-	index      [nIndexKinds]atomic.Uint64
-	indexStats atomic.Pointer[func() IndexSizeSnapshot]
+	// unpublish).
+	index [nIndexKinds]atomic.Uint64
 
 	// persist counts persistence-layer events (dump/load records and bytes,
 	// WAL replay depth); cold-path, see RecordPersist.
@@ -130,6 +123,26 @@ func (t *Tracer) Attach(stripes, levelsPerSearch int) {
 		})
 		t.cursors = append(t.cursors, 0)
 	}
+}
+
+// Sources reads the subsystem sections of a Snapshot from the subsystems'
+// own Stats. A nil field means the map runs without that subsystem, and its
+// section is omitted (the index section still reports any counted events).
+type Sources struct {
+	Arena       func() node.ArenaStats
+	Epoch       func() epoch.Stats
+	Index       func() hindex.Stats
+	Maintenance func() maintain.Stats
+}
+
+// SetSources installs the subsystem readers (core.New calls it once the
+// map's subsystems exist). A later call replaces them; a nil tracer ignores
+// the call.
+func (t *Tracer) SetSources(src Sources) {
+	if t == nil {
+		return
+	}
+	t.sources.Store(&src)
 }
 
 // Stripe returns stripe i's tracer, or nil when the tracer is nil or the

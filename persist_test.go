@@ -484,6 +484,46 @@ func TestWALRecovery(t *testing.T) {
 	st4.Close()
 }
 
+// TestWALRemoveMinRecovery: priority-queue pops after a dump are journaled
+// like removes, so recovery does not bring the popped keys back.
+func TestWALRemoveMinRecovery(t *testing.T) {
+	dumpDir, walDir := t.TempDir(), t.TempDir()
+	cfg := persistConfig(persistMachine(t, 1, 2, 2))
+	cfg.WAL = walDir
+	st, err := NewStore[int64, int64](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := fillStore(t, st, 100)
+	if _, err := st.StoreToDisk(dumpDir); err != nil {
+		t.Fatal(err)
+	}
+	st.Do(func(h *Handle[int64, int64]) {
+		for i := 0; i < 10; i++ {
+			pop := h.RemoveMin
+			if i%2 == 1 {
+				pop = func() (int64, int64, bool) { return h.RemoveMinRelaxed(2) }
+			}
+			k, _, ok := pop()
+			if !ok {
+				t.Fatalf("pop %d found the store empty", i)
+			}
+			delete(model, k)
+		}
+	})
+	st.Close()
+
+	st2, ls, err := LoadFromDisk[int64, int64](dumpDir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if ls.WALReplayed != 10 {
+		t.Fatalf("replayed %d WAL records, want 10 pops", ls.WALReplayed)
+	}
+	checkStoreModel(t, st2, model)
+}
+
 // TestWALTornTailRecovery: a crash mid-append leaves a partial record; the
 // load must truncate it away and succeed.
 func TestWALTornTailRecovery(t *testing.T) {
