@@ -19,9 +19,10 @@
 #                   slot-recycle-ABA, and Close-blocks-on-snapshot
 #                   scenarios, and the FuzzSnapshotOps seed corpus
 #   make race-index — race pass over the shared hash index surface:
-#                   internal/hindex plus the root cross-handle, parity,
-#                   stale-generation, and index×reclaim torture scenarios,
-#                   and the FuzzIndexOps seed corpus
+#                   internal/hindex, internal/core's lossy-index test
+#                   (descents after forced index misses), the root
+#                   cross-handle, stale-generation, and index×reclaim
+#                   torture scenarios, and the FuzzIndexOps seed corpus
 #   make race-persist — race pass over the persistence surface:
 #                   internal/persist plus the root dump/load scenarios that
 #                   run writers against in-flight dumps (snapshot isolation,
@@ -35,9 +36,9 @@
 #   make bench-reclaim — the reclamation benchmarks: slot-churn turnover
 #                   and revival with reclamation on/off, snapshot acquire,
 #                   and consistent-vs-weak RangeScan (see EXPERIMENTS.md)
-#   make bench-json — the fixed sgbench scenario grid (index on/off across
-#                   the paper's contention cells plus a hotspot-skew cell),
-#                   written to BENCH.json for cross-PR diffing
+#   make bench-json — the fixed sgbench scenario grid (the paper's
+#                   contention cells plus a hotspot-skew cell), written to
+#                   BENCH.json for cross-PR diffing
 #   make bench-persist — the persistence trial: fill PERSISTKEYS keys,
 #                   StoreToDisk, LoadFromDisk round trip via sgbench,
 #                   reporting keys/s and MB/s each way (see EXPERIMENTS.md)
@@ -89,6 +90,7 @@ race-reclaim:
 
 race-index:
 	$(GO) test -race ./internal/hindex
+	$(GO) test -race -run 'TestLossyIndex' ./internal/core
 	$(GO) test -race -run 'TestIndex|TestTortureIndexReclaim|FuzzIndexOps' .
 
 race-persist:

@@ -288,56 +288,44 @@ func BenchmarkMaintainOverhead(b *testing.B) {
 
 // BenchmarkIndexOverhead measures the shared hash index (internal/hindex,
 // DESIGN.md §9) on its target workload: point reads of keys *other stripes*
-// inserted. The local structures cannot serve those — without the index every
-// such Get pays a descent from the head tower, the exact cross-stripe traffic
-// the layered design otherwise leaves on the table. Each sub-benchmark runs a
-// 90/10 Get/Insert mix from one handle over a structure preloaded round-robin
-// across all 16 stripes, with the index on (IndexAuto) and off (IndexOff);
-// the ratio of the two ns/op figures is the step function recorded in
-// EXPERIMENTS.md.
+// inserted. The local structure cannot jump near those keys, so without the
+// index every such Get would pay a descent from the head tower. Each
+// sub-benchmark runs a 90/10 Get/Insert mix from one handle over a structure
+// preloaded round-robin across the other 15 stripes; EXPERIMENTS.md records
+// the figures against the descent the index replaced.
 func BenchmarkIndexOverhead(b *testing.B) {
 	const keys = 4096
 	for _, kind := range []Kind{LazyLayeredSG, LayeredSG} {
-		for _, mode := range []struct {
-			name string
-			idx  IndexMode
-		}{
-			{"indexed", IndexAuto},
-			{"indexoff", IndexOff},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", kind, mode.name), func(b *testing.B) {
-				machine := benchMachine(b, benchThreads)
-				m, err := New[int64, int64](Config{Machine: machine, Kind: kind, Index: mode.idx, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
+		b.Run(fmt.Sprintf("%s/indexed", kind), func(b *testing.B) {
+			machine := benchMachine(b, benchThreads)
+			m, err := New[int64, int64](Config{Machine: machine, Kind: kind, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			// Preload round-robin across every stripe except the measuring
+			// one: stripe 0 owns none of the read set, so its local structure
+			// cannot jump near it — the cross-stripe situation the index
+			// exists for.
+			for k := int64(0); k < keys; k++ {
+				m.Handle(1+int(k)%(benchThreads-1)).Insert(k, k)
+			}
+			h := m.Handle(0)
+			fresh := int64(keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%10 == 9 {
+					h.Insert(fresh, fresh)
+					fresh++
+					continue
 				}
-				defer m.Close()
-				// Preload round-robin across every stripe except the measuring
-				// one: stripe 0 owns none of the read set, so its local
-				// structures can neither hit nor jump — the cross-stripe
-				// situation the index exists for. (Preloading stripe 0 too
-				// would hand the baseline the paper's local jump and measure
-				// nothing.)
-				for k := int64(0); k < keys; k++ {
-					m.Handle(1+int(k)%(benchThreads-1)).Insert(k, k)
+				k := int64(i*2654435761) % keys
+				if _, ok := h.Get(k); !ok {
+					b.Fatalf("preloaded key %d missing", k)
 				}
-				h := m.Handle(0)
-				fresh := int64(keys)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%10 == 9 {
-						h.Insert(fresh, fresh)
-						fresh++
-						continue
-					}
-					k := int64(i*2654435761) % keys
-					if _, ok := h.Get(k); !ok {
-						b.Fatalf("preloaded key %d missing", k)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -85,7 +85,6 @@ func run(args []string, w io.Writer) error {
 		maintain  = fs.String("maintain", "inline", "maintenance policy for the lazy layered variants: inline, background, or hybrid")
 		latEvery  = fs.Int("latency-sample", 0, "sample every Nth operation's wall-clock latency and print quantiles (0 disables)")
 		skew      = fs.String("skew", "uniform", "key distribution: uniform, zipf[:s] (Zipfian, exponent s > 1), or hot[:p] (fraction p of ops on the hot 10% of keys)")
-		index     = fs.String("index", "auto", "shared hash index for the layered variants: auto (on) or off")
 		suite     = fs.Bool("suite", false, "run the fixed benchmark scenario grid instead of a single trial (see -json)")
 		jsonOut   = fs.String("json", "", "with -suite: write machine-readable per-scenario results to this file")
 		dumpDir   = fs.String("dump", "", "persistence trial: fill a store with -keyspace keys and StoreToDisk into this directory, reporting dump throughput")
@@ -131,15 +130,6 @@ func run(args []string, w io.Writer) error {
 	dist, zipfS, hotP, err := parseSkew(*skew)
 	if err != nil {
 		return err
-	}
-	var indexMode layeredsg.IndexMode
-	switch *index {
-	case "auto":
-		indexMode = layeredsg.IndexAuto
-	case "off":
-		indexMode = layeredsg.IndexOff
-	default:
-		return fmt.Errorf("unknown -index mode %q (want auto or off)", *index)
 	}
 	if *suite {
 		return runSuite(w, machine, suiteParams{
@@ -189,7 +179,6 @@ func run(args []string, w io.Writer) error {
 		ViaStore:    *viaStore,
 		Observe:     tracer,
 		Maintenance: policy,
-		Index:       indexMode,
 	}, wl, *runs)
 	if err != nil {
 		return err
@@ -207,9 +196,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *skew != "uniform" {
 		fmt.Fprintf(w, "key distribution:   %s\n", *skew)
-	}
-	if *index != "auto" {
-		fmt.Fprintf(w, "hash index:         %s\n", *index)
 	}
 	if l := res.Latency; l.Count > 0 {
 		fmt.Fprintf(w, "latency (sampled):  p50=%s p90=%s p99=%s p999=%s max=%s (%d samples)\n",

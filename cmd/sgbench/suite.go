@@ -59,7 +59,6 @@ type scenarioResult struct {
 	KeySpace    int64   `json:"keyspace"`
 	UpdateRatio float64 `json:"update"`
 	Skew        string  `json:"skew"`
-	Index       string  `json:"index"`
 	OpsPerMs    float64 `json:"ops_per_ms"`
 	P50Ns       int64   `json:"p50_ns"`
 	P99Ns       int64   `json:"p99_ns"`
@@ -68,18 +67,10 @@ type scenarioResult struct {
 }
 
 // runSuite runs the fixed scenario grid — the paper's HC/MC × WH/RH cells on
-// lazy_layered_sg, each with the hash index on and off, plus a hotspot-skew
-// cell — and writes one JSON array so results diff across PRs.
+// lazy_layered_sg plus a hotspot-skew cell — and writes one JSON array so
+// results diff across PRs.
 func runSuite(w io.Writer, machine *layeredsg.Machine, p suiteParams) error {
-	type scenario struct {
-		name     string
-		keySpace int64
-		update   float64
-		skew     string
-		index    layeredsg.IndexMode
-	}
-	var scenarios []scenario
-	for _, cell := range []struct {
+	scenarios := []struct {
 		name     string
 		keySpace int64
 		update   float64
@@ -90,16 +81,6 @@ func runSuite(w io.Writer, machine *layeredsg.Machine, p suiteParams) error {
 		{"MC-WH", 1 << 14, 0.5, "uniform"},
 		{"MC-RH", 1 << 14, 0.2, "uniform"},
 		{"MC-RH-hot", 1 << 14, 0.2, "hot:0.9"},
-	} {
-		for _, idx := range []layeredsg.IndexMode{layeredsg.IndexAuto, layeredsg.IndexOff} {
-			scenarios = append(scenarios, scenario{
-				name:     cell.name + "-index-" + idx.String(),
-				keySpace: cell.keySpace,
-				update:   cell.update,
-				skew:     cell.skew,
-				index:    idx,
-			})
-		}
 	}
 
 	results := make([]scenarioResult, 0, len(scenarios))
@@ -127,7 +108,6 @@ func runSuite(w io.Writer, machine *layeredsg.Machine, p suiteParams) error {
 		res, err := layeredsg.RunAverage(machine, algo, layeredsg.AdapterOptions{
 			KeySpace: sc.keySpace,
 			Seed:     p.seed,
-			Index:    sc.index,
 		}, wl, p.runs)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %v", sc.name, err)
@@ -146,7 +126,6 @@ func runSuite(w io.Writer, machine *layeredsg.Machine, p suiteParams) error {
 			KeySpace:    sc.keySpace,
 			UpdateRatio: sc.update,
 			Skew:        sc.skew,
-			Index:       sc.index.String(),
 			OpsPerMs:    res.OpsPerMs,
 			P50Ns:       res.Latency.P50Ns,
 			P99Ns:       res.Latency.P99Ns,

@@ -155,70 +155,6 @@ func TestIndexObsCounters(t *testing.T) {
 	}
 }
 
-// TestIndexOffParity replays one deterministic mixed sequence against twin
-// maps — IndexAuto vs IndexOff — asserting every operation's result matches,
-// then compares final contents. Any divergence means the index fast path
-// changed observable semantics.
-func TestIndexOffParity(t *testing.T) {
-	for _, kind := range fuzzKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			machine := testMachine(t, 4)
-			newMap := func(mode IndexMode) *Map[int64, int64] {
-				m, err := New[int64, int64](Config{
-					Machine: machine, Kind: kind, Seed: 7, Index: mode,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			indexed := newMap(IndexAuto)
-			defer indexed.Close()
-			plain := newMap(IndexOff)
-			defer plain.Close()
-			rng := rand.New(rand.NewSource(11))
-			thread := 0
-			for i := 0; i < 4000; i++ {
-				key := rng.Int63n(128)
-				switch rng.Intn(6) {
-				case 0, 1:
-					a := indexed.Handle(thread).Insert(key, key)
-					b := plain.Handle(thread).Insert(key, key)
-					if a != b {
-						t.Fatalf("op %d: Insert(%d) = %v indexed, %v plain", i, key, a, b)
-					}
-				case 2:
-					a := indexed.Handle(thread).Remove(key)
-					b := plain.Handle(thread).Remove(key)
-					if a != b {
-						t.Fatalf("op %d: Remove(%d) = %v indexed, %v plain", i, key, a, b)
-					}
-				case 3:
-					av, aok := indexed.Handle(thread).Get(key)
-					bv, bok := plain.Handle(thread).Get(key)
-					if aok != bok || av != bv {
-						t.Fatalf("op %d: Get(%d) = %d,%v indexed, %d,%v plain", i, key, av, aok, bv, bok)
-					}
-				case 4:
-					a := indexed.Handle(thread).Contains(key)
-					b := plain.Handle(thread).Contains(key)
-					if a != b {
-						t.Fatalf("op %d: Contains(%d) = %v indexed, %v plain", i, key, a, b)
-					}
-				default:
-					thread = (thread + 1) % 4
-				}
-			}
-			if got, want := indexed.Len(), plain.Len(); got != want {
-				t.Fatalf("Len() = %d indexed, %d plain", got, want)
-			}
-			if err := indexed.SharedStructure().Validate(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestIndexStaleGeneration drives the reclamation pipeline underneath the
 // index: a population is removed, retired, and its arena slots reclaimed and
 // reused by fresh keys. The retire observer must have unpublished the old

@@ -2,14 +2,15 @@
 // map*, thread-local sequential structures (internal/local) layered over a
 // partitioned skip graph (internal/skipgraph).
 //
-// Each thread operates through a Handle owning its local structures: a hash
-// index consulted first, then an ordered tree supporting backward traversal.
-// Local structures map keys the thread inserted to shared nodes and serve two
-// purposes: a *speculative* role (operations that can be linearized on a
-// locally-known node never search the shared structure) and a *jumping* role
-// (getStart finds a nearby shared node from which searches start, instead of
-// descending from the head), which is what converts the height-constrained
-// skip graph into an efficient map and keeps traffic NUMA-local.
+// Each thread operates through a Handle owning its local structure: an
+// ordered tree, supporting backward traversal, that maps keys the thread
+// inserted to shared nodes. It serves the paper's *jumping* role: getStart
+// finds a nearby shared node from which searches start, instead of descending
+// from the head, which is what converts the height-constrained skip graph into
+// an efficient map and keeps traffic NUMA-local. The paper's *speculative*
+// role (operations that can be linearized on a known node never search the
+// shared structure) belongs to one shared hash index (internal/hindex) over
+// every stripe's keys, which stands in for the paper's per-thread hash tables.
 //
 // Five shared-structure shapes from the paper's evaluation are supported:
 // layered_map_sg, lazy_layered_sg, layered_map_ssg, layered_map_ll (linked
@@ -154,35 +155,6 @@ func (r ReclaimMode) String() string {
 	}
 }
 
-// IndexMode selects whether the map layers a shared hash index
-// (internal/hindex) over the skip graph for O(1) point operations.
-type IndexMode int
-
-const (
-	// IndexAuto (the zero value) builds the shared hash index: point
-	// operations (Get/Contains/Insert-revive/Remove) from any stripe resolve
-	// their node in O(1), skipping the descent, and fall back to it only on
-	// miss or when the indexed node cannot serve the operation. Scans and
-	// predecessor queries always use the ordered layer.
-	IndexAuto IndexMode = iota
-	// IndexOff builds no index: every cross-stripe point operation pays a
-	// descent (the pre-index behaviour), for ablations and differential
-	// tests.
-	IndexOff
-)
-
-// String implements fmt.Stringer.
-func (i IndexMode) String() string {
-	switch i {
-	case IndexAuto:
-		return "auto"
-	case IndexOff:
-		return "off"
-	default:
-		return fmt.Sprintf("IndexMode(%d)", int(i))
-	}
-}
-
 // Config parameterizes a layered map.
 type Config struct {
 	// Machine supplies the thread count, pinning, and topology; required.
@@ -225,9 +197,6 @@ type Config struct {
 	// Reclaim selects the epoch/snapshot machinery: ReclaimAuto (on for lazy
 	// variants) or ReclaimOff.
 	Reclaim ReclaimMode
-	// Index selects the shared hash index layer: IndexAuto (on, the default)
-	// or IndexOff.
-	Index IndexMode
 	// Clock overrides the structure clock (tests); nil uses real time.
 	Clock func() int64
 	// Seed seeds the per-thread RNGs drawing sparse node heights.
@@ -294,10 +263,10 @@ type Map[K cmp.Ordered, V any] struct {
 	// history preserves pre-revival life intervals for open snapshots (see
 	// snapshot.go); nil exactly when domain is.
 	history *revivalLog[K, V]
-	// hidx is the shared hash index layered over the graph, nil under
-	// IndexOff. Point operations from any stripe consult it before paying a
-	// descent; entries are (node, life-ID) pairs re-verified against the
-	// node's marked/valid bits on every hit, so stale entries fail closed.
+	// hidx is the shared hash index layered over the graph. Point operations
+	// from any stripe consult it before paying a descent; entries are
+	// (node, life-ID) pairs re-verified against the node's marked/valid bits
+	// on every hit, so stale entries fail closed.
 	hidx *hindex.Index[K, V]
 	// wal is the attached mutation sink (the write-ahead log), nil when no
 	// WAL is configured. Set once before the map is shared; the stamp
@@ -354,9 +323,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 	if cfg.Reclaim < ReclaimAuto || cfg.Reclaim > ReclaimOff {
 		return nil, fmt.Errorf("core: unknown reclaim mode %d", int(cfg.Reclaim))
 	}
-	if cfg.Index < IndexAuto || cfg.Index > IndexOff {
-		return nil, fmt.Errorf("core: unknown index mode %d", int(cfg.Index))
-	}
 	if cfg.WAL != "" && !(cfg.Kind.lazy() && cfg.Reclaim == ReclaimAuto) {
 		return nil, fmt.Errorf("core: %s with Reclaim=%s supports no WAL (the log's ordering guarantee is the MVCC stamp order; use a lazy variant with ReclaimAuto)", cfg.Kind, cfg.Reclaim)
 	}
@@ -399,25 +365,20 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		handles: make([]*Handle[K, V], threads),
 		jumps:   make([]atomic.Pointer[jumpIndex[K, V]], threads),
 		domain:  domain,
+		hidx:    hindex.New[K, V](),
 	}
 	if domain != nil {
 		m.history = newRevivalLog[K, V](domain)
 	}
-	if cfg.Index == IndexAuto {
-		hidx := hindex.New[K, V]()
-		m.hidx = hidx
-		tracer := cfg.Tracer
-		// Retire is the single funnel every lazy retirement passes through
-		// (inline, hybrid, and background); observing it keeps the index free
-		// of dead entries without touching the protocol's hot CASes. Stale
-		// entries that slip through (the observer races a republish) fail
-		// closed at lookup time, so this is an optimization, not a safety
-		// requirement.
-		sg.SetRetireObserver(func(n *node.Node[K, V]) {
-			hidx.Unpublish(n.Key(), n)
-			tracer.RecordIndex(obs.IndexUnpublish)
-		})
-	}
+	// Retire is the single funnel every lazy retirement passes through
+	// (inline, hybrid, and background); observing it keeps the index free of
+	// dead entries without touching the protocol's hot CASes. Stale entries
+	// that slip through (the observer races a republish) fail closed at
+	// lookup time, so this is an optimization, not a safety requirement.
+	sg.SetRetireObserver(func(n *node.Node[K, V]) {
+		m.hidx.Unpublish(n.Key(), n)
+		cfg.Tracer.RecordIndex(obs.IndexUnpublish)
+	})
 	for t := 0; t < threads; t++ {
 		var tr *stats.ThreadRecorder
 		if cfg.Recorder != nil {
@@ -472,12 +433,9 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		})
 	}
 	if cfg.Tracer != nil {
-		src := obs.Sources{Arena: sg.ArenaStats}
+		src := obs.Sources{Arena: sg.ArenaStats, Index: m.hidx.Stats}
 		if domain != nil {
 			src.Epoch = domain.Stats
-		}
-		if m.hidx != nil {
-			src.Index = m.hidx.Stats
 		}
 		if m.engine != nil {
 			src.Maintenance = m.engine.Stats
@@ -599,7 +557,7 @@ func (m *Map[K, V]) Keys() []K { return m.sg.BottomKeys() }
 func (m *Map[K, V]) SharedStructure() *skipgraph.SG[K, V] { return m.sg }
 
 // Handle is one thread's view of the layered map: the thread's local
-// structures plus scratch state.
+// structure plus scratch state.
 //
 // # Confinement contract
 //
@@ -658,11 +616,8 @@ func (h *Handle[K, V]) EndExclusive() {
 // Thread returns the logical thread this handle belongs to.
 func (h *Handle[K, V]) Thread() int { return h.thread }
 
-// LocalTreeLen returns the ordered local structure's size (tests/metrics).
+// LocalTreeLen returns the local structure's size (tests/metrics).
 func (h *Handle[K, V]) LocalTreeLen() int { return h.ls.TreeLen() }
-
-// LocalHashLen returns the hash index's size (tests/metrics).
-func (h *Handle[K, V]) LocalHashLen() int { return h.ls.HashLen() }
 
 // nodeOf extracts the shared node an iterator points at — validated against
 // its recorded life — or nil (meaning: start from the head of this thread's
@@ -702,31 +657,23 @@ func (h *Handle[K, V]) usable(r local.Ref[K, V]) bool {
 }
 
 // indexFind resolves key through the shared hash index: O(1) from any
-// stripe, against the descent the local structures cannot avoid for keys
-// other threads inserted. A hit is re-verified live (the same check usable
-// applies to local entries) under the operation's pin, so entries whose
-// nodes were retired — or whose arena slots were recycled into new lives —
-// fail closed and are pruned. The index matches on 64-bit hashes, so a live
-// node holding another key is a miss. Callers must still linearize on the
-// node's marked/valid bits exactly as they would for a local-hash hit.
+// stripe, own keys and other threads' alike. A hit is re-verified live (by
+// the check usable applies to local entries) under the operation's pin, so
+// entries whose nodes were retired — or whose arena slots were recycled into
+// new lives — fail closed and are pruned. The index matches on 64-bit hashes,
+// so a live node holding another key is a miss. Callers must still linearize
+// on the node's marked/valid bits, as the paper's contains does on a node its
+// search found. The index is lossy: a miss says nothing about presence, so
+// callers fall back to a descent.
 func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
 	x := h.m.hidx
-	if x == nil {
-		return nil, false
-	}
 	tracer := h.m.cfg.Tracer
 	n, id, ok := x.Lookup(key)
 	if !ok {
 		tracer.RecordIndex(obs.IndexMiss)
 		return nil, false
 	}
-	var live bool
-	if h.m.domain != nil {
-		live = n.LiveAs(id, h.tr)
-	} else {
-		live = !n.Marked(0, h.tr)
-	}
-	if !live {
+	if !h.usable(local.Ref[K, V]{N: n, ID: id}) {
 		x.Unpublish(key, n)
 		tracer.RecordIndex(obs.IndexStale)
 		tracer.RecordIndex(obs.IndexUnpublish)
@@ -741,24 +688,15 @@ func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
 }
 
 // publishIndex installs (or refreshes) key's index entry for a node this
-// operation just bottom-linked or revived. No-op without an index.
+// operation just bottom-linked.
 func (h *Handle[K, V]) publishIndex(key K, n *node.Node[K, V]) {
-	x := h.m.hidx
-	if x == nil {
-		return
-	}
-	x.Publish(key, n, n.ID())
+	h.m.hidx.Publish(key, n, n.ID())
 	h.m.cfg.Tracer.RecordIndex(obs.IndexPublish)
 }
 
-// unpublishIndex tombstones key's index entry if it still holds n. No-op
-// without an index.
+// unpublishIndex tombstones key's index entry if it still holds n.
 func (h *Handle[K, V]) unpublishIndex(key K, n *node.Node[K, V]) {
-	x := h.m.hidx
-	if x == nil {
-		return
-	}
-	x.Unpublish(key, n)
+	h.m.hidx.Unpublish(key, n)
 	h.m.cfg.Tracer.RecordIndex(obs.IndexUnpublish)
 }
 
@@ -770,11 +708,17 @@ func (h *Handle[K, V]) indexFallback(key K, n *node.Node[K, V]) {
 	h.m.cfg.Tracer.RecordIndex(obs.IndexFallback)
 }
 
-// getStart is the paper's Alg. 4: find the closest preceding local entry
-// whose shared node can seed a search, lazily finishing insertions it
-// encounters and pruning entries whose shared nodes are fully retired.
+// getStart is the paper's Alg. 4: find the closest local entry strictly
+// below key whose shared node can seed a search, lazily finishing insertions
+// it encounters and pruning entries whose shared nodes are fully retired.
+// The paper's <= is safe only behind a per-thread hash; the shared index is
+// lossy, and a search seeded from the key's own node starts past it. The own
+// entry is skipped, and pruned if unusable like any entry the walk passes.
 func (h *Handle[K, V]) getStart(key K) local.Iterator[K, V] {
-	it := h.ls.Floor(key)
+	it, own, ok := h.ls.Below(key)
+	if ok && !h.usable(own) {
+		h.ls.Erase(key)
+	}
 	for it.Valid() {
 		r := it.Value()
 		sn := r.N
@@ -845,28 +789,11 @@ func (h *Handle[K, V]) Insert(key K, value V) bool {
 }
 
 func (h *Handle[K, V]) insert(key K, value V) bool {
-	if r, ok := h.ls.HashFind(key); ok {
-		if h.m.domain != nil && !r.N.LiveAs(r.ID, h.tr) {
-			// The recorded life is gone (retired, possibly recycled): the
-			// helper would act on an unrelated occupant. Prune and search.
-			h.ls.Erase(key)
-		} else {
-			done, inserted := h.m.sg.InsertHelper(r.N, h.tr)
-			if done {
-				if inserted {
-					h.m.stampRevive(r.N, h.tr)
-				}
-				return inserted
-			}
-			h.ls.Erase(key) // The node is marked; prune and fall through.
-		}
-	}
 	if n, ok := h.indexFind(key); ok {
 		done, inserted := h.m.sg.InsertHelper(n, h.tr)
 		if done {
 			if inserted {
 				h.m.stampRevive(n, h.tr)
-				h.adopt(key, n)
 			}
 			return inserted
 		}
@@ -887,7 +814,6 @@ func (h *Handle[K, V]) lazyInsert(key K, value V) bool {
 			if done {
 				if inserted {
 					h.m.stampRevive(h.res.Succs[0], h.tr)
-					h.adopt(key, h.res.Succs[0])
 				}
 				return inserted
 			}
@@ -941,17 +867,6 @@ func (h *Handle[K, V]) afterBottomLink(key K, toInsert *node.Node[K, V], it loca
 	h.ls.Put(key, toInsert)
 }
 
-// adopt caches a revived shared node for fast-path hits. Nodes allocated by
-// this thread are already tracked; foreign nodes enter only the hash index —
-// the ordered view holds own-vector nodes exclusively, so every tree entry
-// can seed searches and lazy finishInsert in this thread's skip list.
-func (h *Handle[K, V]) adopt(key K, n *node.Node[K, V]) {
-	if n.OwnerThread() == int32(h.thread) {
-		return
-	}
-	h.ls.PutHashOnly(key, n)
-}
-
 // Remove deletes key, returning false if it was not present.
 func (h *Handle[K, V]) Remove(key K) bool {
 	defer h.tr.Op()
@@ -964,20 +879,6 @@ func (h *Handle[K, V]) Remove(key K) bool {
 }
 
 func (h *Handle[K, V]) remove(key K) bool {
-	if r, ok := h.ls.HashFind(key); ok {
-		if h.m.domain != nil && !r.N.LiveAs(r.ID, h.tr) {
-			h.ls.Erase(key) // Recorded life gone; prune and search.
-		} else {
-			done, removed := h.m.sg.RemoveHelper(r.N, h.tr)
-			if done {
-				if removed {
-					h.finishRemove(key, r.N)
-				}
-				return removed
-			}
-			h.ls.Erase(key) // Marked; prune and fall through.
-		}
-	}
 	if n, ok := h.indexFind(key); ok {
 		done, removed := h.m.sg.RemoveHelper(n, h.tr)
 		if done {
@@ -1046,19 +947,6 @@ func (h *Handle[K, V]) Get(key K) (V, bool) {
 
 func (h *Handle[K, V]) get(key K) (V, bool) {
 	var zero V
-	if r, ok := h.ls.HashFind(key); ok {
-		n := r.N
-		if h.usable(r) {
-			marked, valid := n.MarkValid(0, h.tr)
-			if !marked {
-				if valid {
-					return n.Value(), true // Successful contains (C-i).
-				}
-				return zero, false // Unmarked invalid: logically absent.
-			}
-		}
-		h.ls.Erase(key) // Marked (or life gone); prune and search globally.
-	}
 	if n, ok := h.indexFind(key); ok {
 		marked, valid := n.MarkValid(0, h.tr)
 		if !marked {

@@ -1,13 +1,12 @@
 // Package local implements the paper's thread-local "local structure": a
-// sequential navigable map (internal/rbtree, the std::map counterpart) paired
-// with a hash index consulted first (the paper pairs std::map with a
-// Robin-Hood hash table; Go's built-in map plays that role here).
+// sequential navigable map (internal/rbtree, the std::map counterpart).
 //
 // A local structure maps keys inserted by its owning thread to the
-// corresponding shared nodes. The tree provides ordered backward traversal
-// for getStart/updateStart; the hash index provides O(1) hits for the
-// speculative fast paths of insert, remove, and contains. Instances are
-// strictly single-threaded.
+// corresponding shared nodes and provides ordered backward traversal for
+// getStart/updateStart. The paper pairs the tree with a per-thread hash
+// table for O(1) hits on the thread's own keys; here the shared hash index
+// (internal/hindex) serves every point operation instead, so the tree is the
+// whole local structure. Instances are strictly single-threaded.
 //
 // Entries are Refs, not bare pointers: a local structure outlives the nodes
 // it indexes once epoch-based slot reclamation is active (the owner holds no
@@ -35,7 +34,6 @@ type Ref[K cmp.Ordered, V any] struct {
 // Structure is one thread's local structure.
 type Structure[K cmp.Ordered, V any] struct {
 	tree *rbtree.Tree[K, Ref[K, V]]
-	hash map[K]Ref[K, V]
 }
 
 // Iterator walks the ordered view of the local structure.
@@ -43,52 +41,36 @@ type Iterator[K cmp.Ordered, V any] = rbtree.Iterator[K, Ref[K, V]]
 
 // New returns an empty local structure.
 func New[K cmp.Ordered, V any]() *Structure[K, V] {
-	return &Structure[K, V]{
-		tree: rbtree.New[K, Ref[K, V]](),
-		hash: make(map[K]Ref[K, V]),
-	}
+	return &Structure[K, V]{tree: rbtree.New[K, Ref[K, V]]()}
 }
 
-// Put records the mapping key → shared node in both the tree and the hash
-// index, capturing the node's current life ID.
+// Put records the mapping key → shared node, capturing the node's current
+// life ID.
 func (s *Structure[K, V]) Put(key K, n *node.Node[K, V]) {
-	r := Ref[K, V]{N: n, ID: n.ID()}
-	s.tree.Set(key, r)
-	s.hash[key] = r
+	s.tree.Set(key, Ref[K, V]{N: n, ID: n.ID()})
 }
 
-// PutHashOnly records the mapping in the hash index only. Sparse skip graphs
-// add to the ordered view only nodes that reached the top level; every owned
-// node may still serve the hash fast paths.
-func (s *Structure[K, V]) PutHashOnly(key K, n *node.Node[K, V]) {
-	s.hash[key] = Ref[K, V]{N: n, ID: n.ID()}
-}
-
-// Erase removes the mapping from both views.
+// Erase removes the mapping.
 func (s *Structure[K, V]) Erase(key K) {
 	s.tree.Delete(key)
-	delete(s.hash, key)
 }
 
-// HashFind consults the hash index.
-func (s *Structure[K, V]) HashFind(key K) (Ref[K, V], bool) {
-	r, ok := s.hash[key]
-	return r, ok
+// Below returns an iterator at the greatest entry with key' < key, possibly
+// invalid, plus key's own entry if the structure holds one. This is the
+// paper's getMaxLowerEqual made strict: a search seeded from the key's own
+// node would start past that node and miss it.
+func (s *Structure[K, V]) Below(key K) (it Iterator[K, V], own Ref[K, V], ok bool) {
+	it = s.tree.Floor(key)
+	if it.Valid() && it.Key() == key {
+		return it.Prev(), it.Value(), true
+	}
+	return it, own, false
 }
 
-// Floor returns an iterator at the greatest tree entry with key' <= key (the
-// paper's getMaxLowerEqual), possibly invalid.
-func (s *Structure[K, V]) Floor(key K) Iterator[K, V] {
-	return s.tree.Floor(key)
-}
-
-// TreeLen returns the number of entries in the ordered view.
+// TreeLen returns the number of entries.
 func (s *Structure[K, V]) TreeLen() int { return s.tree.Len() }
 
-// HashLen returns the number of entries in the hash index.
-func (s *Structure[K, V]) HashLen() int { return len(s.hash) }
-
-// Ascend visits the ordered view in key order until fn returns false.
+// Ascend visits the entries in key order until fn returns false.
 func (s *Structure[K, V]) Ascend(fn func(K, Ref[K, V]) bool) {
 	s.tree.Ascend(fn)
 }

@@ -16,36 +16,21 @@ func TestPutEraseBothViews(t *testing.T) {
 	s := New[int64, int64]()
 	n := mkNode(10)
 	s.Put(10, n)
-	if got, ok := s.HashFind(10); !ok || got.N != n || got.ID != n.ID() {
-		t.Fatal("hash miss after Put")
+	if _, own, ok := s.Below(10); !ok || own.N != n || own.ID != n.ID() {
+		t.Fatal("own entry missing after Put")
 	}
-	if it := s.Floor(10); !it.Valid() || it.Value().N != n {
+	if it, _, _ := s.Below(11); !it.Valid() || it.Value().N != n {
 		t.Fatal("tree miss after Put")
 	}
-	if s.TreeLen() != 1 || s.HashLen() != 1 {
-		t.Fatal("lengths wrong")
+	if s.TreeLen() != 1 {
+		t.Fatal("length wrong")
 	}
 	s.Erase(10)
-	if _, ok := s.HashFind(10); ok {
-		t.Fatal("hash hit after Erase")
+	if _, _, ok := s.Below(10); ok {
+		t.Fatal("own entry after Erase")
 	}
-	if s.Floor(10).Valid() {
+	if it, _, _ := s.Below(11); it.Valid() {
 		t.Fatal("tree hit after Erase")
-	}
-}
-
-func TestPutHashOnly(t *testing.T) {
-	s := New[int64, int64]()
-	n := mkNode(5)
-	s.PutHashOnly(5, n)
-	if _, ok := s.HashFind(5); !ok {
-		t.Fatal("hash miss")
-	}
-	if s.Floor(5).Valid() {
-		t.Fatal("hash-only entry leaked into the ordered view")
-	}
-	if s.TreeLen() != 0 || s.HashLen() != 1 {
-		t.Fatal("lengths wrong")
 	}
 }
 
@@ -54,9 +39,13 @@ func TestFloorAndBackwardTraversal(t *testing.T) {
 	for _, k := range []int64{10, 20, 30} {
 		s.Put(k, mkNode(k))
 	}
-	it := s.Floor(25)
-	if !it.Valid() || it.Key() != 20 {
-		t.Fatalf("Floor(25) = %v", it.Valid())
+	it, _, ok := s.Below(25)
+	if !it.Valid() || it.Key() != 20 || ok {
+		t.Fatalf("Below(25) = %v, own %v", it.Valid(), ok)
+	}
+	// The key's own entry is reported apart, never as the predecessor.
+	if it, own, ok := s.Below(20); !ok || own.N.Key() != 20 || !it.Valid() || it.Key() != 10 {
+		t.Fatalf("Below(20) = %v, own %v", it.Valid(), ok)
 	}
 	prev := it.Prev()
 	if !prev.Valid() || prev.Key() != 10 {
@@ -65,8 +54,8 @@ func TestFloorAndBackwardTraversal(t *testing.T) {
 	if prev.Prev().Valid() {
 		t.Fatal("Prev past minimum valid")
 	}
-	if s.Floor(5).Valid() {
-		t.Fatal("Floor below minimum valid")
+	if it, _, _ := s.Below(10); it.Valid() {
+		t.Fatal("Below the minimum valid")
 	}
 }
 

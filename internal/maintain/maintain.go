@@ -513,8 +513,8 @@ func (w *worker[K, V]) execute(it item[K, V], ownerNode int, force bool) {
 		}
 	case RetireItem:
 		if w.executeRetire(it) {
-			// Gate-blocked: hold like an in-commission item and re-check on
-			// park cycles (drainPending) or under Flush.
+			// In commission or gate-blocked: hold it and re-check on park
+			// cycles (drainPending) or under Flush.
 			e.hold(it)
 		}
 	case RelinkItem:
@@ -526,34 +526,35 @@ func (w *worker[K, V]) execute(it item[K, V], ownerNode int, force bool) {
 }
 
 // executeRetire resolves a retire item now: revived nodes release their
-// dedup bit, in-commission nodes (only reachable here under force) release
-// it too — the inline protocol will retire them — and expired nodes are
-// retired and physically unlinked. A node found already marked (an inline
-// search retired it first, e.g. when its enqueue raced Close) still gets the
-// cleanup search: the lazy protocol performs no search-time unlinking, so
-// this item is the only agent guaranteed to unlink it.
+// dedup bit, and expired nodes are retired and physically unlinked. A node
+// found already marked (an inline search retired it first, e.g. when its
+// enqueue raced Close) still gets the cleanup search: the lazy protocol
+// performs no search-time unlinking, so this item is the only agent
+// guaranteed to unlink it.
 //
-// It returns true when the MVCC retire gate blocked the item — a live
-// snapshot predates the node's removal, so it must stay physically
-// traversable (the same gate checkRetire applies inline). The caller owns
-// re-holding a blocked item for retry once the gate opens; the dedup bit
-// stays set meanwhile.
+// It returns true when the item cannot be resolved yet: the node is still in
+// its commission period (callers check that first, but a Remove can land
+// between their read and this one, and it queued nothing because the bit was
+// set), or the MVCC retire gate blocked it — a live snapshot predates the
+// node's removal, so it must stay physically traversable (the same gate
+// checkRetire applies inline). The caller owns re-holding the item; the
+// dedup bit stays set meanwhile, and a shutdown drain releases it.
 func (w *worker[K, V]) executeRetire(it item[K, V]) (held bool) {
 	e := w.e
 	marked, valid := it.n.RawMarkValid()
 	if !marked {
-		if valid || e.sg.Now() < it.readyAt {
-			it.n.ClearMaint(node.MaintRetireQueued)
+		if valid {
+			e.releaseRetire(it.n)
 			return false
 		}
-		if !e.sg.CanRetireNode(it.n) {
+		if e.sg.Now() < it.readyAt || !e.sg.CanRetireNode(it.n) {
 			return true
 		}
 		if !e.sg.Retire(it.n, w.tr) {
 			// Lost the race: revived, or concurrently retired. Re-read to
 			// tell the two apart.
 			if _, nowValid := it.n.RawMarkValid(); nowValid {
-				it.n.ClearMaint(node.MaintRetireQueued)
+				e.releaseRetire(it.n)
 				return false
 			}
 		}
@@ -561,6 +562,17 @@ func (w *worker[K, V]) executeRetire(it item[K, V]) (held bool) {
 	e.sg.CleanupSearch(it.n.Key(), it.n.Vector(), w.res, w.tr)
 	w.e.enterLimbo(it.n)
 	return false
+}
+
+// releaseRetire clears the retire dedup bit of a node just read valid. A
+// Remove landing between that read and the clear found the bit set and
+// queued nothing, so re-read the node after the clear and re-enqueue it if
+// it is now unmarked and invalid, or its new death never gets a retire item.
+func (e *Engine[K, V]) releaseRetire(n *node.Node[K, V]) {
+	n.ClearMaint(node.MaintRetireQueued)
+	if marked, valid := n.RawMarkValid(); !marked && !valid {
+		e.EnqueueRetire(n)
+	}
 }
 
 // EnterLimbo hands a retired (marked) node to the reclamation limbo list,
@@ -701,7 +713,7 @@ func (w *worker[K, V]) drainPending() bool {
 		switch {
 		case valid:
 			// Revived in place — the commission period did its job.
-			it.n.ClearMaint(node.MaintRetireQueued)
+			e.releaseRetire(it.n)
 			worked = true
 		case marked || now >= it.readyAt:
 			// Expired, or already retired by someone who cannot unlink it
@@ -734,11 +746,11 @@ func (w *worker[K, V]) finalDrain() {
 		if !w.stale(it) {
 			w.e.drains.Add(1)
 			if w.executeRetire(it) {
-				// Gate-blocked at shutdown: release the dedup bit so the
-				// inline protocol can retire the node once the snapshot
-				// closes (Map.Close waits out snapshots before closing the
-				// engine, so this only happens when the engine is closed
-				// directly under a live snapshot).
+				// In commission or gate-blocked at shutdown: release the
+				// dedup bit so the inline protocol can retire the node once
+				// it expires (Map.Close waits out snapshots before closing
+				// the engine, so the gate blocks only when the engine is
+				// closed directly under a live snapshot).
 				it.n.ClearMaint(node.MaintRetireQueued)
 			}
 		}

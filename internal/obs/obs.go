@@ -87,8 +87,8 @@ type Origin uint8
 const (
 	// OriginNone means the origin was not recorded.
 	OriginNone Origin = iota
-	// OriginLocalHit: the operation was satisfied speculatively from the
-	// thread's local map, with no shared-structure search at all.
+	// OriginLocalHit: the operation was answered without a descent, on the
+	// node the shared hash index resolved (the paper's per-thread hash hit).
 	OriginLocalHit
 	// OriginLocalJump: a shared search ran, seeded from a nearby node the
 	// local structures supplied (the layered design's jumping role).

@@ -119,7 +119,7 @@ type OpSnapshot struct {
 }
 
 // LocalityRate is the fraction of operations that avoided a head descent:
-// local-map hits plus local-structure jumps over all origin-attributed ops.
+// hash-index hits plus local-structure jumps over all origin-attributed ops.
 func (o OpSnapshot) LocalityRate() float64 {
 	local := o.Origins[OriginLocalHit.String()] + o.Origins[OriginLocalJump.String()]
 	head := o.Origins[OriginHead.String()]

@@ -254,6 +254,11 @@ func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadR
 // unlink retired nodes off the critical path; a CAS that fails just means a
 // concurrent inserting substitution or another cleanup already swung the
 // predecessor.
+//
+// A retired node can also sit behind a live node of its own key: an insert
+// links its node in front of the successor its search observed, which may be
+// a same-key node retired since. A scan for key stops at the live node, so
+// CleanupSearch also relinks the chain behind every live node holding key.
 func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V], tr *stats.ThreadRecorder) {
 	var now int64
 	if sg.cfg.Lazy {
@@ -273,6 +278,17 @@ func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V],
 				tr.Relink(chain)
 			}
 		}
+		for c := current; c.KeyEquals(key); {
+			orig := c.Next(level, tr)
+			next, chain := sg.skipDead(orig, level, now, tr)
+			if next == nil {
+				break // A never-linked reference (see scanLevel).
+			}
+			if orig != next && c.CASNext(level, orig, next, tr) {
+				tr.Relink(chain)
+			}
+			c = next
+		}
 	}
 }
 
@@ -281,7 +297,9 @@ func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V],
 // longer crosses it at any of its levels, neither as an observed middle nor
 // inside a chain of marked references. Marked references are immutable and
 // lists stay key-ordered across marked nodes, so a targeted descent observes
-// exactly the chains n could inhabit.
+// exactly the chains n could inhabit: the one in front of the first live node
+// with key' >= key, and the run of nodes holding key from there on, where n
+// sits when a node inserted in front of it holds its key (see CleanupSearch).
 //
 // The answer is instantaneous, not permanent: an in-flight FinishInsert that
 // captured n as a successor before it was marked can still link it
@@ -310,8 +328,10 @@ func (sg *SG[K, V]) Unlinked(n *node.Node[K, V], tr *stats.ThreadRecorder) bool 
 				return false
 			}
 		}
-		if current == n {
-			return false
+		for c := current; c != nil && c.KeyEquals(key); c = c.Next(level, tr) {
+			if c == n {
+				return false
+			}
 		}
 	}
 	return true

@@ -156,8 +156,8 @@ func TestSearchFromArbitraryNode(t *testing.T) {
 	}
 	for _, start := range nodes {
 		// Searches examine strict successors of the start: callers always
-		// provide a start strictly preceding the goal key (getMaxLowerEqual
-		// hits go through the hash fast path instead).
+		// provide a start strictly preceding the goal key (getStart skips
+		// the key's own local entry).
 		for target := start.Key() + 1; target < 80; target++ {
 			found, ok := sg.RetireSearch(target, start, start.Vector(), nil)
 			want := target%2 == 0
@@ -444,6 +444,61 @@ func TestRetireIdempotent(t *testing.T) {
 	}
 	if sg.Retire(n, nil) {
 		t.Fatal("double retire succeeded")
+	}
+}
+
+// TestRetiredBehindSameKey builds the state an insert leaves when its
+// observed successor, a node of the same key, is retired between the
+// insert's search and its link CAS: the new node links in front of the
+// retired one. A walk for the key stops at the new, live node, so Unlinked
+// must still find the retired node behind it, and CleanupSearch must unlink
+// it; otherwise reclamation would free a node that is still linked.
+func TestRetiredBehindSameKey(t *testing.T) {
+	clock := int64(0)
+	sg := newSG(t, Config{
+		MaxLevel:         1,
+		Lazy:             true,
+		CommissionPeriod: time.Nanosecond,
+		Clock:            func() int64 { return clock },
+	})
+	insert(t, sg, 10, 0, 1)
+	old := insert(t, sg, 20, 0, 0)
+	insert(t, sg, 30, 0, 1)
+	if done, removed := sg.RemoveHelper(old, nil); !done || !removed {
+		t.Fatal("remove failed")
+	}
+	// The insert's search stops at the invalid node, which is retired
+	// before the insert links.
+	res := sg.NewSearchResult()
+	if !sg.LazyRelinkSearch(20, nil, 0, res, nil) || res.Succs[0] != old {
+		t.Fatal("search did not stop at the invalid node")
+	}
+	clock += 10
+	if !sg.Retire(old, nil) {
+		t.Fatal("retire failed")
+	}
+	fresh := sg.NewNode(20, 21, 0, node.Owner{}, 0)
+	if !sg.LinkLevel0(res, fresh, nil) {
+		t.Fatal("link failed")
+	}
+	fresh.MarkInserted()
+	if fresh.RawNext(0) != old {
+		t.Fatal("setup: the fresh node is not in front of the retired one")
+	}
+	if sg.Unlinked(old, nil) {
+		t.Fatal("Unlinked reports a retired node linked behind a live node of its key")
+	}
+	sg.CleanupSearch(20, old.Vector(), sg.NewSearchResult(), nil)
+	for n := sg.BottomHead().RawNext(0); n.IsData(); n = n.RawNext(0) {
+		if n == old {
+			t.Fatal("CleanupSearch left the retired node linked")
+		}
+	}
+	if !sg.Unlinked(old, nil) {
+		t.Fatal("Unlinked reports the unlinked node linked")
+	}
+	if err := sg.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -112,22 +112,6 @@ const (
 	ReclaimOff = core.ReclaimOff
 )
 
-// IndexMode selects whether the map layers a shared hash index over the
-// skip graph; see Config.Index and DESIGN.md §9.
-type IndexMode = core.IndexMode
-
-// Hash-index modes.
-const (
-	// IndexAuto (the default) builds the shared hash index: point operations
-	// from any stripe resolve their node in O(1), skipping the descent, and
-	// fall back to the ordered layer only on a miss or a stale entry.
-	IndexAuto = core.IndexAuto
-	// IndexOff builds no index: every cross-stripe point operation pays a
-	// descent (the pre-index behavior), for ablations and differential
-	// tests.
-	IndexOff = core.IndexOff
-)
-
 // Snapshot is a consistent point-in-time view of a Map; see core.Snapshot
 // and Store.Snapshot.
 type Snapshot[K cmp.Ordered, V any] = core.Snapshot[K, V]

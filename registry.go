@@ -67,11 +67,6 @@ type AdapterOptions struct {
 	// helper pool, or both (see MaintBackground / MaintHybrid). Other
 	// algorithms ignore it.
 	Maintenance MaintenancePolicy
-	// Index selects the shared hash index layer for the layered variants:
-	// zero value IndexAuto builds it (O(1) point operations from any
-	// stripe), IndexOff descends for every cross-stripe point operation.
-	// Other algorithms ignore it.
-	Index IndexMode
 	// Seed makes structure-internal randomness deterministic.
 	Seed int64
 	// ViaStore drives the algorithm through the goroutine-safe Store facade
@@ -118,7 +113,6 @@ func layeredBuilder(kind core.Kind) algoBuilder {
 			Maintenance:      o.Maintenance,
 			Recorder:         o.Recorder,
 			Tracer:           o.Observe,
-			Index:            o.Index,
 			Seed:             o.Seed,
 		}
 		if o.ViaStore {

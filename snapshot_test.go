@@ -158,6 +158,12 @@ func TestSnapshotStableUnderChurn(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Stop the writers before m.Close on every exit: a failed walk must not
+	// leave them churning while Close waits.
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	writers := m.Threads() - 1
 	if writers > 3 {
 		writers = 3
@@ -186,22 +192,23 @@ func TestSnapshotStableUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: Snapshot: %v", round, err)
 		}
-		first := collectSnapshot(t, snap)
-		for walk := 1; walk <= 3; walk++ {
-			again := collectSnapshot(t, snap)
-			if len(again) != len(first) {
-				t.Fatalf("round %d walk %d: %d keys, first walk had %d", round, walk, len(again), len(first))
-			}
-			for k, v := range first {
-				if gv, ok := again[k]; !ok || gv != v {
-					t.Fatalf("round %d walk %d: key %d = (%d, %v), first walk had %d", round, walk, k, gv, ok, v)
+		func() {
+			// Close the snapshot on every exit too, or m.Close waits for it.
+			defer snap.Close()
+			first := collectSnapshot(t, snap)
+			for walk := 1; walk <= 3; walk++ {
+				again := collectSnapshot(t, snap)
+				if len(again) != len(first) {
+					t.Fatalf("round %d walk %d: %d keys, first walk had %d", round, walk, len(again), len(first))
+				}
+				for k, v := range first {
+					if gv, ok := again[k]; !ok || gv != v {
+						t.Fatalf("round %d walk %d: key %d = (%d, %v), first walk had %d", round, walk, k, gv, ok, v)
+					}
 				}
 			}
-		}
-		snap.Close()
+		}()
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestReclaimPlateau is the tentpole's capacity claim: under sustained
