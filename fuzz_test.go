@@ -260,7 +260,7 @@ func replayMaintainOps(t *testing.T, kind core.Kind, policy core.MaintenancePoli
 // node.MaxArenaLevels) and in its chunk's overflow words (levels above, in
 // arenas taller than that). Every sequence runs once against a map on the
 // small fuzz machine, whose towers fit inline, and once against a map on a
-// 320-thread machine, whose height-8 towers put their top level in overflow
+// 320-thread machine, whose height-8 towers put levels 6–8 in overflow
 // words, with otherwise identical deterministic configs. Each operation's
 // result must match between the twins and the model, and the final key sets
 // must be identical — any divergence is an overflow-word bug (or an inline

@@ -11,10 +11,11 @@
 // its owner's socket under first-touch allocation — the same locality story
 // the paper tells for its C++ allocator. A shard grows in chunks of
 // arenaChunkSlots nodes. Each node inlines MaxArenaLevels packed level words,
-// so a node and its level references share one contiguous block with no
-// per-node slice and no per-mutation allocation. An arena built with more
-// levels than that gives every chunk one overflow array holding its nodes'
-// words from MaxArenaLevels up.
+// the first three in the same cache line as its key (see Node), so a node and
+// its level references share one contiguous block with no per-node slice and
+// no per-mutation allocation. An arena built with more levels than that gives
+// every chunk one overflow array holding its nodes' words from
+// MaxArenaLevels up.
 //
 // Slots are allocated from a per-shard free list when one is populated, and
 // from a per-shard atomic bump cursor otherwise. Retired nodes return to
@@ -33,6 +34,7 @@ package node
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -40,12 +42,13 @@ import (
 )
 
 const (
-	// MaxArenaLevels is the number of level words inlined in every node.
-	// The paper's height is ceil(log2 T)-1, so 8 levels cover layered maps
-	// on machines up to 256 hardware threads. Taller arenas (the skip-list
-	// baseline's log2(keyspace) heights, larger machines) keep the words
-	// above it in a per-chunk overflow array.
-	MaxArenaLevels = 8
+	// MaxArenaLevels is the number of level words inlined in every node,
+	// sized so Node[int64,int64] is two cache lines. The paper's height is
+	// ceil(log2 T)-1, so 6 levels cover layered maps on machines up to 64
+	// hardware threads. Taller arenas (the skip-list baseline's
+	// log2(keyspace) heights, larger machines) keep the words above it in a
+	// per-chunk overflow array.
+	MaxArenaLevels = 6
 
 	arenaSlotBits  = 9 // 512 slots per chunk
 	arenaChunkBits = 19
@@ -105,8 +108,11 @@ type Arena[K cmp.Ordered, V any] struct {
 
 // NewArena builds an arena with one shard per socket (clamped to
 // [1, MaxArenaShards]) whose data nodes span up to levels levels (at least
-// one).
+// one, at most 127 so that a node's topLevel fits its int8).
 func NewArena[K cmp.Ordered, V any](shards, levels int) *Arena[K, V] {
+	if levels > math.MaxInt8 {
+		panic(fmt.Sprintf("node: arena of %d levels exceeds %d", levels, math.MaxInt8))
+	}
 	if shards < 1 {
 		shards = 1
 	}
@@ -185,8 +191,7 @@ func (a *Arena[K, V]) Free(n *Node[K, V]) {
 	// Bump the generation: any packed reference still embedding the old
 	// generation is now permanently stale for CAS purposes.
 	n.gen = (n.gen + 1) & atomicmark.PackedGenMask
-	n.inserted.Store(false)
-	n.maint.Store(0)
+	n.maint.Store(0) // Clears MaintInserted too.
 	n.born.Store(0)
 	n.dead.Store(0)
 	for i := range n.w {
@@ -272,10 +277,10 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 		// mid-validation.
 		n.kind = Data
 	}
-	n.topLevel = int32(topLevel)
+	n.topLevel = int8(topLevel)
 	n.vector = vector
 	n.ownerThread = owner.Thread
-	n.ownerNode = owner.Node
+	n.ownerNode = int16(owner.Node)
 	n.allocTS = allocTS
 	for i := 0; i <= topLevel; i++ {
 		n.word(i).Init(0, false, true)
@@ -293,10 +298,10 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 func (a *Arena[K, V]) NewHead(level int, label uint32, tail *Node[K, V], id uint64) *Node[K, V] {
 	n := a.alloc(int(HeadOwner.Node))
 	n.kind = Head
-	n.topLevel = int32(level)
+	n.topLevel = int8(level)
 	n.vector = label
 	n.ownerThread = HeadOwner.Thread
-	n.ownerNode = HeadOwner.Node
+	n.ownerNode = int16(HeadOwner.Node)
 	n.id.Store(id)
 	n.w[0].Init(refOf(tail), false, true)
 	return n
@@ -309,9 +314,9 @@ func (a *Arena[K, V]) NewHead(level int, label uint32, tail *Node[K, V], id uint
 func (a *Arena[K, V]) NewTail(maxLevel int, id uint64) *Node[K, V] {
 	n := a.alloc(int(HeadOwner.Node))
 	n.kind = Tail
-	n.topLevel = int32(maxLevel)
+	n.topLevel = int8(maxLevel)
 	n.ownerThread = HeadOwner.Thread
-	n.ownerNode = HeadOwner.Node
+	n.ownerNode = int16(HeadOwner.Node)
 	n.id.Store(id)
 	n.w[0].Init(0, false, true)
 	return n

@@ -172,6 +172,18 @@ func TestArenaRejectsTallNodes(t *testing.T) {
 	}
 }
 
+// TestArenaRejectsTooManyLevels checks the 127-level cap that keeps a
+// node's topLevel within its int8.
+func TestArenaRejectsTooManyLevels(t *testing.T) {
+	NewArena[int, int](1, 127)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewArena accepted 128 levels")
+		}
+	}()
+	NewArena[int, int](1, 128)
+}
+
 // TestArenaTallNodeOverflowWords drives a node of an arena taller than the
 // inline words (the LC skip-list baseline's height 17): its levels above
 // MaxArenaLevels link, mark and CAS through the chunk overflow array, and a

@@ -13,7 +13,7 @@
 //   - first-touch ownership (allocating thread and its NUMA node), used by
 //     the instrumentation to classify accesses as local or remote;
 //   - the allocation timestamp used by the lazy variant's commission period;
-//   - the `inserted` flag set once all levels are linked (lazy insertion);
+//   - the MaintInserted bit set once all levels are linked (lazy insertion);
 //   - the owning thread's membership vector, which determines the shared
 //     linked lists the node participates in at every level.
 //
@@ -60,36 +60,45 @@ const (
 
 // Node is a shared node. The zero value is not usable; construct through
 // an Arena.
+//
+// The layout is hot/cold. For 8-byte keys and values, Node[int64,int64] is
+// 128 B and its first 64 B hold everything a hop of a descent or a level-0
+// walk reads: the key, the arena pointer At needs to resolve a successor,
+// the kind that word's level mapping tests, the life ID an index hit checks,
+// and the low level words. A 2×4 machine's three words all sit there. The
+// second line holds what only instrumented, snapshot and maintenance paths
+// read. Wider keys or values push the words back toward the second line
+// (DESIGN.md §7).
 type Node[K cmp.Ordered, V any] struct {
-	key   K
-	value V
-	kind  Kind
-
+	key K
+	// ar is the arena the node lives in. It is the node's only pointer: a
+	// second pointer slot per node measured slower in the GC's mark phase
+	// (DESIGN.md §7).
+	ar   *Arena[K, V]
+	kind Kind
 	// topLevel is the highest level this node participates in. Heads use it
-	// as the level of the single list they front.
-	topLevel int32
+	// as the level of the single list they front. NewArena caps levels at
+	// 127 so it fits.
+	topLevel int8
+	// ownerNode is the allocating thread's NUMA node (see Owner).
+	ownerNode int16
 	// vector is the membership vector of the inserting thread; it selects the
 	// list labels this node belongs to at each level. Heads store the label
 	// of the list they front.
 	vector uint32
-
-	ownerThread int32
-	ownerNode   int32
+	value  V
 	// id is the node's unique life ID: a fresh value every (re)allocation,
 	// zeroed by Arena.Free before the slot's references are reset. Atomic
 	// because local structures and jump indexes validate their raw pointers
-	// against it (see LiveAs) while reclamation rewrites it.
-	id      atomic.Uint64
-	allocTS int64
+	// against it (see LiveAs) while reclamation rewrites it. It sits in the
+	// first line because an index hit's LiveAs reads it beside w[0].
+	id atomic.Uint64
+	// w holds the level words below MaxArenaLevels (see word); the arena
+	// keeps higher ones in its chunk overflow arrays. w[0..2] share the
+	// first cache line with the fields above.
+	w [MaxArenaLevels]atomicmark.PackedRef
 
-	// gen is the node's slot reuse generation. Sentinels stay at 0; data
-	// nodes carry the generation their slot had when it was (re)allocated,
-	// bumped by Arena.Free. Every packed reference to the node
-	// embeds this value (see refOf), so a CAS expecting a reference captured
-	// before the slot was recycled fails instead of ABA-ing onto the new
-	// occupant. Written only while the slot is unreferenced (allocation and
-	// reclamation are separated by an epoch grace period), read freely.
-	gen uint32
+	allocTS int64
 
 	// born and dead are the node's life interval in mutation-sequence space,
 	// stamped by the layered map for MVCC snapshot reads. born == 0 means the
@@ -102,28 +111,25 @@ type Node[K cmp.Ordered, V any] struct {
 	born atomic.Uint64
 	dead atomic.Uint64
 
-	inserted atomic.Bool
+	// gen is the node's slot reuse generation. Sentinels stay at 0; data
+	// nodes carry the generation their slot had when it was (re)allocated,
+	// bumped by Arena.Free. Every packed reference to the node
+	// embeds this value (see refOf), so a CAS expecting a reference captured
+	// before the slot was recycled fails instead of ABA-ing onto the new
+	// occupant. Written only while the slot is unreferenced (allocation and
+	// reclamation are separated by an epoch grace period), read freely.
+	gen uint32
 
-	// maint packs the background maintenance engine's per-node bookkeeping
-	// bits (see the Maint* constants). They deduplicate queue entries and
-	// arbitrate which agent — the owning thread inline, or a background
-	// helper — runs a node's FinishInsert, so the two never race on the
-	// node's own level references.
+	// maint packs the per-node bookkeeping bits (see the Maint* constants):
+	// the inserted flag, and the background maintenance engine's bits. They
+	// deduplicate queue entries and arbitrate which agent — the owning
+	// thread inline, or a background helper — runs a node's FinishInsert,
+	// so the two never race on the node's own level references.
 	maint atomic.Uint32
 
-	// ar is the arena the node lives in and self its index there (never 0).
-	ar   *Arena[K, V]
-	self uint32
-	// _ keeps Node[int64,int64] at 192 B: three whole cache lines, the key
-	// in the first and w in the third, the layout DESIGN.md §7 measured.
-	// It is padding rather than a per-node overflow slice because a second
-	// pointer slot per node measured slower in the GC's mark phase.
-	_ [24]byte
-	// w holds the level words below MaxArenaLevels (see word); the arena
-	// keeps higher ones in its chunk overflow arrays. It is the last field:
-	// layouts that put the words ahead of the header or outside the node
-	// measured slower on level-0 walks (DESIGN.md §7).
-	w [MaxArenaLevels]atomicmark.PackedRef
+	// self is the node's index in its arena (never 0).
+	self        uint32
+	ownerThread int32
 }
 
 // Maintenance-state bits, set and cleared through TrySetMaint/ClearMaint.
@@ -148,6 +154,10 @@ const (
 	// work items that find this bit set must drop dead — the slot may be
 	// recycled at any moment after their pin epoch.
 	MaintLimbo
+	// MaintInserted: all levels of the node have been linked, or the agent
+	// linking them has given up (see Inserted). Arena.Free clears it with
+	// the other bits.
+	MaintInserted
 )
 
 // Owner describes the first-touch ownership of a node.
@@ -184,7 +194,7 @@ func (n *Node[K, V]) Vector() uint32 { return n.vector }
 func (n *Node[K, V]) OwnerThread() int32 { return n.ownerThread }
 
 // OwnerNode returns the allocating thread's NUMA node.
-func (n *Node[K, V]) OwnerNode() int32 { return n.ownerNode }
+func (n *Node[K, V]) OwnerNode() int32 { return int32(n.ownerNode) }
 
 // ID returns the node's unique life ID (also used as its cache-line address
 // by the cache simulator). Zero means the slot is sitting on a free list.
@@ -229,10 +239,10 @@ func (n *Node[K, V]) ArenaIndex() uint32 { return n.self }
 func (n *Node[K, V]) AllocTS() int64 { return n.allocTS }
 
 // Inserted reports whether all levels of the node have been linked.
-func (n *Node[K, V]) Inserted() bool { return n.inserted.Load() }
+func (n *Node[K, V]) Inserted() bool { return n.MaintHas(MaintInserted) }
 
 // MarkInserted records that all levels have been linked.
-func (n *Node[K, V]) MarkInserted() { n.inserted.Store(true) }
+func (n *Node[K, V]) MarkInserted() { n.maint.Or(MaintInserted) }
 
 // Gen returns the node's slot reuse generation (0 for sentinels).
 func (n *Node[K, V]) Gen() uint32 { return n.gen }
@@ -405,8 +415,13 @@ func (n *Node[K, V]) refNext(level int) *Node[K, V] {
 
 // --- Instrumented access functions (the paper's "node access functions") ---
 
+// read and cas test tr before they load the owner fields and the life ID:
+// ownerThread sits in the node's second line, which an unrecorded hop never
+// reads.
 func (n *Node[K, V]) read(tr *stats.ThreadRecorder) {
-	tr.Read(n.ownerThread, n.ownerNode, n.id.Load())
+	if tr != nil {
+		tr.Read(n.ownerThread, int32(n.ownerNode), n.id.Load())
+	}
 }
 
 // Next returns the level-i successor, recording a read.
@@ -434,7 +449,9 @@ func (n *Node[K, V]) MarkValid(level int, tr *stats.ThreadRecorder) (marked, val
 }
 
 func (n *Node[K, V]) cas(tr *stats.ThreadRecorder, ok bool) bool {
-	tr.CAS(n.ownerThread, n.ownerNode, n.id.Load(), ok)
+	if tr != nil {
+		tr.CAS(n.ownerThread, int32(n.ownerNode), n.id.Load(), ok)
+	}
 	return ok
 }
 

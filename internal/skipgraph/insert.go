@@ -42,7 +42,16 @@ func (sg *SG[K, V]) InsertHelper(n *node.Node[K, V], tr *stats.ThreadRecorder) (
 // references to the new node — the relink optimization. The store on the
 // inserting node itself is raw (uninstrumented), the predecessor CAS is a
 // maintenance CAS.
+//
+// It refuses, returning false without a CAS, when Succs[0] holds the
+// inserted key: that node was marked after the search saw it unmarked, and
+// linking in front of it would put two nodes of one key side by side at
+// level 0. Every caller re-searches on false, and the fresh search skips the
+// marked node, so level 0 stays strictly ordered (see Validate).
 func (sg *SG[K, V]) LinkLevel0(res *SearchResult[K, V], toInsert *node.Node[K, V], tr *stats.ThreadRecorder) bool {
+	if res.Succs[0].KeyEquals(toInsert.Key()) {
+		return false
+	}
 	toInsert.RawStore(0, res.Succs[0], false, true)
 	return res.Preds[0].CASNext(0, res.Middles[0], toInsert, tr)
 }

@@ -255,10 +255,12 @@ func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadR
 // concurrent inserting substitution or another cleanup already swung the
 // predecessor.
 //
-// A retired node can also sit behind a live node of its own key: an insert
-// links its node in front of the successor its search observed, which may be
-// a same-key node retired since. A scan for key stops at the live node, so
-// CleanupSearch also relinks the chain behind every live node holding key.
+// Above level 0, a retired node can also sit behind a live node of its own
+// key: FinishInsert links a node in front of the successor its search
+// observed, which may be a same-key node marked at level 0 but not yet at
+// that level (DESIGN.md §6.2). A scan for key stops at the live node, so
+// CleanupSearch also relinks the chain behind every live node holding key
+// there. Level 0 never holds two nodes of one key (LinkLevel0 refuses).
 func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V], tr *stats.ThreadRecorder) {
 	var now int64
 	if sg.cfg.Lazy {
@@ -278,7 +280,7 @@ func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V],
 				tr.Relink(chain)
 			}
 		}
-		for c := current; c.KeyEquals(key); {
+		for c := current; level > 0 && c.KeyEquals(key); {
 			orig := c.Next(level, tr)
 			next, chain := sg.skipDead(orig, level, now, tr)
 			if next == nil {
@@ -298,8 +300,9 @@ func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V],
 // inside a chain of marked references. Marked references are immutable and
 // lists stay key-ordered across marked nodes, so a targeted descent observes
 // exactly the chains n could inhabit: the one in front of the first live node
-// with key' >= key, and the run of nodes holding key from there on, where n
-// sits when a node inserted in front of it holds its key (see CleanupSearch).
+// with key' >= key, and, above level 0, the run of nodes holding key from
+// there on, where n sits when a node linked in front of it at that level
+// holds its key (see CleanupSearch).
 //
 // The answer is instantaneous, not permanent: an in-flight FinishInsert that
 // captured n as a successor before it was marked can still link it
@@ -328,7 +331,7 @@ func (sg *SG[K, V]) Unlinked(n *node.Node[K, V], tr *stats.ThreadRecorder) bool 
 				return false
 			}
 		}
-		for c := current; c != nil && c.KeyEquals(key); c = c.Next(level, tr) {
+		for c := current; level > 0 && c != nil && c.KeyEquals(key); c = c.Next(level, tr) {
 			if c == n {
 				return false
 			}

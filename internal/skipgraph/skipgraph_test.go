@@ -447,12 +447,12 @@ func TestRetireIdempotent(t *testing.T) {
 	}
 }
 
-// TestRetiredBehindSameKey builds the state an insert leaves when its
-// observed successor, a node of the same key, is retired between the
-// insert's search and its link CAS: the new node links in front of the
-// retired one. A walk for the key stops at the new, live node, so Unlinked
-// must still find the retired node behind it, and CleanupSearch must unlink
-// it; otherwise reclamation would free a node that is still linked.
+// TestRetiredBehindSameKey checks that the state "a retired node behind a
+// live node of its key" cannot arise at level 0. An insert's observed
+// successor, a node of the same key, is retired between the insert's search
+// and its link: LinkLevel0 must refuse to link in front of it, and the
+// re-search every caller then runs skips it and links cleanly. Validate
+// rejects the state when it is forced by hand.
 func TestRetiredBehindSameKey(t *testing.T) {
 	clock := int64(0)
 	sg := newSG(t, Config{
@@ -478,27 +478,28 @@ func TestRetiredBehindSameKey(t *testing.T) {
 		t.Fatal("retire failed")
 	}
 	fresh := sg.NewNode(20, 21, 0, node.Owner{}, 0)
+	if sg.LinkLevel0(res, fresh, nil) {
+		t.Fatal("LinkLevel0 linked in front of a node holding its key")
+	}
+	if sg.LazyRelinkSearch(20, nil, 0, res, nil) || res.Succs[0] == old {
+		t.Fatal("re-search stopped at the retired node")
+	}
 	if !sg.LinkLevel0(res, fresh, nil) {
-		t.Fatal("link failed")
+		t.Fatal("link after the re-search failed")
 	}
 	fresh.MarkInserted()
-	if fresh.RawNext(0) != old {
-		t.Fatal("setup: the fresh node is not in front of the retired one")
-	}
-	if sg.Unlinked(old, nil) {
-		t.Fatal("Unlinked reports a retired node linked behind a live node of its key")
-	}
-	sg.CleanupSearch(20, old.Vector(), sg.NewSearchResult(), nil)
-	for n := sg.BottomHead().RawNext(0); n.IsData(); n = n.RawNext(0) {
-		if n == old {
-			t.Fatal("CleanupSearch left the retired node linked")
-		}
-	}
-	if !sg.Unlinked(old, nil) {
-		t.Fatal("Unlinked reports the unlinked node linked")
-	}
 	if err := sg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !sg.Unlinked(old, nil) {
+		t.Fatal("the link's relink left the retired node reachable")
+	}
+
+	// Forced by hand (the retired node kept its frozen link to 30), the
+	// refused state fails Validate.
+	fresh.RawStore(0, old, false, true)
+	if err := sg.Validate(); err == nil {
+		t.Fatal("Validate accepted a retired node behind a live node of its key")
 	}
 }
 

@@ -15,8 +15,10 @@ import (
 //     of steps (no cycles, no nil mid-list) and visits only data nodes;
 //   - every node linked at level l spans that level (TopLevel >= l) and
 //     belongs to the list its membership vector selects;
-//   - keys are non-decreasing along every list, and strictly increasing among
-//     nodes unmarked at level 0 (at most one live node per key);
+//   - keys are strictly increasing along the level-0 list, marked nodes
+//     included (LinkLevel0 never links in front of a node holding the
+//     inserted key), and non-decreasing along every upper list, strictly
+//     among nodes unmarked at level 0 (at most one live node per key);
 //   - every unmarked, fully inserted node is physically present in all of its
 //     levels' lists (the relink optimization only ever bypasses nodes marked
 //     at level 0).
@@ -82,7 +84,7 @@ func (sg *SG[K, V]) validateList(level, label, limit int, present map[uint64]boo
 					level, label, n.ID(), n.Key(), n.Vector(), want)
 			}
 		}
-		if prev != nil && n.LessThan(prev.Key()) {
+		if prev != nil && (n.LessThan(prev.Key()) || level == 0 && n.KeyEquals(prev.Key())) {
 			return fmt.Errorf("skipgraph: level %d list %d: key %v after %v", level, label, n.Key(), prev.Key())
 		}
 		if marked, _ := n.RawMarkValid(); !marked {
