@@ -34,11 +34,9 @@
 #                   scenarios driving concurrent acknowledgers
 #   make bench    — the Store-overhead benchmark pair (see EXPERIMENTS.md)
 #   make bench-reclaim — the reclamation benchmarks: slot-churn turnover
-#                   and revival with reclamation on/off, snapshot acquire,
-#                   and consistent-vs-weak RangeScan (see EXPERIMENTS.md)
-#   make bench-json — the fixed sgbench scenario grid (the paper's
-#                   contention cells plus a hotspot-skew cell), written to
-#                   BENCH.json for cross-PR diffing
+#                   and revival under the background engine, snapshot
+#                   acquire, and consistent (lazy) vs weak (non-lazy)
+#                   RangeScan (see EXPERIMENTS.md)
 #   make bench-persist — the persistence trial: fill PERSISTKEYS keys,
 #                   StoreToDisk, LoadFromDisk round trip via sgbench,
 #                   reporting keys/s and MB/s each way (see EXPERIMENTS.md)
@@ -56,12 +54,11 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-BENCHJSON ?= BENCH.json
 PERSISTKEYS ?= 2000000
 PERSISTDIR ?= /tmp/layeredsg-persist
 WALKEYS ?= 500000
 
-.PHONY: ci build test vet race race-maintain race-reclaim race-index race-persist race-wal perfbench-test bench bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
+.PHONY: ci build test vet race race-maintain race-reclaim race-index race-persist race-wal perfbench-test bench bench-reclaim bench-persist bench-wal fuzz-smoke fmt
 
 ci: build test vet race race-maintain race-reclaim race-index race-persist race-wal perfbench-test
 
@@ -110,9 +107,6 @@ bench:
 bench-reclaim:
 	$(GO) test -run '^$$' -bench 'Reclaim/(turnover|revive)' -benchmem -benchtime 200000x .
 	$(GO) test -run '^$$' -bench 'Reclaim/(snapshot|rangescan)' -benchtime 10000x .
-
-bench-json:
-	$(GO) run ./cmd/sgbench -suite -threads 16 -duration 500ms -runs 2 -json $(BENCHJSON)
 
 bench-persist:
 	rm -rf $(PERSISTDIR)

@@ -233,9 +233,9 @@ func BenchmarkTable2_CacheMisses(b *testing.B) {
 }
 
 // BenchmarkMaintainOverhead compares the lazy layered map's maintenance
-// policies — the paper's inline protocol vs. the background helper pool vs.
-// hybrid — on the write-heavy high- and low-contention scenarios, reporting
-// both throughput and sampled p99 operation latency. The interesting number
+// policies — the paper's inline protocol vs. the background helper pool — on
+// the write-heavy high- and low-contention scenarios, reporting both
+// throughput and sampled p99 operation latency. The interesting number
 // is the tail: background maintenance moves finishInsert/retire/relink work
 // off the critical path, so p99 should drop (or hold) while throughput stays
 // within noise of inline.
@@ -253,7 +253,6 @@ func BenchmarkMaintainOverhead(b *testing.B) {
 	}{
 		{"inline", MaintInline},
 		{"background", MaintBackground},
-		{"hybrid", MaintHybrid},
 	}
 	machine := benchMachine(b, benchThreads)
 	for _, sc := range scenarios {
@@ -401,98 +400,87 @@ func BenchmarkPQueue(b *testing.B) {
 
 // BenchmarkReclaim measures the epoch-based slot-reclamation pipeline on the
 // update hot path and the MVCC read surface it enables. The churn pair runs
-// the same remove+insert workload with reclamation on and off (same engine,
-// same flush cadence): ns/op between the two is the pipeline's hot-path toll
-// (stamp sequencer + epoch pins + limbo hand-off; see EXPERIMENTS.md for the
-// measured deltas), while slotsCarved/slotsLive
-// show the capacity story: with reclamation on, carved slots plateau near
+// remove+insert workloads under the background engine with a fixed flush
+// cadence: ns/op is the pipeline's hot-path cost (stamp sequencer + epoch
+// pins + limbo hand-off; see EXPERIMENTS.md for the measured figures), while
+// slotsCarved/slotsLive show the capacity story: carved slots plateau near
 // the working set instead of tracking total allocations. The snapshot
 // sub-benchmarks price acquisition and the consistent-vs-weak RangeScan.
 // Results in EXPERIMENTS.md; `make bench-reclaim` runs the suite.
 func BenchmarkReclaim(b *testing.B) {
-	newChurnMap := func(b *testing.B, reclaim ReclaimMode) (*Map[int64, int64], func() int64) {
+	newChurnMap := func(b *testing.B) *Map[int64, int64] {
 		var now atomic.Int64
-		clock := func() int64 { return now.Add(50) }
 		m, err := New[int64, int64](Config{
 			Machine:          benchMachine(b, 4),
 			Kind:             LazyLayeredSG,
 			Seed:             1,
 			Maintenance:      MaintBackground,
-			Reclaim:          reclaim,
 			CommissionPeriod: 500,
-			Clock:            clock,
+			Clock:            func() int64 { return now.Add(50) },
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return m, clock
+		return m
 	}
-	for _, mode := range []struct {
-		name    string
-		reclaim ReclaimMode
-	}{
-		{"reclaim", ReclaimAuto},
-		{"noreclaim", ReclaimOff},
-	} {
-		// turnover: a moving 1024-key window — every iteration inserts a
-		// fresh key and removes the eldest, which is never re-inserted, so
-		// each removal ages past its commission period and retires. This is
-		// the workload where the slot pipeline earns its keep: slotsCarved
-		// plateaus with reclamation on and tracks b.N with it off.
-		b.Run("turnover/"+mode.name, func(b *testing.B) {
-			m, _ := newChurnMap(b, mode.reclaim)
-			defer m.Close()
-			h := m.Handle(0)
-			for k := int64(0); k < 1024; k++ {
-				h.Insert(k, k)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Insert(int64(1024+i), int64(i))
-				h.Remove(int64(i))
-				// Stands in for helper park cycles at benchmark speed. The
-				// cadence stays under the retire-queue capacity: removals
-				// enqueue deferred retires during their commission period,
-				// and a flush interval larger than the queue drops the
-				// excess on the floor (the lazy protocol then only finds
-				// those nodes again if a later search stumbles over them,
-				// which a one-way key window never does).
-				if i&255 == 255 {
-					m.Maintenance().Flush()
-				}
-			}
-			b.StopTimer()
-			for i := 0; i < 64 && m.Maintenance().LimboDepth() > 0; i++ {
+	// turnover: a moving 1024-key window — every iteration inserts a fresh
+	// key and removes the eldest, which is never re-inserted, so each removal
+	// ages past its commission period and retires. This is the workload where
+	// the slot pipeline earns its keep: slotsCarved plateaus instead of
+	// tracking b.N.
+	b.Run("turnover/reclaim", func(b *testing.B) {
+		m := newChurnMap(b)
+		defer m.Close()
+		h := m.Handle(0)
+		for k := int64(0); k < 1024; k++ {
+			h.Insert(k, k)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Insert(int64(1024+i), int64(i))
+			h.Remove(int64(i))
+			// Stands in for helper park cycles at benchmark speed. The
+			// cadence stays under the retire-queue capacity: removals enqueue
+			// deferred retires during their commission period, and a flush
+			// interval larger than the queue drops the excess on the floor
+			// (the lazy protocol then only finds those nodes again if a later
+			// search stumbles over them, which a one-way key window never
+			// does).
+			if i&255 == 255 {
 				m.Maintenance().Flush()
 			}
-			st := m.SharedStructure().ArenaStats()
-			b.ReportMetric(float64(st.SlotsUsed), "slotsCarved")
-			b.ReportMetric(float64(st.SlotsLive()), "slotsLive")
-			b.ReportMetric(float64(st.SlotsReclaimed)/float64(b.N), "reclaimed/op")
-		})
-		// revive: remove+insert of the same preloaded key, which the lazy
-		// protocol resolves as an in-place revival. No slots turn over; the
-		// ns/op delta between reclaim on and off is the MVCC machinery's
-		// hot-path toll (epoch pins plus born/dead stamping).
-		b.Run("revive/"+mode.name, func(b *testing.B) {
-			m, _ := newChurnMap(b, mode.reclaim)
-			defer m.Close()
-			h := m.Handle(0)
-			for k := int64(0); k < 1024; k++ {
-				h.Insert(k, k)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := int64(i*2654435761) % 1024
-				h.Remove(k)
-				h.Insert(k, k)
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		for i := 0; i < 64 && m.Maintenance().LimboDepth() > 0; i++ {
+			m.Maintenance().Flush()
+		}
+		st := m.SharedStructure().ArenaStats()
+		b.ReportMetric(float64(st.SlotsUsed), "slotsCarved")
+		b.ReportMetric(float64(st.SlotsLive()), "slotsLive")
+		b.ReportMetric(float64(st.SlotsReclaimed)/float64(b.N), "reclaimed/op")
+	})
+	// revive: remove+insert of the same preloaded key, which the lazy
+	// protocol resolves as an in-place revival. No slots turn over; ns/op is
+	// the MVCC machinery's hot-path cost (epoch pins plus born/dead stamping)
+	// on top of the revival itself.
+	b.Run("revive/reclaim", func(b *testing.B) {
+		m := newChurnMap(b)
+		defer m.Close()
+		h := m.Handle(0)
+		for k := int64(0); k < 1024; k++ {
+			h.Insert(k, k)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := int64(i*2654435761) % 1024
+			h.Remove(k)
+			h.Insert(k, k)
+		}
+	})
 	b.Run("snapshot/acquire", func(b *testing.B) {
-		m, _ := newChurnMap(b, ReclaimAuto)
+		m := newChurnMap(b)
 		defer m.Close()
 		h := m.Handle(0)
 		for k := int64(0); k < 1024; k++ {
@@ -509,20 +497,19 @@ func BenchmarkReclaim(b *testing.B) {
 		}
 	})
 	for _, mode := range []struct {
-		name    string
-		reclaim ReclaimMode
+		name string
+		kind Kind
 	}{
-		{"consistent", ReclaimAuto}, // snapshot-backed RangeScan
-		{"weak", ReclaimOff},        // per-key lease fallback
+		{"consistent", LazyLayeredSG}, // snapshot-backed RangeScan
+		{"weak", LayeredSG},           // Handle.Ascend under one lease
 	} {
 		b.Run("rangescan/"+mode.name, func(b *testing.B) {
 			var now atomic.Int64
 			st, err := NewStore[int64, int64](Config{
 				Machine:          benchMachine(b, 4),
-				Kind:             LazyLayeredSG,
+				Kind:             mode.kind,
 				Seed:             1,
 				Maintenance:      MaintBackground,
-				Reclaim:          mode.reclaim,
 				CommissionPeriod: 500,
 				Clock:            func() int64 { return now.Add(50) },
 			})

@@ -17,8 +17,8 @@
 //	sgbench -algo lazy_layered_sg -threads 16 -via-store -goroutines 64
 //
 // The lazy layered variants' deferred maintenance can be moved off the
-// critical path with -maintain background (or hybrid); pair it with
-// -latency-sample N to compare tail latencies against the inline default:
+// critical path with -maintain background; pair it with -latency-sample N
+// to compare tail latencies against the inline default:
 //
 //	sgbench -algo lazy_layered_sg -maintain background -latency-sample 64
 //
@@ -48,6 +48,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -82,11 +83,9 @@ func run(args []string, w io.Writer) error {
 		workers   = fs.Int("goroutines", 0, "worker goroutines (0 = one per thread; >threads requires -via-store)")
 		observe   = fs.Bool("observe", false, "attach the observability layer (event tracing + metrics; layered variants only) and print its snapshot")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars, /debug/obs, /debug/trace on this address (implies -observe)")
-		maintain  = fs.String("maintain", "inline", "maintenance policy for the lazy layered variants: inline, background, or hybrid")
+		maintain  = fs.String("maintain", "inline", "maintenance policy for the lazy layered variants: inline or background")
 		latEvery  = fs.Int("latency-sample", 0, "sample every Nth operation's wall-clock latency and print quantiles (0 disables)")
 		skew      = fs.String("skew", "uniform", "key distribution: uniform, zipf[:s] (Zipfian, exponent s > 1), or hot[:p] (fraction p of ops on the hot 10% of keys)")
-		suite     = fs.Bool("suite", false, "run the fixed benchmark scenario grid instead of a single trial (see -json)")
-		jsonOut   = fs.String("json", "", "with -suite: write machine-readable per-scenario results to this file")
 		dumpDir   = fs.String("dump", "", "persistence trial: fill a store with -keyspace keys and StoreToDisk into this directory, reporting dump throughput")
 		loadDir   = fs.String("load", "", "persistence trial: LoadFromDisk from this directory under the machine flags, reporting load throughput (combine with -dump for a round trip)")
 		walDir    = fs.String("wal", "", "with -dump/-load: journal mutations to a write-ahead log in this directory")
@@ -115,10 +114,8 @@ func run(args []string, w io.Writer) error {
 		policy = layeredsg.MaintInline
 	case "background":
 		policy = layeredsg.MaintBackground
-	case "hybrid":
-		policy = layeredsg.MaintHybrid
 	default:
-		return fmt.Errorf("unknown -maintain policy %q (want inline, background, or hybrid)", *maintain)
+		return fmt.Errorf("unknown -maintain policy %q (want inline or background)", *maintain)
 	}
 	if *dumpDir != "" || *loadDir != "" {
 		pol, err := layeredsg.ParseWALSyncPolicy(*walSync)
@@ -130,16 +127,6 @@ func run(args []string, w io.Writer) error {
 	dist, zipfS, hotP, err := parseSkew(*skew)
 	if err != nil {
 		return err
-	}
-	if *suite {
-		return runSuite(w, machine, suiteParams{
-			threads:  *threads,
-			duration: *duration,
-			runs:     *runs,
-			seed:     *seed,
-			yield:    *yield,
-			jsonPath: *jsonOut,
-		})
 	}
 	wl := layeredsg.Workload{
 		KeySpace:        *keySpace,
@@ -209,4 +196,30 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// parseSkew decodes the -skew flag: "uniform", "zipf" / "zipf:1.5", or
+// "hot" / "hot:0.9".
+func parseSkew(s string) (dist layeredsg.Distribution, zipfS, hotP float64, err error) {
+	name, arg, hasArg := strings.Cut(s, ":")
+	var v float64
+	if hasArg {
+		v, err = strconv.ParseFloat(arg, 64)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("bad -skew parameter %q: %v", arg, err)
+		}
+	}
+	switch name {
+	case "uniform":
+		if hasArg {
+			return 0, 0, 0, fmt.Errorf("-skew uniform takes no parameter")
+		}
+		return layeredsg.Uniform, 0, 0, nil
+	case "zipf":
+		return layeredsg.Zipf, v, 0, nil
+	case "hot":
+		return layeredsg.Hotspot, 0, v, nil
+	default:
+		return 0, 0, 0, fmt.Errorf("unknown -skew %q (want uniform, zipf[:s], or hot[:p])", s)
+	}
 }

@@ -1,6 +1,7 @@
 // scheduler: a deadline-ordered task scheduler built on the priority-queue
 // adaptation of the layered structure (the paper's appendix / future-work
-// direction).
+// direction): Handle.Insert enqueues and Handle.RemoveMin extracts the
+// smallest key.
 //
 // Producers enqueue tasks keyed by deadline (nanoseconds, with a sequence
 // number folded into the low bits so deadlines never collide); consumers
@@ -20,8 +21,6 @@ import (
 	"sync/atomic"
 
 	"layeredsg"
-	"layeredsg/internal/core"
-	"layeredsg/internal/pqueue"
 )
 
 // Task is a unit of scheduled work.
@@ -42,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, err := pqueue.New[int64, Task](core.Config{
+	q, err := layeredsg.New[int64, Task](layeredsg.Config{
 		Machine: machine,
 		Kind:    layeredsg.LazyLayeredSG,
 	})
@@ -63,10 +62,10 @@ func main() {
 			for i := 0; i < tasksPerProducer; i++ {
 				deadline := rng.Int63n(1 << 40)
 				// Fold producer and sequence into the low bits so priorities
-				// are unique (the queue stores each priority once).
+				// are unique (the map stores each key once).
 				key := deadline<<16 | int64(p)<<12 | int64(i)&0xFFF
 				task := Task{Name: fmt.Sprintf("task-p%d-%d", p, i), Deadline: deadline}
-				for !h.Push(key, task) {
+				for !h.Insert(key, task) {
 					key++ // collision: nudge
 				}
 			}
@@ -84,7 +83,7 @@ func main() {
 			defer wg.Done()
 			h := q.Handle(producers + c)
 			for {
-				key, _, ok := h.PopMin()
+				key, _, ok := h.RemoveMin()
 				if ok {
 					results[c] = append(results[c], key)
 					executed.Add(1)
@@ -92,7 +91,7 @@ func main() {
 				}
 				select {
 				case <-done:
-					if key, _, ok := h.PopMin(); ok {
+					if key, _, ok := h.RemoveMin(); ok {
 						results[c] = append(results[c], key)
 						executed.Add(1)
 						continue

@@ -184,8 +184,8 @@ func replayHandleOps(t *testing.T, kind core.Kind, data []byte) {
 }
 
 // FuzzMaintainOps replays the same byte-encoded sequences against the lazy
-// variants with background and hybrid maintenance: operations still run
-// sequentially (so every result must match the model exactly — deferred
+// variants with background maintenance: operations still run sequentially
+// (so every result must match the model exactly — deferred
 // maintenance is invisible to the logical contents), but real helper
 // goroutines drain finish/retire/relink work concurrently the whole time.
 // The clock is atomic because helpers read it outside the caller's thread.
@@ -197,14 +197,12 @@ func FuzzMaintainOps(f *testing.F) {
 	f.Add([]byte{0, 5, 2, 5, 0, 5, 2, 5, 0, 5, 2, 5, 0, 5, 4, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []core.Kind{core.LazyLayeredSG, core.LazyLayeredSSG} {
-			for _, policy := range []core.MaintenancePolicy{core.MaintBackground, core.MaintHybrid} {
-				replayMaintainOps(t, kind, policy, data)
-			}
+			replayMaintainOps(t, kind, data)
 		}
 	})
 }
 
-func replayMaintainOps(t *testing.T, kind core.Kind, policy core.MaintenancePolicy, data []byte) {
+func replayMaintainOps(t *testing.T, kind core.Kind, data []byte) {
 	machine := fuzzMachine(t)
 	var now atomic.Int64
 	m, err := New[int64, int64](Config{
@@ -212,7 +210,7 @@ func replayMaintainOps(t *testing.T, kind core.Kind, policy core.MaintenancePoli
 		Kind:             kind,
 		Seed:             1,
 		CommissionPeriod: 500,
-		Maintenance:      policy,
+		Maintenance:      MaintBackground,
 		Clock:            func() int64 { return now.Add(50) },
 	})
 	if err != nil {
@@ -228,22 +226,22 @@ func replayMaintainOps(t *testing.T, kind core.Kind, policy core.MaintenancePoli
 		switch sel % 6 {
 		case 0, 1:
 			if got := h.Insert(key, key); got != !present {
-				t.Fatalf("%v/%v op %d: Insert(%d) = %v with present=%v", kind, policy, i/2, key, got, present)
+				t.Fatalf("%v op %d: Insert(%d) = %v with present=%v", kind, i/2, key, got, present)
 			}
 			model[key] = key
 		case 2:
 			if got := h.Remove(key); got != present {
-				t.Fatalf("%v/%v op %d: Remove(%d) = %v with present=%v", kind, policy, i/2, key, got, present)
+				t.Fatalf("%v op %d: Remove(%d) = %v with present=%v", kind, i/2, key, got, present)
 			}
 			delete(model, key)
 		case 3:
 			v, ok := h.Get(key)
 			if ok != present || (ok && v != key) {
-				t.Fatalf("%v/%v op %d: Get(%d) = (%d, %v) with present=%v", kind, policy, i/2, key, v, ok, present)
+				t.Fatalf("%v op %d: Get(%d) = (%d, %v) with present=%v", kind, i/2, key, v, ok, present)
 			}
 		case 4:
 			if got := h.Contains(key); got != present {
-				t.Fatalf("%v/%v op %d: Contains(%d) = %v with present=%v", kind, policy, i/2, key, got, present)
+				t.Fatalf("%v op %d: Contains(%d) = %v with present=%v", kind, i/2, key, got, present)
 			}
 		case 5:
 			// Rotate to the next confined handle (sequential handoff).

@@ -350,6 +350,9 @@ func TestTortureIndexReclaim(t *testing.T) {
 			}
 		}
 	}
+	// Validate needs a quiescent structure: a helper still reclaiming would
+	// free a slot under the unpinned walk.
+	m.Close()
 	if err := m.SharedStructure().Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -104,10 +104,6 @@ const (
 	// internal/maintain helper pool; searches only enqueue. Operations keep
 	// their inline fallbacks for backpressure drops and post-Close work.
 	MaintBackground
-	// MaintHybrid enqueues like MaintBackground but keeps inline expired
-	// retirement active too: whichever agent reaches an expired node first
-	// retires it.
-	MaintHybrid
 )
 
 // String implements fmt.Stringer.
@@ -117,41 +113,8 @@ func (p MaintenancePolicy) String() string {
 		return "inline"
 	case MaintBackground:
 		return "background"
-	case MaintHybrid:
-		return "hybrid"
 	default:
 		return fmt.Sprintf("MaintenancePolicy(%d)", int(p))
-	}
-}
-
-// ReclaimMode selects whether the map runs the epoch-based reclamation and
-// snapshot machinery (internal/epoch).
-type ReclaimMode int
-
-const (
-	// ReclaimAuto (the zero value) builds an epoch domain for lazy variants:
-	// operations pin it, MVCC life stamps are maintained, Snapshot works, and
-	// — when a background maintenance engine runs — retired nodes' slots
-	// return to the arena free lists. Lazy variants with inline-only
-	// maintenance keep the domain for snapshots but never free a slot (the
-	// arena grows monotonically). Non-lazy variants never build a domain:
-	// removals unlink promptly, and their slots are never freed either.
-	ReclaimAuto ReclaimMode = iota
-	// ReclaimOff builds no domain even for lazy variants: the pre-reclamation
-	// behaviour (arena slots are never freed, Snapshot unavailable), for
-	// ablations and differential tests.
-	ReclaimOff
-)
-
-// String implements fmt.Stringer.
-func (r ReclaimMode) String() string {
-	switch r {
-	case ReclaimAuto:
-		return "auto"
-	case ReclaimOff:
-		return "off"
-	default:
-		return fmt.Sprintf("ReclaimMode(%d)", int(r))
 	}
 }
 
@@ -164,23 +127,14 @@ type Config struct {
 	// Scheme selects membership-vector generation; defaults to NUMAAware.
 	Scheme membership.Scheme
 	// CommissionPeriod overrides the lazy protocol's commission period;
-	// 0 uses the paper's proportional-to-T default (capped, derived from
-	// the effective concurrency — see ConcurrencyHint).
+	// 0 uses the paper's proportional-to-T default for the machine's thread
+	// count, capped (skipgraph.DefaultCommissionPeriod).
 	CommissionPeriod time.Duration
-	// CommissionPerThread overrides the per-thread constant of the derived
-	// commission period (default skipgraph.DefaultCommissionPerThread).
-	// Ignored when CommissionPeriod is set explicitly.
-	CommissionPerThread time.Duration
-	// ConcurrencyHint is the number of threads expected to operate
-	// concurrently; 0 means all of the machine's threads. The commission
-	// period protects in-commission nodes from retirement long enough for
-	// revivals, and the revival window scales with actual contention — so a
-	// map sized for the whole machine but driven by a few goroutines should
-	// hint the smaller number to keep garbage collection prompt.
-	ConcurrencyHint int
 	// Maintenance selects who performs deferred maintenance work (lazy
-	// variants only): the paper's inline protocol (zero value), the
-	// internal/maintain background helper pool, or both.
+	// variants only): the paper's inline protocol (zero value) or the
+	// internal/maintain background helper pool. Only the helper pool frees
+	// retired nodes' arena slots: under MaintInline a lazy map keeps its
+	// epoch domain for snapshots, but its arena grows monotonically.
 	Maintenance MaintenancePolicy
 	// MaintQueueCap bounds each stripe's maintenance queue; 0 uses
 	// maintain.DefaultQueueCap.
@@ -194,9 +148,6 @@ type Config struct {
 	// counter deltas from the recorder, so setting Tracer without Recorder
 	// creates a recorder implicitly.
 	Tracer *obs.Tracer
-	// Reclaim selects the epoch/snapshot machinery: ReclaimAuto (on for lazy
-	// variants) or ReclaimOff.
-	Reclaim ReclaimMode
 	// Clock overrides the structure clock (tests); nil uses real time.
 	Clock func() int64
 	// Seed seeds the per-thread RNGs drawing sparse node heights.
@@ -206,9 +157,8 @@ type Config struct {
 	// sequence stamp, so a base dump plus the WAL's post-snapshot suffix
 	// reconstructs the map after a crash (see internal/persist and the
 	// layeredsg constructors, which open the log — core itself never touches
-	// the filesystem). Requires a snapshot-capable configuration (a lazy
-	// variant with ReclaimAuto): the WAL's ordering guarantee is the MVCC
-	// stamp order, which only those configurations maintain.
+	// the filesystem). Requires a lazy variant: the WAL's ordering guarantee
+	// is the MVCC stamp order, which only the lazy variants maintain.
 	WAL string
 	// WALSync selects the write-ahead log's durability policy (ignored when
 	// WAL is empty): persist.SyncNever (buffered appends, the zero value —
@@ -256,9 +206,9 @@ type Map[K cmp.Ordered, V any] struct {
 	// engine is the background maintenance pool, nil under MaintInline or
 	// for non-lazy variants.
 	engine *maintain.Engine[K, V]
-	// domain is the epoch/snapshot domain, nil for non-lazy variants or
-	// ReclaimOff. Handles pin it around operations; snapshots acquire tickets
-	// from it; the maintenance engine drives reclamation through it.
+	// domain is the epoch/snapshot domain, nil for non-lazy variants.
+	// Handles pin it around operations; snapshots acquire tickets from it;
+	// the maintenance engine drives reclamation through it.
 	domain *epoch.Domain
 	// history preserves pre-revival life intervals for open snapshots (see
 	// snapshot.go); nil exactly when domain is.
@@ -303,43 +253,29 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		}
 	}
 
-	if cfg.Maintenance < MaintInline || cfg.Maintenance > MaintHybrid {
+	if cfg.Maintenance < MaintInline || cfg.Maintenance > MaintBackground {
 		return nil, fmt.Errorf("core: unknown maintenance policy %d", int(cfg.Maintenance))
-	}
-	if cfg.ConcurrencyHint < 0 {
-		return nil, fmt.Errorf("core: negative ConcurrencyHint %d", cfg.ConcurrencyHint)
 	}
 	commission := cfg.CommissionPeriod
 	if cfg.Kind.lazy() && commission == 0 {
-		// Derive from the *effective* concurrency: a map sized for the whole
-		// machine but driven by fewer goroutines keeps the shorter revival
-		// window that matches its real contention.
-		eff := threads
-		if cfg.ConcurrencyHint > 0 && cfg.ConcurrencyHint < eff {
-			eff = cfg.ConcurrencyHint
-		}
-		commission = skipgraph.CommissionPeriodFor(eff, cfg.CommissionPerThread)
+		commission = skipgraph.DefaultCommissionPeriod(threads)
 	}
-	if cfg.Reclaim < ReclaimAuto || cfg.Reclaim > ReclaimOff {
-		return nil, fmt.Errorf("core: unknown reclaim mode %d", int(cfg.Reclaim))
-	}
-	if cfg.WAL != "" && !(cfg.Kind.lazy() && cfg.Reclaim == ReclaimAuto) {
-		return nil, fmt.Errorf("core: %s with Reclaim=%s supports no WAL (the log's ordering guarantee is the MVCC stamp order; use a lazy variant with ReclaimAuto)", cfg.Kind, cfg.Reclaim)
+	if cfg.WAL != "" && !cfg.Kind.lazy() {
+		return nil, fmt.Errorf("core: %s supports no WAL (the log's ordering guarantee is the MVCC stamp order; use a lazy variant)", cfg.Kind)
 	}
 	var domain *epoch.Domain
-	if cfg.Kind.lazy() && cfg.Reclaim == ReclaimAuto {
+	if cfg.Kind.lazy() {
 		// Capacity hint: one pin per stripe handle, one per helper plus the
 		// engine's synchronous pin; reader handles grow past it on demand.
 		domain = epoch.NewDomain(threads + cfg.Machine.Topology().Sockets() + 1)
 	}
 	sgCfg := skipgraph.Config{
-		MaxLevel:            maxLevel,
-		Lazy:                cfg.Kind.lazy(),
-		Sparse:              cfg.Kind.sparse(),
-		CleanupDuringSearch: !cfg.Kind.lazy(),
-		CommissionPeriod:    commission,
-		Clock:               cfg.Clock,
-		ArenaShards:         cfg.Machine.Topology().Nodes(),
+		MaxLevel:         maxLevel,
+		Lazy:             cfg.Kind.lazy(),
+		Sparse:           cfg.Kind.sparse(),
+		CommissionPeriod: commission,
+		Clock:            cfg.Clock,
+		ArenaShards:      cfg.Machine.Topology().Nodes(),
 	}
 	if domain != nil {
 		// Gate retirement on snapshot visibility: a node removed at sequence D
@@ -371,10 +307,10 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		m.history = newRevivalLog[K, V](domain)
 	}
 	// Retire is the single funnel every lazy retirement passes through
-	// (inline, hybrid, and background); observing it keeps the index free of
-	// dead entries without touching the protocol's hot CASes. Stale entries
-	// that slip through (the observer races a republish) fail closed at
-	// lookup time, so this is an optimization, not a safety requirement.
+	// (inline and background); observing it keeps the index free of dead
+	// entries without touching the protocol's hot CASes. Stale entries that
+	// slip through (the observer races a republish) fail closed at lookup
+	// time, so this is an optimization, not a safety requirement.
 	sg.SetRetireObserver(func(n *node.Node[K, V]) {
 		m.hidx.Unpublish(n.Key(), n)
 		cfg.Tracer.RecordIndex(obs.IndexUnpublish)
@@ -398,7 +334,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		}
 	}
 
-	if cfg.Kind.lazy() && cfg.Maintenance != MaintInline {
+	if cfg.Kind.lazy() && cfg.Maintenance == MaintBackground {
 		helpers := cfg.Machine.Topology().Sockets()
 		var recorders []*stats.ThreadRecorder
 		if cfg.Recorder != nil {
@@ -429,7 +365,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 			},
 			EnqueueRelink: eng.EnqueueRelink,
 			EnterLimbo:    eng.EnterLimbo,
-			RetireInline:  cfg.Maintenance == MaintHybrid,
 		})
 	}
 	if cfg.Tracer != nil {
@@ -506,7 +441,7 @@ func (m *Map[K, V]) WALErr() error {
 	return nil
 }
 
-// Domain exposes the epoch/snapshot domain, or nil when reclamation is off.
+// Domain exposes the epoch/snapshot domain, or nil for non-lazy variants.
 // For tests, benchmarks, and the observability layer.
 func (m *Map[K, V]) Domain() *epoch.Domain { return m.domain }
 
@@ -515,8 +450,8 @@ func (m *Map[K, V]) Domain() *epoch.Domain { return m.domain }
 // otherwise keep running). The map remains usable after Close: deferred
 // maintenance falls back to the paper's inline protocol. Idempotent.
 //
-// With reclamation active, Close first blocks until every open Snapshot has
-// been closed: a snapshot iterator must never observe the engine's teardown
+// On lazy variants, Close first blocks until every open Snapshot has been
+// closed: a snapshot iterator must never observe the engine's teardown
 // reclamation. Callers that cannot rule out abandoned snapshots should close
 // them before Close.
 func (m *Map[K, V]) Close() {
@@ -552,8 +487,8 @@ func (m *Map[K, V]) Len() int { return m.sg.Len() }
 // Keys returns the logically present keys in order. O(n); tests and tooling.
 func (m *Map[K, V]) Keys() []K { return m.sg.BottomKeys() }
 
-// SharedStructure exposes the underlying skip graph for inspection by tests,
-// benchmarks, and the priority-queue layer.
+// SharedStructure exposes the underlying skip graph for inspection by tests
+// and benchmarks.
 func (m *Map[K, V]) SharedStructure() *skipgraph.SG[K, V] { return m.sg }
 
 // Handle is one thread's view of the layered map: the thread's local
@@ -581,8 +516,8 @@ type Handle[K cmp.Ordered, V any] struct {
 	ot     *obs.StripeTracer
 	res    *skipgraph.SearchResult[K, V]
 	rng    *rand.Rand
-	// pin is the handle's epoch-domain participant slot (nil without
-	// reclamation), held for the duration of every operation so slots the
+	// pin is the handle's epoch-domain participant slot (nil for non-lazy
+	// variants), held for the duration of every operation so slots the
 	// operation may dereference cannot be recycled under it. Like the local
 	// structures it is exclusively owned, so Pin/Unpin never race.
 	pin *epoch.Pin
@@ -644,7 +579,7 @@ func (h *Handle[K, V]) nodeOf(it local.Iterator[K, V]) *node.Node[K, V] {
 // overlaps the operation, so a miss can be linearized before the racing
 // insert.
 //
-// With reclamation active the check is node.LiveAs — the same unmarked
+// On lazy variants the check is node.LiveAs — the same unmarked
 // observation plus the life-ID match proving the slot has not been recycled
 // since the entry was recorded. It runs under the handle's pin (taken by the
 // operation wrappers), which is what keeps a true result trustworthy until

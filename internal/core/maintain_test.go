@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"layeredsg/internal/numa"
 	"layeredsg/internal/skipgraph"
 )
 
@@ -38,34 +39,22 @@ func TestCommissionDerivation(t *testing.T) {
 			t.Fatalf("commission %v, want %v", got, 8*skipgraph.DefaultCommissionPerThread)
 		}
 	})
-	t.Run("concurrency hint shrinks the effective thread count", func(t *testing.T) {
-		if got := period(t, Config{Machine: testMachine(t, 8), ConcurrencyHint: 2}); got != 2*skipgraph.DefaultCommissionPerThread {
-			t.Fatalf("commission %v, want %v", got, 2*skipgraph.DefaultCommissionPerThread)
-		}
-	})
-	t.Run("hint above the machine is clamped to it", func(t *testing.T) {
-		if got := period(t, Config{Machine: testMachine(t, 8), ConcurrencyHint: 64}); got != 8*skipgraph.DefaultCommissionPerThread {
-			t.Fatalf("commission %v, want %v", got, 8*skipgraph.DefaultCommissionPerThread)
-		}
-	})
-	t.Run("per-thread constant override", func(t *testing.T) {
-		if got := period(t, Config{Machine: testMachine(t, 4), CommissionPerThread: 50 * time.Microsecond}); got != 200*time.Microsecond {
-			t.Fatalf("commission %v, want 200µs", got)
-		}
-	})
 	t.Run("derived period is capped", func(t *testing.T) {
-		if got := period(t, Config{Machine: testMachine(t, 8), CommissionPerThread: time.Millisecond}); got != skipgraph.DefaultCommissionCap {
+		topo, err := numa.New(2, 12, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine, err := numa.Pin(topo, 24) // 24 × 100 µs passes the 2 ms cap
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := period(t, Config{Machine: machine}); got != skipgraph.DefaultCommissionCap {
 			t.Fatalf("commission %v, want cap %v", got, skipgraph.DefaultCommissionCap)
 		}
 	})
 	t.Run("explicit period wins over derivation and cap", func(t *testing.T) {
-		if got := period(t, Config{Machine: testMachine(t, 8), CommissionPeriod: 7 * time.Millisecond, ConcurrencyHint: 2}); got != 7*time.Millisecond {
+		if got := period(t, Config{Machine: testMachine(t, 8), CommissionPeriod: 7 * time.Millisecond}); got != 7*time.Millisecond {
 			t.Fatalf("commission %v, want 7ms", got)
-		}
-	})
-	t.Run("negative hint rejected", func(t *testing.T) {
-		if _, err := New[int64, int64](Config{Machine: testMachine(t, 4), Kind: LazyLayeredSG, ConcurrencyHint: -1}); err == nil {
-			t.Fatal("negative ConcurrencyHint accepted")
 		}
 	})
 	t.Run("bad maintenance policy rejected", func(t *testing.T) {
@@ -90,11 +79,11 @@ func TestMaintenanceEngineOnlyForLazyNonInline(t *testing.T) {
 	}
 }
 
-// TestBackgroundGarbageBounded is the regression test for the capped,
-// hint-derived commission period working together with background
-// retirement: after a remove-everything workload quiesces and the engine
-// drains, marked-but-linked garbage in the bottom list must be (nearly)
-// gone, not proportional to the key count.
+// TestBackgroundGarbageBounded is the regression test for the capped
+// commission period working together with background retirement: after a
+// remove-everything workload quiesces and the engine drains, marked-but-linked
+// garbage in the bottom list must be (nearly) gone, not proportional to the
+// key count.
 func TestBackgroundGarbageBounded(t *testing.T) {
 	const n = 128
 	var clock atomic.Int64
@@ -145,47 +134,45 @@ func TestBackgroundGarbageBounded(t *testing.T) {
 	}
 }
 
-// TestBackgroundPolicies runs a small concurrent workload under each
-// non-inline policy and checks the map still behaves like a map, survives
+// TestBackgroundPolicies runs a small concurrent workload under the
+// background policy and checks the map still behaves like a map, survives
 // Close mid-quiescence, and keeps working inline afterwards.
 func TestBackgroundPolicies(t *testing.T) {
-	for _, policy := range []MaintenancePolicy{MaintBackground, MaintHybrid} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const threads, perThread = 4, 200
-			m := newLazyMap(t, Config{
-				Machine:     testMachine(t, threads),
-				Maintenance: policy,
-			})
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					h := m.Handle(th)
-					base := int64(th * perThread)
-					for i := int64(0); i < perThread; i++ {
-						h.Insert(base+i, i)
-					}
-					for i := int64(0); i < perThread; i += 2 {
-						h.Remove(base + i)
-					}
-				}(th)
-			}
-			wg.Wait()
-			m.Close()
-			if got, want := m.Len(), threads*perThread/2; got != want {
-				t.Fatalf("Len = %d want %d", got, want)
-			}
-			if err := m.SharedStructure().Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
-			}
-			// The map stays usable after Close: maintenance falls back to
-			// the paper's inline protocol.
-			h := m.Handle(0)
-			if !h.Insert(1<<30, 1) || !h.Contains(1<<30) || !h.Remove(1<<30) {
-				t.Fatal("map unusable after Close")
-			}
-			m.Close() // Idempotent.
+	t.Run(MaintBackground.String(), func(t *testing.T) {
+		const threads, perThread = 4, 200
+		m := newLazyMap(t, Config{
+			Machine:     testMachine(t, threads),
+			Maintenance: MaintBackground,
 		})
-	}
+		var wg sync.WaitGroup
+		for th := 0; th < threads; th++ {
+			wg.Add(1)
+			go func(th int) {
+				defer wg.Done()
+				h := m.Handle(th)
+				base := int64(th * perThread)
+				for i := int64(0); i < perThread; i++ {
+					h.Insert(base+i, i)
+				}
+				for i := int64(0); i < perThread; i += 2 {
+					h.Remove(base + i)
+				}
+			}(th)
+		}
+		wg.Wait()
+		m.Close()
+		if got, want := m.Len(), threads*perThread/2; got != want {
+			t.Fatalf("Len = %d want %d", got, want)
+		}
+		if err := m.SharedStructure().Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		// The map stays usable after Close: maintenance falls back to
+		// the paper's inline protocol.
+		h := m.Handle(0)
+		if !h.Insert(1<<30, 1) || !h.Contains(1<<30) || !h.Remove(1<<30) {
+			t.Fatal("map unusable after Close")
+		}
+		m.Close() // Idempotent.
+	})
 }

@@ -55,9 +55,9 @@ func (h *Handle[K, V]) PublishJumpIndex() {
 type ReaderHandle[K cmp.Ordered, V any] struct {
 	m  *Map[K, V]
 	tr *stats.ThreadRecorder
-	// pin is this reader's epoch-domain participant (nil participant when the
-	// map runs without reclamation); held across each read so jump targets
-	// and traversed nodes cannot be recycled mid-operation.
+	// pin is this reader's epoch-domain participant (nil for non-lazy
+	// variants); held across each read so jump targets and traversed nodes
+	// cannot be recycled mid-operation.
 	pin *epoch.Pin
 }
 

@@ -225,13 +225,12 @@ type Snapshot[K cmp.Ordered, V any] struct {
 	closed bool
 }
 
-// Snapshot acquires a consistent point-in-time view. It errors on maps built
-// without the epoch machinery (non-lazy kinds, or ReclaimOff): those
-// variants unlink removed nodes promptly, so a frozen traversal cannot be
-// served.
+// Snapshot acquires a consistent point-in-time view. It errors on non-lazy
+// variants, which have no epoch machinery: they unlink removed nodes
+// promptly, so a frozen traversal cannot be served.
 func (m *Map[K, V]) Snapshot() (*Snapshot[K, V], error) {
 	if m.domain == nil {
-		return nil, fmt.Errorf("core: %s built with Reclaim=%s supports no snapshots (requires a lazy variant with ReclaimAuto)", m.cfg.Kind, m.cfg.Reclaim)
+		return nil, fmt.Errorf("core: %s supports no snapshots (requires a lazy variant)", m.cfg.Kind)
 	}
 	return &Snapshot[K, V]{m: m, tk: m.domain.Acquire()}, nil
 }

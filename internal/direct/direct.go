@@ -89,7 +89,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		cfg.Scheme = membership.NUMAAware
 	}
 
-	sgCfg := skipgraph.Config{CleanupDuringSearch: true}
+	var sgCfg skipgraph.Config
 	vectors := make([]uint32, threads)
 	switch cfg.Shape {
 	case SkipList:

@@ -30,7 +30,8 @@
 //
 // The zero Domain pointer is valid and inert: every method no-ops (pins
 // return epoch 0, SafeToRetire always allows, Acquire returns a nil ticket),
-// so structures built without reclamation pay a nil check and nothing else.
+// so structures that build no domain (the non-lazy layered variants) pay a
+// nil check and nothing else.
 package epoch
 
 import (

@@ -69,12 +69,12 @@ type Config[K cmp.Ordered, V any] struct {
 	// stats.Recorder.HelperRecorder) so maintenance traffic keeps its
 	// local/remote classification. Missing entries record nothing.
 	Recorders []*stats.ThreadRecorder
-	// Domain, when non-nil, enables epoch-based slot reclamation: helpers
-	// pin the domain around every traversal, fully unlinked retired nodes
-	// pass through a limbo list, and their arena slots return to the free
-	// list once every pin from before the hand-off has drained. The engine
-	// registers Helpers()+1 pin participants (one per helper plus one for
-	// synchronous drains).
+	// Domain is the structure's epoch domain; required. Helpers pin it
+	// around every traversal, fully unlinked retired nodes pass through a
+	// limbo list, and their arena slots return to the free list once every
+	// pin from before the hand-off has drained. The engine registers
+	// Helpers()+1 pin participants (one per helper plus one for synchronous
+	// drains).
 	Domain *epoch.Domain
 	// ParkInterval overrides the idle re-check interval for held retire
 	// items (tests); 0 uses the default.
@@ -103,9 +103,8 @@ type Engine[K cmp.Ordered, V any] struct {
 	steals   atomic.Uint64
 	drops    atomic.Uint64
 
-	// Slot reclamation (nil domain: everything below is dormant). pins[h] is
-	// helper h's epoch pin; syncPin serves Flush and Close's synchronous
-	// drains under syncMu.
+	// Slot reclamation. pins[h] is helper h's epoch pin; syncPin serves
+	// Flush and Close's synchronous drains under syncMu.
 	domain  *epoch.Domain
 	pins    []*epoch.Pin
 	syncMu  sync.Mutex
@@ -165,6 +164,9 @@ func New[K cmp.Ordered, V any](cfg Config[K, V]) (*Engine[K, V], error) {
 	}
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("maintain: Config.Machine is required")
+	}
+	if cfg.Domain == nil {
+		return nil, fmt.Errorf("maintain: Config.Domain is required")
 	}
 	helpers := cfg.Helpers
 	if helpers <= 0 {
@@ -260,7 +262,7 @@ type Stats struct {
 	// Restamps counts limbo entries found re-linked at reclamation time and
 	// sent around for another epoch round; StaleDrops counts queued items
 	// dropped because their node entered limbo (or its slot was recycled)
-	// before execution. The limbo counters are zero with reclamation off.
+	// before execution.
 	Restamps   uint64 `json:"restamps"`
 	StaleDrops uint64 `json:"stale_drops"`
 }
@@ -283,9 +285,6 @@ func (e *Engine[K, V]) Stats() Stats {
 
 // LimboDepth gauges the number of retired nodes awaiting slot reclamation.
 func (e *Engine[K, V]) LimboDepth() int64 { return e.limboDepth.Load() }
-
-// Reclaiming reports whether epoch-based slot reclamation is active.
-func (e *Engine[K, V]) Reclaiming() bool { return e.domain != nil }
 
 // stripeOf keys a node's work to its owner stripe, so socket-local helpers
 // pick it up and the maintenance CAS stays NUMA-local.
@@ -354,9 +353,9 @@ type worker[K cmp.Ordered, V any] struct {
 	order    []int
 	res      *skipgraph.SearchResult[K, V]
 	tr       *stats.ThreadRecorder
-	// pin is the worker's epoch pin (nil without a domain): held around
-	// every item execution and every limbo verification walk, so slots the
-	// worker may touch cannot be recycled under it.
+	// pin is the worker's epoch pin: held around every item execution and
+	// every limbo verification walk, so slots the worker may touch cannot be
+	// recycled under it.
 	pin *epoch.Pin
 }
 
@@ -401,9 +400,6 @@ func (e *Engine[K, V]) heldLen() int {
 // stamped at an epoch our pin holds back, so the result stays trustworthy
 // until Unpin.
 func (w *worker[K, V]) stale(it item[K, V]) bool {
-	if w.e.domain == nil {
-		return false
-	}
 	if it.n.ID() != it.id || it.n.MaintHas(node.MaintLimbo) {
 		w.e.staleDrops.Add(1)
 		return true
@@ -429,14 +425,12 @@ func (e *Engine[K, V]) run(h int) {
 		if w.drainPending() {
 			worked = true
 		}
-		if e.domain != nil {
-			// Advancing between passes is what lets limbo entries age out:
-			// MinPinned can only pass an entry's stamp once the global epoch
-			// has moved beyond it.
-			e.domain.Advance()
-			if w.processLimbo() {
-				worked = true
-			}
+		// Advancing between passes is what lets limbo entries age out:
+		// MinPinned can only pass an entry's stamp once the global epoch has
+		// moved beyond it.
+		e.domain.Advance()
+		if w.processLimbo() {
+			worked = true
 		}
 		e.passMu.RUnlock()
 		if worked {
@@ -560,7 +554,7 @@ func (w *worker[K, V]) executeRetire(it item[K, V]) (held bool) {
 		}
 	}
 	e.sg.CleanupSearch(it.n.Key(), it.n.Vector(), w.res, w.tr)
-	w.e.enterLimbo(it.n)
+	w.e.EnterLimbo(it.n)
 	return false
 }
 
@@ -577,24 +571,17 @@ func (e *Engine[K, V]) releaseRetire(n *node.Node[K, V]) {
 
 // EnterLimbo hands a retired (marked) node to the reclamation limbo list,
 // unarmed. It is the hand-off for retirements the engine did not perform
-// itself: searches that retire inline — the hybrid policy, or the fallback
-// when the retire queue is full — would otherwise strand the slot forever,
-// since a marked node can never be re-enqueued for retirement. No-op when
-// reclamation is off or the node is not marked; duplicate hand-offs dedup
-// on the node's limbo bit.
+// itself: a search that retires inline — the fallback when the retire queue
+// is full or the engine closed — would otherwise strand the slot forever,
+// since a marked node can never be re-enqueued for retirement; the engine's
+// own retirements hand off here too. No-op when the node is not marked;
+// duplicate hand-offs dedup on the node's limbo bit.
+//
+// Hand-off is unconditional for marked nodes — no reachability check here —
+// because processLimbo performs the full settle/verify/arm sequence before
+// any epoch clock starts ticking toward a free. A hand-off while links remain
+// is safe, just rounds slower.
 func (e *Engine[K, V]) EnterLimbo(n *node.Node[K, V]) {
-	e.enterLimbo(n)
-}
-
-// enterLimbo hands a retired (marked) node to the reclamation limbo list,
-// unarmed. Hand-off is unconditional for marked nodes — no reachability
-// check here — because processLimbo performs the full settle/verify/arm
-// sequence before any epoch clock starts ticking toward a free. A hand-off
-// while links remain is safe, just rounds slower.
-func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
-	if e.domain == nil {
-		return
-	}
 	if marked, _ := n.RawMarkValid(); !marked {
 		return
 	}
@@ -638,9 +625,6 @@ func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
 // next pass at the earliest.
 func (w *worker[K, V]) processLimbo() bool {
 	e := w.e
-	if e.domain == nil {
-		return false
-	}
 	e.limboMu.Lock()
 	entries := e.limbo
 	e.limbo = nil
@@ -717,7 +701,7 @@ func (w *worker[K, V]) drainPending() bool {
 			worked = true
 		case marked || now >= it.readyAt:
 			// Expired, or already retired by someone who cannot unlink it
-			// (an inline hybrid retirement): executeRetire finishes the job.
+			// (an inline fallback retirement): executeRetire finishes the job.
 			// A gate-blocked item stays held without counting as progress, so
 			// the helper parks instead of spinning while a snapshot is open.
 			if w.executeRetire(it) {
@@ -761,13 +745,13 @@ func (w *worker[K, V]) finalDrain() {
 // Flush synchronously executes all currently queued work — and all held
 // retire items — from the calling goroutine: a deterministic alternative to
 // waiting for helpers in tests. Retire items still inside their commission
-// period are requeued rather than held. With reclamation enabled, Flush also advances the epoch and runs one
-// limbo round, so Manual-mode tests reclaim deterministically (call it until
-// LimboDepth drains). Returns the number of items executed. Safe concurrently
-// with helpers and operations (the per-node claim/dedup bits arbitrate) —
-// concurrent Flush/Close calls serialize on an internal mutex, and Flush
-// waits out any helper pass in progress, so no work is in a helper's hands
-// while it runs — but recorded under no thread recorder.
+// period are requeued rather than held. Flush also advances the epoch and
+// runs one limbo round, so Manual-mode tests reclaim deterministically (call
+// it until LimboDepth drains). Returns the number of items executed. Safe
+// concurrently with helpers and operations (the per-node claim/dedup bits
+// arbitrate) — concurrent Flush/Close calls serialize on an internal mutex,
+// and Flush waits out any helper pass in progress, so no work is in a
+// helper's hands while it runs — but recorded under no thread recorder.
 func (e *Engine[K, V]) Flush() int {
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
@@ -839,10 +823,8 @@ func (e *Engine[K, V]) Flush() int {
 		}
 		e.depth.Add(1)
 	}
-	if e.domain != nil {
-		e.domain.Advance()
-		w.processLimbo()
-	}
+	e.domain.Advance()
+	w.processLimbo()
 	return executed
 }
 
@@ -887,13 +869,11 @@ func (e *Engine[K, V]) Close() {
 		w.order[i] = i
 	}
 	w.finalDrain()
-	if e.domain != nil {
-		// One last limbo round now that the helpers' pins are released.
-		// Entries still held back by a live handle pin are abandoned: the
-		// structure is being torn down and the arena goes with it.
-		e.domain.Advance()
-		w.processLimbo()
-	}
+	// One last limbo round now that the helpers' pins are released. Entries
+	// still held back by a live handle pin are abandoned: the structure is
+	// being torn down and the arena goes with it.
+	e.domain.Advance()
+	w.processLimbo()
 }
 
 // Closed reports whether Close has begun.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"layeredsg/internal/epoch"
 	"layeredsg/internal/node"
 	"layeredsg/internal/numa"
 	"layeredsg/internal/skipgraph"
@@ -14,7 +15,8 @@ const testCommission = time.Millisecond
 
 // harness bundles an engine over a small lazy structure on a fake 2-socket
 // machine (2 threads per socket: stripes 0,1 on socket 0 and 2,3 on
-// socket 1) with a hand-advanced structure clock.
+// socket 1) with a hand-advanced structure clock. The structure's epoch
+// domain gates retirement as core.New wires it.
 type harness struct {
 	sg      *skipgraph.SG[int64, int64]
 	machine *numa.Machine
@@ -27,26 +29,22 @@ func newHarness(t *testing.T, cfg Config[int64, int64]) *harness {
 	t.Helper()
 	var clock atomic.Int64
 	clock.Store(1)
+	domain := epoch.NewDomain(4)
 	sg, err := skipgraph.New[int64, int64](skipgraph.Config{
 		MaxLevel:         1,
 		Lazy:             true,
 		CommissionPeriod: testCommission,
 		Clock:            clock.Load,
+		CanRetire:        domain.SafeToRetire,
 	})
 	if err != nil {
 		t.Fatalf("skipgraph.New: %v", err)
 	}
-	topo, err := numa.New(2, 2, 1)
-	if err != nil {
-		t.Fatalf("numa.New: %v", err)
-	}
-	machine, err := numa.Pin(topo, 4)
-	if err != nil {
-		t.Fatalf("numa.Pin: %v", err)
-	}
+	machine := testMachine(t)
 	cfg.SG = sg
 	cfg.Machine = machine
 	cfg.Commission = testCommission
+	cfg.Domain = domain
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -82,6 +80,29 @@ func (h *harness) invalidate(t *testing.T, n *node.Node[int64, int64]) {
 	t.Helper()
 	if done, removed := h.sg.RemoveHelper(n, nil); !done || !removed {
 		t.Fatalf("invalidate %d: done=%v removed=%v", n.Key(), done, removed)
+	}
+}
+
+func testMachine(t *testing.T) *numa.Machine {
+	t.Helper()
+	topo, err := numa.New(2, 2, 1)
+	if err != nil {
+		t.Fatalf("numa.New: %v", err)
+	}
+	machine, err := numa.Pin(topo, 4)
+	if err != nil {
+		t.Fatalf("numa.Pin: %v", err)
+	}
+	return machine
+}
+
+func TestNewRequiresDomain(t *testing.T) {
+	sg, err := skipgraph.New[int64, int64](skipgraph.Config{Lazy: true, CommissionPeriod: testCommission})
+	if err != nil {
+		t.Fatalf("skipgraph.New: %v", err)
+	}
+	if _, err := New(Config[int64, int64]{SG: sg, Machine: testMachine(t), Manual: true}); err == nil {
+		t.Fatal("New accepted a nil Domain")
 	}
 }
 

@@ -61,7 +61,7 @@ func TestConcurrentInsertSameKey(t *testing.T) {
 func TestConcurrentRemoveSameNode(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		name := "nonlazy"
-		cfg := Config{MaxLevel: 2, CleanupDuringSearch: true}
+		cfg := Config{MaxLevel: 2}
 		if lazy {
 			name = "lazy"
 			cfg = Config{MaxLevel: 2, Lazy: true, CommissionPeriod: time.Hour}

@@ -96,9 +96,8 @@ func (sg *SG[K, V]) scanLevel(key K, previous *node.Node[K, V], level int, vecto
 // key (Succs). It returns true when Succs[0] is an unmarked node holding key.
 //
 // Along the way it retires invalid nodes whose commission period has expired
-// (lazy protocol), and — when the structure is configured with search-time
-// cleanup (non-lazy protocol) — physically unlinks each marked chain with a
-// single CAS.
+// (lazy protocol), and — under the non-lazy protocol, which cleans up at
+// search time — physically unlinks each marked chain with a single CAS.
 func (sg *SG[K, V]) LazyRelinkSearch(key K, start *node.Node[K, V], vector uint32, res *SearchResult[K, V], tr *stats.ThreadRecorder) bool {
 	var now int64
 	if sg.cfg.Lazy {
@@ -114,16 +113,7 @@ func (sg *SG[K, V]) LazyRelinkSearch(key K, start *node.Node[K, V], vector uint3
 		res.Middles[level] = originalCurrent
 		res.Succs[level] = current
 		if originalCurrent != current {
-			if sg.cfg.CleanupDuringSearch {
-				// Relink optimization outside insertions: swing the predecessor
-				// across the whole marked chain. Failure just means someone else
-				// already cleaned up or the predecessor moved on.
-				if previous.CASNext(level, originalCurrent, current, tr) {
-					tr.Relink(chain)
-				}
-			} else {
-				sg.noteMarkedChain(originalCurrent)
-			}
+			sg.unlinkChain(previous, originalCurrent, current, level, chain, tr)
 		}
 	}
 	succ := res.Succs[0]
@@ -145,13 +135,7 @@ func (sg *SG[K, V]) RetireSearch(key K, start *node.Node[K, V], vector uint32, t
 		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, now, tr)
 		previous = prev
 		if originalCurrent != current {
-			if sg.cfg.CleanupDuringSearch {
-				if previous.CASNext(level, originalCurrent, current, tr) {
-					tr.Relink(chain)
-				}
-			} else {
-				sg.noteMarkedChain(originalCurrent)
-			}
+			sg.unlinkChain(previous, originalCurrent, current, level, chain, tr)
 		}
 		if current.KeyEquals(key) && !current.Marked(0, tr) {
 			return current, true
@@ -181,11 +165,20 @@ func (sg *SG[K, V]) Spray(vector uint32, rng *rand.Rand, width int, tr *stats.Th
 	return previous
 }
 
-// noteMarkedChain hands the head of an observed marked chain to the
-// background maintenance engine, when one is attached. The lazy protocol
-// performs no search-time cleanup itself, so without a background engine
-// marked chains wait for an inserting substitution to bypass them.
-func (sg *SG[K, V]) noteMarkedChain(first *node.Node[K, V]) {
+// unlinkChain handles a chain of marked references a search observed between
+// previous and current at level. The non-lazy protocol unlinks it with a
+// single CAS — the relink optimization outside insertions; failure just means
+// someone else already cleaned up or the predecessor moved on. The lazy
+// protocol performs no search-time cleanup itself: it hands the chain's head
+// to the background maintenance engine, when one is attached, and otherwise
+// the chain waits for an inserting substitution to bypass it.
+func (sg *SG[K, V]) unlinkChain(previous, first, current *node.Node[K, V], level, chain int, tr *stats.ThreadRecorder) {
+	if !sg.cfg.Lazy {
+		if previous.CASNext(level, first, current, tr) {
+			tr.Relink(chain)
+		}
+		return
+	}
 	if h := sg.hooks; h != nil && h.EnqueueRelink != nil && first.IsData() {
 		h.EnqueueRelink(first)
 	}
@@ -198,8 +191,7 @@ func (sg *SG[K, V]) noteMarkedChain(first *node.Node[K, V]) {
 // With background-maintenance hooks attached, the node is instead handed to
 // the engine — during the commission period (so retirement happens off-path
 // the moment the period ends, instead of waiting for the next search to
-// stumble over the node) and, unless the hybrid policy keeps inline
-// retirement active, after it as well.
+// stumble over the node) and after it. Only a rejected enqueue retires inline.
 func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadRecorder) bool {
 	if !sg.cfg.Lazy || !n.IsData() {
 		return false
@@ -231,7 +223,7 @@ func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadR
 		// Only a successful enqueue may suppress inline retirement: a
 		// rejected one (full queue, closed engine) falls back inline, so an
 		// expired node can never become permanent garbage.
-		if h.EnqueueRetire(n, true) && !h.RetireInline {
+		if h.EnqueueRetire(n, true) {
 			return false
 		}
 	}
@@ -249,11 +241,10 @@ func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadR
 
 // CleanupSearch descends toward key through the skip list `vector` selects,
 // physically unlinking every chain of marked references it traverses with
-// single relink CASes — LazyRelinkSearch's cleanup behaviour decoupled from
-// Config.CleanupDuringSearch. The background maintenance engine runs it to
-// unlink retired nodes off the critical path; a CAS that fails just means a
-// concurrent inserting substitution or another cleanup already swung the
-// predecessor.
+// single relink CASes — the non-lazy protocol's search-time cleanup, run on
+// any structure. The background maintenance engine runs it to unlink retired
+// nodes off the critical path; a CAS that fails just means a concurrent
+// inserting substitution or another cleanup already swung the predecessor.
 //
 // Above level 0, a retired node can also sit behind a live node of its own
 // key: FinishInsert links a node in front of the successor its search

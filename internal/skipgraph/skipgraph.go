@@ -41,16 +41,15 @@ type Config struct {
 	// level i has 2^i lists. The paper sets MaxLevel = ceil(log2 T) - 1.
 	MaxLevel int
 	// Lazy selects the lazy protocol (valid bits, deferred level linking,
-	// commission-based retirement). Non-lazy structures ignore the valid bit.
+	// commission-based retirement). Non-lazy structures ignore the valid bit,
+	// and their searches physically unlink the chains of marked references
+	// they traverse, like a textbook skip list; the lazy protocol leaves
+	// unlinking to inserting substitutions (the paper's design) and the
+	// background maintenance engine.
 	Lazy bool
 	// Sparse selects geometric node heights (sparse skip graph). Non-sparse
 	// nodes span all levels.
 	Sparse bool
-	// CleanupDuringSearch makes retireSearch physically unlink chains of
-	// marked references as it traverses. The lazy protocol leaves unlinking
-	// to inserting substitutions only (the paper's design); the non-lazy
-	// protocol needs search-time cleanup like a textbook skip list.
-	CleanupDuringSearch bool
 	// SingleList restricts the structure to one list per level (every
 	// membership vector must be 0). This is how the non-layered skip list
 	// baseline avoids allocating 2^level head sentinels per level when built
@@ -81,8 +80,8 @@ type Config struct {
 // machine would defer every retirement ~9.6 ms, long enough for
 // low-contention runs to accumulate unbounded marked-but-linked garbage.
 const (
-	// DefaultCommissionPerThread is the per-thread constant of the default
-	// commission period, overridable via core.Config.CommissionPerThread.
+	// DefaultCommissionPerThread is the per-thread constant c of the default
+	// commission period c·T.
 	DefaultCommissionPerThread = 100 * time.Microsecond
 	// DefaultCommissionCap bounds the proportional-to-T default. Revivals
 	// (the commission period's purpose) cluster within microseconds of the
@@ -94,27 +93,11 @@ const (
 // DefaultCommissionPeriod returns the paper's commission period scaled to a
 // thread count: proportional to T, tuned so high-contention runs keep
 // retirement rare while low-contention runs do not accumulate garbage, and
-// capped at DefaultCommissionCap.
+// capped at DefaultCommissionCap. A thread count below 1 counts as 1.
+// Callers that genuinely want a longer period set Config.CommissionPeriod
+// explicitly.
 func DefaultCommissionPeriod(threads int) time.Duration {
-	return CommissionPeriodFor(threads, 0)
-}
-
-// CommissionPeriodFor derives a commission period from an effective thread
-// count and a per-thread constant (0 uses DefaultCommissionPerThread). The
-// result is capped at DefaultCommissionCap; callers that genuinely want a
-// longer period set Config.CommissionPeriod explicitly.
-func CommissionPeriodFor(threads int, perThread time.Duration) time.Duration {
-	if perThread <= 0 {
-		perThread = DefaultCommissionPerThread
-	}
-	p := time.Duration(threads) * perThread
-	if p > DefaultCommissionCap {
-		p = DefaultCommissionCap
-	}
-	if p <= 0 {
-		p = perThread
-	}
-	return p
+	return min(time.Duration(max(threads, 1))*DefaultCommissionPerThread, DefaultCommissionCap)
 }
 
 // Hooks are the background maintenance engine's enqueue callbacks, invoked
@@ -132,15 +115,11 @@ type Hooks[K cmp.Ordered, V any] struct {
 	// references to the engine for off-path physical unlinking (the lazy
 	// protocol performs no search-time cleanup of its own).
 	EnqueueRelink func(n *node.Node[K, V]) bool
-	// EnterLimbo hands a node this search retired inline (the hybrid
-	// policy, or the fallback when EnqueueRetire rejects) to the engine's
-	// reclamation limbo. Without the hand-off a marked node can never be
-	// re-enqueued — its slot would be permanent garbage under reclamation.
+	// EnterLimbo hands a node this search retired inline (the fallback when
+	// EnqueueRetire rejects) to the engine's reclamation limbo. Without the
+	// hand-off a marked node can never be re-enqueued — its slot would be
+	// permanent garbage.
 	EnterLimbo func(n *node.Node[K, V])
-	// RetireInline keeps search-path retirement active alongside the
-	// enqueue (the hybrid policy). When false, searches only enqueue:
-	// expired invalid nodes are never retired on the critical path.
-	RetireInline bool
 }
 
 // SG is a concurrent skip graph. All methods are safe for concurrent use.

@@ -223,9 +223,16 @@ func TestSparseListOccupancy(t *testing.T) {
 }
 
 // TestRelinkOptimization: marking a chain of nodes and inserting over it must
-// physically remove the whole chain with the insertion CAS.
+// physically remove the whole chain with the insertion CAS. The list is lazy,
+// because lazy searches leave marked chains for inserting substitutions.
 func TestRelinkOptimization(t *testing.T) {
-	sg := newSG(t, Config{MaxLevel: 0}) // pure linked list, no search cleanup
+	clock := int64(0)
+	sg := newSG(t, Config{
+		MaxLevel:         0,
+		Lazy:             true,
+		CommissionPeriod: 1000 * time.Nanosecond,
+		Clock:            func() int64 { return clock },
+	})
 	insert(t, sg, 10, 0, 0)
 	chain := []*node.Node[int64, int64]{
 		insert(t, sg, 20, 0, 0),
@@ -238,14 +245,23 @@ func TestRelinkOptimization(t *testing.T) {
 			t.Fatalf("remove %d failed", n.Key())
 		}
 	}
-	// Non-lazy removal marks immediately; the nodes are still physically
-	// linked until a search or insert relinks across them.
+	// Once the commission expires, Retire marks each removed node; the nodes
+	// stay physically linked until an insert relinks across them.
+	clock += 2000
+	for _, n := range chain {
+		if !sg.Retire(n, nil) {
+			t.Fatalf("retire %d failed", n.Key())
+		}
+	}
 	res := sg.NewSearchResult()
 	if sg.LazyRelinkSearch(25, nil, 0, res, nil) {
 		t.Fatal("25 present?")
 	}
 	if res.Preds[0].Key() != 10 || res.Succs[0].Key() != 50 {
 		t.Fatalf("search bracketing wrong: %v..%v", res.Preds[0].Key(), res.Succs[0].Key())
+	}
+	if res.Middles[0] != chain[0] {
+		t.Fatal("the search unlinked the marked chain itself")
 	}
 	n := sg.NewNode(25, 25, 0, node.Owner{}, 0)
 	if !sg.LinkLevel0(res, n, nil) {
@@ -266,7 +282,7 @@ func TestRelinkOptimization(t *testing.T) {
 }
 
 func TestCleanupDuringSearch(t *testing.T) {
-	sg := newSG(t, Config{MaxLevel: 0, CleanupDuringSearch: true})
+	sg := newSG(t, Config{MaxLevel: 0}) // non-lazy: searches clean up
 	insert(t, sg, 10, 0, 0)
 	doomed := insert(t, sg, 20, 0, 0)
 	insert(t, sg, 30, 0, 0)
@@ -545,20 +561,21 @@ func TestDefaultCommissionProportionalToThreads(t *testing.T) {
 	}
 }
 
-func TestCommissionPeriodFor(t *testing.T) {
-	// A custom per-thread constant scales and still respects the cap.
-	if got := CommissionPeriodFor(4, 50*time.Microsecond); got != 200*time.Microsecond {
-		t.Fatalf("4×50µs = %v, want 200µs", got)
+// TestDefaultCommissionPeriodCapAndFloor: the cap binds from the first
+// thread count whose product passes it, and no thread count yields a
+// non-positive period.
+func TestDefaultCommissionPeriodCapAndFloor(t *testing.T) {
+	threadsAtCap := int(DefaultCommissionCap / DefaultCommissionPerThread)
+	if got := DefaultCommissionPeriod(threadsAtCap + 1); got != DefaultCommissionCap {
+		t.Fatalf("%d-thread commission %v, want cap %v", threadsAtCap+1, got, DefaultCommissionCap)
 	}
-	if got := CommissionPeriodFor(1000, 50*time.Microsecond); got != DefaultCommissionCap {
-		t.Fatalf("1000×50µs = %v, want cap %v", got, DefaultCommissionCap)
+	if got := DefaultCommissionPeriod(threadsAtCap - 1); got != time.Duration(threadsAtCap-1)*DefaultCommissionPerThread {
+		t.Fatalf("%d-thread commission %v, want uncapped", threadsAtCap-1, got)
 	}
-	// The cap binds even for a single thread; callers wanting a longer
-	// period set Config.CommissionPeriod explicitly.
-	if got := CommissionPeriodFor(1, 5*time.Millisecond); got != DefaultCommissionCap {
-		t.Fatalf("oversized per-thread constant %v, want cap %v", got, DefaultCommissionCap)
+	if DefaultCommissionPeriod(0) != DefaultCommissionPerThread {
+		t.Fatal("zero threads did not count as one")
 	}
-	if CommissionPeriodFor(0, 0) <= 0 {
-		t.Fatal("zero threads produced a non-positive commission period")
+	if DefaultCommissionPeriod(-3) != DefaultCommissionPerThread {
+		t.Fatal("a negative thread count did not count as one")
 	}
 }

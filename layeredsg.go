@@ -96,22 +96,6 @@ const (
 	LayeredSL = core.LayeredSL
 )
 
-// ReclaimMode selects whether retired nodes' arena slots are reclaimed; see
-// Config.Reclaim and DESIGN.md §7.
-type ReclaimMode = core.ReclaimMode
-
-// Slot-reclamation modes.
-const (
-	// ReclaimAuto (the default) reclaims retired slots through the
-	// epoch-based limbo pipeline on lazy variants with a background
-	// maintenance engine, and enables Snapshot / consistent RangeScan.
-	ReclaimAuto = core.ReclaimAuto
-	// ReclaimOff never frees slots (the pre-reclamation behavior): retired
-	// nodes hold their arena slots for the structure's lifetime and
-	// Snapshot is unavailable.
-	ReclaimOff = core.ReclaimOff
-)
-
 // Snapshot is a consistent point-in-time view of a Map; see core.Snapshot
 // and Store.Snapshot.
 type Snapshot[K cmp.Ordered, V any] = core.Snapshot[K, V]
@@ -127,12 +111,10 @@ const (
 	// searches (the default).
 	MaintInline = core.MaintInline
 	// MaintBackground moves all deferred maintenance to a background helper
-	// pool (one helper per socket by default); searches only enqueue. Maps
-	// and Stores built with it should be Close()d.
+	// pool (one helper per socket by default); searches only enqueue. It is
+	// the policy that returns retired nodes' arena slots to the free lists
+	// (DESIGN.md §8). Maps and Stores built with it should be Close()d.
 	MaintBackground = core.MaintBackground
-	// MaintHybrid enqueues like MaintBackground but keeps inline expired
-	// retirement active as well.
-	MaintHybrid = core.MaintHybrid
 )
 
 // New builds a layered map. When cfg.WAL names a directory, a fresh

@@ -14,12 +14,6 @@ import (
 	"layeredsg/internal/stats"
 )
 
-// maintPolicies are the non-inline maintenance policies every scenario here
-// runs under.
-var maintPolicies = []MaintenancePolicy{MaintBackground, MaintHybrid}
-
-func policyName(p MaintenancePolicy) string { return p.String() }
-
 // TestTortureBackgroundMaintenance reruns the torture mix on the lazy
 // variants with deferred maintenance moved to the background helper pool:
 // each thread owns a deterministic key range (verified exactly after Close)
@@ -36,84 +30,82 @@ func TestTortureBackgroundMaintenance(t *testing.T) {
 		sharedOps = 3000
 	)
 	for _, kind := range []Kind{LazyLayeredSG, LazyLayeredSSG} {
-		for _, policy := range maintPolicies {
-			t.Run(kind.String()+"/"+policyName(policy), func(t *testing.T) {
-				machine := testMachine(t, threads)
-				m, err := New[int64, int64](Config{
-					Machine:          machine,
-					Kind:             kind,
-					CommissionPeriod: 30 * time.Microsecond,
-					Maintenance:      policy,
-					Seed:             99,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				for th := 0; th < threads; th++ {
-					wg.Add(1)
-					go func(th int) {
-						defer wg.Done()
-						h := m.Handle(th)
-						rng := rand.New(rand.NewSource(int64(th) * 31))
-						base := int64(1<<20) + int64(th)*10000
-						for k := int64(0); k < ownedKeys; k++ {
-							if !h.Insert(base+k, k) {
-								t.Errorf("thread %d: owned insert %d failed", th, base+k)
-								return
-							}
-							for j := 0; j < sharedOps/ownedKeys; j++ {
-								key := rng.Int63n(512)
-								switch rng.Intn(3) {
-								case 0:
-									h.Insert(key, key)
-								case 1:
-									h.Remove(key)
-								default:
-									h.Contains(key)
-								}
-							}
-							if k%2 == 1 {
-								if !h.Remove(base + k) {
-									t.Errorf("thread %d: owned remove %d failed", th, base+k)
-									return
-								}
-							}
-							runtime.Gosched()
-						}
-					}(th)
-				}
-				wg.Wait()
-				m.Close()
-				if t.Failed() {
-					return
-				}
-				h := m.Handle(0)
-				for th := 0; th < threads; th++ {
+		t.Run(kind.String()+"/"+MaintBackground.String(), func(t *testing.T) {
+			machine := testMachine(t, threads)
+			m, err := New[int64, int64](Config{
+				Machine:          machine,
+				Kind:             kind,
+				CommissionPeriod: 30 * time.Microsecond,
+				Maintenance:      MaintBackground,
+				Seed:             99,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for th := 0; th < threads; th++ {
+				wg.Add(1)
+				go func(th int) {
+					defer wg.Done()
+					h := m.Handle(th)
+					rng := rand.New(rand.NewSource(int64(th) * 31))
 					base := int64(1<<20) + int64(th)*10000
 					for k := int64(0); k < ownedKeys; k++ {
-						want := k%2 == 0
-						if got := h.Contains(base + k); got != want {
-							t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
+						if !h.Insert(base+k, k) {
+							t.Errorf("thread %d: owned insert %d failed", th, base+k)
+							return
 						}
+						for j := 0; j < sharedOps/ownedKeys; j++ {
+							key := rng.Int63n(512)
+							switch rng.Intn(3) {
+							case 0:
+								h.Insert(key, key)
+							case 1:
+								h.Remove(key)
+							default:
+								h.Contains(key)
+							}
+						}
+						if k%2 == 1 {
+							if !h.Remove(base + k) {
+								t.Errorf("thread %d: owned remove %d failed", th, base+k)
+								return
+							}
+						}
+						runtime.Gosched()
+					}
+				}(th)
+			}
+			wg.Wait()
+			m.Close()
+			if t.Failed() {
+				return
+			}
+			h := m.Handle(0)
+			for th := 0; th < threads; th++ {
+				base := int64(1<<20) + int64(th)*10000
+				for k := int64(0); k < ownedKeys; k++ {
+					want := k%2 == 0
+					if got := h.Contains(base + k); got != want {
+						t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
 					}
 				}
-				if err := m.SharedStructure().Validate(); err != nil {
-					t.Fatal(err)
-				}
-				eng := m.Maintenance()
-				if eng == nil {
-					t.Fatal("lazy map with background policy has no engine")
-				}
-				st := eng.Stats()
-				if st.Enqueues == 0 {
-					t.Error("no maintenance work was ever enqueued")
-				}
-				if st.QueueDepth != 0 {
-					t.Errorf("queue depth %d after Close, want 0", st.QueueDepth)
-				}
-			})
-		}
+			}
+			if err := m.SharedStructure().Validate(); err != nil {
+				t.Fatal(err)
+			}
+			eng := m.Maintenance()
+			if eng == nil {
+				t.Fatal("lazy map with background policy has no engine")
+			}
+			st := eng.Stats()
+			if st.Enqueues == 0 {
+				t.Error("no maintenance work was ever enqueued")
+			}
+			if st.QueueDepth != 0 {
+				t.Errorf("queue depth %d after Close, want 0", st.QueueDepth)
+			}
+		})
 	}
 }
 
@@ -125,54 +117,52 @@ func TestTortureBackgroundMaintenance(t *testing.T) {
 func TestHelperVsInlineFinishInsertRace(t *testing.T) {
 	threads := clampThreads(8)
 	const keysPerThread = 400
-	for _, policy := range maintPolicies {
-		t.Run(policyName(policy), func(t *testing.T) {
-			machine := testMachine(t, threads)
-			m, err := New[int64, int64](Config{
-				Machine:          machine,
-				Kind:             LazyLayeredSG,
-				CommissionPeriod: 50 * time.Microsecond,
-				Maintenance:      policy,
-				Seed:             7,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					h := m.Handle(th)
-					base := int64(th) * keysPerThread
-					for k := int64(0); k < keysPerThread; k++ {
-						if !h.Insert(base+k, k) {
-							t.Errorf("thread %d: Insert(%d) failed", th, base+k)
-							return
-						}
-						// Re-read a recent key: getStart walks the local
-						// structure and claims unfinished nodes inline while
-						// the helper drains the same enqueued items.
-						if probe := base + k/2; !h.Contains(probe) {
-							t.Errorf("thread %d: lost key %d", th, probe)
-							return
-						}
-					}
-				}(th)
-			}
-			wg.Wait()
-			m.Close()
-			if t.Failed() {
-				return
-			}
-			if got, want := m.Len(), threads*keysPerThread; got != want {
-				t.Fatalf("Len() = %d after drain, want %d", got, want)
-			}
-			if err := m.SharedStructure().Validate(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run(MaintBackground.String(), func(t *testing.T) {
+		machine := testMachine(t, threads)
+		m, err := New[int64, int64](Config{
+			Machine:          machine,
+			Kind:             LazyLayeredSG,
+			CommissionPeriod: 50 * time.Microsecond,
+			Maintenance:      MaintBackground,
+			Seed:             7,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for th := 0; th < threads; th++ {
+			wg.Add(1)
+			go func(th int) {
+				defer wg.Done()
+				h := m.Handle(th)
+				base := int64(th) * keysPerThread
+				for k := int64(0); k < keysPerThread; k++ {
+					if !h.Insert(base+k, k) {
+						t.Errorf("thread %d: Insert(%d) failed", th, base+k)
+						return
+					}
+					// Re-read a recent key: getStart walks the local
+					// structure and claims unfinished nodes inline while
+					// the helper drains the same enqueued items.
+					if probe := base + k/2; !h.Contains(probe) {
+						t.Errorf("thread %d: lost key %d", th, probe)
+						return
+					}
+				}
+			}(th)
+		}
+		wg.Wait()
+		m.Close()
+		if t.Failed() {
+			return
+		}
+		if got, want := m.Len(), threads*keysPerThread; got != want {
+			t.Fatalf("Len() = %d after drain, want %d", got, want)
+		}
+		if err := m.SharedStructure().Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCloseDuringDrain closes the map the instant the workload stops, while
@@ -181,52 +171,50 @@ func TestHelperVsInlineFinishInsertRace(t *testing.T) {
 // structure valid with nothing queued.
 func TestCloseDuringDrain(t *testing.T) {
 	threads := clampThreads(4)
-	for _, policy := range maintPolicies {
-		t.Run(policyName(policy), func(t *testing.T) {
-			machine := testMachine(t, threads)
-			m, err := New[int64, int64](Config{
-				Machine:          machine,
-				Kind:             LazyLayeredSG,
-				CommissionPeriod: 50 * time.Millisecond, // backlog stays in commission
-				Maintenance:      policy,
-				Seed:             3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					h := m.Handle(th)
-					rng := rand.New(rand.NewSource(int64(th)))
-					for i := 0; i < 2000; i++ {
-						key := rng.Int63n(256)
-						if rng.Intn(2) == 0 {
-							h.Insert(key, key)
-						} else {
-							h.Remove(key)
-						}
-					}
-				}(th)
-			}
-			wg.Wait()
-			m.Close() // queues hot: finish items plus in-commission retires
-			if err := m.SharedStructure().Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if d := m.Maintenance().QueueDepth(); d != 0 {
-				t.Fatalf("queue depth %d after Close, want 0", d)
-			}
-			// The map's logical contents survive Close (only background
-			// helpers stop); confined handles remain usable.
-			h := m.Handle(0)
-			for k := int64(0); k < 256; k++ {
-				h.Contains(k)
-			}
+	t.Run(MaintBackground.String(), func(t *testing.T) {
+		machine := testMachine(t, threads)
+		m, err := New[int64, int64](Config{
+			Machine:          machine,
+			Kind:             LazyLayeredSG,
+			CommissionPeriod: 50 * time.Millisecond, // backlog stays in commission
+			Maintenance:      MaintBackground,
+			Seed:             3,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for th := 0; th < threads; th++ {
+			wg.Add(1)
+			go func(th int) {
+				defer wg.Done()
+				h := m.Handle(th)
+				rng := rand.New(rand.NewSource(int64(th)))
+				for i := 0; i < 2000; i++ {
+					key := rng.Int63n(256)
+					if rng.Intn(2) == 0 {
+						h.Insert(key, key)
+					} else {
+						h.Remove(key)
+					}
+				}
+			}(th)
+		}
+		wg.Wait()
+		m.Close() // queues hot: finish items plus in-commission retires
+		if err := m.SharedStructure().Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if d := m.Maintenance().QueueDepth(); d != 0 {
+			t.Fatalf("queue depth %d after Close, want 0", d)
+		}
+		// The map's logical contents survive Close (only background
+		// helpers stop); confined handles remain usable.
+		h := m.Handle(0)
+		for k := int64(0); k < 256; k++ {
+			h.Contains(k)
+		}
+	})
 }
 
 // TestStoreCloseLifecycle exercises the Store facade's Close contract with
@@ -310,9 +298,9 @@ func TestStoreCloseLifecycle(t *testing.T) {
 }
 
 // TestScheduledLinearizabilityBackgroundMaint replays seeded deterministic
-// interleavings against the lazy variant with background and hybrid
-// maintenance. Helper recorders carry no access sink, so helpers run freely
-// while the registered workers are stepped at every shared access — the
+// interleavings against the lazy variant with background maintenance. Helper
+// recorders carry no access sink, so helpers run freely while the registered
+// workers are stepped at every shared access — the
 // schedule explores inline-protocol interleavings while real helpers claim,
 // retire, and relink concurrently.
 func TestScheduledLinearizabilityBackgroundMaint(t *testing.T) {
@@ -322,16 +310,14 @@ func TestScheduledLinearizabilityBackgroundMaint(t *testing.T) {
 		keySpace = 2
 		seeds    = 60
 	)
-	for _, policy := range maintPolicies {
-		t.Run(policyName(policy), func(t *testing.T) {
-			for seed := int64(0); seed < seeds; seed++ {
-				runScheduledMaint(t, policy, seed, threads, ops, keySpace)
-			}
-		})
-	}
+	t.Run(MaintBackground.String(), func(t *testing.T) {
+		for seed := int64(0); seed < seeds; seed++ {
+			runScheduledMaint(t, seed, threads, ops, keySpace)
+		}
+	})
 }
 
-func runScheduledMaint(t *testing.T, policy MaintenancePolicy, seed int64, threads, ops int, keySpace int64) {
+func runScheduledMaint(t *testing.T, seed int64, threads, ops int, keySpace int64) {
 	t.Helper()
 	machine := testMachine(t, threads)
 	stepper := schedtest.NewStepper(seed)
@@ -341,7 +327,7 @@ func runScheduledMaint(t *testing.T, policy MaintenancePolicy, seed int64, threa
 		KeySpace:         keySpace,
 		Recorder:         rec,
 		CommissionPeriod: time.Nanosecond, // retire eagerly: widest race surface
-		Maintenance:      policy,
+		Maintenance:      MaintBackground,
 		Seed:             seed,
 	})
 	if err != nil {
@@ -385,6 +371,6 @@ func runScheduledMaint(t *testing.T, policy MaintenancePolicy, seed int64, threa
 		for _, op := range history {
 			t.Logf("  %v", op)
 		}
-		t.Fatalf("policy %v seed %d: schedule not linearizable", policy, seed)
+		t.Fatalf("seed %d: schedule not linearizable", seed)
 	}
 }

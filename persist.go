@@ -151,7 +151,7 @@ func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], L
 		return nil, stats, err
 	}
 	if walDir != "" && st.m.Domain() == nil {
-		return fail(LoadStats{}, fmt.Errorf("layeredsg: %s with Reclaim=%s supports no WAL (requires a lazy variant with ReclaimAuto)", cfg.Kind, cfg.Reclaim))
+		return fail(LoadStats{}, fmt.Errorf("layeredsg: %s supports no WAL (requires a lazy variant)", cfg.Kind))
 	}
 	workers := st.m.Machine().Topology().Sockets()
 	if eng := st.m.Maintenance(); eng != nil {

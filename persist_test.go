@@ -307,7 +307,7 @@ func TestCloseDuringDump(t *testing.T) {
 
 func TestDumpRequiresSnapshots(t *testing.T) {
 	cfg := persistConfig(persistMachine(t, 1, 2, 2))
-	cfg.Reclaim = ReclaimOff
+	cfg.Kind = LayeredSG
 	st, err := NewStore[int64, int64](cfg)
 	if err != nil {
 		t.Fatal(err)

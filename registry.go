@@ -63,9 +63,8 @@ type AdapterOptions struct {
 	// CommissionPeriod overrides the lazy variants' commission period.
 	CommissionPeriod time.Duration
 	// Maintenance selects who performs the lazy variants' deferred
-	// maintenance: the paper's inline protocol (zero value), the background
-	// helper pool, or both (see MaintBackground / MaintHybrid). Other
-	// algorithms ignore it.
+	// maintenance: the paper's inline protocol (zero value) or the
+	// background helper pool (MaintBackground). Other algorithms ignore it.
 	Maintenance MaintenancePolicy
 	// Seed makes structure-internal randomness deterministic.
 	Seed int64

@@ -315,35 +315,25 @@ func TestSnapshotVisit(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnsupported: variants without the epoch machinery (non-lazy
-// kinds, ReclaimOff) refuse snapshots with an error, and their weakly
+// TestSnapshotUnsupported: variants without the epoch machinery (the
+// non-lazy kinds) refuse snapshots with an error, and their weakly
 // consistent reads keep working.
 func TestSnapshotUnsupported(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"non-lazy", Config{Kind: LayeredSG, Seed: 1}},
-		{"reclaim-off", Config{Kind: LazyLayeredSG, Seed: 1, Reclaim: ReclaimOff, CommissionPeriod: 500}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.Machine = testMachine(t, 2)
-			m, err := New[int64, int64](cfg)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			defer m.Close()
-			if _, err := m.Snapshot(); err == nil {
-				t.Fatalf("Snapshot succeeded on a %s map", tc.name)
-			}
-			h := m.Handle(0)
-			h.Insert(1, 10)
-			if v, ok := h.Get(1); !ok || v != 10 {
-				t.Fatalf("Get(1) = (%d, %v) on a %s map", v, ok, tc.name)
-			}
-		})
-	}
+	t.Run("non-lazy", func(t *testing.T) {
+		m, err := New[int64, int64](Config{Machine: testMachine(t, 2), Kind: LayeredSG, Seed: 1})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer m.Close()
+		if _, err := m.Snapshot(); err == nil {
+			t.Fatal("Snapshot succeeded on a non-lazy map")
+		}
+		h := m.Handle(0)
+		h.Insert(1, 10)
+		if v, ok := h.Get(1); !ok || v != 10 {
+			t.Fatalf("Get(1) = (%d, %v) on a non-lazy map", v, ok)
+		}
+	})
 }
 
 // TestStoreCloseBlocksOnSnapshot: Store.Close must not tear down the map

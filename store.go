@@ -263,12 +263,12 @@ func (s *Store[K, V]) Remove(key K) bool {
 // RangeScan visits logically present entries with from <= key <= to in
 // ascending key order until fn returns false.
 //
-// On maps with the epoch machinery (lazy variants with ReclaimAuto, the
-// default), the scan runs on an ephemeral Snapshot: it observes a single
-// consistent point in time — exactly the mutations stamped before it, none
-// after. On other variants it falls back to Handle.Ascend's weakly
-// consistent traversal under one lease, where entries mutated concurrently
-// with the scan may or may not be observed.
+// On lazy variants (the default LazyLayeredSG among them) the scan runs on
+// an ephemeral Snapshot: it observes a single consistent point in time —
+// exactly the mutations stamped before it, none after. Non-lazy variants
+// have no snapshots, so it falls back to Handle.Ascend's weakly consistent
+// traversal under one lease, where entries mutated concurrently with the
+// scan may or may not be observed.
 func (s *Store[K, V]) RangeScan(from, to K, fn func(key K, value V) bool) {
 	if s.m.Domain() != nil {
 		snap, err := s.Snapshot()
@@ -296,8 +296,8 @@ func (s *Store[K, V]) RangeScan(from, to K, fn func(key K, value V) bool) {
 // Snapshot acquires a consistent point-in-time view of the map (see
 // core.Snapshot): it observes exactly the mutations stamped at or below its
 // sequence, regardless of concurrent writers. Snapshots are only available
-// on maps with the epoch machinery (lazy variants with ReclaimAuto, the
-// default); other configurations return an error.
+// on lazy variants (the default LazyLayeredSG among them); non-lazy variants
+// return an error.
 //
 // Close every snapshot promptly: an open snapshot freezes slot reclamation,
 // and Store.Close blocks until the last open snapshot is closed.
