@@ -128,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOps$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzDumpLoad$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSync$$' -fuzztime $(FUZZTIME) ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzLocalStructure$$' -fuzztime $(FUZZTIME) ./internal/local
 
 fmt:
 	gofmt -l .

@@ -176,3 +176,45 @@ func TestBackgroundPolicies(t *testing.T) {
 		m.Close() // Idempotent.
 	})
 }
+
+// TestUpdateStartAfterPrunedEntry: a retry whose jump entry an earlier
+// updateStartFrom pruned must seed from the next usable entry below, not
+// from the head. lazyInsert and lazyRemove hold the iterator getStart
+// returned across retries, and FinishInsert's restart closure holds it
+// across restarts, so Prev from an iterator whose own entry is gone must
+// still find the entries below its key.
+func TestUpdateStartAfterPrunedEntry(t *testing.T) {
+	var clock atomic.Int64
+	clock.Store(1)
+	m := newLazyMap(t, Config{Clock: clock.Load})
+	h := m.Handle(0)
+	for _, k := range []int64{10, 20, 30} {
+		if !h.Insert(k, k) {
+			t.Fatalf("insert %d failed", k)
+		}
+	}
+	h.pin.Pin()
+	it := h.getStart(35)
+	h.pin.Unpin()
+	if !it.Valid() || it.Key() != 30 {
+		t.Fatal("getStart(35) did not stop at 30")
+	}
+	n30 := it.Value().N
+	if !h.Remove(30) {
+		t.Fatal("remove 30 failed")
+	}
+	clock.Add(2 * int64(m.SharedStructure().CommissionPeriod()))
+	if !m.sg.Retire(n30, h.tr) {
+		t.Fatal("Retire(30) failed")
+	}
+	h.pin.Pin()
+	defer h.pin.Unpin()
+	for call := 1; call <= 2; call++ {
+		switch start := h.updateStartFrom(it); {
+		case start == nil:
+			t.Fatalf("updateStartFrom call %d seeds at the head, want 20", call)
+		case start.Key() != 20:
+			t.Fatalf("updateStartFrom call %d seeds at %d, want 20", call, start.Key())
+		}
+	}
+}

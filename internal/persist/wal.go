@@ -200,10 +200,11 @@ type walRawRec struct {
 	start, end int
 }
 
-// scanWAL parses records from data starting at walHeaderSize. It returns the
-// intact records and the offset where the intact prefix ends; parsing
+// scanWAL parses records from data starting at walHeaderSize and hands each
+// intact record to visit in log order; an error from visit stops the scan and
+// is returned. validEnd is the offset where the intact prefix ends; parsing
 // stopping before len(data) means the tail from that offset is torn.
-func scanWAL(data []byte) (recs []walRawRec, validEnd int) {
+func scanWAL(data []byte, visit func(walRawRec) error) (validEnd int, err error) {
 	off := walHeaderSize
 	for off < len(data) {
 		r := walRawRec{start: off}
@@ -242,10 +243,12 @@ func scanWAL(data []byte) (recs []walRawRec, validEnd int) {
 			break
 		}
 		r.end = p + 4
-		recs = append(recs, r)
+		if err := visit(r); err != nil {
+			return off, err
+		}
 		off = r.end
 	}
-	return recs, off
+	return off, nil
 }
 
 // OpenWAL opens an existing log, recovers its torn tail (physically
@@ -281,25 +284,30 @@ func OpenWAL[K cmp.Ordered, V any](path string, expectLineage uint64, opts WALOp
 		return nil, nil, stats, fmt.Errorf("%w: %s journals lineage %016x, dump is %016x", ErrWALMismatch, path, lineage, expectLineage)
 	}
 
-	raw, validEnd := scanWAL(data)
-	stats.Records = len(raw)
+	var recs []WALRecord[K, V]
+	validEnd, err := scanWAL(data, func(r walRawRec) error {
+		rec := WALRecord[K, V]{Op: r.op, Seq: r.seq}
+		var err error
+		if rec.Key, err = kc.dec(r.key); err != nil {
+			return fmt.Errorf("%w: %s: record %d: key undecodable despite valid CRC", ErrFormat, path, len(recs))
+		}
+		if r.op == WALInsert {
+			if rec.Value, err = vc.dec(r.val); err != nil {
+				return fmt.Errorf("%w: %s: record %d: value undecodable despite valid CRC", ErrFormat, path, len(recs))
+			}
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	stats.Records = len(recs)
 	if validEnd < len(data) {
 		stats.DiscardedBytes = int64(len(data) - validEnd)
 		stats.Truncated = true
 		if err := os.Truncate(path, int64(validEnd)); err != nil {
 			return nil, nil, stats, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
-		}
-	}
-	recs := make([]WALRecord[K, V], len(raw))
-	for i, r := range raw {
-		recs[i] = WALRecord[K, V]{Op: r.op, Seq: r.seq}
-		if recs[i].Key, err = kc.dec(r.key); err != nil {
-			return nil, nil, stats, fmt.Errorf("%w: %s: record %d: key undecodable despite valid CRC", ErrFormat, path, i)
-		}
-		if r.op == WALInsert {
-			if recs[i].Value, err = vc.dec(r.val); err != nil {
-				return nil, nil, stats, fmt.Errorf("%w: %s: record %d: value undecodable despite valid CRC", ErrFormat, path, i)
-			}
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -429,7 +437,6 @@ func (w *WAL[K, V]) Prune(upTo uint64) error {
 	if err != nil {
 		return fmt.Errorf("persist: pruning WAL: %w", err)
 	}
-	raw, validEnd := scanWAL(data)
 	tmp := w.path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -445,12 +452,15 @@ func (w *WAL[K, V]) Prune(upTo uint64) error {
 	if _, err := bw.Write(hb[:]); err != nil {
 		return fail(err)
 	}
-	for _, r := range raw {
-		if r.seq > upTo {
-			if _, err := bw.Write(data[r.start:r.end]); err != nil {
-				return fail(err)
-			}
+	validEnd, err := scanWAL(data, func(r walRawRec) error {
+		if r.seq <= upTo {
+			return nil
 		}
+		_, err := bw.Write(data[r.start:r.end])
+		return err
+	})
+	if err != nil {
+		return fail(err)
 	}
 
 	// Phase 3 (lock): flush the records that arrived during the rebuild,
