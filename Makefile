@@ -26,8 +26,9 @@
 #   make race-persist — race pass over the persistence surface:
 #                   internal/persist plus the root dump/load scenarios that
 #                   run writers against in-flight dumps (snapshot isolation,
-#                   Close-during-dump, WAL recovery, the persist torture run)
-#                   and the FuzzDumpLoad seed corpus
+#                   Close-during-dump, WAL recovery, the persist torture run),
+#                   the load's dealing of keys over every stripe, and the
+#                   FuzzDumpLoad seed corpus
 #   make race-wal — race pass over the WAL durability surface: the sync-policy
 #                   and group-commit scenarios, the process-kill crash matrix,
 #                   the FuzzWALSync seed corpus, and the root Barrier/Err
@@ -92,7 +93,7 @@ race-index:
 
 race-persist:
 	$(GO) test -race ./internal/persist
-	$(GO) test -race -run 'TestTorturePersist|TestDumpSnapshotIsolation|TestCloseDuringDump|TestWAL|TestStoreDumpLoadRoundTrip|FuzzDumpLoad' .
+	$(GO) test -race -run 'TestTorturePersist|TestDumpSnapshotIsolation|TestCloseDuringDump|TestWAL|TestStoreDumpLoadRoundTrip|TestLoadDealsEveryStripe|FuzzDumpLoad' .
 
 race-wal:
 	$(GO) test -race -run 'TestWAL|TestSyncPolicy|FuzzWALSync' ./internal/persist

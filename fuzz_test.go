@@ -668,8 +668,8 @@ func replaySnapshotOps(t *testing.T, kind core.Kind, data []byte) {
 	checkModel(t, kind, m, model)
 }
 
-// persistFuzzConfig is fuzzConfig with a goroutine-safe clock: dump writers
-// and load workers run in parallel, so the injected clock must be atomic.
+// persistFuzzConfig is fuzzConfig with a clock safe for concurrent use, as
+// the clock of a Store, which any goroutine may call, must be.
 func persistFuzzConfig(machine *Machine, kind core.Kind) Config {
 	var now atomic.Int64
 	return Config{

@@ -316,3 +316,72 @@ func TestConcurrentContended(t *testing.T) {
 		})
 	}
 }
+
+// TestBuild bulk-loads every kind from an ascending stream: the keys are
+// dealt evenly over the handles' local structures (sparse kinds keep only
+// their top-level nodes), reads and mutations work from every handle, and
+// the build refuses a stream that does not ascend or a map that is not
+// empty.
+func TestBuild(t *testing.T) {
+	const n = 4000
+	records := func(yield func(int64, int64) bool) {
+		for k := int64(0); k < n; k++ {
+			if !yield(2*k, k) {
+				return
+			}
+		}
+	}
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := newMap(t, kind, 8)
+			defer m.Close()
+			if err := Build(m, 7, records); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SharedStructure().Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Len(); got != n {
+				t.Fatalf("Len() = %d, want %d", got, n)
+			}
+			if m.Domain() != nil && m.Domain().Seq() != 7 {
+				t.Fatalf("sequence %d after Build, want 7", m.Domain().Seq())
+			}
+			for th := 0; th < m.Threads(); th++ {
+				h := m.Handle(th)
+				if got := h.LocalTreeLen(); kind.sparse() && got == 0 || !kind.sparse() && got != n/m.Threads() {
+					t.Fatalf("handle %d holds %d local entries", th, got)
+				}
+				for k := int64(th); k < n; k += 97 {
+					if v, ok := h.Get(2 * k); !ok || v != k {
+						t.Fatalf("handle %d: Get(%d) = (%d, %v)", th, 2*k, v, ok)
+					}
+					if h.Contains(2*k + 1) {
+						t.Fatalf("handle %d: absent key %d found", th, 2*k+1)
+					}
+				}
+				if !h.Insert(int64(2*n+th), 1) || !h.Remove(int64(2*th)) {
+					t.Fatalf("handle %d: mutation after Build failed", th)
+				}
+			}
+			if err := m.SharedStructure().Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := Build(m, 7, records); err == nil {
+				t.Fatal("Build into a non-empty map succeeded")
+			}
+		})
+	}
+	m := newMap(t, LazyLayeredSG, 4)
+	defer m.Close()
+	err := Build(m, 1, func(yield func(int64, int64) bool) {
+		for _, k := range []int64{1, 2, 2} {
+			if !yield(k, k) {
+				return
+			}
+		}
+	})
+	if err == nil {
+		t.Fatal("Build accepted a repeated key")
+	}
+}

@@ -204,11 +204,7 @@ func (x *Index[K, V]) unpublish(h uint64, n *node.Node[K, V]) {
 // Readers still probing old keep a consistent, frozen view. Caller holds
 // s.mu.
 func (s *shard[K, V]) rehash(old []slot[K, V]) {
-	size := minSlots
-	for size < 3*s.live {
-		size <<= 1
-	}
-	tab := make([]slot[K, V], size)
+	tab := make([]slot[K, V], slotsFor(s.live))
 	live := 0
 	for i := range old {
 		n, id := old[i].n.Load(), old[i].id.Load()
@@ -224,6 +220,44 @@ func (s *shard[K, V]) rehash(old []slot[K, V]) {
 	}
 	s.used, s.live = live, live
 	s.tab.Store(&tab)
+}
+
+// slotsFor sizes a shard array for live entries: at most a third full.
+func slotsFor(live int) int {
+	size := minSlots
+	for size < 3*live {
+		size <<= 1
+	}
+	return size
+}
+
+// Fill publishes nodes into an empty index that no other goroutine can reach
+// yet (a bulk load's last step), each under its key and current life ID. It
+// sizes every shard's array once for its share, as a rehash would, so no
+// publish during the fill rehashes. Of two keys sharing a hash, the first
+// keeps the slot.
+func (x *Index[K, V]) Fill(nodes []*node.Node[K, V]) {
+	var share [nShards]int
+	for _, n := range nodes {
+		share[hash(n.Key())>>(64-shardBits)]++
+	}
+	for i := range x.shards {
+		tab := make([]slot[K, V], slotsFor(share[i]))
+		x.shards[i].tab.Store(&tab)
+	}
+	for _, n := range nodes {
+		h := hash(n.Key())
+		s := x.shardOf(h)
+		e, claimed := probe(*s.tab.Load(), h)
+		if claimed {
+			continue
+		}
+		e.id.Store(n.ID())
+		e.n.Store(n)
+		e.hash.Store(h)
+		s.used++
+		s.live++
+	}
 }
 
 // probe returns the slot holding h (claimed) or the free slot that ends

@@ -430,3 +430,41 @@ func TestProbeInvariant(t *testing.T) {
 	rehashAll(x)
 	checkLayout(t, x)
 }
+
+// TestFillSizesOnce: a bulk fill publishes every node, sizes each shard as a
+// rehash would so the layout holds at most a third of its slots, and later
+// publishes and unpublishes work on the filled arrays.
+func TestFillSizesOnce(t *testing.T) {
+	x := New[int64, int64]()
+	const keys = 5000
+	nodes := make([]*node.Node[int64, int64], keys)
+	for k := range nodes {
+		nodes[k] = newNode(int64(k), uint64(k+1))
+	}
+	x.Fill(nodes)
+	checkLayout(t, x)
+	for k, n := range nodes {
+		if got, ok := find(x, hash(int64(k)), int64(k)); !ok || got != n {
+			t.Fatalf("key %d: (%p, %v) after Fill, want (%p, true)", k, got, ok, n)
+		}
+	}
+	for i := range x.shards {
+		s := &x.shards[i]
+		if len(*s.tab.Load()) != slotsFor(s.live) {
+			t.Fatalf("shard %d: %d slots for %d entries, want %d", i, len(*s.tab.Load()), s.live, slotsFor(s.live))
+		}
+	}
+	if st := x.Stats(); st.Entries != keys {
+		t.Fatalf("Stats.Entries = %d, want %d", st.Entries, keys)
+	}
+	extra := newNode(keys, keys+1)
+	x.Publish(keys, extra, keys+1)
+	x.Unpublish(0, nodes[0])
+	if _, ok := find(x, hash(int64(0)), 0); ok {
+		t.Fatal("unpublished key still found")
+	}
+	if got, ok := find(x, hash(int64(keys)), keys); !ok || got != extra {
+		t.Fatal("key published after Fill not found")
+	}
+	checkLayout(t, x)
+}

@@ -17,7 +17,8 @@ import (
 // The dump side: a sequential snapshot walk feeding a pool of shard writers.
 // The walk is inherently sequential (it is an ordered bottom-level traversal),
 // so parallelism lives in the writers: record batches are dealt to whichever
-// writer is free, each writer owning one shard file. Encoding, CRC folding,
+// writer is free, each writer owning one shard file and writing its batches
+// in walk order, so every shard is an ascending run. Encoding, CRC folding,
 // and I/O all happen on the writers.
 //
 // The directory is replaced near-atomically: every shard is written to a
@@ -65,9 +66,12 @@ type DumpStats struct {
 }
 
 // Dump writes every record iter yields into dir as a complete shard set. iter
-// must call its callback sequentially (a snapshot Ascend fits); record order
-// across shards is not preserved and not needed. On error the previous dump
-// in dir, if any, is left untouched.
+// must call its callback sequentially in strictly increasing key order (a
+// snapshot Ascend does). Batches are dealt to whichever writer is free, and
+// each writer takes its batches in the order the walk sent them, so the keys
+// within every shard ascend too; Load relies on that, merging the shards
+// into one ascending stream, and rejects a shard that does not ascend. On
+// error the previous dump in dir, if any, is left untouched.
 func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bool), opts DumpOptions) (DumpStats, error) {
 	start := time.Now()
 	shards := max(opts.Shards, 1)

@@ -1,14 +1,16 @@
 // Package persist implements the on-disk persistence layer: snapshot-backed
-// parallel shard dumps, parallel loads that rebuild through the live insert
-// path, and an append-only write-ahead log journaling post-snapshot mutations.
+// parallel shard dumps, loads that merge the shards into one ascending record
+// stream for a bulk builder, and an append-only write-ahead log journaling
+// post-snapshot mutations.
 //
 // # File model
 //
 // A dump is a directory of shard files, shard-0000.sgd .. shard-NNNN.sgd. Each
-// shard holds an arbitrary subset of the dumped records — sharding exists for
-// write and read parallelism, not key placement, so a load may rebuild under
-// any topology: records are fed through the loading map's own insert path,
-// which re-derives arena placement, packed level references, hash-index
+// shard holds a subset of the dumped records in ascending key order, and no
+// key is in two shards — sharding exists for write parallelism, not key
+// placement, so a load may rebuild under any topology: Load merges the
+// shards into one ascending stream, and the loading map builds itself from
+// it, re-deriving arena placement, packed level references, hash-index
 // entries, and membership vectors for the machine the load runs on.
 //
 // Every shard file carries a fixed header (magic, format version, shard
@@ -22,12 +24,13 @@
 //
 // Loads fail closed: every shard header is validated before any record is
 // decoded, the shard set must be complete and mutually consistent, and any
-// decode error, CRC mismatch, version skew, or truncation aborts the whole
-// load with a typed error — no partially rebuilt store is ever returned. The
-// one deliberate exception is the WAL's torn tail: an append-only log crashed
-// mid-write legitimately ends in a partial record, so recovery truncates the
-// log at the first invalid record and reports what it discarded, rather than
-// rejecting the log.
+// decode error, CRC mismatch, version skew, truncation, out-of-order key
+// within a shard, or key in two shards aborts the whole load with a typed
+// error — no partially rebuilt store is ever returned. The one deliberate
+// exception is the WAL's torn tail: an append-only log crashed mid-write
+// legitimately ends in a partial record, so recovery truncates the log at the
+// first invalid record and reports what it discarded, rather than rejecting
+// the log.
 package persist
 
 import (

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"iter"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -150,22 +150,22 @@ func dumpMap(t *testing.T, dir string, m map[int64]string, shards int) DumpStats
 	return stats
 }
 
-// loadMap loads dir into a fresh map through a concurrency-safe sink.
-func loadMap(t *testing.T, dir string, workers int) (map[int64]string, LoadStats, error) {
+// loadMap loads dir into a fresh map, checking that the stream is strictly
+// increasing.
+func loadMap(t *testing.T, dir string) (map[int64]string, LoadStats, error) {
 	t.Helper()
-	var mu sync.Mutex
 	got := map[int64]string{}
-	stats, err := Load[int64, string](dir, func(keys []int64, vals []string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for i, k := range keys {
-			if _, dup := got[k]; dup {
-				return fmt.Errorf("duplicate key %d", k)
+	stats, err := Load[int64, string](dir, func(_ uint64, records iter.Seq2[int64, string]) error {
+		prev := int64(math.MinInt64)
+		for k, v := range records {
+			if len(got) > 0 && k <= prev {
+				return fmt.Errorf("key %d after %d", k, prev)
 			}
-			got[k] = vals[i]
+			got[k] = v
+			prev = k
 		}
 		return nil
-	}, LoadOptions{Workers: workers})
+	}, LoadOptions{})
 	return got, stats, err
 }
 
@@ -186,7 +186,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 			if ds.Records != uint64(len(want)) || ds.Shards != shards {
 				t.Fatalf("dump stats %+v", ds)
 			}
-			got, ls, err := loadMap(t, dir, shards)
+			got, ls, err := loadMap(t, dir)
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -212,7 +212,7 @@ func TestDumpEmpty(t *testing.T) {
 	if ds.Records != 0 {
 		t.Fatalf("dump stats %+v", ds)
 	}
-	got, _, err := loadMap(t, dir, 2)
+	got, _, err := loadMap(t, dir)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("load: %v, %d records", err, len(got))
 	}
@@ -225,7 +225,7 @@ func TestDumpReplacesWiderDump(t *testing.T) {
 	dumpMap(t, dir, testMap(100), 6)
 	want := testMap(300)
 	dumpMap(t, dir, want, 2)
-	got, ls, err := loadMap(t, dir, 2)
+	got, ls, err := loadMap(t, dir)
 	if err != nil {
 		t.Fatalf("Load after re-dump: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestLoadFaultTruncated(t *testing.T) {
 	if err := os.Truncate(p, fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadMap(t, dir, 2); !errors.Is(err, ErrTruncated) {
+	if _, _, err := loadMap(t, dir); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("got %v, want ErrTruncated", err)
 	}
 }
@@ -269,7 +269,7 @@ func TestLoadFaultBitFlip(t *testing.T) {
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadMap(t, dir, 2); !errors.Is(err, ErrChecksum) {
+	if _, _, err := loadMap(t, dir); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("got %v, want ErrChecksum", err)
 	}
 }
@@ -280,13 +280,13 @@ func TestLoadFaultMissingShard(t *testing.T) {
 	if err := os.Remove(shardPath(dir, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadMap(t, dir, 2); !errors.Is(err, ErrMissingShard) {
+	if _, _, err := loadMap(t, dir); !errors.Is(err, ErrMissingShard) {
 		t.Fatalf("got %v, want ErrMissingShard", err)
 	}
 }
 
 func TestLoadFaultEmptyDir(t *testing.T) {
-	if _, _, err := loadMap(t, t.TempDir(), 1); !errors.Is(err, ErrMissingShard) {
+	if _, _, err := loadMap(t, t.TempDir()); !errors.Is(err, ErrMissingShard) {
 		t.Fatalf("got %v, want ErrMissingShard", err)
 	}
 }
@@ -306,7 +306,7 @@ func TestLoadFaultVersionSkew(t *testing.T) {
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadMap(t, dir, 1); !errors.Is(err, ErrVersion) {
+	if _, _, err := loadMap(t, dir); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
 }
@@ -314,7 +314,7 @@ func TestLoadFaultVersionSkew(t *testing.T) {
 func TestLoadFaultTypeMismatch(t *testing.T) {
 	dir := t.TempDir()
 	dumpMap(t, dir, testMap(100), 1)
-	_, err := Load[string, string](dir, func([]string, []string) error { return nil }, LoadOptions{})
+	_, err := Load[string, string](dir, func(uint64, iter.Seq2[string, string]) error { return nil }, LoadOptions{})
 	if !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("got %v, want ErrTypeMismatch", err)
 	}
@@ -338,8 +338,43 @@ func TestLoadFaultMixedDumps(t *testing.T) {
 	if err := os.WriteFile(shardPath(dirA, 1), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadMap(t, dirA, 2); !errors.Is(err, ErrFormat) {
+	if _, _, err := loadMap(t, dirA); !errors.Is(err, ErrFormat) {
 		t.Fatalf("got %v, want ErrFormat", err)
+	}
+}
+
+// TestLoadFaultUnordered: Dump trusts its walk to ascend. Shards written
+// from a walk that does not are sealed like any other, so only Load's order
+// checks can reject them: a descending walk breaks every shard's order, and
+// a walk that repeats a batch puts its keys either twice in one shard or in
+// two shards.
+func TestLoadFaultUnordered(t *testing.T) {
+	var descending, repeated []int64
+	for k := int64(999); k >= 0; k-- {
+		descending = append(descending, k)
+	}
+	for r := 0; r < 2; r++ {
+		for k := int64(0); k < dumpBatchSize; k++ {
+			repeated = append(repeated, k)
+		}
+	}
+	for name, keys := range map[string][]int64{"descending": descending, "repeated": repeated} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, err := Dump[int64, string](dir, func(fn func(int64, string) bool) {
+				for _, k := range keys {
+					if !fn(k, "v") {
+						return
+					}
+				}
+			}, DumpOptions{Shards: 2, BaseSeq: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := loadMap(t, dir); !errors.Is(err, ErrFormat) {
+				t.Fatalf("got %v, want ErrFormat", err)
+			}
+		})
 	}
 }
 
@@ -352,13 +387,13 @@ func TestLoadFaultTrailingGarbage(t *testing.T) {
 	}
 	f.Write([]byte("junk"))
 	f.Close()
-	if _, _, err := loadMap(t, dir, 1); !errors.Is(err, ErrFormat) {
+	if _, _, err := loadMap(t, dir); !errors.Is(err, ErrFormat) {
 		t.Fatalf("got %v, want ErrFormat", err)
 	}
 }
 
 // TestLoadNoPartialSinkOnHeaderFault: header validation happens before any
-// record reaches the sink, so a corrupt shard set feeds the sink nothing.
+// record is decoded, so a corrupt shard set never calls build.
 func TestLoadNoPartialSinkOnHeaderFault(t *testing.T) {
 	dir := t.TempDir()
 	dumpMap(t, dir, testMap(1000), 3)
@@ -366,12 +401,12 @@ func TestLoadNoPartialSinkOnHeaderFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	_, err := Load[int64, string](dir, func([]int64, []string) error { calls++; return nil }, LoadOptions{})
+	_, err := Load[int64, string](dir, func(uint64, iter.Seq2[int64, string]) error { calls++; return nil }, LoadOptions{})
 	if !errors.Is(err, ErrMissingShard) {
 		t.Fatalf("got %v, want ErrMissingShard", err)
 	}
 	if calls != 0 {
-		t.Fatalf("sink saw %d batches before header validation failed", calls)
+		t.Fatalf("build called %d times before header validation failed", calls)
 	}
 }
 

@@ -1,6 +1,9 @@
 package skipgraph
 
 import (
+	"cmp"
+
+	"layeredsg/internal/membership"
 	"layeredsg/internal/node"
 	"layeredsg/internal/stats"
 )
@@ -124,4 +127,44 @@ func (sg *SG[K, V]) FinishInsert(toInsert, start *node.Node[K, V], restart func(
 	}
 	toInsert.MarkInserted()
 	return true
+}
+
+// Appender builds nodes into a structure that no other goroutine can reach
+// yet, in strictly increasing key order: each node goes behind the last node
+// of every list it joins, with unconditional stores instead of a search and
+// CASes. It is the bulk-load path (internal/core's Build); once the
+// structure is shared, only the insert protocol may link nodes.
+type Appender[K cmp.Ordered, V any] struct {
+	sg *SG[K, V]
+	// now is every appended node's allocation timestamp, read once: the
+	// nodes of one bulk load are born together.
+	now int64
+	// last[level][label] is the node the next append to that list goes
+	// behind: the list's head until its first append.
+	last [][]*node.Node[K, V]
+}
+
+// NewAppender starts appending to an empty structure.
+func (sg *SG[K, V]) NewAppender() *Appender[K, V] {
+	a := &Appender[K, V]{sg: sg, now: sg.Now(), last: make([][]*node.Node[K, V], len(sg.heads))}
+	for level := range sg.heads {
+		a.last[level] = append([]*node.Node[K, V](nil), sg.heads[level]...)
+	}
+	return a
+}
+
+// Append allocates a node as NewNode does, for a key above every key
+// appended before, links it at levels 0..topLevel of the lists its vector
+// selects and marks it inserted. Every reference it writes is unmarked and
+// valid: the node is present, and so is the node it goes behind.
+func (a *Appender[K, V]) Append(key K, value V, vector uint32, owner node.Owner, topLevel int) *node.Node[K, V] {
+	n := a.sg.arena.NewData(key, value, topLevel, vector, owner, a.sg.nextID.Add(1), a.now)
+	for level := 0; level <= topLevel; level++ {
+		last := &a.last[level][membership.ListLabel(vector, level)]
+		n.RawStore(level, a.sg.tail, false, true)
+		(*last).RawStore(level, n, false, true)
+		*last = n
+	}
+	n.MarkInserted()
+	return n
 }

@@ -579,3 +579,57 @@ func TestDefaultCommissionPeriodCapAndFloor(t *testing.T) {
 		t.Fatal("a negative thread count did not count as one")
 	}
 }
+
+// TestAppenderBuildsValidShapes appends ascending keys into empty structures
+// of every shape the layered maps use and checks that the result validates
+// and that searches from the heads find every key and no other.
+func TestAppenderBuildsValidShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		vectors []uint32
+	}{
+		{"skip-graph", Config{MaxLevel: 2}, []uint32{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"lazy-sparse", Config{MaxLevel: 2, Lazy: true, Sparse: true, CommissionPeriod: time.Hour}, []uint32{0, 5, 2, 7}},
+		{"linked-list", Config{MaxLevel: 0}, []uint32{0}},
+		{"skip-list", Config{MaxLevel: 3}, []uint32{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sg := newSG(t, tc.cfg)
+			app := sg.NewAppender()
+			rng := rand.New(rand.NewSource(1))
+			var keys []int64
+			for i := 0; i < 500; i++ {
+				k := int64(3 * i)
+				v := tc.vectors[i%len(tc.vectors)]
+				n := app.Append(k, k, v, node.Owner{}, sg.RandomTopLevel(rng))
+				if !n.Inserted() {
+					t.Fatalf("appended node %d not marked inserted", k)
+				}
+				keys = append(keys, k)
+			}
+			if err := sg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sg.BottomKeys(); len(got) != len(keys) {
+				t.Fatalf("%d keys at level 0, want %d", len(got), len(keys))
+			}
+			res := sg.NewSearchResult()
+			for _, v := range tc.vectors {
+				for _, k := range keys {
+					if !sg.LazyRelinkSearch(k, nil, v, res, nil) {
+						t.Fatalf("vector %d: key %d not found", v, k)
+					}
+					if sg.LazyRelinkSearch(k+1, nil, v, res, nil) {
+						t.Fatalf("vector %d: absent key %d found", v, k+1)
+					}
+				}
+			}
+			// The insert protocol takes over once the structure is shared.
+			insert(t, sg, 4, tc.vectors[0], sg.RandomTopLevel(rng))
+			if err := sg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"iter"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,7 +16,7 @@ import (
 	"layeredsg/internal/persist"
 )
 
-// Persistence: snapshot-backed dumps, parallel loads, and write-ahead-log
+// Persistence: snapshot-backed dumps, bulk loads, and write-ahead-log
 // recovery. See internal/persist for the file formats and DESIGN.md §10 for
 // the crash-consistency contract.
 
@@ -118,23 +119,27 @@ func (s *Store[K, V]) StoreToDisk(dir string) (DumpStats, error) {
 }
 
 // LoadFromDisk rebuilds a store from a StoreToDisk dump. cfg configures the
-// loading machine exactly as NewStore would — the dump carries no layout:
-// shard readers feed records through the striped insert path in parallel, so
-// arena placement, packed level references, hash-index entries, and
-// membership vectors are re-derived for cfg.Machine, which need not resemble
-// the machine that dumped.
+// loading machine exactly as NewStore would — the dump carries no layout.
+// The shard files are merged into one ascending stream, and the still
+// private map is built from it without a search: record i goes to stripe
+// i mod T, so every stripe's local structure holds an even share of the
+// keys, and arena placement, packed level references, hash-index entries,
+// and membership vectors are re-derived for cfg.Machine, which need not
+// resemble the machine that dumped.
 //
 // When cfg.WAL is set, recovery continues past the dump: the log's torn tail
 // (a crashed append) is detected and physically truncated, records stamped
-// after the dump's snapshot are replayed in sequence order, and the rebuilt
-// store keeps journaling into the same log and sequence space. A log from a
-// different sequence space fails closed (ErrWALMismatch); a missing log file
-// starts a fresh one (the dump alone defines the state).
+// after the dump's snapshot are replayed in sequence order through the
+// stripes in turn, and the rebuilt store keeps journaling into the same log
+// and sequence space. A log from a different sequence space fails closed
+// (ErrWALMismatch); a missing log file starts a fresh one (the dump alone
+// defines the state).
 //
 // Every other failure — truncation, checksum mismatch, version or type skew,
-// an incomplete shard set — fails closed with a typed error from
-// internal/persist and no store: the partially rebuilt store is closed before
-// returning. The returned LoadStats is best-effort on error.
+// an incomplete shard set, keys out of order within a shard or present in
+// two — fails closed with a typed error from internal/persist and no store:
+// the partially rebuilt store is closed before returning. The returned
+// LoadStats is best-effort on error.
 func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], LoadStats, error) {
 	walDir := cfg.WAL
 	// Build the store logless: base load and replay re-apply mutations the
@@ -153,20 +158,18 @@ func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], L
 	if walDir != "" && st.m.Domain() == nil {
 		return fail(LoadStats{}, fmt.Errorf("layeredsg: %s supports no WAL (requires a lazy variant)", cfg.Kind))
 	}
-	workers := st.m.Machine().Topology().Sockets()
-	if eng := st.m.Maintenance(); eng != nil {
-		workers = eng.Helpers()
-	}
-	stats, err := persist.Load[K, V](dir, func(keys []K, values []V) error {
-		_, err := st.InsertBatch(keys, values)
-		return err
-	}, persist.LoadOptions{Workers: workers, Tracer: st.m.Tracer()})
+	stats, err := persist.Load[K, V](dir, func(baseSeq uint64, records iter.Seq2[K, V]) error {
+		// Every dumped key was born at or below the dump's sequence; a
+		// non-empty dump's sequence is at least 1.
+		return core.Build(st.m, max(baseSeq, 1), records)
+	}, persist.LoadOptions{Tracer: st.m.Tracer()})
 	if err != nil {
 		return fail(stats, err)
 	}
 
+	// Build advanced the sequence to the dump's; resume its sequence space.
 	d := st.m.Domain()
-	maxSeq := stats.BaseSeq
+	d.AdoptLineage(stats.Lineage)
 	if walDir != "" {
 		if err := os.MkdirAll(walDir, 0o755); err != nil {
 			return fail(stats, fmt.Errorf("layeredsg: creating WAL dir: %w", err))
@@ -174,6 +177,7 @@ func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], L
 		path := filepath.Join(walDir, persist.WALFileName)
 		wopts := persist.WALOptions{Sync: cfg.WALSync, Tracer: st.m.Tracer()}
 		w, recs, rstats, err := persist.OpenWAL[K, V](path, stats.Lineage, wopts)
+		maxSeq := stats.BaseSeq
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 			if w, err = persist.CreateWAL[K, V](path, stats.Lineage, wopts); err != nil {
@@ -188,24 +192,22 @@ func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], L
 			st.m.Tracer().RecordPersist(obs.PersistWALReplay, replayed)
 			st.m.Tracer().RecordPersist(obs.PersistWALDiscard, stats.WALDiscardedBytes)
 		}
-		// Adopt the persisted sequence space before attaching the sink, so
-		// every stamp journaled from here on is comparable with — and ordered
-		// after — everything already on disk.
-		d.AdoptLineage(stats.Lineage)
+		// Advance past every stamp on disk before attaching the sink, so
+		// every stamp journaled from here on is ordered after everything
+		// already on disk.
 		d.AdvanceSeq(maxSeq)
 		st.m.SetMutationSink(w)
-	} else if d != nil {
-		d.AdoptLineage(stats.Lineage)
-		d.AdvanceSeq(stats.BaseSeq)
 	}
 	return st, stats, nil
 }
 
 // replayWAL applies the log's post-snapshot suffix over the base load: filter
 // to seq > baseSeq, sort by seq (per-key order is already stamp order; the
-// sort makes it global), apply under one lease. maxSeq is raised to the
-// highest stamp seen in the whole log, replayed or not, so the domain can
-// advance past it.
+// sort makes it global), and apply on this one goroutine, dealing records
+// over the stripes' handles in turn as the base load deals keys, so fresh
+// keys spread over every local structure. The store is not yet shared, so
+// no lease is needed. maxSeq is raised to the highest stamp seen in the
+// whole log, replayed or not, so the domain can advance past it.
 func replayWAL[K cmp.Ordered, V any](st *Store[K, V], recs []persist.WALRecord[K, V], baseSeq uint64, maxSeq *uint64) uint64 {
 	replay := recs[:0]
 	for _, r := range recs {
@@ -217,19 +219,16 @@ func replayWAL[K cmp.Ordered, V any](st *Store[K, V], recs []persist.WALRecord[K
 		}
 	}
 	sort.SliceStable(replay, func(i, j int) bool { return replay[i].Seq < replay[j].Seq })
-	var n uint64
-	st.Do(func(h *Handle[K, V]) {
-		for _, r := range replay {
-			switch r.Op {
-			case persist.WALInsert:
-				h.Insert(r.Key, r.Value)
-			case persist.WALRemove:
-				h.Remove(r.Key)
-			}
-			n++
+	for i, r := range replay {
+		h := st.m.Handle(i % st.m.Threads())
+		switch r.Op {
+		case persist.WALInsert:
+			h.Insert(r.Key, r.Value)
+		case persist.WALRemove:
+			h.Remove(r.Key)
 		}
-	})
-	return n
+	}
+	return uint64(len(replay))
 }
 
 // attachFreshWAL opens a brand-new log for a freshly built map whose Config

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"layeredsg/internal/obs"
 	"layeredsg/internal/persist"
 )
 
@@ -318,7 +319,77 @@ func TestDumpRequiresSnapshots(t *testing.T) {
 	}
 }
 
-// TestLoadFaultsFailClosed corrupts a valid dump four ways; every load must
+// castagnoli is the CRC table dump files are sealed with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// gatherShards decodes every record of an int64→int64 dump, shard by shard
+// (fixed-width records: a 1-byte length prefix before each 8-byte word), and
+// returns them sorted by key.
+func gatherShards(t *testing.T, dir string) (keys, vals []int64) {
+	t.Helper()
+	type rec struct{ k, v int64 }
+	var recs []rec
+	for i := 0; ; i++ {
+		data, err := os.ReadFile(filepath.Join(dir, persist.ShardFileName(i)))
+		if errors.Is(err, os.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 68; off < len(data)-20; off += 18 {
+			recs = append(recs, rec{
+				int64(binary.LittleEndian.Uint64(data[off+1:])),
+				int64(binary.LittleEndian.Uint64(data[off+10:])),
+			})
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].k < recs[j].k })
+	for _, r := range recs {
+		keys, vals = append(keys, r.k), append(vals, r.v)
+	}
+	return keys, vals
+}
+
+// rewriteShards replaces the records of shard i with keys[i] and vals[i]
+// (empty past len(keys)), keeping each file's header but its record count,
+// and re-seals header and stream CRCs, so the files pass every integrity
+// check.
+func rewriteShards(t *testing.T, dir string, keys, vals [][]int64) {
+	t.Helper()
+	for i := 0; ; i++ {
+		p := filepath.Join(dir, persist.ShardFileName(i))
+		data, err := os.ReadFile(p)
+		if errors.Is(err, os.ErrNotExist) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks, vs []int64
+		if i < len(keys) {
+			ks, vs = keys[i], vals[i]
+		}
+		out := append([]byte(nil), data[:68]...)
+		binary.LittleEndian.PutUint64(out[56:], uint64(len(ks)))
+		binary.LittleEndian.PutUint32(out[64:], crc32.Checksum(out[:64], castagnoli))
+		for j := range ks {
+			out = append(out, 8)
+			out = binary.LittleEndian.AppendUint64(out, uint64(ks[j]))
+			out = append(out, 8)
+			out = binary.LittleEndian.AppendUint64(out, uint64(vs[j]))
+		}
+		stream := crc32.Checksum(out[68:], castagnoli)
+		out = append(out, "SGEND001"...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(ks)))
+		out = binary.LittleEndian.AppendUint32(out, stream)
+		if err := os.WriteFile(p, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoadFaultsFailClosed corrupts a valid dump six ways; every load must
 // return the matching typed error and a nil store.
 func TestLoadFaultsFailClosed(t *testing.T) {
 	makeDump := func(t *testing.T) string {
@@ -375,6 +446,18 @@ func TestLoadFaultsFailClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, ErrPersistMissingShard},
+		// The last two are built by hand with re-sealed CRCs, so only the
+		// order check can catch them.
+		{"unordered-shard", func(t *testing.T, dir string) {
+			keys, vals := gatherShards(t, dir)
+			keys[10], keys[11] = keys[11], keys[10]
+			vals[10], vals[11] = vals[11], vals[10]
+			rewriteShards(t, dir, [][]int64{keys}, [][]int64{vals})
+		}, ErrPersistFormat},
+		{"key-in-two-shards", func(t *testing.T, dir string) {
+			keys, vals := gatherShards(t, dir)
+			rewriteShards(t, dir, [][]int64{keys, keys[100:101]}, [][]int64{vals, vals[100:101]})
+		}, ErrPersistFormat},
 		{"version-skew", func(t *testing.T, dir string) {
 			p := filepath.Join(dir, persist.ShardFileName(0))
 			data, err := os.ReadFile(p)
@@ -382,7 +465,7 @@ func TestLoadFaultsFailClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 			binary.LittleEndian.PutUint32(data[8:], 99)
-			binary.LittleEndian.PutUint32(data[64:], crc32.Checksum(data[:64], crc32.MakeTable(crc32.Castagnoli)))
+			binary.LittleEndian.PutUint32(data[64:], crc32.Checksum(data[:64], castagnoli))
 			if err := os.WriteFile(p, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -451,6 +534,17 @@ func TestWALRecovery(t *testing.T) {
 		t.Fatalf("replayed %d WAL records, want 300 (200 inserts + 100 removes)", ls.WALReplayed)
 	}
 	checkStoreModel(t, st2, model)
+	// Replay deals records over the stripes: the fresh keys' nodes were
+	// allocated by more than one handle.
+	owners := map[int32]int{}
+	for n := st2.Map().SharedStructure().BottomHead().RawNext(0); n.IsData(); n = n.RawNext(0) {
+		if n.Key() >= 50000 && n.Key() < 50200 {
+			owners[n.OwnerThread()]++
+		}
+	}
+	if len(owners) < 2 {
+		t.Fatalf("replayed fresh keys by owning stripe: %v, want more than one stripe", owners)
+	}
 
 	// The recovered store journals into the same log and sequence space.
 	for k := int64(60000); k < 60050; k++ {
@@ -711,4 +805,238 @@ func TestTorturePersist(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	st.Close()
+}
+
+// TestLoadDealsEveryStripe dumps keys inserted through one handle and
+// reloads them on a 2×4 machine: the load deals keys over every stripe, so
+// each local structure holds an even share, and an absent-key Get from any
+// stripe jumps in from its own local structure instead of descending from
+// the head.
+func TestLoadDealsEveryStripe(t *testing.T) {
+	const n = 1 << 14
+	for _, tc := range []struct {
+		name  string
+		kind  Kind
+		maint MaintenancePolicy
+	}{
+		{"lazy", LazyLayeredSG, MaintInline},
+		{"lazy-sparse", LazyLayeredSSG, MaintInline},
+		{"lazy-background", LazyLayeredSG, MaintBackground},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := persistConfig(persistMachine(t, 1, 2, 2))
+			cfg.Kind, cfg.Maintenance = tc.kind, tc.maint
+			st, err := NewStore[int64, int64](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := map[int64]int64{}
+			st.Do(func(h *Handle[int64, int64]) {
+				for i := int64(0); i < n; i++ {
+					h.Insert(2*i, i)
+					model[2*i] = i
+				}
+			})
+			if _, err := st.StoreToDisk(dir); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			tracer := NewTracer(TracerConfig{Name: "load-deal-" + tc.name})
+			defer tracer.Close()
+			lcfg := persistConfig(persistMachine(t, 2, 4, 8))
+			lcfg.Kind, lcfg.Maintenance, lcfg.Tracer = tc.kind, tc.maint, tracer
+			st2, _, err := LoadFromDisk[int64, int64](dir, lcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			m := st2.Map()
+			for s := 0; s < m.Threads(); s++ {
+				got := m.Handle(s).LocalTreeLen()
+				if tc.kind == LazyLayeredSSG {
+					if got == 0 {
+						t.Fatalf("stripe %d holds no local entries", s)
+					}
+				} else if share := n / m.Threads(); got < share-1 || got > share+1 {
+					t.Fatalf("stripe %d holds %d local entries, want %d ± 1", s, got, share)
+				}
+			}
+
+			SetObservability(true)
+			defer SetObservability(false)
+			const perStripe = 64
+			for s := 0; s < m.Threads(); s++ {
+				h := m.Handle(s)
+				h.BeginExclusive()
+				for i := int64(0); i < perStripe; i++ {
+					if _, ok := h.Get(n + 2*(i*97%(n/2)) + 1); ok {
+						t.Fatalf("stripe %d found an absent key", s)
+					}
+				}
+				h.EndExclusive()
+			}
+			get := tracer.Snapshot().Ops[obs.OpGet.String()]
+			if head, jump := get.Origins[obs.OriginHead.String()], get.Origins[obs.OriginLocalJump.String()]; head != 0 || jump != uint64(perStripe*m.Threads()) {
+				t.Fatalf("absent-key Gets: %d from the head, %d local jumps; want 0 and %d", head, jump, perStripe*m.Threads())
+			}
+			checkStoreModel(t, st2, model)
+		})
+	}
+}
+
+// TestLoadIntoEveryKind loads one lazy dump into each of the six kinds, and
+// into a store with background maintenance, then checks the store against
+// the model before and after a few mutations: the build links the linked
+// list, single skip list and sparse shapes without the insert protocol.
+func TestLoadIntoEveryKind(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore[int64, int64](persistConfig(persistMachine(t, 2, 2, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fillStore(t, st, 5000)
+	for k := int64(0); k < 5000; k += 7 {
+		st.Remove(k)
+		delete(base, k)
+	}
+	if _, err := st.StoreToDisk(dir); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	type variant struct {
+		kind  Kind
+		maint MaintenancePolicy
+	}
+	variants := []variant{{LazyLayeredSG, MaintBackground}}
+	for _, k := range []Kind{LayeredSG, LazyLayeredSG, LayeredSSG, LazyLayeredSSG, LayeredLL, LayeredSL} {
+		variants = append(variants, variant{k, MaintInline})
+	}
+	for _, v := range variants {
+		t.Run(fmt.Sprintf("%v/%v", v.kind, v.maint), func(t *testing.T) {
+			cfg := persistConfig(persistMachine(t, 2, 2, 4))
+			cfg.Kind, cfg.Maintenance = v.kind, v.maint
+			st2, _, err := LoadFromDisk[int64, int64](dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			model := make(map[int64]int64, len(base))
+			for k, val := range base {
+				model[k] = val
+				if got, ok := st2.Get(k); !ok || got != val {
+					t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, got, ok, val)
+				}
+			}
+			checkStoreModel(t, st2, model)
+			for k := int64(0); k < 5100; k += 11 {
+				_, present := model[k]
+				if k%2 == 0 {
+					if got := st2.Remove(k); got != present {
+						t.Fatalf("Remove(%d) = %v with present=%v", k, got, present)
+					}
+					delete(model, k)
+				} else {
+					if got := st2.Insert(k, -k); got == present {
+						t.Fatalf("Insert(%d) = %v with present=%v", k, got, present)
+					}
+					if !present {
+						model[k] = -k
+					}
+				}
+			}
+			for k, val := range model {
+				if got, ok := st2.Get(k); !ok || got != val {
+					t.Fatalf("after mutations: Get(%d) = (%d, %v), want (%d, true)", k, got, ok, val)
+				}
+			}
+			// Close quiesces background helpers still linking the new
+			// nodes' upper levels, which Validate needs.
+			st2.Close()
+			checkModel(t, v.kind, st2.Map(), model)
+		})
+	}
+}
+
+// BenchmarkLoadFromDisk times LoadFromDisk of a 2^18-key dump on a 2×4
+// machine, in keys/s.
+func BenchmarkLoadFromDisk(b *testing.B) {
+	const n = 1 << 18
+	dir := b.TempDir()
+	cfg := persistConfig(persistMachine(b, 2, 4, 8))
+	st, err := NewStore[int64, int64](cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillStore(b, st, n)
+	if _, err := st.StoreToDisk(dir); err != nil {
+		b.Fatal(err)
+	}
+	st.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st2, _, err := LoadFromDisk[int64, int64](dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		st2.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+}
+
+// BenchmarkGetMissAfterLoad measures absent-key Store.Get from 2 goroutines
+// on a 2^16-key store on a 2×4 machine: one reloaded from a dump of keys
+// inserted through one handle, and one filled by rotation through its live
+// handles, the spread a load should match.
+func BenchmarkGetMissAfterLoad(b *testing.B) {
+	const n = 1 << 16
+	cfg := persistConfig(persistMachine(b, 2, 4, 8))
+	for _, fill := range []string{"loaded", "rotation"} {
+		b.Run(fill, func(b *testing.B) {
+			st, err := NewStore[int64, int64](cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if fill == "rotation" {
+				m := st.Map()
+				for i := int64(0); i < n; i++ {
+					m.Handle(int(i)%m.Threads()).Insert(2*i, i)
+				}
+			} else {
+				st.Do(func(h *Handle[int64, int64]) {
+					for i := int64(0); i < n; i++ {
+						h.Insert(2*i, i)
+					}
+				})
+				dir := b.TempDir()
+				if _, err := st.StoreToDisk(dir); err != nil {
+					b.Fatal(err)
+				}
+				st.Close()
+				if st, _, err = LoadFromDisk[int64, int64](dir, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			defer st.Close()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < b.N; i += 2 {
+						if _, ok := st.Get(2*int64(i*7919%n) + 1); ok {
+							panic("absent key found")
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+		})
+	}
 }
