@@ -27,6 +27,8 @@
 #                   internal/persist plus the root dump/load scenarios that
 #                   run writers against in-flight dumps (snapshot isolation,
 #                   Close-during-dump, WAL recovery, the persist torture run),
+#                   the dump file's publish (a stray temporary, a failed
+#                   dump, a directory holding only a retired shard set),
 #                   the load's dealing of keys over every stripe, and the
 #                   FuzzDumpLoad seed corpus
 #   make race-wal — race pass over the WAL durability surface: the sync-policy
@@ -93,7 +95,7 @@ race-index:
 
 race-persist:
 	$(GO) test -race ./internal/persist
-	$(GO) test -race -run 'TestTorturePersist|TestDumpSnapshotIsolation|TestCloseDuringDump|TestWAL|TestStoreDumpLoadRoundTrip|TestLoadDealsEveryStripe|FuzzDumpLoad' .
+	$(GO) test -race -run 'TestTorturePersist|TestDumpSnapshotIsolation|TestCloseDuringDump|TestWAL|TestStoreDumpLoadRoundTrip|TestDumpPublish|TestLoadOldShardSet|TestLoadDealsEveryStripe|FuzzDumpLoad' .
 
 race-wal:
 	$(GO) test -race -run 'TestWAL|TestSyncPolicy|FuzzWALSync' ./internal/persist

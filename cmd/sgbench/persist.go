@@ -52,8 +52,8 @@ func runPersist(w io.Writer, machine *layeredsg.Machine, dumpDir, loadDir, walDi
 			return err
 		}
 		st.Close()
-		fmt.Fprintf(w, "dump:               %d records, %.1f MB, %d shards in %v\n",
-			ds.Records, float64(ds.Bytes)/1e6, ds.Shards, ds.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(w, "dump:               %d records, %.1f MB in %v\n",
+			ds.Records, float64(ds.Bytes)/1e6, ds.Elapsed.Round(time.Millisecond))
 		fmt.Fprintf(w, "dump throughput:    %s keys/s, %.0f MB/s\n",
 			rate(ds.Records, ds.Elapsed), float64(ds.Bytes)/1e6/ds.Elapsed.Seconds())
 	}
@@ -64,8 +64,8 @@ func runPersist(w io.Writer, machine *layeredsg.Machine, dumpDir, loadDir, walDi
 			return err
 		}
 		st.Close()
-		fmt.Fprintf(w, "load:               %d records, %.1f MB, %d shards in %v (dumped by a %d-socket/%d-thread machine)\n",
-			ls.Records, float64(ls.Bytes)/1e6, ls.Shards, ls.Elapsed.Round(time.Millisecond),
+		fmt.Fprintf(w, "load:               %d records, %.1f MB in %v (dumped by a %d-socket/%d-thread machine)\n",
+			ls.Records, float64(ls.Bytes)/1e6, ls.Elapsed.Round(time.Millisecond),
 			ls.Source.Sockets, ls.Source.Threads)
 		fmt.Fprintf(w, "load throughput:    %s keys/s, %.0f MB/s\n",
 			rate(ls.Records, ls.Elapsed), float64(ls.Bytes)/1e6/ls.Elapsed.Seconds())

@@ -262,3 +262,34 @@ func TestLiveIndexAdaptation(t *testing.T) {
 		t.Fatal("index did not regrow after reinsertion")
 	}
 }
+
+// TestLiveIndexDensityAfterRemovals: removing an odd number of leading keys
+// shifts every surviving tower to an odd position among the live nodes; the
+// next pass must still index at most one node in stride, not every node the
+// towers skip. Only the explicit passes run (the background one is an hour
+// away), so the sequence is deterministic.
+func TestLiveIndexDensityAfterRemovals(t *testing.T) {
+	m, err := New[int64, int64](Config{Machine: machine(t, 2), Algorithm: NoHotspot, RebuildInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	h := m.Handle(0)
+	for k := int64(0); k < 100; k++ {
+		h.Insert(k, k)
+	}
+	m.Rebuild()
+	for k := int64(0); k < 49; k++ {
+		h.Remove(k)
+	}
+	m.Rebuild()
+	const live, stride = 51, 2 // NoHotspot's default stride
+	if got, limit := m.IndexLen(0), (live+stride-1)/stride+1; got > limit {
+		t.Fatalf("%d towers over %d live nodes at stride %d, want at most %d", got, live, stride, limit)
+	}
+	for k := int64(0); k < 100; k++ {
+		if got, want := h.Contains(k), k >= 49; got != want {
+			t.Fatalf("Contains(%d)=%v want %v", k, got, want)
+		}
+	}
+}

@@ -96,8 +96,9 @@ func (li *liveIndex[K, V]) lookup(key K, tr *stats.ThreadRecorder) *node.Node[K,
 }
 
 // adapt runs one maintenance pass (single writer): drop towers whose data
-// nodes are marked, and build towers for live data nodes not yet indexed,
-// sampling every stride-th node. Returns the number of repairs.
+// nodes are marked, and build towers for live data nodes not yet indexed, so
+// that no run of stride live nodes lacks a tower. Returns the number of
+// repairs.
 func (li *liveIndex[K, V]) adapt(bottom *node.Node[K, V], stride int, tr *stats.ThreadRecorder) int {
 	repairs := 0
 	// preds[l] tracks the rightmost index tower at level l as we sweep the
@@ -108,7 +109,11 @@ func (li *liveIndex[K, V]) adapt(bottom *node.Node[K, V], stride int, tr *stats.
 	}
 	cursor := li.head.right[0].Load()
 	size := int64(0)
-	i := 0
+	// since counts the live nodes passed since the last tower, kept or new;
+	// sampling by it, not by a node's position among all live nodes, keeps
+	// the density at one tower per stride nodes after removals shift the
+	// positions of the towers that stay.
+	since := stride
 	for dn := bottom.RawNext(0); dn != nil && dn.Kind() != node.Tail; dn = dn.RawNext(0) {
 		if dn.RawMarked(0) {
 			continue
@@ -123,20 +128,20 @@ func (li *liveIndex[K, V]) adapt(bottom *node.Node[K, V], stride int, tr *stats.
 				// Still accurate: advance preds over it.
 				cursor = li.advance(preds, cursor)
 				size++
-			} else {
-				cursor = li.unlink(preds, cursor)
-				repairs++
+				since = 1
+				continue
 			}
-			i++
-			continue
+			cursor = li.unlink(preds, cursor)
+			repairs++
 		}
 		// Not indexed: sample.
-		if i%stride == 0 {
+		if since >= stride {
 			li.insertAfter(preds, dn)
 			size++
 			repairs++
+			since = 0
 		}
-		i++
+		since++
 	}
 	// Anything left in the index is past the end of the live data.
 	for cursor != nil {

@@ -72,9 +72,8 @@ type Config[K cmp.Ordered, V any] struct {
 	// Domain is the structure's epoch domain; required. Helpers pin it
 	// around every traversal, fully unlinked retired nodes pass through a
 	// limbo list, and their arena slots return to the free list once every
-	// pin from before the hand-off has drained. The engine registers
-	// Helpers()+1 pin participants (one per helper plus one for synchronous
-	// drains).
+	// pin from before the hand-off has drained. The engine registers one
+	// pin participant per helper plus one for synchronous drains.
 	Domain *epoch.Domain
 	// ParkInterval overrides the idle re-check interval for held retire
 	// items (tests); 0 uses the default.
@@ -230,9 +229,6 @@ func New[K cmp.Ordered, V any](cfg Config[K, V]) (*Engine[K, V], error) {
 	}
 	return e, nil
 }
-
-// Helpers returns the pool size.
-func (e *Engine[K, V]) Helpers() int { return e.helpers }
 
 // QueueDepth gauges the total number of items currently queued (helper-held
 // retire items waiting out their commission period are not counted).

@@ -8,15 +8,15 @@ package obs
 type PersistKind uint8
 
 const (
-	// PersistDumpRecords: key/value records written to shard dump files.
+	// PersistDumpRecords: key/value records written to the dump file.
 	PersistDumpRecords PersistKind = iota
-	// PersistDumpBytes: bytes written to shard dump files (headers, records,
-	// trailers).
+	// PersistDumpBytes: bytes written to the dump file (header, records,
+	// trailer).
 	PersistDumpBytes
-	// PersistLoadRecords: records decoded from shard dump files and fed to
-	// the rebuild sink.
+	// PersistLoadRecords: records decoded from the dump file and fed to the
+	// builder.
 	PersistLoadRecords
-	// PersistLoadBytes: bytes read from shard dump files.
+	// PersistLoadBytes: bytes read from the dump file.
 	PersistLoadBytes
 	// PersistWALReplay: WAL records replayed over a base load (the replay
 	// depth).

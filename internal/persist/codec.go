@@ -164,6 +164,26 @@ func newCodec[T any]() codec[T] {
 	}
 }
 
+// appendField appends v's encoding behind its uvarint length, the field
+// layout of dump and WAL records. It reserves one length byte and patches it
+// after encoding, which fits every field shorter than 128 bytes; a longer
+// field shifts its encoding right to make room for the wider prefix.
+func appendField[T any](dst []byte, c codec[T], v T) []byte {
+	at := len(dst)
+	dst = c.enc(append(dst, 0), v)
+	n := len(dst) - at - 1
+	if n < 0x80 {
+		dst[at] = byte(n)
+		return dst
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(n))
+	dst = append(dst, prefix[1:w]...)
+	copy(dst[at+w:], dst[at+1:at+1+n])
+	copy(dst[at:], prefix[:w])
+	return dst
+}
+
 // any2 rebinds a concrete codec to the type parameter the type switch proved
 // it matches. The conversions compile to nothing but interface plumbing.
 func any2[T, U any](c codec[U]) codec[T] {

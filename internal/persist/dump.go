@@ -8,29 +8,28 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"layeredsg/internal/obs"
 )
 
-// The dump side: a sequential snapshot walk feeding a pool of shard writers.
-// The walk is inherently sequential (it is an ordered bottom-level traversal),
-// so parallelism lives in the writers: record batches are dealt to whichever
-// writer is free, each writer owning one shard file and writing its batches
-// in walk order, so every shard is an ascending run. Encoding, CRC folding,
-// and I/O all happen on the writers.
+// The dump side: a sequential snapshot walk feeding one file writer. The walk
+// is an ordered bottom-level traversal, so the file's records ascend. The
+// walker batches records and hands each batch to a writer goroutine, which
+// encodes the batch into one buffer, folds it into the stream CRC, and writes
+// it; the walk and the writer's encoding and I/O overlap.
 //
-// The directory is replaced near-atomically: every shard is written to a
-// temporary name first, and only after all writers succeed are stale shard
-// files removed and the temporaries renamed into place. A dump that fails
-// leaves the previous dump untouched; a crash between the removes and the
-// renames leaves a shard set whose headers disagree, which a load rejects.
+// The file is written under a temporary name and published with one rename
+// and a directory sync. A dump that fails before the rename leaves the
+// previous dump untouched; a crash before the rename leaves the previous dump
+// beside a stray temporary, which loads ignore and the next dump overwrites;
+// a crash between the rename and the directory sync leaves one dump or the
+// other, whole; a crash after the sync leaves the new dump.
 
 // dumpBatchSize is the walker-to-writer hand-off granularity.
 const dumpBatchSize = 512
 
-// rec is one key/value pair in flight between the walker and a writer.
+// rec is one key/value pair in flight between the walker and the writer.
 type rec[K cmp.Ordered, V any] struct {
 	key K
 	val V
@@ -38,10 +37,7 @@ type rec[K cmp.Ordered, V any] struct {
 
 // DumpOptions parameterizes Dump.
 type DumpOptions struct {
-	// Shards is the number of shard files and concurrent writers (min 1).
-	// Callers size it to the writing machine's helper pool or socket count.
-	Shards int
-	// Topo is the source machine's shape, recorded in every header.
+	// Topo is the source machine's shape, recorded in the header.
 	Topo Topology
 	// BaseSeq is the dumped snapshot's sequence.
 	BaseSeq uint64
@@ -53,69 +49,47 @@ type DumpOptions struct {
 
 // DumpStats summarizes one completed dump.
 type DumpStats struct {
-	// Records and Bytes total what the shard files hold (headers, records,
-	// and trailers included in Bytes).
+	// Records and Bytes total what the dump file holds (header, records,
+	// and trailer included in Bytes).
 	Records uint64
 	Bytes   uint64
-	// Shards is the number of shard files written.
-	Shards int
 	// BaseSeq echoes the dumped snapshot's sequence.
 	BaseSeq uint64
 	// Elapsed is the dump's wall-clock duration.
 	Elapsed time.Duration
 }
 
-// Dump writes every record iter yields into dir as a complete shard set. iter
-// must call its callback sequentially in strictly increasing key order (a
-// snapshot Ascend does). Batches are dealt to whichever writer is free, and
-// each writer takes its batches in the order the walk sent them, so the keys
-// within every shard ascend too; Load relies on that, merging the shards
-// into one ascending stream, and rejects a shard that does not ascend. On
-// error the previous dump in dir, if any, is left untouched.
+// Dump writes every record iter yields into dir's dump file, replacing any
+// previous dump there. iter must call its callback sequentially in strictly
+// increasing key order (a snapshot Ascend does); Load relies on that and
+// rejects a file whose keys do not ascend. On error the previous dump in
+// dir, if any, is left untouched.
 func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bool), opts DumpOptions) (DumpStats, error) {
 	start := time.Now()
-	shards := max(opts.Shards, 1)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return DumpStats{}, fmt.Errorf("persist: creating dump dir: %w", err)
 	}
 	kc, vc := newCodec[K](), newCodec[V]()
+	path := filepath.Join(dir, DumpFileName)
+	tmp := path + ".tmp"
+	h := header{topo: opts.Topo, keyKind: kc.kind, valKind: vc.kind, baseSeq: opts.BaseSeq, lineage: opts.Lineage}
 
-	ch := make(chan []rec[K, V], 2*shards)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
+	// The walker and the writer run at uneven paces (a walk over a dense
+	// stretch, a collection, a slow write). Sixteen queued batches ride that
+	// out; with two, hand-off stalls added a quarter to a 2 M-key dump
+	// (EXPERIMENTS.md "One dump file").
+	ch := make(chan []rec[K, V], 16)
+	done := make(chan struct{})
+	var records, bytes uint64
+	var werr error
+	go func() {
+		defer close(done)
+		records, bytes, werr = writeDump(tmp, h, kc, vc, ch)
+	}()
 
-	type result struct {
-		records uint64
-		bytes   uint64
-		err     error
-	}
-	results := make([]result, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := header{
-				shard:   uint32(i),
-				shards:  uint32(shards),
-				topo:    opts.Topo,
-				keyKind: kc.kind,
-				valKind: vc.kind,
-				baseSeq: opts.BaseSeq,
-				lineage: opts.Lineage,
-			}
-			n, b, err := writeShard(filepath.Join(dir, ShardFileName(i)+".tmp"), h, kc, vc, ch)
-			results[i] = result{records: n, bytes: b, err: err}
-			if err != nil {
-				halt()
-			}
-		}(i)
-	}
-
-	// Walk: batch records and deal them to the free writers; abort promptly
-	// if a writer failed (stop closes before ch drains, so the select below
-	// never deadlocks against dead consumers).
+	// Walk: batch records and hand them to the writer; stop promptly if the
+	// writer failed (done closes when it returns, so the select never blocks
+	// against a writer that stopped reading).
 	batch := make([]rec[K, V], 0, dumpBatchSize)
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -125,7 +99,7 @@ func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bo
 		case ch <- batch:
 			batch = make([]rec[K, V], 0, dumpBatchSize)
 			return true
-		case <-stop:
+		case <-done:
 			return false
 		}
 	}
@@ -138,47 +112,27 @@ func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bo
 	})
 	flush()
 	close(ch)
-	wg.Wait()
-
-	stats := DumpStats{Shards: shards, BaseSeq: opts.BaseSeq}
-	for i := range results {
-		if err := results[i].err; err != nil {
-			removeTmps(dir, shards)
-			return DumpStats{}, err
-		}
-		stats.Records += results[i].records
-		stats.Bytes += results[i].bytes
+	<-done
+	if werr != nil {
+		return DumpStats{}, werr
 	}
-
-	// All writers succeeded: clear shard files a previous, wider dump left
-	// behind (indices our renames will not overwrite), then publish.
-	if stale, err := filepath.Glob(filepath.Join(dir, "shard-*.sgd")); err == nil {
-		for _, f := range stale {
-			var idx int
-			if _, err := fmt.Sscanf(filepath.Base(f), shardPattern, &idx); err == nil && idx >= shards {
-				os.Remove(f)
-			}
-		}
-	}
-	for i := 0; i < shards; i++ {
-		final := filepath.Join(dir, ShardFileName(i))
-		if err := os.Rename(final+".tmp", final); err != nil {
-			return DumpStats{}, fmt.Errorf("persist: publishing shard %d: %w", i, err)
-		}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return DumpStats{}, fmt.Errorf("persist: publishing %s: %w", path, err)
 	}
 	syncDir(dir)
 
-	opts.Tracer.RecordPersist(obs.PersistDumpRecords, stats.Records)
-	opts.Tracer.RecordPersist(obs.PersistDumpBytes, stats.Bytes)
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	opts.Tracer.RecordPersist(obs.PersistDumpRecords, records)
+	opts.Tracer.RecordPersist(obs.PersistDumpBytes, bytes)
+	return DumpStats{Records: records, Bytes: bytes, BaseSeq: opts.BaseSeq, Elapsed: time.Since(start)}, nil
 }
 
-// writeShard drains ch into one shard file at path (a temporary name): a
+// writeDump drains ch into the file at path (the temporary name): a
 // placeholder header, the record stream under a running CRC, the sealing
-// trailer, and finally the real header patched over the placeholder. The file
-// is fsynced but not renamed; on error it is removed.
-func writeShard[K cmp.Ordered, V any](path string, h header, kc codec[K], vc codec[V], ch <-chan []rec[K, V]) (records, bytes uint64, err error) {
+// trailer, and finally the real header patched over the placeholder. Each
+// batch is encoded into one buffer, folded into the CRC once, and written
+// once. The file is fsynced but not renamed; on error it is removed.
+func writeDump[K cmp.Ordered, V any](path string, h header, kc codec[K], vc codec[V], ch <-chan []rec[K, V]) (records, bytes uint64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persist: creating %s: %w", path, err)
@@ -186,7 +140,7 @@ func writeShard[K cmp.Ordered, V any](path string, h header, kc codec[K], vc cod
 	fail := func(err error) (uint64, uint64, error) {
 		f.Close()
 		os.Remove(path)
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("persist: writing %s: %w", path, err)
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
 	placeholder := h.encode()
@@ -195,23 +149,19 @@ func writeShard[K cmp.Ordered, V any](path string, h header, kc codec[K], vc cod
 	}
 
 	var crc uint32
-	var scratch, kvbuf []byte
+	var buf []byte
 	for batch := range ch {
+		buf = buf[:0]
 		for i := range batch {
-			scratch = scratch[:0]
-			kvbuf = kc.enc(kvbuf[:0], batch[i].key)
-			scratch = binary.AppendUvarint(scratch, uint64(len(kvbuf)))
-			scratch = append(scratch, kvbuf...)
-			kvbuf = vc.enc(kvbuf[:0], batch[i].val)
-			scratch = binary.AppendUvarint(scratch, uint64(len(kvbuf)))
-			scratch = append(scratch, kvbuf...)
-			crc = crc32.Update(crc, castagnoli, scratch)
-			if _, err := w.Write(scratch); err != nil {
-				return fail(err)
-			}
-			records++
-			bytes += uint64(len(scratch))
+			buf = appendField(buf, kc, batch[i].key)
+			buf = appendField(buf, vc, batch[i].val)
 		}
+		crc = crc32.Update(crc, castagnoli, buf)
+		if _, err := w.Write(buf); err != nil {
+			return fail(err)
+		}
+		records += uint64(len(batch))
+		bytes += uint64(len(buf))
 	}
 
 	var trailer [trailerSize]byte
@@ -234,16 +184,9 @@ func writeShard[K cmp.Ordered, V any](path string, h header, kc codec[K], vc cod
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(path)
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("persist: closing %s: %w", path, err)
 	}
 	return records, bytes + headerSize + trailerSize, nil
-}
-
-// removeTmps clears the temporary files a failed dump left behind.
-func removeTmps(dir string, shards int) {
-	for i := 0; i < shards; i++ {
-		os.Remove(filepath.Join(dir, ShardFileName(i)+".tmp"))
-	}
 }
 
 // syncDir fsyncs a directory so renames into it are durable; best-effort

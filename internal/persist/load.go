@@ -15,21 +15,17 @@ import (
 	"layeredsg/internal/obs"
 )
 
-// The load side. Validation is two-phase and strictly fail-closed: first
-// every shard header in the directory is read and cross-checked (version,
-// CRC, type kinds, a complete and mutually consistent shard set) before a
-// single record is decoded; only then are the shard files read together and
-// merged into one stream in ascending key order. The dump's sequential walk
-// writes every shard in ascending order, so the merge is a k-way merge of
-// sorted runs. A shard whose keys are not strictly increasing, or a key
-// found in two shards, ends the stream with ErrFormat; each shard is sealed
+// The load side. Validation is strictly fail-closed: the header (magic,
+// CRC, version, type kinds) is validated before a single record is decoded;
+// then the records stream to the builder in file order. A key not above the
+// one before it ends the stream with ErrFormat, and the file is sealed
 // against its trailer's count and CRC once its last record is read. Any
 // failure aborts the whole load — the builder may already have consumed
-// records of a load that later failed, so callers must discard the target
-// on error.
+// records of a load that later failed, so callers must discard the target on
+// error.
 
-// readBlock is each shard reader's buffer: the unit of file reads and of
-// CRC folding.
+// readBlock is the reader's buffer: the unit of file reads and of CRC
+// folding.
 const readBlock = 256 << 10
 
 // maxRecordLen bounds one key or value encoding; larger prefixes mean a
@@ -45,11 +41,9 @@ type LoadOptions struct {
 // LoadStats summarizes one completed load (WAL fields are filled by the
 // layeredsg recovery layer, not by Load).
 type LoadStats struct {
-	// Records and Bytes total what the shard files held.
+	// Records and Bytes total what the dump file held.
 	Records uint64
 	Bytes   uint64
-	// Shards is the number of shard files read.
-	Shards int
 	// BaseSeq and Lineage echo the dump's snapshot sequence and sequence
 	// space; Source is the machine shape the dump was taken on.
 	BaseSeq uint64
@@ -63,79 +57,41 @@ type LoadStats struct {
 	Elapsed time.Duration
 }
 
-// Load validates the shard set in dir and calls build once with the dump's
+// Load validates dir's dump file and calls build once with the dump's
 // snapshot sequence and its records as one strictly increasing stream,
 // which build must consume to the end unless it fails. A read or order
 // failure ends the stream early and is returned even when build returns
 // nil; build's own error aborts the load too. On any error the target build
-// fed is half-built and must be discarded by the caller.
+// fed is half-built and must be discarded by the caller. A directory without
+// a dump file fails with an error wrapping fs.ErrNotExist.
 func Load[K cmp.Ordered, V any](dir string, build func(baseSeq uint64, records iter.Seq2[K, V]) error, opts LoadOptions) (LoadStats, error) {
 	start := time.Now()
-	kc, vc := newCodec[K](), newCodec[V]()
-
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.sgd"))
+	name := filepath.Join(dir, DumpFileName)
+	f, err := os.Open(name)
 	if err != nil {
-		return LoadStats{}, fmt.Errorf("persist: listing %s: %w", dir, err)
+		return LoadStats{}, fmt.Errorf("persist: opening dump: %w", err)
 	}
-	if len(files) == 0 {
-		return LoadStats{}, fmt.Errorf("%w: no shard files in %s", ErrMissingShard, dir)
+	defer f.Close()
+	var hb [headerSize]byte
+	if _, err := io.ReadFull(f, hb[:]); err != nil {
+		return LoadStats{}, fmt.Errorf("%w: %s: header: %v", ErrTruncated, name, err)
 	}
+	h, err := decodeHeader(hb[:], name)
+	if err != nil {
+		return LoadStats{}, err
+	}
+	kc, vc := newCodec[K](), newCodec[V]()
+	if h.keyKind != kc.kind || h.valKind != vc.kind {
+		return LoadStats{}, fmt.Errorf("%w: %s holds %v→%v, load requested %v→%v",
+			ErrTypeMismatch, name, h.keyKind, h.valKind, kc.kind, vc.kind)
+	}
+	r := &reader[K, V]{name: name, f: f, kc: kc, vc: vc, buf: make([]byte, readBlock), count: h.keyCount}
 
-	// Phase 1: validate every header before decoding any record.
-	headers := make([]header, len(files))
-	for i, name := range files {
-		h, err := readHeader(name)
-		if err != nil {
-			return LoadStats{}, err
-		}
-		if h.keyKind != kc.kind || h.valKind != vc.kind {
-			return LoadStats{}, fmt.Errorf("%w: %s holds %v→%v, load requested %v→%v",
-				ErrTypeMismatch, name, h.keyKind, h.valKind, kc.kind, vc.kind)
-		}
-		headers[i] = h
-	}
-	ref := headers[0]
-	readers := make([]*shardReader[K, V], ref.shards)
-	for i, h := range headers {
-		if h.shards != ref.shards || h.baseSeq != ref.baseSeq || h.lineage != ref.lineage || h.topo != ref.topo {
-			return LoadStats{}, fmt.Errorf("%w: %s disagrees with %s (mixed dumps in %s)",
-				ErrFormat, files[i], files[0], dir)
-		}
-		if r := readers[h.shard]; r != nil {
-			return LoadStats{}, fmt.Errorf("%w: shard %d appears in both %s and %s",
-				ErrFormat, h.shard, r.name, files[i])
-		}
-		readers[h.shard] = &shardReader[K, V]{name: files[i], count: h.keyCount, kc: kc, vc: vc}
-	}
-	for i, r := range readers {
-		if r == nil {
-			return LoadStats{}, fmt.Errorf("%w: %s missing from %s (dump has %d shards)",
-				ErrMissingShard, ShardFileName(i), dir, ref.shards)
-		}
-	}
-
-	// Phase 2: merge the shards into build's stream.
-	stats := LoadStats{
-		Shards:  int(ref.shards),
-		BaseSeq: ref.baseSeq,
-		Lineage: ref.lineage,
-		Source:  ref.topo,
-	}
-	for _, r := range readers {
-		if err := r.open(); err != nil {
-			closeShards(readers)
-			return stats, err
-		}
-	}
 	var readErr error
-	err = build(ref.baseSeq, func(yield func(K, V) bool) {
-		readErr = merge(readers, yield)
+	err = build(h.baseSeq, func(yield func(K, V) bool) {
+		readErr = r.stream(yield)
 	})
-	closeShards(readers)
-	for _, r := range readers {
-		stats.Records += r.read
-		stats.Bytes += r.bytes
-	}
+	stats := LoadStats{Records: r.read, Bytes: r.bytes, BaseSeq: h.baseSeq, Lineage: h.lineage, Source: h.topo}
 	switch {
 	case readErr != nil:
 		return stats, readErr
@@ -148,76 +104,11 @@ func Load[K cmp.Ordered, V any](dir string, build func(baseSeq uint64, records i
 	return stats, nil
 }
 
-// merge yields the shards' records in ascending key order until every shard
-// is sealed or yield stops. Shards are few (one per dumping socket or
-// helper), so the smallest head is found by a linear scan, which also
-// catches a key held by two shards: both stay heads until it is the
-// smallest, and the scan compares every head with the smallest seen.
-func merge[K cmp.Ordered, V any](readers []*shardReader[K, V], yield func(K, V) bool) error {
-	live := make([]*shardReader[K, V], 0, len(readers))
-	for _, r := range readers {
-		ok, err := r.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			live = append(live, r)
-		}
-	}
-	for len(live) > 0 {
-		bi := 0
-		for i := 1; i < len(live); i++ {
-			switch c := cmp.Compare(live[i].key, live[bi].key); {
-			case c < 0:
-				bi = i
-			case c == 0:
-				a, b := live[bi], live[i]
-				return a.check(b.check(fmt.Errorf("%w: key %v is in both %s and %s",
-					ErrFormat, a.key, a.name, b.name)))
-			}
-		}
-		r := live[bi]
-		if !yield(r.key, r.val) {
-			return nil
-		}
-		ok, err := r.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			live = append(live[:bi], live[bi+1:]...)
-		}
-	}
-	return nil
-}
-
-func closeShards[K cmp.Ordered, V any](readers []*shardReader[K, V]) {
-	for _, r := range readers {
-		if r.f != nil {
-			r.f.Close()
-		}
-	}
-}
-
-// readHeader reads and validates one shard file's header.
-func readHeader(name string) (header, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return header{}, fmt.Errorf("persist: opening %s: %w", name, err)
-	}
-	defer f.Close()
-	var b [headerSize]byte
-	if _, err := io.ReadFull(f, b[:]); err != nil {
-		return header{}, fmt.Errorf("%w: %s: header: %v", ErrTruncated, name, err)
-	}
-	return decodeHeader(b[:], name)
-}
-
-// shardReader decodes one validated shard file's record stream through a
-// block buffer. buf[pos:end] is read but not yet decoded; the stream bytes
+// reader decodes the validated dump file's record stream through a block
+// buffer. buf[pos:end] is read but not yet decoded; the stream bytes
 // in buf[folded:pos] are decoded but not yet folded into crc. Folding
 // happens once per block, when fill slides the buffer, and once at the seal.
-type shardReader[K cmp.Ordered, V any] struct {
+type reader[K cmp.Ordered, V any] struct {
 	name string
 	f    *os.File
 	kc   codec[K]
@@ -233,22 +124,8 @@ type shardReader[K cmp.Ordered, V any] struct {
 	val              V
 }
 
-// open opens the file and positions it at the record stream.
-func (r *shardReader[K, V]) open() error {
-	f, err := os.Open(r.name)
-	if err != nil {
-		return fmt.Errorf("persist: opening %s: %w", r.name, err)
-	}
-	r.f = f
-	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: %s: %w", r.name, err)
-	}
-	r.buf = make([]byte, readBlock)
-	return nil
-}
-
 // fold folds the decoded, unfolded stream bytes into the running CRC.
-func (r *shardReader[K, V]) fold() {
+func (r *reader[K, V]) fold() {
 	r.crc = crc32.Update(r.crc, castagnoli, r.buf[r.folded:r.pos])
 	r.streamBytes += uint64(r.pos - r.folded)
 	r.folded = r.pos
@@ -257,7 +134,7 @@ func (r *shardReader[K, V]) fold() {
 // fill makes at least need undecoded bytes available, sliding the buffer
 // (after folding what it drops) and reading the file. It returns
 // io.ErrUnexpectedEOF when the file ends first.
-func (r *shardReader[K, V]) fill(need int) error {
+func (r *reader[K, V]) fill(need int) error {
 	if r.end-r.pos >= need {
 		return nil
 	}
@@ -285,7 +162,7 @@ func (r *shardReader[K, V]) fill(need int) error {
 
 // blob decodes one length-prefixed field, returning a view into buf that
 // stays valid until the next fill.
-func (r *shardReader[K, V]) blob(what string) ([]byte, error) {
+func (r *reader[K, V]) blob(what string) ([]byte, error) {
 	var n uint64
 	for {
 		v, w := binary.Uvarint(r.buf[r.pos:r.end])
@@ -312,10 +189,24 @@ func (r *shardReader[K, V]) blob(what string) ([]byte, error) {
 	return b, nil
 }
 
-// next decodes the shard's next record into key and val, or seals the
-// shard and reports false after its last one. A key not above the one
-// before it is an order fault.
-func (r *shardReader[K, V]) next() (bool, error) {
+// stream yields the file's records in order until the last one is read and
+// the file sealed, or yield stops.
+func (r *reader[K, V]) stream(yield func(K, V) bool) error {
+	for {
+		ok, err := r.next()
+		if !ok || err != nil {
+			return err
+		}
+		if !yield(r.key, r.val) {
+			return nil
+		}
+	}
+}
+
+// next decodes the next record into key and val, or seals the file and
+// reports false after the last one. A key not above the one before it is an
+// order fault.
+func (r *reader[K, V]) next() (bool, error) {
 	if r.read == r.count {
 		return false, r.seal()
 	}
@@ -344,11 +235,11 @@ func (r *shardReader[K, V]) next() (bool, error) {
 	return true, nil
 }
 
-// check reports an order fault only for a shard whose bytes are intact: it
-// reads the rest of the shard and seals it, and a truncation or checksum
+// check reports an order fault only for a file whose bytes are intact: it
+// reads the rest of the file and seals it, and a truncation or checksum
 // failure found on the way wins, since corruption, not the dump, put the
 // keys out of order.
-func (r *shardReader[K, V]) check(fault error) error {
+func (r *reader[K, V]) check(fault error) error {
 	for ; r.read < r.count; r.read++ {
 		if _, err := r.blob("key"); err != nil {
 			return err
@@ -365,7 +256,7 @@ func (r *shardReader[K, V]) check(fault error) error {
 
 // seal checks the trailer after the last record: its magic, the record
 // count, the stream CRC, and that nothing follows it.
-func (r *shardReader[K, V]) seal() error {
+func (r *reader[K, V]) seal() error {
 	r.fold()
 	if err := r.fill(trailerSize); err != nil {
 		return fmt.Errorf("%w: %s: trailer: %v", ErrTruncated, r.name, err)

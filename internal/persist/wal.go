@@ -99,7 +99,6 @@ type WAL[K cmp.Ordered, V any] struct {
 	f       *os.File
 	w       *bufio.Writer
 	scratch []byte
-	kvbuf   []byte
 	err     error
 	// appended counts records accepted into the buffer — the durability
 	// ticket space. durable is the highest ticket an fsync has covered;
@@ -156,7 +155,7 @@ func (w *WAL[K, V]) setErrLocked(err error) {
 func encodeWALHeader(kk, vk kindCode, lineage uint64) [walHeaderSize]byte {
 	var b [walHeaderSize]byte
 	copy(b[0:8], walMagic)
-	binary.LittleEndian.PutUint32(b[8:], FormatVersion)
+	binary.LittleEndian.PutUint32(b[8:], WALVersion)
 	b[12] = byte(kk)
 	b[13] = byte(vk)
 	binary.LittleEndian.PutUint64(b[16:], lineage)
@@ -273,8 +272,8 @@ func OpenWAL[K cmp.Ordered, V any](path string, expectLineage uint64, opts WALOp
 	if got, want := binary.LittleEndian.Uint32(data[24:]), crc32.Checksum(data[:24], castagnoli); got != want {
 		return nil, nil, stats, fmt.Errorf("%w: %s: WAL header CRC %08x, computed %08x", ErrChecksum, path, got, want)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != FormatVersion {
-		return nil, nil, stats, fmt.Errorf("%w: %s: WAL version %d, this build reads %d", ErrVersion, path, v, FormatVersion)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != WALVersion {
+		return nil, nil, stats, fmt.Errorf("%w: %s: WAL version %d, this build reads %d", ErrVersion, path, v, WALVersion)
 	}
 	if kk, vk := kindCode(data[12]), kindCode(data[13]); kk != kc.kind || vk != vc.kind {
 		return nil, nil, stats, fmt.Errorf("%w: %s holds %v→%v, load requested %v→%v", ErrTypeMismatch, path, kk, vk, kc.kind, vc.kind)
@@ -352,13 +351,9 @@ func (w *WAL[K, V]) append(op WALOp, seq uint64, key K, value V) {
 	b := w.scratch[:0]
 	b = append(b, byte(op))
 	b = appendU64(b, seq)
-	w.kvbuf = w.kc.enc(w.kvbuf[:0], key)
-	b = binary.AppendUvarint(b, uint64(len(w.kvbuf)))
-	b = append(b, w.kvbuf...)
+	b = appendField(b, w.kc, key)
 	if op == WALInsert {
-		w.kvbuf = w.vc.enc(w.kvbuf[:0], value)
-		b = binary.AppendUvarint(b, uint64(len(w.kvbuf)))
-		b = append(b, w.kvbuf...)
+		b = appendField(b, w.vc, value)
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	if _, err := w.w.Write(b); err != nil {

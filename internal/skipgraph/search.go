@@ -44,15 +44,31 @@ func (sg *SG[K, V]) listHeadFor(previous *node.Node[K, V], level int, vector uin
 	return sg.headAt(level, vector)
 }
 
+// searchClock is one search's reading of the structure clock, taken on
+// first use: only checkRetire compares the time, and only for an unmarked
+// invalid node, so a search that meets none never reads the clock.
+type searchClock struct {
+	now  int64
+	read bool
+}
+
+// get returns the search's clock reading, reading clock on first use.
+func (c *searchClock) get(clock func() int64) int64 {
+	if !c.read {
+		c.now, c.read = clock(), true
+	}
+	return c.now
+}
+
 // skipDead advances over nodes that are marked at level 0 or that checkRetire
 // just marked (Alg. 5 lines 6–7 / Alg. 8 lines 5–6). Marked level references
 // are immutable, so following them is always safe and terminates at the tail.
 // It returns the first live node (nil when it runs into a never-linked
 // reference; see scanLevel) plus the length of the dead chain it skipped —
 // the relink-chain length if a relink CAS later bypasses that chain.
-func (sg *SG[K, V]) skipDead(current *node.Node[K, V], level int, now int64, tr *stats.ThreadRecorder) (*node.Node[K, V], int) {
+func (sg *SG[K, V]) skipDead(current *node.Node[K, V], level int, clk *searchClock, tr *stats.ThreadRecorder) (*node.Node[K, V], int) {
 	skipped := 0
-	for current != nil && (current.Marked(0, tr) || sg.checkRetire(current, now, tr)) {
+	for current != nil && (current.Marked(0, tr) || sg.checkRetire(current, clk, tr)) {
 		tr.Visit()
 		current = current.Next(level, tr)
 		skipped++
@@ -70,15 +86,15 @@ func (sg *SG[K, V]) skipDead(current *node.Node[K, V], level int, now int64, tr 
 // structures may briefly hand it out as a search start. Running into such a
 // reference restarts the level from the head of the list the predecessor
 // belongs to, which precedes every key and is always linked.
-func (sg *SG[K, V]) scanLevel(key K, previous *node.Node[K, V], level int, vector uint32, now int64, tr *stats.ThreadRecorder) (prev, middle, current *node.Node[K, V], chain int) {
+func (sg *SG[K, V]) scanLevel(key K, previous *node.Node[K, V], level int, vector uint32, clk *searchClock, tr *stats.ThreadRecorder) (prev, middle, current *node.Node[K, V], chain int) {
 	for {
 		originalCurrent := previous.Next(level, tr)
-		cur, skipped := sg.skipDead(originalCurrent, level, now, tr)
+		cur, skipped := sg.skipDead(originalCurrent, level, clk, tr)
 		for cur != nil && cur.LessThan(key) {
 			tr.Visit()
 			previous = cur
 			originalCurrent = previous.Next(level, tr)
-			cur, skipped = sg.skipDead(originalCurrent, level, now, tr)
+			cur, skipped = sg.skipDead(originalCurrent, level, clk, tr)
 		}
 		if cur == nil || originalCurrent == nil {
 			previous = sg.listHeadFor(previous, level, vector)
@@ -99,15 +115,12 @@ func (sg *SG[K, V]) scanLevel(key K, previous *node.Node[K, V], level int, vecto
 // (lazy protocol), and — under the non-lazy protocol, which cleans up at
 // search time — physically unlinks each marked chain with a single CAS.
 func (sg *SG[K, V]) LazyRelinkSearch(key K, start *node.Node[K, V], vector uint32, res *SearchResult[K, V], tr *stats.ThreadRecorder) bool {
-	var now int64
-	if sg.cfg.Lazy {
-		now = sg.Now()
-	}
+	var clk searchClock
 	tr.Search()
 	previous := sg.normalizeStart(start, vector)
 	for level := sg.cfg.MaxLevel; level >= 0; level-- {
 		previous = sg.descend(previous, level, vector)
-		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, now, tr)
+		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, &clk, tr)
 		previous = prev
 		res.Preds[level] = previous
 		res.Middles[level] = originalCurrent
@@ -124,15 +137,12 @@ func (sg *SG[K, V]) LazyRelinkSearch(key K, start *node.Node[K, V], vector uint3
 // and remove. It does not keep per-level results; it returns the first
 // unmarked node holding key found at any level, descending from the highest.
 func (sg *SG[K, V]) RetireSearch(key K, start *node.Node[K, V], vector uint32, tr *stats.ThreadRecorder) (*node.Node[K, V], bool) {
-	var now int64
-	if sg.cfg.Lazy {
-		now = sg.Now()
-	}
+	var clk searchClock
 	tr.Search()
 	previous := sg.normalizeStart(start, vector)
 	for level := sg.cfg.MaxLevel; level >= 0; level-- {
 		previous = sg.descend(previous, level, vector)
-		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, now, tr)
+		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, &clk, tr)
 		previous = prev
 		if originalCurrent != current {
 			sg.unlinkChain(previous, originalCurrent, current, level, chain, tr)
@@ -192,7 +202,7 @@ func (sg *SG[K, V]) unlinkChain(previous, first, current *node.Node[K, V], level
 // the engine — during the commission period (so retirement happens off-path
 // the moment the period ends, instead of waiting for the next search to
 // stumble over the node) and after it. Only a rejected enqueue retires inline.
-func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadRecorder) bool {
+func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], clk *searchClock, tr *stats.ThreadRecorder) bool {
 	if !sg.cfg.Lazy || !n.IsData() {
 		return false
 	}
@@ -200,7 +210,7 @@ func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadR
 	if marked || valid {
 		return false
 	}
-	if now-n.AllocTS() <= int64(sg.cfg.CommissionPeriod) {
+	if clk.get(sg.cfg.Clock)-n.AllocTS() <= int64(sg.cfg.CommissionPeriod) {
 		// Still inside its commission period: physical removal is deferred so
 		// a re-insertion of the key can revive the node in place.
 		tr.Deferral()
@@ -253,15 +263,12 @@ func (sg *SG[K, V]) checkRetire(n *node.Node[K, V], now int64, tr *stats.ThreadR
 // CleanupSearch also relinks the chain behind every live node holding key
 // there. Level 0 never holds two nodes of one key (LinkLevel0 refuses).
 func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V], tr *stats.ThreadRecorder) {
-	var now int64
-	if sg.cfg.Lazy {
-		now = sg.Now()
-	}
+	var clk searchClock
 	tr.Search()
 	previous := sg.Head(vector)
 	for level := sg.cfg.MaxLevel; level >= 0; level-- {
 		previous = sg.descend(previous, level, vector)
-		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, now, tr)
+		prev, originalCurrent, current, chain := sg.scanLevel(key, previous, level, vector, &clk, tr)
 		previous = prev
 		res.Preds[level] = previous
 		res.Middles[level] = originalCurrent
@@ -273,7 +280,7 @@ func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V],
 		}
 		for c := current; level > 0 && c.KeyEquals(key); {
 			orig := c.Next(level, tr)
-			next, chain := sg.skipDead(orig, level, now, tr)
+			next, chain := sg.skipDead(orig, level, &clk, tr)
 			if next == nil {
 				break // A never-linked reference (see scanLevel).
 			}
@@ -304,15 +311,12 @@ func (sg *SG[K, V]) CleanupSearch(key K, vector uint32, res *SearchResult[K, V],
 func (sg *SG[K, V]) Unlinked(n *node.Node[K, V], tr *stats.ThreadRecorder) bool {
 	key := n.Key()
 	vector := n.Vector()
-	var now int64
-	if sg.cfg.Lazy {
-		now = sg.Now()
-	}
+	var clk searchClock
 	tr.Search()
 	previous := sg.Head(vector)
 	for level := sg.cfg.MaxLevel; level >= 0; level-- {
 		previous = sg.descend(previous, level, vector)
-		prev, originalCurrent, current, _ := sg.scanLevel(key, previous, level, vector, now, tr)
+		prev, originalCurrent, current, _ := sg.scanLevel(key, previous, level, vector, &clk, tr)
 		previous = prev
 		if level > n.TopLevel() {
 			continue

@@ -241,12 +241,17 @@ func (sg *SG[K, V]) RandomTopLevel(rng *rand.Rand) int {
 	return level
 }
 
-// NewNode allocates a data node owned by the given thread, stamping the
-// allocation timestamp used by the commission period. The node participates
+// NewNode allocates a data node owned by the given thread. On lazy
+// structures it stamps the allocation timestamp the commission period runs
+// from; non-lazy ones never read it and skip the clock. The node participates
 // in levels 0..topLevel of the lists its vector selects, and comes from the
 // owner's arena shard (socket-local backing memory).
 func (sg *SG[K, V]) NewNode(key K, value V, vector uint32, owner node.Owner, topLevel int) *node.Node[K, V] {
-	return sg.arena.NewData(key, value, topLevel, vector, owner, sg.nextID.Add(1), sg.Now())
+	var allocTS int64
+	if sg.cfg.Lazy {
+		allocTS = sg.Now()
+	}
+	return sg.arena.NewData(key, value, topLevel, vector, owner, sg.nextID.Add(1), allocTS)
 }
 
 // CanRetireNode reports whether the MVCC retire gate (Config.CanRetire)

@@ -298,6 +298,47 @@ func TestCleanupDuringSearch(t *testing.T) {
 	}
 }
 
+// TestClockReadOnlyWhenCompared counts Config.Clock reads: a lazy search
+// reads the clock only when it meets an unmarked invalid node, whose
+// commission period it must compare, and then once however many it meets;
+// a non-lazy insert never reads it.
+func TestClockReadOnlyWhenCompared(t *testing.T) {
+	reads := 0
+	clock := func() int64 { reads++; return 0 }
+	lazy := newSG(t, Config{MaxLevel: 2, Lazy: true, CommissionPeriod: time.Microsecond, Clock: clock})
+	for k := int64(0); k < 64; k++ {
+		insert(t, lazy, k, 0, 2)
+	}
+	res := lazy.NewSearchResult()
+	reads = 0
+	for k := int64(-1); k <= 64; k++ {
+		lazy.LazyRelinkSearch(k, nil, 0, res, nil)
+		lazy.RetireSearch(k, nil, 0, nil)
+	}
+	if reads != 0 {
+		t.Fatalf("searches that met no invalid node read the clock %d times, want 0", reads)
+	}
+	for k := int64(10); k < 20; k++ {
+		if !remove(t, lazy, k, 0) {
+			t.Fatalf("remove %d failed", k)
+		}
+	}
+	reads = 0
+	lazy.LazyRelinkSearch(30, nil, 0, res, nil)
+	if reads != 1 {
+		t.Fatalf("a search past ten invalid nodes read the clock %d times, want 1", reads)
+	}
+
+	reads = 0
+	plain := newSG(t, Config{MaxLevel: 2, Clock: clock})
+	for k := int64(0); k < 64; k++ {
+		insert(t, plain, k, uint32(k), 2)
+	}
+	if reads != 0 {
+		t.Fatalf("non-lazy inserts read the clock %d times, want 0", reads)
+	}
+}
+
 func TestLazyLifecycle(t *testing.T) {
 	clock := int64(0)
 	sg := newSG(t, Config{

@@ -76,9 +76,8 @@ func (s *Store[K, V]) Barrier() error {
 // no WAL is configured or the journal is healthy.
 func (s *Store[K, V]) Err() error { return s.m.WALErr() }
 
-// StoreToDisk dumps a consistent snapshot of the store into dir as a set of
-// shard files written in parallel — one writer per maintenance helper (or per
-// socket, when maintenance is inline). The dump holds a Snapshot ticket for
+// StoreToDisk dumps a consistent snapshot of the store into dir as one file
+// of its records in ascending key order. The dump holds a Snapshot ticket for
 // its duration: concurrent writers proceed normally (mutations stamped after
 // the snapshot's sequence are excluded from the dump — and journaled by the
 // WAL, when one is configured), while Close blocks until the dump finishes,
@@ -86,9 +85,11 @@ func (s *Store[K, V]) Err() error { return s.m.WALErr() }
 // log is pruned afterwards: records the dump's snapshot already covers are
 // dropped.
 //
-// A failed dump leaves any previous dump in dir untouched. The shard count is
-// a property of the dumping machine only — LoadFromDisk rebuilds under
-// whatever machine its own Config names.
+// The file is written under a temporary name and published with one rename
+// and a directory sync, so after a crash dir holds either the previous dump
+// or the new one, and a failed dump leaves the previous one untouched. The
+// dump carries no layout: LoadFromDisk rebuilds under whatever machine its
+// own Config names.
 func (s *Store[K, V]) StoreToDisk(dir string) (DumpStats, error) {
 	snap, err := s.Snapshot()
 	if err != nil {
@@ -96,12 +97,7 @@ func (s *Store[K, V]) StoreToDisk(dir string) (DumpStats, error) {
 	}
 	defer snap.Close()
 	m := s.m
-	shards := m.Machine().Topology().Sockets()
-	if eng := m.Maintenance(); eng != nil {
-		shards = eng.Helpers()
-	}
 	stats, err := persist.Dump[K, V](dir, snap.Ascend, persist.DumpOptions{
-		Shards:  shards,
 		Topo:    persistTopology(m.Machine()),
 		BaseSeq: snap.Seq(),
 		Lineage: m.Domain().Lineage(),
@@ -120,8 +116,8 @@ func (s *Store[K, V]) StoreToDisk(dir string) (DumpStats, error) {
 
 // LoadFromDisk rebuilds a store from a StoreToDisk dump. cfg configures the
 // loading machine exactly as NewStore would — the dump carries no layout.
-// The shard files are merged into one ascending stream, and the still
-// private map is built from it without a search: record i goes to stripe
+// The dump file's ascending records stream into the still private map,
+// which is built from them without a search: record i goes to stripe
 // i mod T, so every stripe's local structure holds an even share of the
 // keys, and arena placement, packed level references, hash-index entries,
 // and membership vectors are re-derived for cfg.Machine, which need not
@@ -136,10 +132,10 @@ func (s *Store[K, V]) StoreToDisk(dir string) (DumpStats, error) {
 // defines the state).
 //
 // Every other failure — truncation, checksum mismatch, version or type skew,
-// an incomplete shard set, keys out of order within a shard or present in
-// two — fails closed with a typed error from internal/persist and no store:
-// the partially rebuilt store is closed before returning. The returned
-// LoadStats is best-effort on error.
+// keys not strictly ascending, bytes after the trailer — fails closed with a
+// typed error from internal/persist and no store: the partially rebuilt store
+// is closed before returning. A dir holding no dump file fails with an error
+// wrapping fs.ErrNotExist. The returned LoadStats is best-effort on error.
 func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], LoadStats, error) {
 	walDir := cfg.WAL
 	// Build the store logless: base load and replay re-apply mutations the
@@ -274,8 +270,6 @@ var (
 	ErrPersistChecksum = persist.ErrChecksum
 	// ErrPersistTruncated: file ended before its declared content.
 	ErrPersistTruncated = persist.ErrTruncated
-	// ErrPersistMissingShard: incomplete shard set.
-	ErrPersistMissingShard = persist.ErrMissingShard
 	// ErrPersistTypeMismatch: dump/WAL key or value type differs from the
 	// requested type parameters.
 	ErrPersistTypeMismatch = persist.ErrTypeMismatch

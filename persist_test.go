@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -163,12 +164,8 @@ func TestLoadTopologyRederivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := fillStore(t, st, 10000)
-	ds, err := st.StoreToDisk(dir)
-	if err != nil {
+	if _, err := st.StoreToDisk(dir); err != nil {
 		t.Fatal(err)
-	}
-	if ds.Shards != 4 {
-		t.Fatalf("4-socket inline dump wrote %d shards, want one per socket", ds.Shards)
 	}
 	st.Close()
 
@@ -322,75 +319,60 @@ func TestDumpRequiresSnapshots(t *testing.T) {
 // castagnoli is the CRC table dump files are sealed with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// gatherShards decodes every record of an int64→int64 dump, shard by shard
-// (fixed-width records: a 1-byte length prefix before each 8-byte word), and
-// returns them sorted by key.
-func gatherShards(t *testing.T, dir string) (keys, vals []int64) {
+// The dump file's layout as these tests read and forge it: a 60-byte header
+// with the record count at 48 and its CRC at 56, fixed-width records of a
+// 1-byte length prefix before each 8-byte word, and a 20-byte trailer.
+const (
+	dumpHeaderSize = 60
+	dumpRecordSize = 18
+)
+
+func dumpFile(dir string) string { return filepath.Join(dir, persist.DumpFileName) }
+
+// gatherDump decodes every record of an int64→int64 dump.
+func gatherDump(t *testing.T, dir string) (keys, vals []int64) {
 	t.Helper()
-	type rec struct{ k, v int64 }
-	var recs []rec
-	for i := 0; ; i++ {
-		data, err := os.ReadFile(filepath.Join(dir, persist.ShardFileName(i)))
-		if errors.Is(err, os.ErrNotExist) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 68; off < len(data)-20; off += 18 {
-			recs = append(recs, rec{
-				int64(binary.LittleEndian.Uint64(data[off+1:])),
-				int64(binary.LittleEndian.Uint64(data[off+10:])),
-			})
-		}
+	data, err := os.ReadFile(dumpFile(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].k < recs[j].k })
-	for _, r := range recs {
-		keys, vals = append(keys, r.k), append(vals, r.v)
+	for off := dumpHeaderSize; off < len(data)-20; off += dumpRecordSize {
+		keys = append(keys, int64(binary.LittleEndian.Uint64(data[off+1:])))
+		vals = append(vals, int64(binary.LittleEndian.Uint64(data[off+10:])))
 	}
 	return keys, vals
 }
 
-// rewriteShards replaces the records of shard i with keys[i] and vals[i]
-// (empty past len(keys)), keeping each file's header but its record count,
-// and re-seals header and stream CRCs, so the files pass every integrity
-// check.
-func rewriteShards(t *testing.T, dir string, keys, vals [][]int64) {
+// rewriteDump replaces the dump's records with keys and vals, keeping its
+// header but its record count, and re-seals header and stream CRCs, so the
+// file passes every integrity check.
+func rewriteDump(t *testing.T, dir string, keys, vals []int64) {
 	t.Helper()
-	for i := 0; ; i++ {
-		p := filepath.Join(dir, persist.ShardFileName(i))
-		data, err := os.ReadFile(p)
-		if errors.Is(err, os.ErrNotExist) {
-			return
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ks, vs []int64
-		if i < len(keys) {
-			ks, vs = keys[i], vals[i]
-		}
-		out := append([]byte(nil), data[:68]...)
-		binary.LittleEndian.PutUint64(out[56:], uint64(len(ks)))
-		binary.LittleEndian.PutUint32(out[64:], crc32.Checksum(out[:64], castagnoli))
-		for j := range ks {
-			out = append(out, 8)
-			out = binary.LittleEndian.AppendUint64(out, uint64(ks[j]))
-			out = append(out, 8)
-			out = binary.LittleEndian.AppendUint64(out, uint64(vs[j]))
-		}
-		stream := crc32.Checksum(out[68:], castagnoli)
-		out = append(out, "SGEND001"...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(ks)))
-		out = binary.LittleEndian.AppendUint32(out, stream)
-		if err := os.WriteFile(p, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	data, err := os.ReadFile(dumpFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), data[:dumpHeaderSize]...)
+	binary.LittleEndian.PutUint64(out[48:], uint64(len(keys)))
+	binary.LittleEndian.PutUint32(out[56:], crc32.Checksum(out[:56], castagnoli))
+	for j := range keys {
+		out = append(out, 8)
+		out = binary.LittleEndian.AppendUint64(out, uint64(keys[j]))
+		out = append(out, 8)
+		out = binary.LittleEndian.AppendUint64(out, uint64(vals[j]))
+	}
+	stream := crc32.Checksum(out[dumpHeaderSize:], castagnoli)
+	out = append(out, "SGEND001"...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(keys)))
+	out = binary.LittleEndian.AppendUint32(out, stream)
+	if err := os.WriteFile(dumpFile(dir), out, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestLoadFaultsFailClosed corrupts a valid dump six ways; every load must
-// return the matching typed error and a nil store.
+// TestLoadFaultsFailClosed corrupts a valid dump five ways and loads it with
+// the wrong value type; every load must return the matching typed error and
+// a nil store.
 func TestLoadFaultsFailClosed(t *testing.T) {
 	makeDump := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -405,68 +387,43 @@ func TestLoadFaultsFailClosed(t *testing.T) {
 		st.Close()
 		return dir
 	}
-	// Batch dealing may leave a shard empty; corruption targets need records.
-	nonEmptyShard := func(t *testing.T, dir string) string {
-		for i := 0; ; i++ {
-			p := filepath.Join(dir, persist.ShardFileName(i))
-			fi, err := os.Stat(p)
-			if err != nil {
-				t.Fatalf("no non-empty shard in %s", dir)
-			}
-			if fi.Size() > 100 {
-				return p
-			}
-		}
-	}
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, dir string)
 		want    error
 	}{
 		{"truncated", func(t *testing.T, dir string) {
-			p := nonEmptyShard(t, dir)
-			fi, _ := os.Stat(p)
-			if err := os.Truncate(p, fi.Size()/2); err != nil {
+			fi, _ := os.Stat(dumpFile(dir))
+			if err := os.Truncate(dumpFile(dir), fi.Size()/2); err != nil {
 				t.Fatal(err)
 			}
 		}, ErrPersistTruncated},
 		{"bitflip", func(t *testing.T, dir string) {
-			p := nonEmptyShard(t, dir)
-			data, err := os.ReadFile(p)
+			data, err := os.ReadFile(dumpFile(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
 			data[len(data)/2] ^= 0x01
-			if err := os.WriteFile(p, data, 0o644); err != nil {
+			if err := os.WriteFile(dumpFile(dir), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}, ErrPersistChecksum},
-		{"missing-shard", func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, persist.ShardFileName(0))); err != nil {
-				t.Fatal(err)
-			}
-		}, ErrPersistMissingShard},
-		// The last two are built by hand with re-sealed CRCs, so only the
-		// order check can catch them.
+		// Built by hand with re-sealed CRCs, so only the order check can
+		// catch it.
 		{"unordered-shard", func(t *testing.T, dir string) {
-			keys, vals := gatherShards(t, dir)
+			keys, vals := gatherDump(t, dir)
 			keys[10], keys[11] = keys[11], keys[10]
 			vals[10], vals[11] = vals[11], vals[10]
-			rewriteShards(t, dir, [][]int64{keys}, [][]int64{vals})
-		}, ErrPersistFormat},
-		{"key-in-two-shards", func(t *testing.T, dir string) {
-			keys, vals := gatherShards(t, dir)
-			rewriteShards(t, dir, [][]int64{keys, keys[100:101]}, [][]int64{vals, vals[100:101]})
+			rewriteDump(t, dir, keys, vals)
 		}, ErrPersistFormat},
 		{"version-skew", func(t *testing.T, dir string) {
-			p := filepath.Join(dir, persist.ShardFileName(0))
-			data, err := os.ReadFile(p)
+			data, err := os.ReadFile(dumpFile(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
 			binary.LittleEndian.PutUint32(data[8:], 99)
-			binary.LittleEndian.PutUint32(data[64:], crc32.Checksum(data[:64], castagnoli))
-			if err := os.WriteFile(p, data, 0o644); err != nil {
+			binary.LittleEndian.PutUint32(data[56:], crc32.Checksum(data[:56], castagnoli))
+			if err := os.WriteFile(dumpFile(dir), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}, ErrPersistVersion},
@@ -491,6 +448,137 @@ func TestLoadFaultsFailClosed(t *testing.T) {
 			t.Fatalf("got %v (store %v), want ErrPersistTypeMismatch and nil", err, st)
 		}
 	})
+}
+
+// dirNames lists a directory's entries.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestDumpPublishStrayTemp: a dump that crashed before its rename leaves a
+// partial temporary beside the previous dump. A load reads the previous dump
+// exactly, and the next dump overwrites the temporary and replaces the dump,
+// leaving one file.
+func TestDumpPublishStrayTemp(t *testing.T) {
+	dir := t.TempDir()
+	cfg := persistConfig(persistMachine(t, 2, 2, 4))
+	st, err := NewStore[int64, int64](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fillStore(t, st, 3000)
+	ds, err := st.StoreToDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	data, err := os.ReadFile(dumpFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The crashed dump's temporary: its placeholder header and part of its
+	// record stream, with no trailer.
+	if err := os.WriteFile(dumpFile(dir)+".tmp", data[:len(data)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, ls, err := LoadFromDisk[int64, int64](dir, cfg)
+	if err != nil {
+		t.Fatalf("load beside a stray temporary: %v", err)
+	}
+	if ls.Records != ds.Records || ls.BaseSeq != ds.BaseSeq || ls.Bytes != ds.Bytes {
+		t.Fatalf("load stats %+v, want the previous dump's %+v", ls, ds)
+	}
+	checkStoreModel(t, st2, old)
+	model := fillStore(t, st2, 5000)
+	if _, err := st2.StoreToDisk(dir); err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != persist.DumpFileName {
+		t.Fatalf("dump dir holds %v, want only %s", names, persist.DumpFileName)
+	}
+	st3, _, err := LoadFromDisk[int64, int64](dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	checkStoreModel(t, st3, model)
+}
+
+// TestDumpPublishFailureKeepsPrevious: a dump that fails before its rename
+// leaves the previous dump in place and the WAL unpruned, so recovery still
+// returns everything the store acknowledged.
+func TestDumpPublishFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	cfg := persistConfig(persistMachine(t, 2, 2, 4))
+	cfg.WAL = t.TempDir()
+	st, err := NewStore[int64, int64](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := fillStore(t, st, 3000)
+	ds, err := st.StoreToDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(10000); k < 10200; k++ {
+		st.Insert(k, k*3)
+		model[k] = k * 3
+	}
+	// A directory at the temporary's name fails the dump's create, with the
+	// snapshot walk under way.
+	if err := os.Mkdir(dumpFile(dir)+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.StoreToDisk(dir); err == nil {
+		t.Fatal("dump over a directory at the temporary's name succeeded")
+	}
+	st.Close()
+
+	st2, ls, err := LoadFromDisk[int64, int64](dir, cfg)
+	if err != nil {
+		t.Fatalf("load after a failed dump: %v", err)
+	}
+	defer st2.Close()
+	if ls.Records != ds.Records || ls.BaseSeq != ds.BaseSeq || ls.WALReplayed != 200 {
+		t.Fatalf("load stats %+v, want the previous dump (%d records at seq %d) plus 200 replayed records",
+			ls, ds.Records, ds.BaseSeq)
+	}
+	checkStoreModel(t, st2, model)
+}
+
+// TestLoadOldShardSetFailsClosed: a directory holding only a shard set of
+// the retired multi-file format has no dump file, so a load fails as a
+// missing file and returns no store.
+func TestLoadOldShardSetFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		// A version-1 shard header (shard i of 2, no records) and trailer.
+		b := make([]byte, 68)
+		copy(b, "SGDUMP01")
+		binary.LittleEndian.PutUint32(b[8:], 1)
+		binary.LittleEndian.PutUint32(b[12:], uint32(i))
+		binary.LittleEndian.PutUint32(b[16:], 2)
+		binary.LittleEndian.PutUint32(b[64:], crc32.Checksum(b[:64], castagnoli))
+		b = append(append(b, "SGEND001"...), make([]byte, 12)...)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("shard-%04d.sgd", i)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _, err := LoadFromDisk[int64, int64](dir, persistConfig(persistMachine(t, 1, 2, 2)))
+	if !errors.Is(err, fs.ErrNotExist) || st != nil {
+		t.Fatalf("got %v (store %v), want fs.ErrNotExist and nil", err, st)
+	}
 }
 
 // TestWALRecovery is the end-to-end crash-recovery path: journal through a
