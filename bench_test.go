@@ -232,59 +232,6 @@ func BenchmarkTable2_CacheMisses(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintainOverhead compares the lazy layered map's maintenance
-// policies — the paper's inline protocol vs. the background helper pool — on
-// the write-heavy high- and low-contention scenarios, reporting both
-// throughput and sampled p99 operation latency. The interesting number
-// is the tail: background maintenance moves finishInsert/retire/relink work
-// off the critical path, so p99 should drop (or hold) while throughput stays
-// within noise of inline.
-func BenchmarkMaintainOverhead(b *testing.B) {
-	scenarios := []struct {
-		name string
-		sc   experiments.Scenario
-	}{
-		{"HC_WH", experiments.HC},
-		{"LC_WH", experiments.LC},
-	}
-	policies := []struct {
-		name   string
-		policy MaintenancePolicy
-	}{
-		{"inline", MaintInline},
-		{"background", MaintBackground},
-	}
-	machine := benchMachine(b, benchThreads)
-	for _, sc := range scenarios {
-		for _, p := range policies {
-			b.Run(sc.name+"/"+p.name, func(b *testing.B) {
-				var opsPerMs, p99 float64
-				for i := 0; i < b.N; i++ {
-					a, err := NewAdapter("lazy_layered_sg", machine, AdapterOptions{
-						KeySpace:    sc.sc.KeySpace,
-						Maintenance: p.policy,
-						Seed:        int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					w := benchWorkload(sc.sc, experiments.WH)
-					w.LatencySample = 64
-					res, err := sbench.Trial(machine, a, w)
-					a.Close()
-					if err != nil {
-						b.Fatal(err)
-					}
-					opsPerMs += res.OpsPerMs
-					p99 += float64(res.Latency.P99Ns)
-				}
-				b.ReportMetric(opsPerMs/float64(b.N), "ops/ms")
-				b.ReportMetric(p99/float64(b.N), "p99ns")
-			})
-		}
-	}
-}
-
 // BenchmarkIndexOverhead measures the shared hash index (internal/hindex,
 // DESIGN.md §9) on its target workload: point reads of keys *other stripes*
 // inserted. The local structure cannot jump near those keys, so without the
@@ -398,15 +345,16 @@ func BenchmarkPQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkReclaim measures the epoch-based slot-reclamation pipeline on the
-// update hot path and the MVCC read surface it enables. The churn pair runs
-// remove+insert workloads under the background engine with a fixed flush
-// cadence: ns/op is the pipeline's hot-path cost (stamp sequencer + epoch
-// pins + limbo hand-off; see EXPERIMENTS.md for the measured figures), while
-// slotsCarved/slotsLive show the capacity story: carved slots plateau near
-// the working set instead of tracking total allocations. The snapshot
-// sub-benchmarks price acquisition and the consistent-vs-weak RangeScan.
-// Results in EXPERIMENTS.md; `make bench-reclaim` runs the suite.
+// BenchmarkReclaim measures the epoch-based slot reclamation on the update
+// hot path and the MVCC read surface it enables. The churn pair runs
+// remove+insert workloads with a forced reclamation pass at a fixed cadence
+// on top of the passes the map triggers itself: ns/op is the hot-path cost
+// (stamp sequencer, epoch pins, limbo hand-off and the amortized passes; see
+// EXPERIMENTS.md for the measured figures), while slotsCarved/slotsLive show
+// the capacity story: carved slots plateau near the working set instead of
+// tracking total allocations. The snapshot sub-benchmarks price acquisition
+// and the consistent-vs-weak RangeScan. Results in EXPERIMENTS.md; `make
+// bench-reclaim` runs the suite.
 func BenchmarkReclaim(b *testing.B) {
 	newChurnMap := func(b *testing.B) *Map[int64, int64] {
 		var now atomic.Int64
@@ -414,7 +362,6 @@ func BenchmarkReclaim(b *testing.B) {
 			Machine:          benchMachine(b, 4),
 			Kind:             LazyLayeredSG,
 			Seed:             1,
-			Maintenance:      MaintBackground,
 			CommissionPeriod: 500,
 			Clock:            func() int64 { return now.Add(50) },
 		})
@@ -424,10 +371,10 @@ func BenchmarkReclaim(b *testing.B) {
 		return m
 	}
 	// turnover: a moving 1024-key window — every iteration inserts a fresh
-	// key and removes the eldest, which is never re-inserted, so each removal
-	// ages past its commission period and retires. This is the workload where
-	// the slot pipeline earns its keep: slotsCarved plateaus instead of
-	// tracking b.N.
+	// key and removes the eldest, which is never re-inserted, so the dead
+	// nodes pile up past the retirement budget and retire. This is the
+	// workload where reclamation earns its keep: slotsCarved plateaus
+	// instead of tracking b.N.
 	b.Run("turnover/reclaim", func(b *testing.B) {
 		m := newChurnMap(b)
 		defer m.Close()
@@ -440,21 +387,11 @@ func BenchmarkReclaim(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h.Insert(int64(1024+i), int64(i))
 			h.Remove(int64(i))
-			// Stands in for helper park cycles at benchmark speed. The
-			// cadence stays under the retire-queue capacity: removals enqueue
-			// deferred retires during their commission period, and a flush
-			// interval larger than the queue drops the excess on the floor
-			// (the lazy protocol then only finds those nodes again if a later
-			// search stumbles over them, which a one-way key window never
-			// does).
-			if i&255 == 255 {
-				m.Maintenance().Flush()
+			if i&1023 == 1023 {
+				m.Reclaim()
 			}
 		}
 		b.StopTimer()
-		for i := 0; i < 64 && m.Maintenance().LimboDepth() > 0; i++ {
-			m.Maintenance().Flush()
-		}
 		st := m.SharedStructure().ArenaStats()
 		b.ReportMetric(float64(st.SlotsUsed), "slotsCarved")
 		b.ReportMetric(float64(st.SlotsLive()), "slotsLive")
@@ -509,7 +446,6 @@ func BenchmarkReclaim(b *testing.B) {
 				Machine:          benchMachine(b, 4),
 				Kind:             mode.kind,
 				Seed:             1,
-				Maintenance:      MaintBackground,
 				CommissionPeriod: 500,
 				Clock:            func() int64 { return now.Add(50) },
 			})

@@ -16,11 +16,10 @@
 //
 //	sgbench -algo lazy_layered_sg -threads 16 -via-store -goroutines 64
 //
-// The lazy layered variants' deferred maintenance can be moved off the
-// critical path with -maintain background; pair it with -latency-sample N
-// to compare tail latencies against the inline default:
+// -latency-sample N samples every Nth operation's wall-clock latency and
+// prints its quantiles:
 //
-//	sgbench -algo lazy_layered_sg -maintain background -latency-sample 64
+//	sgbench -algo lazy_layered_sg -latency-sample 64
 //
 // The observability layer attaches with -observe (prints per-op metrics —
 // latency percentiles, jump origins, CAS retries — after the run) and
@@ -83,7 +82,6 @@ func run(args []string, w io.Writer) error {
 		workers   = fs.Int("goroutines", 0, "worker goroutines (0 = one per thread; >threads requires -via-store)")
 		observe   = fs.Bool("observe", false, "attach the observability layer (event tracing + metrics; layered variants only) and print its snapshot")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars, /debug/obs, /debug/trace on this address (implies -observe)")
-		maintain  = fs.String("maintain", "inline", "maintenance policy for the lazy layered variants: inline or background")
 		latEvery  = fs.Int("latency-sample", 0, "sample every Nth operation's wall-clock latency and print quantiles (0 disables)")
 		skew      = fs.String("skew", "uniform", "key distribution: uniform, zipf[:s] (Zipfian, exponent s > 1), or hot[:p] (fraction p of ops on the hot 10% of keys)")
 		dumpDir   = fs.String("dump", "", "persistence trial: fill a store with -keyspace keys and StoreToDisk into this directory, reporting dump throughput")
@@ -107,15 +105,6 @@ func run(args []string, w io.Writer) error {
 	machine, err := layeredsg.Pin(topo, *threads)
 	if err != nil {
 		return err
-	}
-	var policy layeredsg.MaintenancePolicy
-	switch *maintain {
-	case "inline":
-		policy = layeredsg.MaintInline
-	case "background":
-		policy = layeredsg.MaintBackground
-	default:
-		return fmt.Errorf("unknown -maintain policy %q (want inline or background)", *maintain)
 	}
 	if *dumpDir != "" || *loadDir != "" {
 		pol, err := layeredsg.ParseWALSyncPolicy(*walSync)
@@ -161,11 +150,10 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "debug server:       http://%s/debug/\n", ln.Addr())
 	}
 	res, err := layeredsg.RunAverage(machine, *algo, layeredsg.AdapterOptions{
-		KeySpace:    *keySpace,
-		Seed:        *seed,
-		ViaStore:    *viaStore,
-		Observe:     tracer,
-		Maintenance: policy,
+		KeySpace: *keySpace,
+		Seed:     *seed,
+		ViaStore: *viaStore,
+		Observe:  tracer,
 	}, wl, *runs)
 	if err != nil {
 		return err
@@ -178,9 +166,6 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "throughput:         %.0f ops/ms\n", res.OpsPerMs)
 	fmt.Fprintf(w, "total operations:   %d (%d runs)\n", res.TotalOps, *runs)
 	fmt.Fprintf(w, "effective updates:  %.1f%% (requested %.0f%%)\n", res.EffectiveUpdatePct, *update*100)
-	if *maintain != "inline" {
-		fmt.Fprintf(w, "maintenance:        %s\n", policy)
-	}
 	if *skew != "uniform" {
 		fmt.Fprintf(w, "key distribution:   %s\n", *skew)
 	}

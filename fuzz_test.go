@@ -183,76 +183,6 @@ func replayHandleOps(t *testing.T, kind core.Kind, data []byte) {
 	checkModel(t, kind, m, model)
 }
 
-// FuzzMaintainOps replays the same byte-encoded sequences against the lazy
-// variants with background maintenance: operations still run sequentially
-// (so every result must match the model exactly — deferred
-// maintenance is invisible to the logical contents), but real helper
-// goroutines drain finish/retire/relink work concurrently the whole time.
-// The clock is atomic because helpers read it outside the caller's thread.
-// After the replay the engine is Closed — its final drain must leave the
-// structure valid with no lost keys and nothing queued.
-func FuzzMaintainOps(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 3, 1, 2, 1, 3, 1, 0, 1, 3, 1})
-	f.Add([]byte{0, 10, 0, 20, 0, 30, 2, 20, 0, 20, 2, 10, 4, 10, 0, 10})
-	f.Add([]byte{0, 5, 2, 5, 0, 5, 2, 5, 0, 5, 2, 5, 0, 5, 4, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range []core.Kind{core.LazyLayeredSG, core.LazyLayeredSSG} {
-			replayMaintainOps(t, kind, data)
-		}
-	})
-}
-
-func replayMaintainOps(t *testing.T, kind core.Kind, data []byte) {
-	machine := fuzzMachine(t)
-	var now atomic.Int64
-	m, err := New[int64, int64](Config{
-		Machine:          machine,
-		Kind:             kind,
-		Seed:             1,
-		CommissionPeriod: 500,
-		Maintenance:      MaintBackground,
-		Clock:            func() int64 { return now.Add(50) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[int64]int64{}
-	thread := 0
-	h := m.Handle(0)
-	for i := 0; i+1 < len(data); i += 2 {
-		sel, kb := data[i], data[i+1]
-		key := int64(kb) % fuzzKeySpace
-		_, present := model[key]
-		switch sel % 6 {
-		case 0, 1:
-			if got := h.Insert(key, key); got != !present {
-				t.Fatalf("%v op %d: Insert(%d) = %v with present=%v", kind, i/2, key, got, present)
-			}
-			model[key] = key
-		case 2:
-			if got := h.Remove(key); got != present {
-				t.Fatalf("%v op %d: Remove(%d) = %v with present=%v", kind, i/2, key, got, present)
-			}
-			delete(model, key)
-		case 3:
-			v, ok := h.Get(key)
-			if ok != present || (ok && v != key) {
-				t.Fatalf("%v op %d: Get(%d) = (%d, %v) with present=%v", kind, i/2, key, v, ok, present)
-			}
-		case 4:
-			if got := h.Contains(key); got != present {
-				t.Fatalf("%v op %d: Contains(%d) = %v with present=%v", kind, i/2, key, got, present)
-			}
-		case 5:
-			// Rotate to the next confined handle (sequential handoff).
-			thread = (thread + 1) % m.Threads()
-			h = m.Handle(thread)
-		}
-	}
-	m.Close()
-	checkModel(t, kind, m, model)
-}
-
 // FuzzRefRepresentations is the differential target for the two places a
 // node's level word lives: inline in the node (levels below
 // node.MaxArenaLevels) and in its chunk's overflow words (levels above, in
@@ -355,9 +285,9 @@ func replayDifferentialOps(t *testing.T, kind core.Kind, data []byte) {
 // operations resolve through hindex fast paths — including miss-fallbacks,
 // stale-entry pruning, and index-accelerated revives — from rotating handles,
 // so keys are served from stripes that do not own them. Every result must
-// match the model, and a maintain+reclaim replay covers the generation-tag
-// interaction with slot reuse. (internal/core's TestLossyIndex covers the
-// descents an index miss leaves to the local structure.)
+// match the model, and a replay with forced reclamation passes covers the
+// generation-tag interaction with slot reuse. (internal/core's TestLossyIndex
+// covers the descents an index miss leaves to the local structure.)
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 1, 2, 1, 3, 1, 0, 1, 3, 1})
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 2, 20, 4, 0, 0, 20, 5, 0})
@@ -366,18 +296,18 @@ func FuzzIndexOps(f *testing.F) {
 		for _, kind := range fuzzKinds {
 			replayIndexOps(t, kind, data, false)
 		}
-		// Background maintenance + reclamation: retirements reach limbo and
-		// free slots mid-sequence, so indexed refs cross slot-reuse
-		// boundaries and the LiveAs generation check earns its keep.
+		// Reclamation on a fast clock: searches retire expired nodes and the
+		// passes the Reclaim op forces free their slots mid-sequence, so
+		// indexed refs cross slot-reuse boundaries and the LiveAs generation
+		// check earns its keep.
 		replayIndexOps(t, core.LazyLayeredSG, data, true)
 	})
 }
 
-func replayIndexOps(t *testing.T, kind core.Kind, data []byte, maintained bool) {
+func replayIndexOps(t *testing.T, kind core.Kind, data []byte, reclaim bool) {
 	cfg := fuzzConfig(fuzzMachine(t), kind)
 	var clock atomic.Int64
-	if maintained {
-		cfg.Maintenance = core.MaintBackground
+	if reclaim {
 		cfg.Clock = func() int64 { return clock.Add(50) }
 	}
 	m, err := New[int64, int64](cfg)
@@ -416,10 +346,10 @@ func replayIndexOps(t *testing.T, kind core.Kind, data []byte, maintained bool) 
 			thread = (thread + 1) % m.Threads()
 			h = m.Handle(thread)
 		case 6:
-			if maintained {
-				// Drain deferred retirements so nodes reach limbo and slots
+			if reclaim {
+				// Relink, arm and free what searches retired, so slots
 				// recycle under live index entries.
-				m.Maintenance().Flush()
+				m.Reclaim()
 			}
 		}
 	}
@@ -538,8 +468,8 @@ func replayStoreOps(t *testing.T, kind core.Kind, data []byte) {
 }
 
 // FuzzSnapshotOps is the MVCC twin-map target: sequences interleave map
-// mutations with opening, verifying, and closing snapshots, plus synchronous
-// maintenance flushes that drive retirement and slot reclamation while
+// mutations with opening, verifying, and closing snapshots, plus forced
+// reclamation passes that relink, arm and free retired nodes while
 // snapshots are live. Sequentially the snapshot contract is exact: a
 // snapshot taken at any point must observe precisely the model state at that
 // point — including values from superseded lives preserved by the revival
@@ -591,7 +521,6 @@ func replaySnapshotOps(t *testing.T, kind core.Kind, data []byte) {
 		Kind:             kind,
 		Seed:             1,
 		CommissionPeriod: 500,
-		Maintenance:      core.MaintBackground,
 		Clock:            func() int64 { return now.Add(50) },
 	})
 	if err != nil {
@@ -652,10 +581,9 @@ func replaySnapshotOps(t *testing.T, kind core.Kind, data []byte) {
 				snaps = append(snaps[:j], snaps[j+1:]...)
 			}
 		case 7:
-			// Synchronous maintenance: finish inserts, retire, advance the
-			// epoch, and run a limbo round — reclamation churns under the
-			// open snapshots.
-			m.Maintenance().Flush()
+			// A reclamation pass: relink, arm and free what searches
+			// retired — reclamation churns under the open snapshots.
+			m.Reclaim()
 		}
 	}
 	// Every still-open snapshot must still see exactly its acquisition-time

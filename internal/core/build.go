@@ -49,5 +49,6 @@ func Build[K cmp.Ordered, V any](m *Map[K, V], born uint64, records iter.Seq2[K,
 		nodes = append(nodes, n)
 	}
 	m.hidx.Fill(nodes)
+	m.rc.built = int64(len(nodes))
 	return nil
 }

@@ -12,21 +12,21 @@ import (
 // with probability ½, the key's index entry is unpublished, so the operation
 // falls back to a descent seeded from the handle's local structure, which may
 // hold the key's own node. Every result is checked against a model, then the
-// structure's invariants and Len. The background leg flushes the maintenance
-// engine as it goes, so retirements and slot reuse interleave with the misses.
+// structure's invariants and Len. The reclaim leg forces reclamation passes
+// as it goes, so retirements and slot reuse interleave with the misses.
 func TestLossyIndex(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			runLossyIndex(t, newMap(t, kind, 4), nil)
 		})
 	}
-	t.Run("lazy_layered_sg_background", func(t *testing.T) {
-		m := newLazyMap(t, Config{Maintenance: MaintBackground, CommissionPeriod: time.Microsecond})
-		runLossyIndex(t, m, m.Maintenance().Flush)
+	t.Run("lazy_layered_sg_reclaim", func(t *testing.T) {
+		m := newLazyMap(t, Config{CommissionPeriod: time.Microsecond})
+		runLossyIndex(t, m, func() { m.Reclaim() })
 	})
 }
 
-func runLossyIndex(t *testing.T, m *Map[int64, int64], flush func() int) {
+func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func()) {
 	const keys, ops = 64, 4000
 	rng := rand.New(rand.NewSource(int64(m.Kind())))
 	model := map[int64]bool{}
@@ -54,8 +54,8 @@ func runLossyIndex(t *testing.T, m *Map[int64, int64], flush func() int) {
 				t.Fatalf("op %d: handle %d Get(%d) = (%d, %v) with present=%v", i, h.Thread(), key, v, ok, model[key])
 			}
 		}
-		if flush != nil && i%64 == 63 {
-			flush()
+		if reclaim != nil && i%64 == 63 {
+			reclaim()
 		}
 	}
 	m.Close()

@@ -218,7 +218,7 @@ func (l *revivalLog[K, V]) lookup(key K, s uint64) (V, bool) {
 //
 // A Snapshot's read methods are safe for concurrent use with map operations,
 // but the Snapshot itself is not safe for concurrent use by multiple
-// goroutines (except through Visit, which coordinates internally).
+// goroutines.
 type Snapshot[K cmp.Ordered, V any] struct {
 	m      *Map[K, V]
 	tk     *epoch.Ticket
@@ -309,48 +309,4 @@ func (s *Snapshot[K, V]) walk(from K, haveFrom bool, fn func(key K, value V) boo
 		}
 		cur = cur.Next(0, nil)
 	}
-}
-
-// Visit streams every entry present at the snapshot's sequence through fn on
-// a pool of worker goroutines: one walker traverses (traversal order is
-// inherently sequential) while workers apply fn to batches in parallel. fn
-// must be safe for concurrent calls; no ordering is guaranteed across
-// batches. workers < 2 degrades to a sequential Ascend.
-func (s *Snapshot[K, V]) Visit(workers int, fn func(key K, value V)) {
-	if workers < 2 {
-		s.Ascend(func(k K, v V) bool { fn(k, v); return true })
-		return
-	}
-	type pair struct {
-		k K
-		v V
-	}
-	const batchSize = 256
-	ch := make(chan []pair, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for batch := range ch {
-				for _, p := range batch {
-					fn(p.k, p.v)
-				}
-			}
-		}()
-	}
-	batch := make([]pair, 0, batchSize)
-	s.Ascend(func(k K, v V) bool {
-		batch = append(batch, pair{k: k, v: v})
-		if len(batch) == batchSize {
-			ch <- batch
-			batch = make([]pair, 0, batchSize)
-		}
-		return true
-	})
-	if len(batch) > 0 {
-		ch <- batch
-	}
-	close(ch)
-	wg.Wait()
 }

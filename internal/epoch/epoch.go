@@ -87,8 +87,8 @@ type Domain struct {
 	snapSeq      uint64 // ticket id counter, under snapMu
 }
 
-// NewDomain builds a domain. participants is a capacity hint (stripe handles
-// plus maintenance helpers); registration grows past it freely.
+// NewDomain builds a domain. participants is a capacity hint (stripe
+// handles); registration grows past it freely.
 func NewDomain(participants int) *Domain {
 	if participants < 1 {
 		participants = 1
@@ -118,8 +118,8 @@ type Pin struct {
 
 // Register hands out a fresh participant slot. Slots are never recycled —
 // an abandoned unpinned slot costs MinPinned one load per scan — so
-// registration is for long-lived participants (stripe handles, helpers,
-// reader handles), not per-operation use.
+// registration is for long-lived participants (stripe handles, reader
+// handles), not per-operation use.
 func (d *Domain) Register() *Pin {
 	if d == nil {
 		return nil
@@ -175,7 +175,7 @@ func (d *Domain) Epoch() uint64 {
 }
 
 // Advance moves the global epoch forward and returns the new value. The
-// maintenance engine calls it between drain passes.
+// layered map's reclamation pass calls it once per pass.
 func (d *Domain) Advance() uint64 {
 	if d == nil {
 		return 0
@@ -236,8 +236,8 @@ func (d *Domain) AdoptLineage(l uint64) {
 
 // MinPinned returns the minimum epoch pinned by any participant or live
 // snapshot ticket, or NoSequence when nothing is pinned. A limbo entry
-// retired at epoch e may be freed once MinPinned() > e (after the two-phase
-// unreachability re-verification — see the maintenance engine).
+// armed at epoch e may be freed once MinPinned() > e (after the
+// unreachability verification — see internal/core's reclamation pass).
 func (d *Domain) MinPinned() uint64 {
 	if d == nil {
 		return NoSequence

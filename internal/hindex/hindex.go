@@ -19,10 +19,12 @@
 // Slots hold the hash, not the key. A slot claims its hash once and keeps
 // it for the array's lifetime: unpublishing tombstones the slot (node = nil)
 // and a later publish under the same hash revives it in place. Once claimed
-// slots (live plus tombstones) pass half the array, the publisher rebuilds
-// the shard into a fresh array holding only live entries, sized for them,
-// and swaps it in. Tombstones therefore last until their shard's next
-// rehash, and index memory tracks live keys rather than distinct keys ever.
+// slots (live plus tombstones) pass half the array, or tombstones outnumber
+// half the live entries, the publisher rebuilds the shard into a fresh array
+// holding only live entries, sized for them, and swaps it in. Tombstones
+// therefore last until their shard's next rehash, and index memory tracks
+// live keys rather than distinct keys ever: under key drift, claimed slots
+// stay within 1.5 times the live entries.
 //
 // # Fail-closed entries
 //
@@ -177,7 +179,7 @@ func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
 	e.hash.Store(h)
 	s.used++
 	s.live++
-	if 2*s.used > len(tab) {
+	if 2*s.used > len(tab) || 2*(s.used-s.live) > s.live+minSlots {
 		s.rehash(tab)
 	}
 }

@@ -55,7 +55,7 @@ func TestInsertedBitIndependent(t *testing.T) {
 	a := NewArena[int64, int64](1, 2)
 	n := a.NewData(1, 1, 1, 0, Owner{}, 1, 0)
 	n.MarkInserted()
-	for bit := MaintFinishQueued; bit < MaintInserted; bit <<= 1 {
+	for bit := MaintFinishClaimed; bit < MaintInserted; bit <<= 1 {
 		if !n.TrySetMaint(bit) || !n.Inserted() {
 			t.Fatalf("setting bit %#x lost the inserted flag", bit)
 		}

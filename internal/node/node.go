@@ -121,10 +121,9 @@ type Node[K cmp.Ordered, V any] struct {
 	gen uint32
 
 	// maint packs the per-node bookkeeping bits (see the Maint* constants):
-	// the inserted flag, and the background maintenance engine's bits. They
-	// deduplicate queue entries and arbitrate which agent — the owning
-	// thread inline, or a background helper — runs a node's FinishInsert,
-	// so the two never race on the node's own level references.
+	// the inserted flag, the finish claim that lets exactly one agent run a
+	// node's FinishInsert, the life-stamp lock and the reclamation walk's
+	// mark.
 	maint atomic.Uint32
 
 	// self is the node's index in its arena (never 0).
@@ -134,26 +133,17 @@ type Node[K cmp.Ordered, V any] struct {
 
 // Maintenance-state bits, set and cleared through TrySetMaint/ClearMaint.
 const (
-	// MaintFinishQueued: a finishInsert work item for this node is (or was)
-	// in a maintenance queue.
-	MaintFinishQueued uint32 = 1 << iota
 	// MaintFinishClaimed: some agent has won the right to run this node's
 	// FinishInsert; everyone else must leave the node alone.
-	MaintFinishClaimed
-	// MaintRetireQueued: a retire work item for this node is pending.
-	MaintRetireQueued
-	// MaintRelinkQueued: a relink-cleanup work item for this node is pending.
-	MaintRelinkQueued
+	MaintFinishClaimed uint32 = 1 << iota
 	// MaintLifeLock: a micro spin lock serializing life-interval stamping
 	// (revive and remove stamps). Held for a handful of instructions only;
 	// see LockLife/UnlockLife.
 	MaintLifeLock
-	// MaintLimbo: the node has been retired, unlinked, and handed to the
-	// reclamation limbo list; its slot will return to the arena free list
-	// once every epoch pin from before the hand-off has drained. Deferred
-	// work items that find this bit set must drop dead — the slot may be
-	// recycled at any moment after their pin epoch.
-	MaintLimbo
+	// MaintMet: a reclamation walk met this retired node in a chain of
+	// marked references, so it was still linked then. The pass clears it
+	// before the walk that decides whether the node's limbo entry may arm.
+	MaintMet
 	// MaintInserted: all levels of the node have been linked, or the agent
 	// linking them has given up (see Inserted). Arena.Free clears it with
 	// the other bits.
@@ -333,12 +323,11 @@ func (n *Node[K, V]) MaintHas(bit uint32) bool {
 
 // ClaimFinish arbitrates who runs this node's FinishInsert: exactly one
 // agent — the first to set MaintFinishClaimed — wins, whether that is the
-// owner inline, a background helper, or the reclamation path settling the
-// node's fate. Returns true when the caller may (and must) finish the node.
-// The claim is taken even when the node was never handed to a maintenance
-// engine: slot reclamation relies on the bit as the authoritative record
-// that some agent may still be installing upper-level links (see
-// maintain's processLimbo), so finishing without it is never allowed.
+// owner inline or the reclamation pass settling a retired node's fate.
+// Returns true when the caller may (and must) finish the node. Slot
+// reclamation relies on the bit as the authoritative record that some agent
+// may still be installing upper-level links (see internal/core's reclaim
+// pass), so finishing a lazy node without it is never allowed.
 func (n *Node[K, V]) ClaimFinish() bool {
 	return n.TrySetMaint(MaintFinishClaimed)
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"layeredsg/internal/epoch"
-	"layeredsg/internal/maintain"
 	"layeredsg/internal/node"
 	"layeredsg/internal/stats"
 )
@@ -82,10 +81,10 @@ type Snapshot struct {
 	Enabled bool                  `json:"enabled"`
 	Stripes int                   `json:"stripes"`
 	Ops     map[string]OpSnapshot `json:"ops"`
-	// Maintenance reports the background maintenance engine, when one is
-	// attached (nil otherwise). Its counters count from the engine's start,
-	// whether or not tracing was enabled.
-	Maintenance *maintain.Stats `json:"maintenance,omitempty"`
+	// Reclaim reports the reclamation pass of a lazy map (nil otherwise).
+	// Its counters count from the map's construction, whether or not
+	// tracing was enabled.
+	Reclaim *ReclaimStats `json:"reclaim,omitempty"`
 	// Arena reports node-arena occupancy of the attached structure (nil
 	// before one attaches).
 	Arena *node.ArenaStats `json:"arena,omitempty"`
@@ -141,7 +140,7 @@ func (t *Tracer) Snapshot() Snapshot {
 	if p := t.sources.Load(); p != nil {
 		src = *p
 	}
-	s.Maintenance = section(src.Maintenance)
+	s.Reclaim = section(src.Reclaim)
 	s.Arena = section(src.Arena)
 	s.Epoch = section(src.Epoch)
 	s.Index = t.indexSnapshot(src.Index)
@@ -194,10 +193,10 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "tracer %s (enabled=%v, stripes=%d)\n", s.Name, s.Enabled, s.Stripes); err != nil {
 		return err
 	}
-	if m := s.Maintenance; m != nil {
+	if r := s.Reclaim; r != nil {
 		if _, err := fmt.Fprintf(w,
-			"  maintain enqueues=%d drains=%d steals=%d drops=%d queue_depth=%d limbo_depth=%d\n",
-			m.Enqueues, m.Drains, m.Steals, m.Drops, m.QueueDepth, m.LimboDepth); err != nil {
+			"  reclaim  passes=%d retired=%d freed=%d limbo_depth=%d live_keys=%d slots_per_live_key=%.2f\n",
+			r.Passes, r.Retired, r.Freed, r.LimboDepth, r.LiveKeys, r.SlotsPerLiveKey); err != nil {
 			return err
 		}
 	}

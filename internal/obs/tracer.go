@@ -7,7 +7,6 @@ import (
 
 	"layeredsg/internal/epoch"
 	"layeredsg/internal/hindex"
-	"layeredsg/internal/maintain"
 	"layeredsg/internal/node"
 	"layeredsg/internal/stats"
 )
@@ -129,10 +128,31 @@ func (t *Tracer) Attach(stripes, levelsPerSearch int) {
 // own Stats. A nil field means the map runs without that subsystem, and its
 // section is omitted (the index section still reports any counted events).
 type Sources struct {
-	Arena       func() node.ArenaStats
-	Epoch       func() epoch.Stats
-	Index       func() hindex.Stats
-	Maintenance func() maintain.Stats
+	Arena   func() node.ArenaStats
+	Epoch   func() epoch.Stats
+	Index   func() hindex.Stats
+	Reclaim func() ReclaimStats
+}
+
+// ReclaimStats is the health of a lazy map's reclamation pass (internal/core)
+// and the reclaim section of a Snapshot. Counters count from the map's
+// construction.
+type ReclaimStats struct {
+	// Passes counts completed reclamation passes.
+	Passes uint64 `json:"passes"`
+	// Retired counts dead nodes the passes retired (search-time retirements
+	// are not counted).
+	Retired uint64 `json:"retired"`
+	// Freed counts arena slots the passes returned to the free lists.
+	Freed uint64 `json:"freed"`
+	// LimboDepth is the number of retired nodes awaiting their free.
+	LimboDepth int64 `json:"limbo_depth"`
+	// LiveKeys is the live-key count the pass trigger keeps: successful
+	// inserts minus successful removes, plus a bulk load's keys.
+	LiveKeys int64 `json:"live_keys"`
+	// SlotsPerLiveKey is occupied arena slots over LiveKeys (0 when no key
+	// is live).
+	SlotsPerLiveKey float64 `json:"slots_per_live_key"`
 }
 
 // SetSources installs the subsystem readers (core.New calls it once the

@@ -16,8 +16,10 @@ import (
 // The dump side: a sequential snapshot walk feeding one file writer. The walk
 // is an ordered bottom-level traversal, so the file's records ascend. The
 // walker batches records and hands each batch to a writer goroutine, which
-// encodes the batch into one buffer, folds it into the stream CRC, and writes
-// it; the walk and the writer's encoding and I/O overlap.
+// encodes the batch into one buffer, folds it into the stream CRC, writes
+// it, and hands the emptied batch back for the walker to refill; the walk
+// and the writer's encoding and I/O overlap, and a dump allocates no more
+// batches than are ever in flight at once.
 //
 // The file is written under a temporary name and published with one rename
 // and a directory sync. A dump that fails before the rename leaves the
@@ -79,25 +81,37 @@ func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bo
 	// out; with two, hand-off stalls added a quarter to a 2 M-key dump
 	// (EXPERIMENTS.md "One dump file").
 	ch := make(chan []rec[K, V], 16)
+	// free returns written batches to the walker. It holds every batch that
+	// can be in flight (the queued ones, the walker's and the writer's), so
+	// the writer's hand-back never blocks.
+	free := make(chan []rec[K, V], cap(ch)+2)
 	done := make(chan struct{})
 	var records, bytes uint64
 	var werr error
 	go func() {
 		defer close(done)
-		records, bytes, werr = writeDump(tmp, h, kc, vc, ch)
+		records, bytes, werr = writeDump(tmp, h, kc, vc, ch, free)
 	}()
 
 	// Walk: batch records and hand them to the writer; stop promptly if the
 	// writer failed (done closes when it returns, so the select never blocks
 	// against a writer that stopped reading).
-	batch := make([]rec[K, V], 0, dumpBatchSize)
+	next := func() []rec[K, V] {
+		select {
+		case b := <-free:
+			return b[:0]
+		default:
+			return make([]rec[K, V], 0, dumpBatchSize)
+		}
+	}
+	batch := next()
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
 		}
 		select {
 		case ch <- batch:
-			batch = make([]rec[K, V], 0, dumpBatchSize)
+			batch = next()
 			return true
 		case <-done:
 			return false
@@ -130,9 +144,10 @@ func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bo
 // writeDump drains ch into the file at path (the temporary name): a
 // placeholder header, the record stream under a running CRC, the sealing
 // trailer, and finally the real header patched over the placeholder. Each
-// batch is encoded into one buffer, folded into the CRC once, and written
-// once. The file is fsynced but not renamed; on error it is removed.
-func writeDump[K cmp.Ordered, V any](path string, h header, kc codec[K], vc codec[V], ch <-chan []rec[K, V]) (records, bytes uint64, err error) {
+// batch is encoded into one buffer, folded into the CRC once, written once,
+// and handed back on free. The file is fsynced but not renamed; on error it
+// is removed.
+func writeDump[K cmp.Ordered, V any](path string, h header, kc codec[K], vc codec[V], ch <-chan []rec[K, V], free chan<- []rec[K, V]) (records, bytes uint64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persist: creating %s: %w", path, err)
@@ -162,6 +177,10 @@ func writeDump[K cmp.Ordered, V any](path string, h header, kc codec[K], vc code
 		}
 		records += uint64(len(batch))
 		bytes += uint64(len(buf))
+		select {
+		case free <- batch:
+		default:
+		}
 	}
 
 	var trailer [trailerSize]byte

@@ -265,6 +265,31 @@ func TestDumpEmpty(t *testing.T) {
 	}
 }
 
+// TestDumpReusesBatches checks that the writer hands written batches back to
+// the walker: a dump of twice the keys may allocate only a constant more,
+// not one 512-record batch per hand-off (128 more from 2^16 to 2^17 keys).
+func TestDumpReusesBatches(t *testing.T) {
+	dir := t.TempDir()
+	allocs := func(n int64) float64 {
+		iter := func(fn func(int64, int64) bool) {
+			for k := int64(0); k < n; k++ {
+				if !fn(k, k) {
+					return
+				}
+			}
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Dump(dir, iter, DumpOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<16), allocs(1<<17)
+	if large-small > 32 {
+		t.Fatalf("a 2^17-key dump allocates %.0f times, a 2^16-key dump %.0f: batches are not reused", large, small)
+	}
+}
+
 func dumpPath(dir string) string { return filepath.Join(dir, DumpFileName) }
 
 func TestLoadFaultTruncated(t *testing.T) {

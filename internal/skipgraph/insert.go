@@ -91,8 +91,8 @@ func (sg *SG[K, V]) FinishInsert(toInsert, start *node.Node[K, V], restart func(
 		if res.Succs[level] == toInsert {
 			// Already linked at this level: the search found the node itself
 			// as the first unmarked node at key. (Defense in depth for the
-			// background maintenance engine's claim protocol — without this
-			// guard a racing finisher could point the node at itself.)
+			// finish claim — without this guard a racing finisher could point
+			// the node at itself.)
 			level++
 			continue
 		}

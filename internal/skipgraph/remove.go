@@ -12,9 +12,8 @@ import (
 //     (failed removal, case R-i); an unmarked valid node is logically deleted
 //     by atomically clearing its valid bit (successful removal, case R-ii).
 //     Physical unlinking happens later, after the commission period, via
-//     checkRetire/retire during searches — or, with background maintenance
-//     hooks attached, via the engine, which receives the node here so its
-//     retirement never waits for a search to pass over it.
+//     checkRetire/retire during searches, or via the layered map's
+//     reclamation pass.
 //   - non-lazy protocol: an unmarked node is deleted by marking its upper
 //     level references and then CASing the level-0 mark, which is the
 //     linearization point; physical unlinking happens in search-time cleanup.
@@ -37,9 +36,6 @@ func (sg *SG[K, V]) RemoveHelper(n *node.Node[K, V], tr *stats.ThreadRecorder) (
 			return true, false // Non-existent (R-i).
 		}
 		if n.CASMarkValid(0, false, true, false, false, tr) {
-			if h := sg.hooks; h != nil && h.EnqueueRetire != nil {
-				h.EnqueueRetire(n, false)
-			}
 			return true, true // Flipped valid (R-ii).
 		}
 	}

@@ -44,8 +44,8 @@ type Config struct {
 	// commission-based retirement). Non-lazy structures ignore the valid bit,
 	// and their searches physically unlink the chains of marked references
 	// they traverse, like a textbook skip list; the lazy protocol leaves
-	// unlinking to inserting substitutions (the paper's design) and the
-	// background maintenance engine.
+	// unlinking to inserting substitutions (the paper's design) and to
+	// RelinkAll.
 	Lazy bool
 	// Sparse selects geometric node heights (sparse skip graph). Non-sparse
 	// nodes span all levels.
@@ -100,28 +100,6 @@ func DefaultCommissionPeriod(threads int) time.Duration {
 	return min(time.Duration(max(threads, 1))*DefaultCommissionPerThread, DefaultCommissionCap)
 }
 
-// Hooks are the background maintenance engine's enqueue callbacks, invoked
-// at the lazy protocol's deferral sites (see internal/maintain). All hooks
-// must be safe for concurrent use; a nil Hooks (the default) keeps every
-// deferral inline, exactly as the paper specifies.
-type Hooks[K cmp.Ordered, V any] struct {
-	// EnqueueRetire hands an invalid node to the engine: at the removal
-	// that invalidated it and whenever a search observes it during its
-	// commission period (expired=false, so retirement happens off-path as
-	// soon as the period ends), and after it (expired=true). Returns
-	// whether the node was accepted (or already queued).
-	EnqueueRetire func(n *node.Node[K, V], expired bool) bool
-	// EnqueueRelink hands the first node of an observed chain of marked
-	// references to the engine for off-path physical unlinking (the lazy
-	// protocol performs no search-time cleanup of its own).
-	EnqueueRelink func(n *node.Node[K, V]) bool
-	// EnterLimbo hands a node this search retired inline (the fallback when
-	// EnqueueRetire rejects) to the engine's reclamation limbo. Without the
-	// hand-off a marked node can never be re-enqueued — its slot would be
-	// permanent garbage.
-	EnterLimbo func(n *node.Node[K, V])
-}
-
 // SG is a concurrent skip graph. All methods are safe for concurrent use.
 type SG[K cmp.Ordered, V any] struct {
 	cfg  Config
@@ -130,9 +108,6 @@ type SG[K cmp.Ordered, V any] struct {
 	heads   [][]*node.Node[K, V]
 	nextID  atomic.Uint64
 	started time.Time
-	// hooks, when non-nil, routes deferred maintenance to a background
-	// engine. Set once via SetHooks before concurrent use.
-	hooks *Hooks[K, V]
 	// retireObserver, when non-nil, is invoked once per successful Retire
 	// (after all levels are marked) with the node that just died. Set once
 	// via SetRetireObserver before concurrent use; layered indexes use it to
@@ -141,9 +116,9 @@ type SG[K cmp.Ordered, V any] struct {
 	// arena backs all of the structure's nodes: per-socket slabs whose level
 	// references are packed atomic words (gen|index|marked|valid), so link
 	// mutations allocate nothing. Retired nodes' slots return to their
-	// shard's free list through the epoch-based reclamation pipeline
-	// (internal/epoch plus the maintenance engine); the embedded generation
-	// tag keeps recycled indices from ABA-ing stale CASes.
+	// shard's free list through the layered map's epoch-gated reclamation
+	// pass (internal/core); the embedded generation tag keeps recycled
+	// indices from ABA-ing stale CASes.
 	arena *node.Arena[K, V]
 }
 
@@ -182,13 +157,8 @@ func New[K cmp.Ordered, V any](cfg Config) (*SG[K, V], error) {
 	return sg, nil
 }
 
-// SetHooks installs the background maintenance engine's enqueue callbacks.
-// Call before the structure sees concurrent use; hooks are read without
-// synchronization on the search paths.
-func (sg *SG[K, V]) SetHooks(h *Hooks[K, V]) { sg.hooks = h }
-
 // SetRetireObserver installs a callback invoked after every successful
-// Retire — the single funnel both inline and background retirement pass
+// Retire — the single funnel search-time and pass retirement both go
 // through. Call before the structure sees concurrent use.
 func (sg *SG[K, V]) SetRetireObserver(fn func(*node.Node[K, V])) { sg.retireObserver = fn }
 
@@ -267,7 +237,7 @@ func (sg *SG[K, V]) CanRetireNode(n *node.Node[K, V]) bool {
 // FreeNode returns a reclaimed node's slot to its arena shard's free list.
 // The caller owns the safety argument: the node must have been verified
 // unreachable and every pin from before its retire epoch released — the
-// maintenance engine's limbo pipeline establishes both.
+// layered map's limbo protocol establishes both.
 func (sg *SG[K, V]) FreeNode(n *node.Node[K, V]) { sg.arena.Free(n) }
 
 // ArenaStats snapshots arena occupancy.

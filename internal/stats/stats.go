@@ -226,10 +226,6 @@ func (tr *ThreadRecorder) Ops() uint64 {
 type Recorder struct {
 	machine *numa.Machine
 	trs     []*ThreadRecorder
-	// helpers holds extra recorders for background maintenance goroutines
-	// (see HelperRecorder). Summary and the heatmaps fold them in so
-	// maintenance traffic stays attributed.
-	helpers []*ThreadRecorder
 }
 
 // NewRecorder creates a recorder for every logical thread of the machine.
@@ -252,27 +248,6 @@ func NewRecorder(machine *numa.Machine, sink AccessSink) *Recorder {
 // ThreadRecorder returns the recorder owned by a logical thread.
 func (r *Recorder) ThreadRecorder(thread int) *ThreadRecorder {
 	return r.trs[thread]
-}
-
-// HelperRecorder allocates an extra recorder for a background maintenance
-// helper goroutine, attributed to proxyThread — a machine thread pinned to
-// the helper's NUMA node — so the helper's CAS and read traffic classifies
-// local/remote exactly as that thread's would and folds into the heatmaps on
-// the proxy's row. The recorder is a fresh instance (helpers never share a
-// worker's recorder: ThreadRecorders are single-owner). Deliberately no
-// access sink: deterministic schedulers and the cache simulator reason about
-// the registered worker set only. Call during construction, before any
-// recording starts; not safe concurrently with aggregation.
-func (r *Recorder) HelperRecorder(proxyThread int) *ThreadRecorder {
-	t := len(r.trs)
-	tr := &ThreadRecorder{
-		thread:  proxyThread,
-		node:    r.machine.NodeOf(proxyThread),
-		casRow:  make([]uint64, t),
-		readRow: make([]uint64, t),
-	}
-	r.helpers = append(r.helpers, tr)
-	return tr
 }
 
 // Threads returns the number of per-thread recorders.
@@ -302,10 +277,7 @@ type Summary struct {
 func (r *Recorder) Summary() Summary {
 	var s Summary
 	var lr, rr, lc, rc, succ, fail, visited, searches, relinkNodes uint64
-	all := make([]*ThreadRecorder, 0, len(r.trs)+len(r.helpers))
-	all = append(all, r.trs...)
-	all = append(all, r.helpers...)
-	for _, tr := range all {
+	for _, tr := range r.trs {
 		lr += tr.localReads
 		rr += tr.remoteReads
 		lc += tr.localCAS
@@ -355,15 +327,6 @@ func (r *Recorder) heatmap(row func(*ThreadRecorder) []uint64) [][]uint64 {
 	for i, tr := range r.trs {
 		out[i] = make([]uint64, len(r.trs))
 		copy(out[i], row(tr))
-	}
-	// Fold maintenance helpers into their proxy thread's row: the helper is
-	// pinned to the proxy's NUMA node, so the matrix keeps the paper's
-	// thread-by-thread shape while off-path CAS traffic stays visible in the
-	// right socket block.
-	for _, tr := range r.helpers {
-		for j, v := range row(tr) {
-			out[tr.thread][j] += v
-		}
 	}
 	return out
 }

@@ -100,23 +100,6 @@ const (
 // and Store.Snapshot.
 type Snapshot[K cmp.Ordered, V any] = core.Snapshot[K, V]
 
-// MaintenancePolicy selects who performs the lazy variants' deferred
-// maintenance work (finishing insertions, retiring expired nodes, unlinking
-// marked chains); see Config.Maintenance.
-type MaintenancePolicy = core.MaintenancePolicy
-
-// Maintenance policies.
-const (
-	// MaintInline is the paper's protocol: maintenance piggybacks on
-	// searches (the default).
-	MaintInline = core.MaintInline
-	// MaintBackground moves all deferred maintenance to a background helper
-	// pool (one helper per socket by default); searches only enqueue. It is
-	// the policy that returns retired nodes' arena slots to the free lists
-	// (DESIGN.md §8). Maps and Stores built with it should be Close()d.
-	MaintBackground = core.MaintBackground
-)
-
 // New builds a layered map. When cfg.WAL names a directory, a fresh
 // write-ahead log is opened there and every mutation is journaled with its
 // MVCC sequence stamp (see StoreToDisk / LoadFromDisk); an existing log file

@@ -11,10 +11,11 @@ import (
 )
 
 // TestTracerSnapshotSections checks that every subsystem section of a
-// tracer snapshot is wired end to end: a WAL-journaled Store under
-// background maintenance is churned with tracing on, flushed and dumped,
-// and then each section must be present, counting, printed by WriteText,
-// and exported by WriteJSON under its documented keys.
+// tracer snapshot is wired end to end: a WAL-journaled Store is churned with
+// tracing on past the reclamation floor (4,096 dead nodes), reclaimed by
+// forced passes and dumped, and then each section must be present,
+// counting, printed by WriteText, and exported by WriteJSON under its
+// documented keys.
 func TestTracerSnapshotSections(t *testing.T) {
 	const sockets = 2
 	var now atomic.Int64
@@ -24,7 +25,6 @@ func TestTracerSnapshotSections(t *testing.T) {
 		Machine:          persistMachine(t, sockets, 2, 4),
 		Kind:             LazyLayeredSG,
 		Seed:             1,
-		Maintenance:      MaintBackground,
 		CommissionPeriod: 500,
 		Clock:            func() int64 { return now.Add(50) },
 		WAL:              t.TempDir(),
@@ -37,21 +37,22 @@ func TestTracerSnapshotSections(t *testing.T) {
 	SetObservability(true)
 	defer SetObservability(false)
 
-	const keys = 256
-	for round := 0; round < 3; round++ {
-		for k := int64(0); k < keys; k++ {
+	const keys = 2048
+	for round := int64(0); round < 3; round++ {
+		for k := round * keys; k < (round+1)*keys; k++ {
 			st.Insert(k, k)
 		}
-		for k := int64(0); k < keys; k += 2 {
-			st.Remove(k)
+		for k := round * keys; k < (round+1)*keys; k++ {
+			if k%16 != 0 {
+				st.Remove(k)
+			}
 		}
-		for k := int64(0); k < keys; k++ {
+		for k := round * keys; k < (round+1)*keys; k++ {
 			st.Get(k)
 		}
 	}
-	eng := st.Map().Maintenance()
-	for i := 0; i < 200 && (i < 4 || eng.LimboDepth() > 0); i++ {
-		eng.Flush()
+	for i := 0; i < 4; i++ {
+		st.Map().Reclaim()
 	}
 	if err := st.Barrier(); err != nil {
 		t.Fatal(err)
@@ -61,8 +62,8 @@ func TestTracerSnapshotSections(t *testing.T) {
 	}
 
 	s := tracer.Snapshot()
-	if m := s.Maintenance; m == nil || m.Enqueues == 0 || m.Drains == 0 || m.LimboEnters == 0 || m.Reclaimed == 0 {
-		t.Fatalf("maintenance section = %+v, want enqueues, drains, limbo enters and reclaims", m)
+	if r := s.Reclaim; r == nil || r.Passes == 0 || r.Retired == 0 || r.Freed == 0 || r.LiveKeys != 3*keys/16 || r.SlotsPerLiveKey == 0 {
+		t.Fatalf("reclaim section = %+v, want passes, retirements, frees, %d live keys and slots per live key", r, 3*keys/16)
 	}
 	if a := s.Arena; a == nil || a.SlotsUsed == 0 || a.SlotsReclaimed == 0 || len(a.Shards) != sockets {
 		t.Fatalf("arena section = %+v, want used and reclaimed slots over %d shards", a, sockets)
@@ -81,7 +82,7 @@ func TestTracerSnapshotSections(t *testing.T) {
 	if err := s.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"  maintain ", "  arena ", "  epoch ", "  index ", "  persist "} {
+	for _, line := range []string{"  reclaim ", "  arena ", "  epoch ", "  index ", "  persist "} {
 		if !strings.Contains(text.String(), "\n"+line) {
 			t.Errorf("WriteText has no %q line:\n%s", strings.TrimSpace(line), text.String())
 		}
@@ -97,10 +98,10 @@ func TestTracerSnapshotSections(t *testing.T) {
 	}
 	shardKeys := []string{"chunks", "slots_free", "slots_reclaimed", "slots_reserved", "slots_reused", "slots_used"}
 	want := map[string][]string{
-		"maintenance": {"drains", "drops", "enqueues", "limbo_depth", "limbo_enters", "queue_depth", "reclaims", "restamps", "stale_drops", "steals"},
-		"arena":       append([]string{"shards"}, shardKeys...),
-		"epoch":       {"epoch", "live_snapshots", "min_pinned", "pin_lag", "seq"},
-		"index":       {"entries", "fallbacks", "hits", "misses", "publishes", "slots", "stale", "unpublishes"},
+		"reclaim": {"freed", "limbo_depth", "live_keys", "passes", "retired", "slots_per_live_key"},
+		"arena":   append([]string{"shards"}, shardKeys...),
+		"epoch":   {"epoch", "live_snapshots", "min_pinned", "pin_lag", "seq"},
+		"index":   {"entries", "fallbacks", "hits", "misses", "publishes", "slots", "stale", "unpublishes"},
 		"persist": {"dump_bytes", "dump_records", "load_bytes", "load_records", "wal_commit_wait_ns", "wal_commits",
 			"wal_discarded", "wal_errs", "wal_fsyncs", "wal_group_commits", "wal_replayed"},
 	}

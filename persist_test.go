@@ -817,17 +817,16 @@ func TestWALMissingStartsFresh(t *testing.T) {
 	checkStoreModel(t, st3, model)
 }
 
-// TestTorturePersist is the race-persist target: background maintenance,
-// reclamation, and the hash index all on, writer and reader goroutines
-// churning, while dumps run back to back and each completed dump is loaded
-// and validated. Run under -race via `make race-persist`.
+// TestTorturePersist is the race-persist target: reclamation passes and the
+// hash index both on, writer and reader goroutines churning, while dumps run
+// back to back and each completed dump is loaded and validated. Run under
+// -race via `make race-persist`.
 func TestTorturePersist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture run")
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()
 	cfg := persistConfig(persistMachine(t, 2, 2, 4))
-	cfg.Maintenance = MaintBackground
 	st, err := NewStore[int64, int64](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -903,18 +902,16 @@ func TestTorturePersist(t *testing.T) {
 func TestLoadDealsEveryStripe(t *testing.T) {
 	const n = 1 << 14
 	for _, tc := range []struct {
-		name  string
-		kind  Kind
-		maint MaintenancePolicy
+		name string
+		kind Kind
 	}{
-		{"lazy", LazyLayeredSG, MaintInline},
-		{"lazy-sparse", LazyLayeredSSG, MaintInline},
-		{"lazy-background", LazyLayeredSG, MaintBackground},
+		{"lazy", LazyLayeredSG},
+		{"lazy-sparse", LazyLayeredSSG},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := persistConfig(persistMachine(t, 1, 2, 2))
-			cfg.Kind, cfg.Maintenance = tc.kind, tc.maint
+			cfg.Kind = tc.kind
 			st, err := NewStore[int64, int64](cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -934,7 +931,7 @@ func TestLoadDealsEveryStripe(t *testing.T) {
 			tracer := NewTracer(TracerConfig{Name: "load-deal-" + tc.name})
 			defer tracer.Close()
 			lcfg := persistConfig(persistMachine(t, 2, 4, 8))
-			lcfg.Kind, lcfg.Maintenance, lcfg.Tracer = tc.kind, tc.maint, tracer
+			lcfg.Kind, lcfg.Tracer = tc.kind, tracer
 			st2, _, err := LoadFromDisk[int64, int64](dir, lcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -974,10 +971,10 @@ func TestLoadDealsEveryStripe(t *testing.T) {
 	}
 }
 
-// TestLoadIntoEveryKind loads one lazy dump into each of the six kinds, and
-// into a store with background maintenance, then checks the store against
-// the model before and after a few mutations: the build links the linked
-// list, single skip list and sparse shapes without the insert protocol.
+// TestLoadIntoEveryKind loads one lazy dump into each of the six kinds, then
+// checks the store against the model before and after a few mutations: the
+// build links the linked list, single skip list and sparse shapes without
+// the insert protocol. Every kind runs the one (inline) maintenance path.
 func TestLoadIntoEveryKind(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore[int64, int64](persistConfig(persistMachine(t, 2, 2, 4)))
@@ -994,18 +991,10 @@ func TestLoadIntoEveryKind(t *testing.T) {
 	}
 	st.Close()
 
-	type variant struct {
-		kind  Kind
-		maint MaintenancePolicy
-	}
-	variants := []variant{{LazyLayeredSG, MaintBackground}}
-	for _, k := range []Kind{LayeredSG, LazyLayeredSG, LayeredSSG, LazyLayeredSSG, LayeredLL, LayeredSL} {
-		variants = append(variants, variant{k, MaintInline})
-	}
-	for _, v := range variants {
-		t.Run(fmt.Sprintf("%v/%v", v.kind, v.maint), func(t *testing.T) {
+	for _, kind := range []Kind{LayeredSG, LazyLayeredSG, LayeredSSG, LazyLayeredSSG, LayeredLL, LayeredSL} {
+		t.Run(fmt.Sprintf("%v/inline", kind), func(t *testing.T) {
 			cfg := persistConfig(persistMachine(t, 2, 2, 4))
-			cfg.Kind, cfg.Maintenance = v.kind, v.maint
+			cfg.Kind = kind
 			st2, _, err := LoadFromDisk[int64, int64](dir, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -1043,7 +1032,7 @@ func TestLoadIntoEveryKind(t *testing.T) {
 			// Close quiesces background helpers still linking the new
 			// nodes' upper levels, which Validate needs.
 			st2.Close()
-			checkModel(t, v.kind, st2.Map(), model)
+			checkModel(t, kind, st2.Map(), model)
 		})
 	}
 }

@@ -62,10 +62,6 @@ type AdapterOptions struct {
 	Scheme Scheme
 	// CommissionPeriod overrides the lazy variants' commission period.
 	CommissionPeriod time.Duration
-	// Maintenance selects who performs the lazy variants' deferred
-	// maintenance: the paper's inline protocol (zero value) or the
-	// background helper pool (MaintBackground). Other algorithms ignore it.
-	Maintenance MaintenancePolicy
 	// Seed makes structure-internal randomness deterministic.
 	Seed int64
 	// ViaStore drives the algorithm through the goroutine-safe Store facade
@@ -109,7 +105,6 @@ func layeredBuilder(kind core.Kind) algoBuilder {
 			Kind:             kind,
 			Scheme:           o.Scheme,
 			CommissionPeriod: o.CommissionPeriod,
-			Maintenance:      o.Maintenance,
 			Recorder:         o.Recorder,
 			Tracer:           o.Observe,
 			Seed:             o.Seed,
