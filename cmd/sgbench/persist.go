@@ -37,14 +37,14 @@ func runPersist(w io.Writer, machine *layeredsg.Machine, dumpDir, loadDir, walDi
 		fmt.Fprintf(w, "fill:               %d keys in %v (%s keys/s)\n",
 			keys, time.Since(fillStart).Round(time.Millisecond), rate(uint64(keys), time.Since(fillStart)))
 		if tracer != nil {
-			if p := tracer.Snapshot().Persist; p != nil {
+			if l := tracer.Snapshot().WAL; l != nil {
 				groupSize := float64(0)
-				if p.WALFsyncs > 0 {
-					groupSize = float64(p.WALGroupCommits+p.WALFsyncs) / float64(p.WALFsyncs)
+				if l.Fsyncs > 0 {
+					groupSize = float64(l.GroupCommits+l.Fsyncs) / float64(l.Fsyncs)
 				}
 				fmt.Fprintf(w, "wal sync:           policy=%s fsyncs=%d commits=%d riders=%d mean_group=%.1f commit_wait=%v\n",
-					walSync, p.WALFsyncs, p.WALCommits, p.WALGroupCommits, groupSize,
-					time.Duration(p.WALCommitWaitNs).Round(time.Microsecond))
+					walSync, l.Fsyncs, l.Commits, l.GroupCommits, groupSize,
+					time.Duration(l.CommitWaitNs).Round(time.Microsecond))
 			}
 		}
 		ds, err := st.StoreToDisk(dumpDir)

@@ -40,7 +40,7 @@ func copyWALRecords(t *testing.T, walDir string) []persist.WALRecord[int64, int6
 	if err := os.WriteFile(cp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, recs, _, err := persist.OpenWAL[int64, int64](cp, 0, persist.WALOptions{})
+	w, recs, _, err := persist.OpenWAL[int64, int64](cp, 0, persist.SyncNever)
 	if err != nil {
 		t.Fatalf("recovering copied WAL: %v", err)
 	}
@@ -103,12 +103,12 @@ func TestStoreBarrierPolicies(t *testing.T) {
 				}
 			}
 
-			p := tr.Snapshot().Persist
-			if p == nil || p.WALCommits < writers {
-				t.Fatalf("persist counters = %+v, want >= %d wal_commits", p, writers)
+			l := tr.Snapshot().WAL
+			if l == nil || l.Commits < writers {
+				t.Fatalf("wal section = %+v, want >= %d commits", l, writers)
 			}
-			if pol == SyncEvery && p.WALFsyncs < writers*perWriter {
-				t.Fatalf("SyncEvery fsyncs = %d, want one per mutation (>= %d)", p.WALFsyncs, writers*perWriter)
+			if pol == SyncEvery && l.Fsyncs < writers*perWriter {
+				t.Fatalf("SyncEvery fsyncs = %d, want one per mutation (>= %d)", l.Fsyncs, writers*perWriter)
 			}
 		})
 	}

@@ -82,7 +82,7 @@ func TestIndexCrossHandle(t *testing.T) {
 // TestIndexObsCounters verifies the index's observability wiring end to end:
 // hits on cross-stripe reads, misses on absent keys, stale pruning when the
 // index still holds a logically removed (marked but unretired) node, and the
-// size gauge in the tracer snapshot.
+// index's own counters and size in the tracer snapshot.
 func TestIndexObsCounters(t *testing.T) {
 	machine := testMachine(t, 4)
 	tracer := NewTracer(TracerConfig{Name: "index-test"})
@@ -134,6 +134,7 @@ func TestIndexObsCounters(t *testing.T) {
 	if !target.CASMark(0, false, true, nil) {
 		t.Fatal("could not mark key 3's node")
 	}
+	pruned := tracer.Snapshot().Index.Unpublishes
 	if h.Contains(3) {
 		t.Fatal("Contains(3) = true for a marked node")
 	}
@@ -147,8 +148,8 @@ func TestIndexObsCounters(t *testing.T) {
 	if s.Index.Misses == 0 {
 		t.Fatalf("index misses = 0, want > 0 (%+v)", s.Index)
 	}
-	if s.Index.Stale == 0 {
-		t.Fatalf("index stale = 0, want > 0 (%+v)", s.Index)
+	if s.Index.Unpublishes == pruned {
+		t.Fatalf("index unpublishes = %d before and after reading the marked node, want its entry pruned (%+v)", pruned, s.Index)
 	}
 	if s.Index.Publishes == 0 || s.Index.Entries == 0 || s.Index.Slots == 0 {
 		t.Fatalf("index gauge not wired: %+v", s.Index)

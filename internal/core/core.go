@@ -21,7 +21,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -276,7 +275,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 	// safety requirement.
 	sg.SetRetireObserver(func(n *node.Node[K, V]) {
 		m.hidx.Unpublish(n.Key(), n)
-		cfg.Tracer.RecordIndex(obs.IndexUnpublish)
 		m.enterLimbo(n)
 	})
 	for t := 0; t < threads; t++ {
@@ -298,15 +296,26 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		}
 	}
 
-	if cfg.Tracer != nil {
-		src := obs.Sources{Arena: sg.ArenaStats, Index: m.hidx.Stats}
-		if domain != nil {
-			src.Epoch = domain.Stats
-			src.Reclaim = m.reclaimStats
-		}
-		cfg.Tracer.SetSources(src)
-	}
+	m.setSources()
 	return m, nil
+}
+
+// setSources installs the map's subsystem readers on its tracer: arena and
+// index always, epoch and reclamation on lazy variants, and the write-ahead
+// log's counters while one is attached.
+func (m *Map[K, V]) setSources() {
+	if m.cfg.Tracer == nil {
+		return
+	}
+	src := obs.Sources{Arena: m.sg.ArenaStats, Index: m.hidx.Stats}
+	if m.domain != nil {
+		src.Epoch = m.domain.Stats
+		src.Reclaim = m.reclaimStats
+	}
+	if w, ok := m.wal.(interface{ Stats() persist.WALStats }); ok {
+		src.WAL = w.Stats
+	}
+	m.cfg.Tracer.SetSources(src)
 }
 
 // Machine returns the machine the map was built for.
@@ -320,8 +329,12 @@ func (m *Map[K, V]) Config() Config { return m.cfg }
 
 // SetMutationSink attaches the write-ahead log's sink. It must be called
 // before the map is shared with other goroutines (the layeredsg constructors
-// call it between core.New and first use); a nil sink detaches.
-func (m *Map[K, V]) SetMutationSink(s MutationSink[K, V]) { m.wal = s }
+// call it between core.New and first use); a nil sink detaches. A sink that
+// reports persist.WALStats becomes the tracer's wal section.
+func (m *Map[K, V]) SetMutationSink(s MutationSink[K, V]) {
+	m.wal = s
+	m.setSources()
+}
 
 // MutationSink returns the attached sink, or nil.
 func (m *Map[K, V]) MutationSink() MutationSink[K, V] { return m.wal }
@@ -346,7 +359,7 @@ func (m *Map[K, V]) Barrier() error {
 // WALErr returns the write-ahead log's sticky I/O error, if any, without
 // waiting for Close — a failing journal drops records silently at the stamp
 // sites (they cannot propagate errors), so health checks should poll this
-// (or the obs wal_errs counter). Nil when no WAL is attached or the sink
+// (or the tracer's wal.errs counter). Nil when no WAL is attached or the sink
 // does not expose errors.
 func (m *Map[K, V]) WALErr() error {
 	if e, ok := m.wal.(interface{ Err() error }); ok {
@@ -541,46 +554,15 @@ func (h *Handle[K, V]) usable(r local.Ref[K, V]) bool {
 // search found. The index is lossy: a miss says nothing about presence, so
 // callers fall back to a descent.
 func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
-	x := h.m.hidx
-	tracer := h.m.cfg.Tracer
-	n, id, ok := x.Lookup(key)
+	n, id, ok := h.m.hidx.Lookup(key)
 	if !ok {
-		tracer.RecordIndex(obs.IndexMiss)
 		return nil, false
 	}
 	if !h.usable(local.Ref[K, V]{N: n, ID: id}) {
-		x.Unpublish(key, n)
-		tracer.RecordIndex(obs.IndexStale)
-		tracer.RecordIndex(obs.IndexUnpublish)
+		h.m.hidx.Unpublish(key, n)
 		return nil, false
 	}
-	if n.Key() != key {
-		tracer.RecordIndex(obs.IndexMiss)
-		return nil, false
-	}
-	tracer.RecordIndex(obs.IndexHit)
-	return n, true
-}
-
-// publishIndex installs (or refreshes) key's index entry for a node this
-// operation just bottom-linked.
-func (h *Handle[K, V]) publishIndex(key K, n *node.Node[K, V]) {
-	h.m.hidx.Publish(key, n, n.ID())
-	h.m.cfg.Tracer.RecordIndex(obs.IndexPublish)
-}
-
-// unpublishIndex tombstones key's index entry if it still holds n.
-func (h *Handle[K, V]) unpublishIndex(key K, n *node.Node[K, V]) {
-	h.m.hidx.Unpublish(key, n)
-	h.m.cfg.Tracer.RecordIndex(obs.IndexUnpublish)
-}
-
-// indexFallback records that an indexed node could not serve the operation
-// (marked between verification and the linearizing step): the entry is
-// pruned and the operation restarts as a descent.
-func (h *Handle[K, V]) indexFallback(key K, n *node.Node[K, V]) {
-	h.unpublishIndex(key, n)
-	h.m.cfg.Tracer.RecordIndex(obs.IndexFallback)
+	return n, n.Key() == key
 }
 
 // getStart is the paper's Alg. 4: find the closest local entry strictly
@@ -674,7 +656,7 @@ func (h *Handle[K, V]) insert(key K, value V) bool {
 			}
 			return inserted
 		}
-		h.indexFallback(key, n) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, n) // Marked since verification; descend.
 	}
 	return h.lazyInsert(key, value)
 }
@@ -733,7 +715,7 @@ func (h *Handle[K, V]) afterBottomLink(key K, toInsert *node.Node[K, V], it loca
 	}
 	// Publish before the sparse filter below: the shared index serves point
 	// operations even for nodes the ordered local structures never track.
-	h.publishIndex(key, toInsert)
+	h.m.hidx.Publish(key, toInsert, toInsert.ID())
 	if h.m.sg.Sparse() && toInsert.TopLevel() < h.m.sg.MaxLevel() {
 		// Sparse skip graphs keep local structures sparse too: only nodes
 		// that reached the top level are added (paper, Sec. 2).
@@ -762,7 +744,7 @@ func (h *Handle[K, V]) remove(key K) bool {
 			}
 			return removed
 		}
-		h.indexFallback(key, n) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, n) // Marked since verification; descend.
 	}
 	return h.lazyRemove(key)
 }
@@ -778,7 +760,7 @@ func (h *Handle[K, V]) finishRemove(key K, n *node.Node[K, V]) {
 	h.m.stampDead(n, h.tr)
 	if !h.m.sg.Lazy() {
 		h.ls.Erase(key)
-		h.unpublishIndex(key, n)
+		h.m.hidx.Unpublish(key, n)
 	}
 }
 
@@ -831,7 +813,7 @@ func (h *Handle[K, V]) get(key K) (V, bool) {
 			}
 			return zero, false // Unmarked invalid: logically absent.
 		}
-		h.indexFallback(key, n) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, n) // Marked since verification; descend.
 	}
 	it := h.getStart(key)
 	start := h.nodeOf(it)
@@ -860,52 +842,9 @@ func (h *Handle[K, V]) traceOrigin(start *node.Node[K, V]) {
 }
 
 // traceEnd closes the traced operation. The Active check keeps the disabled
-// path free of keyBits work.
+// path free of key-squeezing work.
 func (h *Handle[K, V]) traceEnd(key K, ok bool) {
 	if h.ot.Active() {
-		h.ot.End(h.tr, keyBits(key), ok)
-	}
-}
-
-// keyBits squeezes a key into an Event's 64-bit key field without allocating
-// (the pointer type switch avoids boxing): integer and float keys keep their
-// bit patterns, strings are FNV-1a hashed, anything else records 0.
-func keyBits[K cmp.Ordered](key K) uint64 {
-	switch k := any(&key).(type) {
-	case *int:
-		return uint64(*k)
-	case *int8:
-		return uint64(*k)
-	case *int16:
-		return uint64(*k)
-	case *int32:
-		return uint64(*k)
-	case *int64:
-		return uint64(*k)
-	case *uint:
-		return uint64(*k)
-	case *uint8:
-		return uint64(*k)
-	case *uint16:
-		return uint64(*k)
-	case *uint32:
-		return uint64(*k)
-	case *uint64:
-		return *k
-	case *uintptr:
-		return uint64(*k)
-	case *float32:
-		return uint64(math.Float32bits(*k))
-	case *float64:
-		return math.Float64bits(*k)
-	case *string:
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(*k); i++ {
-			h ^= uint64((*k)[i])
-			h *= 1099511628211
-		}
-		return h
-	default:
-		return 0
+		h.ot.End(h.tr, hindex.Squeeze(key), ok)
 	}
 }

@@ -78,9 +78,11 @@ type shard[K cmp.Ordered, V any] struct {
 	_   [cacheLine - 8]byte
 	mu  sync.Mutex
 	// used counts claimed slots (live plus tombstones) and live those
-	// holding a node; both are guarded by mu.
-	used, live int
-	_          [cacheLine - 24]byte
+	// holding a node; publishes and unpublishes count the entries written
+	// and tombstoned. All four are guarded by mu.
+	used, live             int
+	publishes, unpublishes uint64
+	_                      [cacheLine - 40]byte
 }
 
 // Index is the shared hash index. All methods are safe for concurrent use.
@@ -98,8 +100,12 @@ func New[K cmp.Ordered, V any]() *Index[K, V] {
 	return x
 }
 
-// Stats is a point-in-time size summary for gauges.
+// Stats summarizes the index's activity and size.
 type Stats struct {
+	// Publishes counts entries written (installed, revived or refreshed,
+	// bulk fills included); Unpublishes counts entries tombstoned.
+	Publishes   uint64 `json:"publishes"`
+	Unpublishes uint64 `json:"unpublishes"`
 	// Entries counts claimed slots: live entries plus the tombstones left
 	// until their shard's next rehash.
 	Entries int64 `json:"entries"`
@@ -107,12 +113,14 @@ type Stats struct {
 	Slots int64 `json:"slots"`
 }
 
-// Stats snapshots the index's size counters.
+// Stats snapshots the index's counters.
 func (x *Index[K, V]) Stats() Stats {
 	var st Stats
 	for i := range x.shards {
 		s := &x.shards[i]
 		s.mu.Lock()
+		st.Publishes += s.publishes
+		st.Unpublishes += s.unpublishes
 		st.Entries += int64(s.used)
 		st.Slots += int64(len(*s.tab.Load()))
 		s.mu.Unlock()
@@ -163,6 +171,7 @@ func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
 		cur := e.n.Load()
 		switch {
 		case cur == n:
+			s.publishes++
 			e.id.Store(id)
 			return
 		case cur == nil:
@@ -170,10 +179,12 @@ func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
 		case cur.LiveAs(e.id.Load(), nil):
 			return
 		}
+		s.publishes++
 		e.id.Store(id)
 		e.n.Store(n)
 		return
 	}
+	s.publishes++
 	e.id.Store(id)
 	e.n.Store(n)
 	e.hash.Store(h)
@@ -197,6 +208,7 @@ func (x *Index[K, V]) unpublish(h uint64, n *node.Node[K, V]) {
 	if e, claimed := probe(*s.tab.Load(), h); claimed && e.n.Load() == n {
 		e.n.Store(nil)
 		s.live--
+		s.unpublishes++
 	}
 	s.mu.Unlock()
 }
@@ -259,6 +271,7 @@ func (x *Index[K, V]) Fill(nodes []*node.Node[K, V]) {
 		e.hash.Store(h)
 		s.used++
 		s.live++
+		s.publishes++
 	}
 }
 
@@ -281,46 +294,11 @@ func (x *Index[K, V]) shardOf(h uint64) *shard[K, V] {
 	return &x.shards[h>>(64-shardBits)]
 }
 
-// hash maps a key to 64 well-mixed, nonzero bits: the key's own bits
-// (FNV-1a for strings) through a splitmix64 finalizer, so dense integer key
-// spaces spread across shards and slots. 0 marks a free slot, so a key
-// hashing to 0 shares hash 1.
+// hash maps a key to 64 well-mixed, nonzero bits: its Squeeze through a
+// splitmix64 finalizer, so dense integer key spaces spread across shards and
+// slots. 0 marks a free slot, so a key hashing to 0 shares hash 1.
 func hash[K cmp.Ordered](key K) uint64 {
-	var h uint64
-	switch k := any(&key).(type) {
-	case *int:
-		h = uint64(*k)
-	case *int8:
-		h = uint64(*k)
-	case *int16:
-		h = uint64(*k)
-	case *int32:
-		h = uint64(*k)
-	case *int64:
-		h = uint64(*k)
-	case *uint:
-		h = uint64(*k)
-	case *uint8:
-		h = uint64(*k)
-	case *uint16:
-		h = uint64(*k)
-	case *uint32:
-		h = uint64(*k)
-	case *uint64:
-		h = *k
-	case *uintptr:
-		h = uint64(*k)
-	case *float32:
-		h = uint64(math.Float32bits(*k))
-	case *float64:
-		h = math.Float64bits(*k)
-	case *string:
-		h = 14695981039346656037
-		for i := 0; i < len(*k); i++ {
-			h ^= uint64((*k)[i])
-			h *= 1099511628211
-		}
-	}
+	h := Squeeze(key)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -330,4 +308,47 @@ func hash[K cmp.Ordered](key K) uint64 {
 		h = 1
 	}
 	return h
+}
+
+// Squeeze maps a key to 64 bits without allocating (the pointer type switch
+// avoids boxing): integer and float keys keep their bit patterns, strings
+// are FNV-1a hashed, and any other type yields 0. Trace events record keys
+// this way too.
+func Squeeze[K cmp.Ordered](key K) uint64 {
+	switch k := any(&key).(type) {
+	case *int:
+		return uint64(*k)
+	case *int8:
+		return uint64(*k)
+	case *int16:
+		return uint64(*k)
+	case *int32:
+		return uint64(*k)
+	case *int64:
+		return uint64(*k)
+	case *uint:
+		return uint64(*k)
+	case *uint8:
+		return uint64(*k)
+	case *uint16:
+		return uint64(*k)
+	case *uint32:
+		return uint64(*k)
+	case *uint64:
+		return *k
+	case *uintptr:
+		return uint64(*k)
+	case *float32:
+		return uint64(math.Float32bits(*k))
+	case *float64:
+		return math.Float64bits(*k)
+	case *string:
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(*k); i++ {
+			h ^= uint64((*k)[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	return 0
 }

@@ -190,10 +190,6 @@ func (n *Node[K, V]) OwnerNode() int32 { return int32(n.ownerNode) }
 // by the cache simulator). Zero means the slot is sitting on a free list.
 func (n *Node[K, V]) ID() uint64 { return n.id.Load() }
 
-// SetID installs a fresh life ID. Only the arena calls this, while the slot
-// is unreferenced.
-func (n *Node[K, V]) SetID(id uint64) { n.id.Store(id) }
-
 // LiveAs reports whether the node is still the same un-retired life that was
 // observed when `id` was captured. Callers holding a raw pointer from a local
 // structure or jump index must gate every dereference on it, under an epoch

@@ -161,15 +161,6 @@ func (t *Topology) cpuAt(idx int) CPU {
 	return CPU{ID: idx, Socket: socket, Core: core, SMT: smt}
 }
 
-// CPUs returns all hardware threads in pin order.
-func (t *Topology) CPUs() []CPU {
-	out := make([]CPU, t.HardwareThreads())
-	for i := range out {
-		out[i] = t.cpuAt(i)
-	}
-	return out
-}
-
 // Placement binds a logical worker thread to a simulated CPU.
 type Placement struct {
 	// Thread is the logical worker thread ID (0-based).

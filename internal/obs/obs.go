@@ -143,7 +143,7 @@ type Event struct {
 	Origin Origin `json:"origin"`
 	// Ok is the operation's boolean result (found / inserted / removed).
 	Ok bool `json:"ok"`
-	// Key is the operation key, squeezed into 64 bits (see core's keyBits).
+	// Key is the operation key, squeezed into 64 bits (see hindex.Squeeze).
 	Key uint64 `json:"key"`
 	// StartNs is the operation's start, in nanoseconds since tracer start.
 	StartNs int64 `json:"start_ns"`

@@ -9,7 +9,9 @@ import (
 	"sync"
 
 	"layeredsg/internal/epoch"
+	"layeredsg/internal/hindex"
 	"layeredsg/internal/node"
+	"layeredsg/internal/persist"
 	"layeredsg/internal/stats"
 )
 
@@ -94,9 +96,20 @@ type Snapshot struct {
 	// Index summarizes the shared hash index layer, when one is attached
 	// (nil otherwise).
 	Index *IndexSnapshot `json:"index,omitempty"`
-	// Persist summarizes snapshot dump / load / WAL-replay volume, when any
-	// persistence activity has been recorded (nil otherwise).
-	Persist *PersistSnapshot `json:"persist,omitempty"`
+	// WAL reports the write-ahead log's durability counters while a log is
+	// attached (nil otherwise).
+	WAL *persist.WALStats `json:"wal,omitempty"`
+}
+
+// IndexSnapshot is the index section: how traced point operations resolved,
+// and the index's own counters and size.
+type IndexSnapshot struct {
+	// Hits counts traced gets, inserts and removes answered on the node the
+	// index resolved (the local-hit origin); Misses counts those that
+	// descended instead (local-jump and head). Scans never consult the index.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	hindex.Stats
 }
 
 // OpSnapshot summarizes one operation kind.
@@ -143,8 +156,7 @@ func (t *Tracer) Snapshot() Snapshot {
 	s.Reclaim = section(src.Reclaim)
 	s.Arena = section(src.Arena)
 	s.Epoch = section(src.Epoch)
-	s.Index = t.indexSnapshot(src.Index)
-	s.Persist = t.persistSnapshot()
+	s.WAL = section(src.WAL)
 	for k := 1; k < nOpKinds; k++ {
 		m := &t.ops[k]
 		count := m.count.Load()
@@ -168,6 +180,15 @@ func (t *Tracer) Snapshot() Snapshot {
 			}
 		}
 		s.Ops[OpKind(k).String()] = os
+	}
+	if src.Index != nil {
+		x := IndexSnapshot{Stats: src.Index()}
+		for _, k := range []OpKind{OpGet, OpInsert, OpRemove} {
+			o := s.Ops[k.String()].Origins
+			x.Hits += o[OriginLocalHit.String()]
+			x.Misses += o[OriginLocalJump.String()] + o[OriginHead.String()]
+		}
+		s.Index = &x
 	}
 	return s
 }
@@ -217,20 +238,15 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	if x := s.Index; x != nil {
 		if _, err := fmt.Fprintf(w,
-			"  index    hits=%d misses=%d stale=%d fallbacks=%d publishes=%d unpublishes=%d entries=%d slots=%d\n",
-			x.Hits, x.Misses, x.Stale, x.Fallbacks, x.Publishes, x.Unpublishes,
-			x.Entries, x.Slots); err != nil {
+			"  index    hits=%d misses=%d publishes=%d unpublishes=%d entries=%d slots=%d\n",
+			x.Hits, x.Misses, x.Publishes, x.Unpublishes, x.Entries, x.Slots); err != nil {
 			return err
 		}
 	}
-	if p := s.Persist; p != nil {
+	if l := s.WAL; l != nil {
 		if _, err := fmt.Fprintf(w,
-			"  persist  dump_records=%d dump_bytes=%d load_records=%d load_bytes=%d wal_replayed=%d wal_discarded=%d\n"+
-				"           wal_fsyncs=%d wal_commits=%d wal_group_commits=%d wal_commit_wait_ns=%d wal_errs=%d\n",
-			p.DumpRecords, p.DumpBytes, p.LoadRecords, p.LoadBytes,
-			p.WALReplayed, p.WALDiscarded,
-			p.WALFsyncs, p.WALCommits, p.WALGroupCommits, p.WALCommitWaitNs,
-			p.WALErrs); err != nil {
+			"  wal      fsyncs=%d commits=%d group_commits=%d commit_wait_ns=%d errs=%d\n",
+			l.Fsyncs, l.Commits, l.GroupCommits, l.CommitWaitNs, l.Errs); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"layeredsg/internal/epoch"
 	"layeredsg/internal/hindex"
 	"layeredsg/internal/node"
+	"layeredsg/internal/persist"
 	"layeredsg/internal/stats"
 )
 
@@ -46,14 +47,6 @@ type Tracer struct {
 	// sources, once a map attaches, reads the subsystem sections of
 	// snapshots.
 	sources atomic.Pointer[Sources]
-
-	// index counts hash-index events (hit, miss, stale, fallback, publish,
-	// unpublish).
-	index [nIndexKinds]atomic.Uint64
-
-	// persist counts persistence-layer events (dump/load records and bytes,
-	// WAL replay depth); cold-path, see RecordPersist.
-	persist [nPersistKinds]atomic.Uint64
 }
 
 // opMetrics aggregates one operation kind across all stripes. Writers are
@@ -126,12 +119,13 @@ func (t *Tracer) Attach(stripes, levelsPerSearch int) {
 
 // Sources reads the subsystem sections of a Snapshot from the subsystems'
 // own Stats. A nil field means the map runs without that subsystem, and its
-// section is omitted (the index section still reports any counted events).
+// section is omitted.
 type Sources struct {
 	Arena   func() node.ArenaStats
 	Epoch   func() epoch.Stats
 	Index   func() hindex.Stats
 	Reclaim func() ReclaimStats
+	WAL     func() persist.WALStats
 }
 
 // ReclaimStats is the health of a lazy map's reclamation pass (internal/core)
@@ -156,8 +150,8 @@ type ReclaimStats struct {
 }
 
 // SetSources installs the subsystem readers (core.New calls it once the
-// map's subsystems exist). A later call replaces them; a nil tracer ignores
-// the call.
+// map's subsystems exist, and again when a write-ahead log attaches). A
+// later call replaces them; a nil tracer ignores the call.
 func (t *Tracer) SetSources(src Sources) {
 	if t == nil {
 		return

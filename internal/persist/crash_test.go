@@ -45,7 +45,7 @@ func TestWALCrashChild(t *testing.T) {
 	}
 	path := filepath.Join(os.Getenv(crashEnvDir), WALFileName)
 	mustCreate := func(pol SyncPolicy) *WAL[uint64, uint64] {
-		w, err := CreateWAL[uint64, uint64](path, crashLineage, WALOptions{Sync: pol})
+		w, err := CreateWAL[uint64, uint64](path, crashLineage, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestWALCrashMatrix(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			runCrashChild(t, c.scenario, dir, c.kill)
-			w, recs, _, err := OpenWAL[uint64, uint64](filepath.Join(dir, WALFileName), crashLineage, WALOptions{})
+			w, recs, _, err := OpenWAL[uint64, uint64](filepath.Join(dir, WALFileName), crashLineage, SyncNever)
 			if err != nil {
 				t.Fatalf("recovery after %s crash: %v", c.scenario, err)
 			}

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"layeredsg/internal/obs"
 )
 
 // The dump side: a sequential snapshot walk feeding one file writer. The walk
@@ -45,8 +43,6 @@ type DumpOptions struct {
 	BaseSeq uint64
 	// Lineage is the source domain's sequence-space identity.
 	Lineage uint64
-	// Tracer receives dump volume counters; nil for none.
-	Tracer *obs.Tracer
 }
 
 // DumpStats summarizes one completed dump.
@@ -135,9 +131,6 @@ func Dump[K cmp.Ordered, V any](dir string, iter func(fn func(key K, value V) bo
 		return DumpStats{}, fmt.Errorf("persist: publishing %s: %w", path, err)
 	}
 	syncDir(dir)
-
-	opts.Tracer.RecordPersist(obs.PersistDumpRecords, records)
-	opts.Tracer.RecordPersist(obs.PersistDumpBytes, bytes)
 	return DumpStats{Records: records, Bytes: bytes, BaseSeq: opts.BaseSeq, Elapsed: time.Since(start)}, nil
 }
 

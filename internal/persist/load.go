@@ -11,8 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"layeredsg/internal/obs"
 )
 
 // The load side. Validation is strictly fail-closed: the header (magic,
@@ -31,12 +29,6 @@ const readBlock = 256 << 10
 // maxRecordLen bounds one key or value encoding; larger prefixes mean a
 // corrupt length, not a real record.
 const maxRecordLen = 1 << 30
-
-// LoadOptions parameterizes Load.
-type LoadOptions struct {
-	// Tracer receives load volume counters; nil for none.
-	Tracer *obs.Tracer
-}
 
 // LoadStats summarizes one completed load (WAL fields are filled by the
 // layeredsg recovery layer, not by Load).
@@ -64,7 +56,7 @@ type LoadStats struct {
 // nil; build's own error aborts the load too. On any error the target build
 // fed is half-built and must be discarded by the caller. A directory without
 // a dump file fails with an error wrapping fs.ErrNotExist.
-func Load[K cmp.Ordered, V any](dir string, build func(baseSeq uint64, records iter.Seq2[K, V]) error, opts LoadOptions) (LoadStats, error) {
+func Load[K cmp.Ordered, V any](dir string, build func(baseSeq uint64, records iter.Seq2[K, V]) error) (LoadStats, error) {
 	start := time.Now()
 	name := filepath.Join(dir, DumpFileName)
 	f, err := os.Open(name)
@@ -98,8 +90,6 @@ func Load[K cmp.Ordered, V any](dir string, build func(baseSeq uint64, records i
 	case err != nil:
 		return stats, fmt.Errorf("persist: building from %s: %w", dir, err)
 	}
-	opts.Tracer.RecordPersist(obs.PersistLoadRecords, stats.Records)
-	opts.Tracer.RecordPersist(obs.PersistLoadBytes, stats.Bytes)
 	stats.Elapsed = time.Since(start)
 	return stats, nil
 }

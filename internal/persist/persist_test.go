@@ -172,7 +172,7 @@ func loadMap(t *testing.T, dir string) (map[int64]string, LoadStats, error) {
 			prev = k
 		}
 		return nil
-	}, LoadOptions{})
+	})
 	return got, stats, err
 }
 
@@ -355,7 +355,7 @@ func TestLoadFaultVersionSkew(t *testing.T) {
 func TestLoadFaultTypeMismatch(t *testing.T) {
 	dir := t.TempDir()
 	dumpMap(t, dir, testMap(100))
-	_, err := Load[string, string](dir, func(uint64, iter.Seq2[string, string]) error { return nil }, LoadOptions{})
+	_, err := Load[string, string](dir, func(uint64, iter.Seq2[string, string]) error { return nil })
 	if !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("got %v, want ErrTypeMismatch", err)
 	}
@@ -417,7 +417,7 @@ func TestLoadNoPartialSinkOnHeaderFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	_, err = Load[int64, string](dir, func(uint64, iter.Seq2[int64, string]) error { calls++; return nil }, LoadOptions{})
+	_, err = Load[int64, string](dir, func(uint64, iter.Seq2[int64, string]) error { calls++; return nil })
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("got %v, want ErrChecksum", err)
 	}
@@ -430,7 +430,7 @@ func TestLoadNoPartialSinkOnHeaderFault(t *testing.T) {
 
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), WALFileName)
-	w, err := CreateWAL[int64, string](path, 0xfeed, WALOptions{})
+	w, err := CreateWAL[int64, string](path, 0xfeed, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, recs, rstats, err := OpenWAL[int64, string](path, 0xfeed, WALOptions{})
+	w2, recs, rstats, err := OpenWAL[int64, string](path, 0xfeed, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, _, err = OpenWAL[int64, string](path, 0xfeed, WALOptions{})
+	_, recs, _, err = OpenWAL[int64, string](path, 0xfeed, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestWALTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), WALFileName)
-	w, err := CreateWAL[int64, string](path, 1, WALOptions{})
+	w, err := CreateWAL[int64, string](path, 1, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestWALTornTail(t *testing.T) {
 	f.Write([]byte{byte(WALInsert), 9, 0, 0})
 	f.Close()
 
-	w2, recs, rstats, err := OpenWAL[int64, string](path, 1, WALOptions{})
+	w2, recs, rstats, err := OpenWAL[int64, string](path, 1, SyncNever)
 	if err != nil {
 		t.Fatalf("torn tail must recover, got %v", err)
 	}
@@ -516,7 +516,7 @@ func TestWALTornTail(t *testing.T) {
 // first invalid record (the documented append-only contract).
 func TestWALTornMiddle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), WALFileName)
-	w, err := CreateWAL[int64, string](path, 1, WALOptions{})
+	w, err := CreateWAL[int64, string](path, 1, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestWALTornMiddle(t *testing.T) {
 	data[firstEnd+5] ^= 0xff // corrupt the second record
 	os.WriteFile(path, data, 0o644)
 
-	_, recs, rstats, err := OpenWAL[int64, string](path, 1, WALOptions{})
+	_, recs, rstats, err := OpenWAL[int64, string](path, 1, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,23 +545,23 @@ func TestWALTornMiddle(t *testing.T) {
 func TestWALFaults(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, WALFileName)
-	w, err := CreateWAL[int64, string](path, 0xaa, WALOptions{})
+	w, err := CreateWAL[int64, string](path, 0xaa, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Insert(1, 1, "x")
 	w.Close()
 
-	if _, err := CreateWAL[int64, string](path, 0xbb, WALOptions{}); !errors.Is(err, ErrWALExists) {
+	if _, err := CreateWAL[int64, string](path, 0xbb, SyncNever); !errors.Is(err, ErrWALExists) {
 		t.Errorf("create over existing: %v, want ErrWALExists", err)
 	}
-	if _, _, _, err := OpenWAL[int64, string](path, 0xbb, WALOptions{}); !errors.Is(err, ErrWALMismatch) {
+	if _, _, _, err := OpenWAL[int64, string](path, 0xbb, SyncNever); !errors.Is(err, ErrWALMismatch) {
 		t.Errorf("lineage skew: %v, want ErrWALMismatch", err)
 	}
-	if _, _, _, err := OpenWAL[int64, int64](path, 0xaa, WALOptions{}); !errors.Is(err, ErrTypeMismatch) {
+	if _, _, _, err := OpenWAL[int64, int64](path, 0xaa, SyncNever); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("type skew: %v, want ErrTypeMismatch", err)
 	}
-	if _, _, _, err := OpenWAL[int64, string](filepath.Join(dir, "absent.sgw"), 0xaa, WALOptions{}); !errors.Is(err, fs.ErrNotExist) {
+	if _, _, _, err := OpenWAL[int64, string](filepath.Join(dir, "absent.sgw"), 0xaa, SyncNever); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing file: %v, want fs.ErrNotExist", err)
 	}
 
@@ -569,14 +569,14 @@ func TestWALFaults(t *testing.T) {
 	data[3] = 'X'
 	bad := filepath.Join(dir, "bad.sgw")
 	os.WriteFile(bad, data, 0o644)
-	if _, _, _, err := OpenWAL[int64, string](bad, 0xaa, WALOptions{}); !errors.Is(err, ErrFormat) {
+	if _, _, _, err := OpenWAL[int64, string](bad, 0xaa, SyncNever); !errors.Is(err, ErrFormat) {
 		t.Errorf("bad magic: %v, want ErrFormat", err)
 	}
 }
 
 func TestWALPrune(t *testing.T) {
 	path := filepath.Join(t.TempDir(), WALFileName)
-	w, err := CreateWAL[int64, string](path, 7, WALOptions{})
+	w, err := CreateWAL[int64, string](path, 7, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestWALPrune(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, _, err := OpenWAL[int64, string](path, 7, WALOptions{})
+	_, recs, _, err := OpenWAL[int64, string](path, 7, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}

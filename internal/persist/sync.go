@@ -3,8 +3,6 @@ package persist
 import (
 	"fmt"
 	"time"
-
-	"layeredsg/internal/obs"
 )
 
 // WAL durability policies. The log's appends are always buffered writes at
@@ -115,13 +113,38 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncNever, fmt.Errorf("persist: unknown sync policy %q (want never, interval[:d], every, or group)", s)
 }
 
-// WALOptions parameterizes CreateWAL and OpenWAL.
-type WALOptions struct {
-	// Sync is the durability policy; the zero value is SyncNever.
-	Sync SyncPolicy
-	// Tracer receives the log's cold-path counters (fsyncs, commits, group
-	// commits, commit-wait time, sticky-error drops); nil for none.
-	Tracer *obs.Tracer
+// WALStats counts a log's durability work since it was created or opened.
+type WALStats struct {
+	// Fsyncs counts fsyncs of the log: one per append under SyncEvery, per
+	// commit group under SyncGroup, per tick under SyncInterval, and one per
+	// Sync or Prune.
+	Fsyncs uint64 `json:"fsyncs"`
+	// Commits counts acknowledgments requested: Commit calls (Store.Barrier
+	// at the root) that reached an open, healthy log.
+	Commits uint64 `json:"commits"`
+	// GroupCommits counts commits whose records an earlier fsync had
+	// already covered when they reached the durability mutex: riders that
+	// paid no fsync of their own. Under SyncGroup, Commits minus
+	// GroupCommits is the number of leaders.
+	GroupCommits uint64 `json:"group_commits"`
+	// CommitWaitNs is the time commits spent waiting for durability (the
+	// group-commit toll).
+	CommitWaitNs uint64 `json:"commit_wait_ns"`
+	// Errs counts sticky I/O error events: the first failure plus every
+	// record dropped on it afterwards. Nonzero means mutations are applied
+	// in memory but not journaled; see Err.
+	Errs uint64 `json:"errs"`
+}
+
+// Stats reads the log's durability counters.
+func (w *WAL[K, V]) Stats() WALStats {
+	return WALStats{
+		Fsyncs:       w.fsyncs.Load(),
+		Commits:      w.commits.Load(),
+		GroupCommits: w.groupCommits.Load(),
+		CommitWaitNs: w.commitWaitNs.Load(),
+		Errs:         w.errs.Load(),
+	}
 }
 
 // Commit blocks until every record appended to the log before the call is
@@ -147,23 +170,21 @@ func (w *WAL[K, V]) Commit(seq uint64) error {
 	if err != nil || closed {
 		return err
 	}
-	w.tr.RecordPersist(obs.PersistWALCommits, 1)
+	w.commits.Add(1)
 	if w.pol.mode == syncNever {
 		return w.Flush()
 	}
 	start := time.Now()
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	defer func() {
-		w.tr.RecordPersist(obs.PersistWALCommitWaitNs, uint64(time.Since(start).Nanoseconds()))
-	}()
+	defer func() { w.commitWaitNs.Add(uint64(time.Since(start).Nanoseconds())) }()
 	if w.durable.Load() >= target {
 		// The rider path: an earlier fsync — a leader's, already in flight
 		// when this committer arrived, or a previous round's — covered our
 		// records, so no new fsync is bought. (Every ack routes through
 		// syncMu, even when already durable, so this count is exact: under
 		// SyncGroup, commits minus riders is the number of leaders.)
-		w.tr.RecordPersist(obs.PersistWALGroupCommits, 1)
+		w.groupCommits.Add(1)
 		return nil
 	}
 	return w.leaderSync()
@@ -189,7 +210,7 @@ func (w *WAL[K, V]) leaderSync() error {
 		return err
 	}
 	w.advanceDurable(target)
-	w.tr.RecordPersist(obs.PersistWALFsyncs, 1)
+	w.fsyncs.Add(1)
 	return nil
 }
 
@@ -219,7 +240,7 @@ func (w *WAL[K, V]) syncAppendedLocked() {
 		return
 	}
 	w.advanceDurable(target)
-	w.tr.RecordPersist(obs.PersistWALFsyncs, 1)
+	w.fsyncs.Add(1)
 }
 
 // flushLoop is the SyncInterval background flusher.
@@ -232,7 +253,7 @@ func (w *WAL[K, V]) flushLoop(d time.Duration) {
 		case <-w.stopFlusher:
 			return
 		case <-t.C:
-			w.Sync() //nolint:errcheck // sticky: surfaced via Err and the wal_errs counter
+			w.Sync() //nolint:errcheck // sticky: surfaced via Err and WALStats.Errs
 		}
 	}
 }

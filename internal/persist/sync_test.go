@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"layeredsg/internal/obs"
 )
 
 // Sync-policy tests: what each policy promises, group-commit batching,
@@ -31,10 +29,10 @@ func crashWAL[K cmp.Ordered, V any](w *WAL[K, V]) {
 	}
 }
 
-func newSyncedWAL(t testing.TB, pol SyncPolicy, tr *obs.Tracer) *WAL[uint64, uint64] {
+func newSyncedWAL(t testing.TB, pol SyncPolicy) *WAL[uint64, uint64] {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), WALFileName)
-	w, err := CreateWAL[uint64, uint64](path, 7, WALOptions{Sync: pol, Tracer: tr})
+	w, err := CreateWAL[uint64, uint64](path, 7, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func newSyncedWAL(t testing.TB, pol SyncPolicy, tr *obs.Tracer) *WAL[uint64, uin
 
 func reopenSeqs(t testing.TB, path string) []uint64 {
 	t.Helper()
-	w, recs, _, err := OpenWAL[uint64, uint64](path, 7, WALOptions{})
+	w, recs, _, err := OpenWAL[uint64, uint64](path, 7, SyncNever)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -110,7 +108,7 @@ func TestSyncPolicyParseString(t *testing.T) {
 // TestWALSyncNeverBufferLost pins the SyncNever contract: unacknowledged
 // buffered appends die with the process.
 func TestWALSyncNeverBufferLost(t *testing.T) {
-	w := newSyncedWAL(t, SyncNever, nil)
+	w := newSyncedWAL(t, SyncNever)
 	for s := uint64(1); s <= 8; s++ {
 		w.Insert(s, s, s*3)
 	}
@@ -123,7 +121,7 @@ func TestWALSyncNeverBufferLost(t *testing.T) {
 func TestWALCommitPromise(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncNever, SyncInterval(time.Millisecond), SyncEvery, SyncGroup} {
 		t.Run(pol.String(), func(t *testing.T) {
-			w := newSyncedWAL(t, pol, nil)
+			w := newSyncedWAL(t, pol)
 			for s := uint64(1); s <= 8; s++ {
 				w.Insert(s, s, s*3)
 			}
@@ -155,26 +153,21 @@ func TestWALCommitPromise(t *testing.T) {
 // TestWALSyncEveryNoAckNeeded: under SyncEvery every stamp site pays its own
 // fsync, so even with no Commit at all, nothing is lost.
 func TestWALSyncEveryNoAckNeeded(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerConfig{Name: "sync_every"})
-	defer tr.Close()
-	w := newSyncedWAL(t, SyncEvery, tr)
+	w := newSyncedWAL(t, SyncEvery)
 	for s := uint64(1); s <= 5; s++ {
 		w.Insert(s, s, s*3)
 	}
 	crashWAL(w)
 	wantSeqs(t, reopenSeqs(t, w.Path()), 1, 2, 3, 4, 5)
-	p := tr.Snapshot().Persist
-	if p == nil || p.WALFsyncs < 5 {
-		t.Fatalf("persist counters = %+v, want >= 5 fsyncs (one per append)", p)
+	if st := w.Stats(); st.Fsyncs < 5 {
+		t.Fatalf("WAL stats = %+v, want >= 5 fsyncs (one per append)", st)
 	}
 }
 
 // TestWALSyncIntervalBackground: the flusher makes appends durable with no
 // acknowledgment call, within a few periods.
 func TestWALSyncIntervalBackground(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerConfig{Name: "sync_interval"})
-	defer tr.Close()
-	w := newSyncedWAL(t, SyncInterval(time.Millisecond), tr)
+	w := newSyncedWAL(t, SyncInterval(time.Millisecond))
 	for s := uint64(1); s <= 6; s++ {
 		w.Insert(s, s, s*3)
 	}
@@ -187,8 +180,8 @@ func TestWALSyncIntervalBackground(t *testing.T) {
 	}
 	crashWAL(w)
 	wantSeqs(t, reopenSeqs(t, w.Path()), 1, 2, 3, 4, 5, 6)
-	if p := tr.Snapshot().Persist; p == nil || p.WALFsyncs == 0 {
-		t.Fatalf("persist counters = %+v, want background fsyncs", p)
+	if st := w.Stats(); st.Fsyncs == 0 {
+		t.Fatalf("WAL stats = %+v, want background fsyncs", st)
 	}
 }
 
@@ -198,9 +191,7 @@ func TestWALSyncIntervalBackground(t *testing.T) {
 // three must find the leader's fsync already covered their records and
 // return on the cohort path — one fsync retires all four.
 func TestWALGroupCommitBatches(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerConfig{Name: "group_commit"})
-	defer tr.Close()
-	w := newSyncedWAL(t, SyncGroup, tr)
+	w := newSyncedWAL(t, SyncGroup)
 
 	w.syncMu.Lock()
 	const cohort = 4
@@ -215,11 +206,7 @@ func TestWALGroupCommitBatches(t *testing.T) {
 	// counter ticks before the leadership wait), so the eventual leader's
 	// flush+fsync covers every cohort member.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p := tr.Snapshot().Persist
-		if p != nil && p.WALCommits >= cohort {
-			break
-		}
+	for w.Stats().Commits < cohort {
 		if time.Now().After(deadline) {
 			w.syncMu.Unlock()
 			t.Fatal("cohort never assembled")
@@ -233,12 +220,12 @@ func TestWALGroupCommitBatches(t *testing.T) {
 		}
 	}
 
-	p := tr.Snapshot().Persist
-	if p.WALFsyncs != 1 {
-		t.Fatalf("fsyncs = %d, want exactly 1 (one leader for the whole cohort)", p.WALFsyncs)
+	st := w.Stats()
+	if st.Fsyncs != 1 {
+		t.Fatalf("fsyncs = %d, want exactly 1 (one leader for the whole cohort)", st.Fsyncs)
 	}
-	if p.WALGroupCommits != cohort-1 {
-		t.Fatalf("group commits = %d, want %d (cohort minus its leader)", p.WALGroupCommits, cohort-1)
+	if st.GroupCommits != cohort-1 {
+		t.Fatalf("group commits = %d, want %d (cohort minus its leader)", st.GroupCommits, cohort-1)
 	}
 	if w.durable.Load() < cohort {
 		t.Fatalf("durable watermark = %d, want >= %d", w.durable.Load(), cohort)
@@ -250,13 +237,11 @@ func TestWALGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// TestWALErrSurfacedEarly: a failing log is observable through Err and the
-// wal_errs counter long before Close, and every record dropped on the sticky
+// TestWALErrSurfacedEarly: a failing log is observable through Err and its
+// Errs counter long before Close, and every record dropped on the sticky
 // error is counted.
 func TestWALErrSurfacedEarly(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerConfig{Name: "wal_err"})
-	defer tr.Close()
-	w := newSyncedWAL(t, SyncNever, tr)
+	w := newSyncedWAL(t, SyncNever)
 	w.Insert(1, 1, 3)
 	// Fault injection: kill the descriptor under the log. The buffered
 	// append above is fine; the flush hits the dead fd.
@@ -269,15 +254,14 @@ func TestWALErrSurfacedEarly(t *testing.T) {
 	if err := w.Err(); err == nil {
 		t.Fatal("Err() = nil after failed flush; the error must surface before Close")
 	}
-	p := tr.Snapshot().Persist
-	if p == nil || p.WALErrs == 0 {
-		t.Fatalf("persist counters = %+v, want wal_errs > 0 after failed flush", p)
+	errsBefore := w.Stats().Errs
+	if errsBefore == 0 {
+		t.Fatalf("WAL stats = %+v, want errs > 0 after failed flush", w.Stats())
 	}
-	errsBefore := p.WALErrs
 	w.Insert(2, 2, 6) // dropped on the sticky error — and counted
 	w.Remove(3, 3)
-	if p = tr.Snapshot().Persist; p.WALErrs != errsBefore+2 {
-		t.Fatalf("wal_errs = %d, want %d (each dropped record counted)", p.WALErrs, errsBefore+2)
+	if got := w.Stats().Errs; got != errsBefore+2 {
+		t.Fatalf("errs = %d, want %d (each dropped record counted)", got, errsBefore+2)
 	}
 	if err := w.Commit(2); err == nil {
 		t.Fatal("Commit on a failed log succeeded")
@@ -293,7 +277,7 @@ func TestWALErrSurfacedEarly(t *testing.T) {
 // the rebuild (the phase-2 scan sees it), one stays buffered (phase 3's
 // delta copy carries it) — both must survive.
 func TestWALPruneOffLockAppends(t *testing.T) {
-	w := newSyncedWAL(t, SyncNever, nil)
+	w := newSyncedWAL(t, SyncNever)
 	for s := uint64(1); s <= 10; s++ {
 		w.Insert(s, s, s*3)
 	}
@@ -348,7 +332,7 @@ func FuzzWALSync(f *testing.F) {
 		pols := []SyncPolicy{SyncNever, SyncInterval(time.Millisecond), SyncEvery, SyncGroup}
 		pol := pols[int(polSel)%len(pols)]
 		path := filepath.Join(t.TempDir(), WALFileName)
-		w, err := CreateWAL[uint64, uint64](path, 7, WALOptions{Sync: pol})
+		w, err := CreateWAL[uint64, uint64](path, 7, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +409,7 @@ func FuzzWALSync(f *testing.F) {
 				}
 			default: // crash, recover, verify, continue on the reopened log
 				crashWAL(w)
-				w2, recs, _, err := OpenWAL[uint64, uint64](path, 7, WALOptions{Sync: pol})
+				w2, recs, _, err := OpenWAL[uint64, uint64](path, 7, pol)
 				if err != nil {
 					t.Fatalf("recovery failed: %v", err)
 				}
@@ -442,7 +426,7 @@ func FuzzWALSync(f *testing.F) {
 			t.Fatal(err)
 		}
 		promise()
-		w2, recs, _, err := OpenWAL[uint64, uint64](path, 7, WALOptions{Sync: SyncNever})
+		w2, recs, _, err := OpenWAL[uint64, uint64](path, 7, SyncNever)
 		if err != nil {
 			t.Fatalf("final recovery failed: %v", err)
 		}

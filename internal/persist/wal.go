@@ -13,8 +13,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"layeredsg/internal/obs"
 )
 
 // The write-ahead log: an append-only journal of stamped mutations. The core
@@ -80,14 +78,16 @@ type RecoverStats struct {
 // WAL is an open write-ahead log. Insert, Remove, Flush, Sync, Commit,
 // Prune, and Close are safe for concurrent use; I/O errors are sticky (Err)
 // because the core's stamp sites cannot propagate them — they surface early
-// through Err and the obs wal_errs counter, not just at Close.
+// through Err and Stats().Errs, not just at Close.
 type WAL[K cmp.Ordered, V any] struct {
 	path    string
 	kc      codec[K]
 	vc      codec[V]
 	lineage uint64
 	pol     SyncPolicy
-	tr      *obs.Tracer
+
+	// Durability counters; see WALStats.
+	fsyncs, commits, groupCommits, commitWaitNs, errs atomic.Uint64
 
 	// syncMu serializes the durability leaders — group-commit fsyncs,
 	// Prune's rewrite, Close — against each other, and is what keeps w.f
@@ -121,16 +121,15 @@ type WAL[K cmp.Ordered, V any] struct {
 
 // newWAL wires a WAL around an open append handle and starts the background
 // flusher when the policy asks for one.
-func newWAL[K cmp.Ordered, V any](path string, kc codec[K], vc codec[V], lineage uint64, f *os.File, opts WALOptions) *WAL[K, V] {
+func newWAL[K cmp.Ordered, V any](path string, kc codec[K], vc codec[V], lineage uint64, f *os.File, pol SyncPolicy) *WAL[K, V] {
 	w := &WAL[K, V]{
-		path: path, kc: kc, vc: vc, lineage: lineage,
-		pol: opts.Sync, tr: opts.Tracer,
+		path: path, kc: kc, vc: vc, lineage: lineage, pol: pol,
 		f: f, w: bufio.NewWriterSize(f, 1<<16),
 	}
-	if opts.Sync.mode == syncInterval {
+	if pol.mode == syncInterval {
 		w.stopFlusher = make(chan struct{})
 		w.flusherDone = make(chan struct{})
-		go w.flushLoop(opts.Sync.interval)
+		go w.flushLoop(pol.interval)
 	}
 	return w
 }
@@ -143,13 +142,13 @@ func (w *WAL[K, V]) crash(point string) {
 }
 
 // setErrLocked records a sticky I/O error (keeping the first) and counts the
-// event on the obs wal_errs counter, so a failing log is observable long
-// before Close. Callers hold mu.
+// event in Stats().Errs, so a failing log is observable long before Close.
+// Callers hold mu.
 func (w *WAL[K, V]) setErrLocked(err error) {
 	if w.err == nil {
 		w.err = err
 	}
-	w.tr.RecordPersist(obs.PersistWALErrs, 1)
+	w.errs.Add(1)
 }
 
 func encodeWALHeader(kk, vk kindCode, lineage uint64) [walHeaderSize]byte {
@@ -167,7 +166,7 @@ func encodeWALHeader(kk, vk kindCode, lineage uint64) [walHeaderSize]byte {
 // fails with ErrWALExists if path already exists: a leftover log holds
 // journaled mutations, and silently restarting it would lose them — recover
 // through the load path or remove the file explicitly.
-func CreateWAL[K cmp.Ordered, V any](path string, lineage uint64, opts WALOptions) (*WAL[K, V], error) {
+func CreateWAL[K cmp.Ordered, V any](path string, lineage uint64, pol SyncPolicy) (*WAL[K, V], error) {
 	kc, vc := newCodec[K](), newCodec[V]()
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -188,7 +187,7 @@ func CreateWAL[K cmp.Ordered, V any](path string, lineage uint64, opts WALOption
 	// The header is durable; make the directory entry durable too, or a
 	// crash right after create can lose the whole file.
 	syncDir(filepath.Dir(path))
-	return newWAL(path, kc, vc, lineage, f, opts), nil
+	return newWAL(path, kc, vc, lineage, f, pol), nil
 }
 
 // walRawRec is one scanned record's byte extent and parsed fields.
@@ -256,7 +255,7 @@ func scanWAL(data []byte, visit func(walRawRec) error) (validEnd int, err error)
 // log's header (ErrWALMismatch) — pass the dump's lineage to guarantee the
 // log extends the sequence space being loaded. A missing file surfaces as
 // fs.ErrNotExist for the caller to fall back to CreateWAL.
-func OpenWAL[K cmp.Ordered, V any](path string, expectLineage uint64, opts WALOptions) (*WAL[K, V], []WALRecord[K, V], RecoverStats, error) {
+func OpenWAL[K cmp.Ordered, V any](path string, expectLineage uint64, pol SyncPolicy) (*WAL[K, V], []WALRecord[K, V], RecoverStats, error) {
 	kc, vc := newCodec[K](), newCodec[V]()
 	var stats RecoverStats
 	data, err := os.ReadFile(path)
@@ -324,7 +323,7 @@ func OpenWAL[K cmp.Ordered, V any](path string, expectLineage uint64, opts WALOp
 		}
 		syncDir(filepath.Dir(path))
 	}
-	w := newWAL(path, kc, vc, lineage, f, opts)
+	w := newWAL(path, kc, vc, lineage, f, pol)
 	return w, recs, stats, nil
 }
 
@@ -343,8 +342,8 @@ func (w *WAL[K, V]) append(op WALOp, seq uint64, key K, value V) {
 	if w.err != nil || w.f == nil {
 		if w.err != nil {
 			// Every record dropped on the sticky error is counted, so the
-			// loss is visible (wal_errs) long before Close returns it.
-			w.tr.RecordPersist(obs.PersistWALErrs, 1)
+			// loss is visible (Stats().Errs) long before Close returns it.
+			w.errs.Add(1)
 		}
 		return
 	}
@@ -506,7 +505,7 @@ func (w *WAL[K, V]) Prune(upTo uint64) error {
 	// Everything appended so far sits fsynced in the renamed file (or is
 	// covered by the dump that triggered the prune).
 	w.advanceDurable(w.appended)
-	w.tr.RecordPersist(obs.PersistWALFsyncs, 1)
+	w.fsyncs.Add(1)
 	return nil
 }
 

@@ -22,7 +22,7 @@ func benchPolicies() []SyncPolicy {
 func BenchmarkWALAppend(b *testing.B) {
 	for _, pol := range benchPolicies() {
 		b.Run(pol.String(), func(b *testing.B) {
-			w, err := CreateWAL[uint64, uint64](filepath.Join(b.TempDir(), WALFileName), 7, WALOptions{Sync: pol})
+			w, err := CreateWAL[uint64, uint64](filepath.Join(b.TempDir(), WALFileName), 7, pol)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func BenchmarkWALAppend(b *testing.B) {
 func BenchmarkWALCommit(b *testing.B) {
 	for _, pol := range benchPolicies() {
 		b.Run(pol.String(), func(b *testing.B) {
-			w, err := CreateWAL[uint64, uint64](filepath.Join(b.TempDir(), WALFileName), 7, WALOptions{Sync: pol})
+			w, err := CreateWAL[uint64, uint64](filepath.Join(b.TempDir(), WALFileName), 7, pol)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func BenchmarkWALPrune(b *testing.B) {
 	const records, kept = 1 << 18, 64
 	dir := b.TempDir()
 	tmpl := filepath.Join(dir, "template.wal")
-	w, err := CreateWAL[uint64, uint64](tmpl, 7, WALOptions{})
+	w, err := CreateWAL[uint64, uint64](tmpl, 7, SyncNever)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkWALPrune(b *testing.B) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			b.Fatal(err)
 		}
-		w, _, _, err := OpenWAL[uint64, uint64](path, 7, WALOptions{})
+		w, _, _, err := OpenWAL[uint64, uint64](path, 7, SyncNever)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -205,26 +205,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Merge adds other's samples into h (max is kept as the pairwise max).
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	for i := range other.buckets {
-		if v := other.buckets[i].Load(); v > 0 {
-			h.buckets[i].Add(v)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		old, om := h.max.Load(), other.max.Load()
-		if om <= old || h.max.CompareAndSwap(old, om) {
-			break
-		}
-	}
-}
-
 // HistogramSnapshot is a point-in-time summary of a Histogram.
 type HistogramSnapshot struct {
 	Count  uint64

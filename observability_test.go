@@ -15,7 +15,8 @@ import (
 // tracing on past the reclamation floor (4,096 dead nodes), reclaimed by
 // forced passes and dumped, and then each section must be present,
 // counting, printed by WriteText, and exported by WriteJSON under its
-// documented keys.
+// documented keys. The index's hits and misses are the point operations'
+// origins, and the wal section exists exactly when a log is attached.
 func TestTracerSnapshotSections(t *testing.T) {
 	const sockets = 2
 	var now atomic.Int64
@@ -57,7 +58,8 @@ func TestTracerSnapshotSections(t *testing.T) {
 	if err := st.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.StoreToDisk(t.TempDir()); err != nil {
+	dumpDir := t.TempDir()
+	if _, err := st.StoreToDisk(dumpDir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,18 +73,27 @@ func TestTracerSnapshotSections(t *testing.T) {
 	if e := s.Epoch; e == nil || e.Epoch <= 1 || e.Seq == 0 {
 		t.Fatalf("epoch section = %+v, want an advanced epoch and a mutation sequence", e)
 	}
-	if x := s.Index; x == nil || x.Publishes == 0 || x.Entries == 0 || x.Slots == 0 {
-		t.Fatalf("index section = %+v, want publishes, entries and slots", x)
+	var hits, misses uint64
+	for _, op := range []string{"get", "insert", "remove"} {
+		o := s.Ops[op].Origins
+		hits += o["local-hit"]
+		misses += o["local-jump"] + o["head"]
 	}
-	if p := s.Persist; p == nil || p.DumpRecords == 0 || p.WALCommits == 0 {
-		t.Fatalf("persist section = %+v, want dump records and WAL commits", p)
+	if x := s.Index; x == nil || x.Hits != hits || x.Misses != misses || hits == 0 || misses == 0 {
+		t.Fatalf("index section = %+v, want %d hits and %d misses, the point operations' origins", x, hits, misses)
+	}
+	if x := s.Index; x.Publishes == 0 || x.Unpublishes == 0 || x.Entries == 0 || x.Slots == 0 {
+		t.Fatalf("index section = %+v, want publishes, unpublishes, entries and slots", x)
+	}
+	if l := s.WAL; l == nil || l.Commits == 0 || l.Fsyncs == 0 {
+		t.Fatalf("wal section = %+v, want commits and fsyncs", l)
 	}
 
 	var text bytes.Buffer
 	if err := s.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"  reclaim ", "  arena ", "  epoch ", "  index ", "  persist "} {
+	for _, line := range []string{"  reclaim ", "  arena ", "  epoch ", "  index ", "  wal "} {
 		if !strings.Contains(text.String(), "\n"+line) {
 			t.Errorf("WriteText has no %q line:\n%s", strings.TrimSpace(line), text.String())
 		}
@@ -101,9 +112,8 @@ func TestTracerSnapshotSections(t *testing.T) {
 		"reclaim": {"freed", "limbo_depth", "live_keys", "passes", "retired", "slots_per_live_key"},
 		"arena":   append([]string{"shards"}, shardKeys...),
 		"epoch":   {"epoch", "live_snapshots", "min_pinned", "pin_lag", "seq"},
-		"index":   {"entries", "fallbacks", "hits", "misses", "publishes", "slots", "stale", "unpublishes"},
-		"persist": {"dump_bytes", "dump_records", "load_bytes", "load_records", "wal_commit_wait_ns", "wal_commits",
-			"wal_discarded", "wal_errs", "wal_fsyncs", "wal_group_commits", "wal_replayed"},
+		"index":   {"entries", "hits", "misses", "publishes", "slots", "unpublishes"},
+		"wal":     {"commit_wait_ns", "commits", "errs", "fsyncs", "group_commits"},
 	}
 	for name, keys := range want {
 		var obj map[string]json.RawMessage
@@ -122,6 +132,27 @@ func TestTracerSnapshotSections(t *testing.T) {
 		}
 		if got := sortedKeys(shards[0]); !reflect.DeepEqual(got, shardKeys) {
 			t.Errorf("arena shard keys = %v, want %v", got, shardKeys)
+		}
+	}
+
+	// A load attaches its log after the build: the section appears then,
+	// and a load without a log has none.
+	for _, walDir := range []string{"", t.TempDir()} {
+		lt := NewTracer(TracerConfig{Name: "sections-load"})
+		defer lt.Close()
+		ld, _, err := LoadFromDisk[int64, int64](dumpDir, Config{
+			Machine: persistMachine(t, sockets, 2, 4),
+			Kind:    LazyLayeredSG,
+			WAL:     walDir,
+			Tracer:  lt,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := lt.Snapshot().WAL
+		ld.Close()
+		if (l != nil) != (walDir != "") {
+			t.Errorf("load with WAL dir %q: wal section = %+v", walDir, l)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"layeredsg/internal/core"
-	"layeredsg/internal/obs"
 	"layeredsg/internal/persist"
 )
 
@@ -72,8 +71,8 @@ func (s *Store[K, V]) Barrier() error {
 // Err returns the persistence layer's sticky I/O error, if any, without
 // waiting for Close: a failing write-ahead log drops records silently at
 // the stamp sites (which cannot propagate errors), so long-running servers
-// should poll Err (or the obs wal_errs counter) as a health check. Nil when
-// no WAL is configured or the journal is healthy.
+// should poll Err (or the tracer's wal.errs counter) as a health check.
+// Nil when no WAL is configured or the journal is healthy.
 func (s *Store[K, V]) Err() error { return s.m.WALErr() }
 
 // StoreToDisk dumps a consistent snapshot of the store into dir as one file
@@ -101,7 +100,6 @@ func (s *Store[K, V]) StoreToDisk(dir string) (DumpStats, error) {
 		Topo:    persistTopology(m.Machine()),
 		BaseSeq: snap.Seq(),
 		Lineage: m.Domain().Lineage(),
-		Tracer:  m.Tracer(),
 	})
 	if err != nil {
 		return stats, err
@@ -158,7 +156,7 @@ func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], L
 		// Every dumped key was born at or below the dump's sequence; a
 		// non-empty dump's sequence is at least 1.
 		return core.Build(st.m, max(baseSeq, 1), records)
-	}, persist.LoadOptions{Tracer: st.m.Tracer()})
+	})
 	if err != nil {
 		return fail(stats, err)
 	}
@@ -171,22 +169,18 @@ func LoadFromDisk[K cmp.Ordered, V any](dir string, cfg Config) (*Store[K, V], L
 			return fail(stats, fmt.Errorf("layeredsg: creating WAL dir: %w", err))
 		}
 		path := filepath.Join(walDir, persist.WALFileName)
-		wopts := persist.WALOptions{Sync: cfg.WALSync, Tracer: st.m.Tracer()}
-		w, recs, rstats, err := persist.OpenWAL[K, V](path, stats.Lineage, wopts)
+		w, recs, rstats, err := persist.OpenWAL[K, V](path, stats.Lineage, cfg.WALSync)
 		maxSeq := stats.BaseSeq
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
-			if w, err = persist.CreateWAL[K, V](path, stats.Lineage, wopts); err != nil {
+			if w, err = persist.CreateWAL[K, V](path, stats.Lineage, cfg.WALSync); err != nil {
 				return fail(stats, err)
 			}
 		case err != nil:
 			return fail(stats, err)
 		default:
-			replayed := replayWAL(st, recs, stats.BaseSeq, &maxSeq)
-			stats.WALReplayed = replayed
+			stats.WALReplayed = replayWAL(st, recs, stats.BaseSeq, &maxSeq)
 			stats.WALDiscardedBytes = uint64(rstats.DiscardedBytes)
-			st.m.Tracer().RecordPersist(obs.PersistWALReplay, replayed)
-			st.m.Tracer().RecordPersist(obs.PersistWALDiscard, stats.WALDiscardedBytes)
 		}
 		// Advance past every stamp on disk before attaching the sink, so
 		// every stamp journaled from here on is ordered after everything
@@ -239,8 +233,7 @@ func attachFreshWAL[K cmp.Ordered, V any](m *core.Map[K, V]) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("layeredsg: creating WAL dir: %w", err)
 	}
-	w, err := persist.CreateWAL[K, V](filepath.Join(dir, persist.WALFileName), m.Domain().Lineage(),
-		persist.WALOptions{Sync: m.Config().WALSync, Tracer: m.Tracer()})
+	w, err := persist.CreateWAL[K, V](filepath.Join(dir, persist.WALFileName), m.Domain().Lineage(), m.Config().WALSync)
 	if err != nil {
 		return err
 	}

@@ -100,11 +100,7 @@ func checkStoreModel(t *testing.T, st *Store[int64, int64], model map[int64]int6
 
 func TestStoreDumpLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	dumpTracer := NewTracer(TracerConfig{Name: "persist-dump"})
-	defer dumpTracer.Close()
-	cfg := persistConfig(persistMachine(t, 2, 2, 4))
-	cfg.Tracer = dumpTracer
-	st, err := NewStore[int64, int64](cfg)
+	st, err := NewStore[int64, int64](persistConfig(persistMachine(t, 2, 2, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +117,8 @@ func TestStoreDumpLoadRoundTrip(t *testing.T) {
 		t.Fatalf("dumped %d records, model has %d", ds.Records, len(model))
 	}
 	st.Close()
-	if p := dumpTracer.Snapshot().Persist; p == nil || p.DumpRecords != uint64(len(model)) || p.DumpBytes != ds.Bytes {
-		t.Fatalf("dump tracer persist section %+v, want %d records / %d bytes", p, len(model), ds.Bytes)
-	}
 
-	loadTracer := NewTracer(TracerConfig{Name: "persist-load"})
-	defer loadTracer.Close()
-	lcfg := persistConfig(persistMachine(t, 1, 2, 2))
-	lcfg.Tracer = loadTracer
-	st2, ls, err := LoadFromDisk[int64, int64](dir, lcfg)
+	st2, ls, err := LoadFromDisk[int64, int64](dir, persistConfig(persistMachine(t, 1, 2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +127,6 @@ func TestStoreDumpLoadRoundTrip(t *testing.T) {
 		t.Fatalf("load stats %+v, want %d records at seq %d", ls, len(model), ds.BaseSeq)
 	}
 	checkStoreModel(t, st2, model)
-	if p := loadTracer.Snapshot().Persist; p == nil || p.LoadRecords != uint64(len(model)) {
-		t.Fatalf("load tracer persist section %+v, want %d records", p, len(model))
-	}
 	// The loaded store is fully live: mutations and snapshots work.
 	if !st2.Insert(1<<40, 1) || st2.Insert(1<<40, 1) {
 		t.Fatal("loaded store does not take mutations")

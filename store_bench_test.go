@@ -8,8 +8,11 @@
 package layeredsg
 
 import (
+	"math/rand/v2"
+	"sync"
 	"testing"
 
+	"layeredsg/internal/core"
 	"layeredsg/internal/experiments"
 	"layeredsg/internal/sbench"
 )
@@ -149,4 +152,69 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("none", run(false, false))
 	b.Run("disabled", run(true, false))
 	b.Run("enabled", run(true, true))
+}
+
+// BenchmarkReadersBeyondStripes prices the paper's read-only threads (p. 10)
+// against the Store when readers outnumber stripes: 16 goroutines on a
+// 2×4×1 machine (8 stripes) each Get a uniform key of [0, 2^20) from a store
+// holding its 2^19 even keys, so half the reads miss. "store" reads through
+// Store.Get, which leases a stripe per read; "reader" gives each goroutine
+// its own ReaderHandle, which seeds a search from the jump indexes every
+// handle published after the fill. The "dealt" fill spreads the keys over
+// every stripe's local structure, as a load does; "stripe0" inserts them all
+// through stripe 0, so the other stripes' local structures are empty.
+//
+//	go test -run '^$' -bench ReadersBeyondStripes -benchtime 2s
+func BenchmarkReadersBeyondStripes(b *testing.B) {
+	const (
+		keySpace = 1 << 20
+		readers  = 16
+	)
+	machine := persistMachine(b, 2, 4, 8)
+	read := func(b *testing.B, get func(g int, key int64)) {
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(g), 1))
+				for i := g; i < b.N; i += readers {
+					get(g, rng.Int64N(keySpace))
+				}
+			}(g)
+		}
+		wg.Wait()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	}
+	for _, fill := range []string{"dealt", "stripe0"} {
+		b.Run(fill, func(b *testing.B) {
+			st, err := NewStore[int64, int64](Config{Machine: machine, Kind: LazyLayeredSG})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			m := st.Map()
+			for i := int64(0); i < keySpace/2; i++ {
+				t := int(i) % m.Threads()
+				if fill == "stripe0" {
+					t = 0
+				}
+				m.Handle(t).Insert(2*i, i)
+			}
+			for t := 0; t < m.Threads(); t++ {
+				m.Handle(t).PublishJumpIndex()
+			}
+			rhs := make([]*core.ReaderHandle[int64, int64], readers)
+			for g := range rhs {
+				rhs[g] = m.ReaderHandle(g % m.Threads())
+			}
+			b.Run("store", func(b *testing.B) {
+				read(b, func(_ int, key int64) { st.Get(key) })
+			})
+			b.Run("reader", func(b *testing.B) {
+				read(b, func(g int, key int64) { rhs[g].Get(key) })
+			})
+		})
+	}
 }
