@@ -1,6 +1,7 @@
 # Tier-1 verification plus the repo's standard hygiene passes.
 #
-#   make          — the full CI sequence (build, test, vet, race)
+#   make          — the full CI sequence (fmt, build, test, vet, race)
+#   make fmt      — fail when gofmt -l lists any file (the CI format gate)
 #   make race     — short-mode race pass over the confinement-sensitive
 #                   packages: internal/core (handle migration contract),
 #                   the root package (Store facade leasing), and
@@ -45,9 +46,10 @@
 #                   StoreToDisk, LoadFromDisk round trip via sgbench,
 #                   reporting keys/s and MB/s each way (see EXPERIMENTS.md)
 #   make bench-wal — the WAL durability benchmarks: append and commit cost
-#                   per sync policy (never/interval/every/group), plus an
-#                   sgbench fill sweep with per-batch Barrier acknowledgment
-#                   showing the group-commit batching counters (EXPERIMENTS.md)
+#                   per sync policy (never/group: what Barrier, the only
+#                   acknowledgment, promises), plus an sgbench fill sweep
+#                   with per-batch Barrier acknowledgment showing the
+#                   group-commit batching counters (EXPERIMENTS.md)
 #   make perfbench-test — vet and test the nested perfbench module (outside
 #                   the root module's ./...): the oracle fault-injection
 #                   self-test, a tiny smoke run of every workload, and the
@@ -64,7 +66,7 @@ WALKEYS ?= 500000
 
 .PHONY: ci build test vet race race-reclaim race-index race-persist race-wal perfbench-test bench bench-reclaim bench-persist bench-wal fuzz-smoke fmt
 
-ci: build test vet race race-reclaim race-index race-persist race-wal perfbench-test
+ci: fmt build test vet race race-reclaim race-index race-persist race-wal perfbench-test
 
 build:
 	$(GO) build ./...
@@ -116,7 +118,7 @@ bench-persist:
 
 bench-wal:
 	$(GO) test -run '^$$' -bench 'WAL(Append|Commit)' -benchtime 20000x ./internal/persist
-	for pol in never interval every group; do \
+	for pol in never group; do \
 		rm -rf $(PERSISTDIR)-wal; \
 		$(GO) run ./cmd/sgbench -dump $(PERSISTDIR)-wal/d -wal $(PERSISTDIR)-wal/w -wal-sync $$pol -keyspace $(WALKEYS) -threads 16 | grep -E 'fill|wal sync'; \
 	done
@@ -132,4 +134,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalStructure$$' -fuzztime $(FUZZTIME) ./internal/local
 
 fmt:
-	gofmt -l .
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi

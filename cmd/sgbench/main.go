@@ -31,10 +31,12 @@
 // The persistence trial (-dump / -load, optionally -wal) fills a store with
 // -keyspace keys, times a StoreToDisk and/or a LoadFromDisk under the machine
 // the flags describe, and reports keys/s and MB/s each way. With a WAL,
-// -wal-sync selects the durability policy (never, interval[:d], every,
-// group); the fill then acknowledges every batch with Store.Barrier and the
-// trial reports the policy's toll — fsyncs, commits, group-commit riders,
-// and commit-wait time (`make bench-wal` sweeps the policies):
+// -wal-sync selects what Store.Barrier, the log's only acknowledgment,
+// promises: never (a flush to the OS) or group (an fsync shared by
+// concurrent acknowledgers). The fill acknowledges every batch with a
+// Barrier and the trial reports the policy's toll — fsyncs, commits,
+// group-commit riders, and commit-wait time (`make bench-wal` sweeps both
+// policies):
 //
 //	sgbench -dump /tmp/d -load /tmp/d -keyspace 10000000 -threads 16
 //	sgbench -dump /tmp/d -wal /tmp/w -wal-sync group -keyspace 1000000
@@ -87,7 +89,7 @@ func run(args []string, w io.Writer) error {
 		dumpDir   = fs.String("dump", "", "persistence trial: fill a store with -keyspace keys and StoreToDisk into this directory, reporting dump throughput")
 		loadDir   = fs.String("load", "", "persistence trial: LoadFromDisk from this directory under the machine flags, reporting load throughput (combine with -dump for a round trip)")
 		walDir    = fs.String("wal", "", "with -dump/-load: journal mutations to a write-ahead log in this directory")
-		walSync   = fs.String("wal-sync", "never", "with -wal: WAL durability policy — never, interval[:d], every, or group; the fill acknowledges each batch with Store.Barrier and the trial reports fsyncs, commits, and group sizes")
+		walSync   = fs.String("wal-sync", "never", "with -wal: what Store.Barrier promises — never (a flush to the OS) or group (an fsync shared by concurrent Barriers); the fill acknowledges each batch with a Barrier and the trial reports fsyncs, commits, and group sizes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

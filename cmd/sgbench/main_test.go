@@ -48,6 +48,36 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestWALSyncFlag drives the persistence trial's -wal-sync flag: group
+// reports its durability toll, and the retired per-append and interval
+// labels fail with an error naming the two policies Barrier can promise.
+func TestWALSyncFlag(t *testing.T) {
+	dir := t.TempDir()
+	flags := func(pol string) []string {
+		return []string{
+			"-threads", "4", "-sockets", "2", "-cores", "2", "-smt", "1",
+			"-keyspace", "2000",
+			"-dump", dir + "/" + pol + "/d", "-wal", dir + "/" + pol + "/w", "-wal-sync", pol,
+		}
+	}
+	var out bytes.Buffer
+	if err := run(flags("group"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "wal sync:           policy=group") {
+		t.Fatalf("output missing the wal sync line:\n%s", out.String())
+	}
+	for _, bad := range []string{"every", "interval", "interval:2ms"} {
+		err := run(flags(bad), &out)
+		if err == nil {
+			t.Fatalf("-wal-sync %s accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "never or group") {
+			t.Fatalf("-wal-sync %s: error %q does not name never and group", bad, err)
+		}
+	}
+}
+
 func TestViaStoreTrialRuns(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{

@@ -106,5 +106,6 @@ func main() {
 			hits++
 		}
 	}
+	reader.Close() // releases its epoch slot for the next reader
 	fmt.Printf("reader thread: %d/%d point lookups hit via published jump indexes\n", hits, len(sample))
 }

@@ -123,12 +123,12 @@ type Config struct {
 	// the filesystem). Requires a lazy variant: the WAL's ordering guarantee
 	// is the MVCC stamp order, which only the lazy variants maintain.
 	WAL string
-	// WALSync selects the write-ahead log's durability policy (ignored when
-	// WAL is empty): persist.SyncNever (buffered appends, the zero value —
-	// fsync only on Close, Prune, and after dumps), persist.SyncInterval(d)
-	// (a background flusher fsyncs every d), persist.SyncEvery (fsync per
-	// append), or persist.SyncGroup (group commit: fsync on Commit/Barrier
-	// acknowledgment, batching concurrent acknowledgers into one fsync).
+	// WALSync selects what Barrier, the write-ahead log's only
+	// acknowledgment, promises (ignored when WAL is empty):
+	// persist.SyncNever (the zero value: Barrier flushes to the OS, and the
+	// log fsyncs only on Close and after dumps) or persist.SyncGroup (group
+	// commit: Barrier fsyncs, batching concurrent acknowledgers into one
+	// fsync).
 	WALSync persist.SyncPolicy
 }
 
@@ -136,24 +136,18 @@ type Config struct {
 // attachment point. Insert and Remove are called at the MVCC stamp sites
 // (under the node's life lock for removals and revivals), so per-key calls
 // arrive in stamp order; seq is the mutation's sequence stamp, making the
-// global order recoverable by sorting. Close flushes and releases the sink
-// (called by Map.Close).
+// global order recoverable by sorting. Commit blocks until every mutation
+// journaled before the call is durable per the sink's policy (Map.Barrier);
+// Err surfaces the sink's sticky I/O error without waiting for Close
+// (Map.WALErr); Stats is the tracer's wal section. Close flushes and
+// releases the sink (called by Map.Close).
 type MutationSink[K cmp.Ordered, V any] interface {
 	Insert(seq uint64, key K, value V)
 	Remove(seq uint64, key K)
-	Close() error
-}
-
-// DurableSink is the optional MutationSink extension a durability-aware sink
-// (the write-ahead log under a sync policy) implements. Commit blocks until
-// every mutation journaled before the call is durable per the sink's policy;
-// Err surfaces the sink's sticky I/O error without waiting for Close.
-// Map.Barrier and Map.WALErr discover the extension by type assertion, so
-// plain sinks keep working unchanged.
-type DurableSink[K cmp.Ordered, V any] interface {
-	MutationSink[K, V]
 	Commit(seq uint64) error
 	Err() error
+	Stats() persist.WALStats
+	Close() error
 }
 
 // Map is a layered concurrent map. Obtain one Handle per worker thread; the
@@ -312,8 +306,8 @@ func (m *Map[K, V]) setSources() {
 		src.Epoch = m.domain.Stats
 		src.Reclaim = m.reclaimStats
 	}
-	if w, ok := m.wal.(interface{ Stats() persist.WALStats }); ok {
-		src.WAL = w.Stats
+	if m.wal != nil {
+		src.WAL = m.wal.Stats
 	}
 	m.cfg.Tracer.SetSources(src)
 }
@@ -329,8 +323,8 @@ func (m *Map[K, V]) Config() Config { return m.cfg }
 
 // SetMutationSink attaches the write-ahead log's sink. It must be called
 // before the map is shared with other goroutines (the layeredsg constructors
-// call it between core.New and first use); a nil sink detaches. A sink that
-// reports persist.WALStats becomes the tracer's wal section.
+// call it between core.New and first use); a nil sink detaches. The sink's
+// Stats become the tracer's wal section.
 func (m *Map[K, V]) SetMutationSink(s MutationSink[K, V]) {
 	m.wal = s
 	m.setSources()
@@ -340,32 +334,29 @@ func (m *Map[K, V]) SetMutationSink(s MutationSink[K, V]) {
 func (m *Map[K, V]) MutationSink() MutationSink[K, V] { return m.wal }
 
 // Barrier blocks until every mutation stamped before the call is durable in
-// the attached write-ahead log, per its sync policy: an fsynced
-// acknowledgment under SyncEvery, SyncGroup, and SyncInterval (concurrent
-// Barriers share one fsync — group commit), a flush to the OS under
-// SyncNever. The barrier covers the calling goroutine's completed
-// operations; mutations still in flight on other goroutines at the call are
-// not promised (their stamps have not reached the journal yet). A map
-// without a WAL — or with a sink that cannot acknowledge durability —
-// returns nil immediately.
+// the attached write-ahead log, per its sync policy: an fsync under
+// SyncGroup (concurrent Barriers share one fsync — group commit), a flush to
+// the OS under SyncNever. It is the log's only acknowledgment. The barrier
+// covers the calling goroutine's completed operations; mutations still in
+// flight on other goroutines at the call are not promised (their stamps
+// have not reached the journal yet). A map without a WAL returns nil
+// immediately.
 func (m *Map[K, V]) Barrier() error {
-	ds, ok := m.wal.(DurableSink[K, V])
-	if !ok {
+	if m.wal == nil {
 		return nil
 	}
-	return ds.Commit(m.domain.Seq())
+	return m.wal.Commit(m.domain.Seq())
 }
 
 // WALErr returns the write-ahead log's sticky I/O error, if any, without
 // waiting for Close — a failing journal drops records silently at the stamp
 // sites (they cannot propagate errors), so health checks should poll this
-// (or the tracer's wal.errs counter). Nil when no WAL is attached or the sink
-// does not expose errors.
+// (or the tracer's wal.errs counter). Nil when no WAL is attached.
 func (m *Map[K, V]) WALErr() error {
-	if e, ok := m.wal.(interface{ Err() error }); ok {
-		return e.Err()
+	if m.wal == nil {
+		return nil
 	}
-	return nil
+	return m.wal.Err()
 }
 
 // Domain exposes the epoch/snapshot domain, or nil for non-lazy variants.
@@ -515,7 +506,7 @@ func (h *Handle[K, V]) nodeOf(it local.Iterator[K, V]) *node.Node[K, V] {
 		return nil
 	}
 	r := it.Value()
-	if !h.usable(r) {
+	if !h.m.usable(r, h.tr) {
 		return nil
 	}
 	return r.N
@@ -534,14 +525,15 @@ func (h *Handle[K, V]) nodeOf(it local.Iterator[K, V]) *node.Node[K, V] {
 //
 // On lazy variants the check is node.LiveAs — the same unmarked
 // observation plus the life-ID match proving the slot has not been recycled
-// since the entry was recorded. It runs under the handle's pin (taken by the
+// since the entry was recorded. It runs under the caller's pin (taken by the
 // operation wrappers), which is what keeps a true result trustworthy until
-// the operation ends.
-func (h *Handle[K, V]) usable(r local.Ref[K, V]) bool {
-	if h.m.domain != nil {
-		return r.N.LiveAs(r.ID, h.tr)
+// the operation ends. Handles check local entries and index hits with it,
+// and ReaderHandle checks published jump entries.
+func (m *Map[K, V]) usable(r local.Ref[K, V], tr *stats.ThreadRecorder) bool {
+	if m.domain != nil {
+		return r.N.LiveAs(r.ID, tr)
 	}
-	return !r.N.Marked(0, h.tr)
+	return !r.N.Marked(0, tr)
 }
 
 // indexFind resolves key through the shared hash index: O(1) from any
@@ -558,7 +550,7 @@ func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
 	if !ok {
 		return nil, false
 	}
-	if !h.usable(local.Ref[K, V]{N: n, ID: id}) {
+	if !h.m.usable(local.Ref[K, V]{N: n, ID: id}, h.tr) {
 		h.m.hidx.Unpublish(key, n)
 		return nil, false
 	}
@@ -573,13 +565,13 @@ func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
 // entry is skipped, and pruned if unusable like any entry the walk passes.
 func (h *Handle[K, V]) getStart(key K) local.Iterator[K, V] {
 	it, own, ok := h.ls.Below(key)
-	if ok && !h.usable(own) {
+	if ok && !h.m.usable(own, h.tr) {
 		h.ls.Erase(key)
 	}
 	for it.Valid() {
 		r := it.Value()
 		sn := r.N
-		if h.usable(r) {
+		if h.m.usable(r, h.tr) {
 			if sn.Inserted() {
 				return it // Node already found fully inserted.
 			}
@@ -614,7 +606,7 @@ func (h *Handle[K, V]) getStart(key K) local.Iterator[K, V] {
 func (h *Handle[K, V]) updateStartFrom(it local.Iterator[K, V]) *node.Node[K, V] {
 	for it.Valid() {
 		r := it.Value()
-		if h.usable(r) {
+		if h.m.usable(r, h.tr) {
 			if r.N.Inserted() {
 				return r.N
 			}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"layeredsg/internal/stats"
 )
 
 func TestAscendOrdered(t *testing.T) {
@@ -138,6 +140,7 @@ func TestReaderHandleConcurrent(t *testing.T) {
 		go func(rth int) {
 			defer wg.Done()
 			r := m.ReaderHandle(4 + rth)
+			defer r.Close()
 			rng := rand.New(rand.NewSource(int64(100 + rth)))
 			for i := 0; i < 4000; i++ {
 				r.Contains(rng.Int63n(256))
@@ -152,6 +155,57 @@ func TestReaderHandleConcurrent(t *testing.T) {
 		if r.Contains(k) != h.Contains(k) {
 			t.Fatalf("reader/writer disagree on %d", k)
 		}
+	}
+}
+
+// TestReaderHandleClose: Close releases the reader's epoch slot, a second
+// Close does nothing, and a read on a closed reader panics.
+func TestReaderHandleClose(t *testing.T) {
+	for _, kind := range []Kind{LayeredSG, LazyLayeredSG} {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := newMap(t, kind, 4)
+			m.Handle(0).Insert(1, 10)
+			r := m.ReaderHandle(0)
+			if v, ok := r.Get(1); !ok || v != 10 {
+				t.Fatalf("reader Get(1) = %v,%v before Close", v, ok)
+			}
+			r.Close()
+			r.Close()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Get on a closed ReaderHandle did not panic")
+				}
+			}()
+			r.Get(1)
+		})
+	}
+}
+
+// TestRemoveMinRelaxedOneOp: a relaxed pop whose spray finds nothing falls
+// back to the exact pop inside the same operation — one recorded op and one
+// tick of the reclamation trigger's counter, not two.
+func TestRemoveMinRelaxedOneOp(t *testing.T) {
+	machine := testMachine(t, 4)
+	m, err := New[int64, int64](Config{
+		Machine:  machine,
+		Kind:     LazyLayeredSG,
+		Recorder: stats.NewRecorder(machine, nil),
+		Seed:     42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.Handle(0)
+	tr := m.cfg.Recorder.ThreadRecorder(0)
+	ops, ticks := tr.Ops(), h.ops
+	if _, _, ok := h.RemoveMinRelaxed(2); ok {
+		t.Fatal("relaxed pop on an empty map succeeded")
+	}
+	if got := tr.Ops() - ops; got != 1 {
+		t.Fatalf("relaxed pop recorded %d ops, want 1", got)
+	}
+	if got := h.ops - ticks; got != 1 {
+		t.Fatalf("relaxed pop ticked the reclamation trigger %d times, want 1", got)
 	}
 }
 

@@ -13,6 +13,12 @@ func (h *Handle[K, V]) RemoveMin() (K, V, bool) {
 	defer h.tr.Op()
 	h.enter()
 	defer h.leave()
+	return h.removeMin()
+}
+
+// removeMin is RemoveMin's body, run inside the caller's operation (its pin,
+// its op count, its reclamation-trigger tick).
+func (h *Handle[K, V]) removeMin() (K, V, bool) {
 	var zeroK K
 	var zeroV V
 	sg := h.m.sg
@@ -43,8 +49,9 @@ func (h *Handle[K, V]) RemoveMin() (K, V, bool) {
 // conclusion points to. A randomized descent (skipgraph.Spray) lands each
 // consumer on a different near-minimal node, so contending consumers do not
 // all fight over the exact head. width bounds the per-level spray (≤ 0 means
-// 2). Falls back to an exact RemoveMin when the spray lands on nothing
-// removable, so it returns false only on an (observed) empty structure.
+// 2). Falls back to an exact pop, within the same operation, when the spray
+// lands on nothing removable, so it returns false only on an (observed)
+// empty structure.
 func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 	if width <= 0 {
 		width = 2
@@ -69,7 +76,7 @@ func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 		n = n.Next(0, h.tr)
 	}
 	// Spray landed past every removable node; fall back to the exact pop.
-	return h.RemoveMin()
+	return h.removeMin()
 }
 
 // Min returns the smallest logically-present key without removing it.

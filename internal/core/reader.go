@@ -18,12 +18,11 @@ import (
 // through the best published pointer. Writers' fast paths are untouched —
 // publication is explicit and costs one sorted copy.
 
-// jumpEntry is one published key → shared-node pointer, with the life ID
+// jumpEntry is one published key → shared-node reference, with the life ID
 // captured at publication so readers can reject recycled slots.
 type jumpEntry[K cmp.Ordered, V any] struct {
 	key K
-	n   *node.Node[K, V]
-	id  uint64
+	ref local.Ref[K, V]
 }
 
 // jumpIndex is an immutable snapshot of one thread's ordered local view.
@@ -39,8 +38,8 @@ func (h *Handle[K, V]) PublishJumpIndex() {
 	entries := make([]jumpEntry[K, V], 0, h.ls.TreeLen())
 	h.pin.Pin()
 	h.ls.Ascend(func(key K, r local.Ref[K, V]) bool {
-		if h.usable(r) && r.N.Inserted() {
-			entries = append(entries, jumpEntry[K, V]{key: key, n: r.N, id: r.ID})
+		if h.m.usable(r, h.tr) && r.N.Inserted() {
+			entries = append(entries, jumpEntry[K, V]{key: key, ref: r})
 		}
 		return true
 	})
@@ -51,7 +50,8 @@ func (h *Handle[K, V]) PublishJumpIndex() {
 // ReaderHandle is a read-only view of the map for threads that own no local
 // structure (the paper's heterogeneous-workload readers). It jumps into the
 // shared structure through the snapshots writer threads publish. Not safe
-// for concurrent use; create one per reader goroutine.
+// for concurrent use; create one per reader goroutine, and Close it when the
+// reader is done.
 type ReaderHandle[K cmp.Ordered, V any] struct {
 	m  *Map[K, V]
 	tr *stats.ThreadRecorder
@@ -59,10 +59,13 @@ type ReaderHandle[K cmp.Ordered, V any] struct {
 	// variants); held across each read so jump targets and traversed nodes
 	// cannot be recycled mid-operation.
 	pin *epoch.Pin
+	// closed is set by Close; a read on a closed reader panics.
+	closed bool
 }
 
 // ReaderHandle returns a read-only handle attributed to the given logical
-// thread (for locality accounting).
+// thread (for locality accounting). It registers an epoch participant slot,
+// which the reclamation pass scans until Close releases it.
 func (m *Map[K, V]) ReaderHandle(thread int) *ReaderHandle[K, V] {
 	var tr *stats.ThreadRecorder
 	if m.cfg.Recorder != nil {
@@ -71,9 +74,19 @@ func (m *Map[K, V]) ReaderHandle(thread int) *ReaderHandle[K, V] {
 	return &ReaderHandle[K, V]{m: m, tr: tr, pin: m.domain.Register()}
 }
 
+// Close releases the reader's epoch participant slot for another reader to
+// reuse. Idempotent; a read on a closed reader panics.
+func (r *ReaderHandle[K, V]) Close() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	r.pin.Release()
+}
+
 // jump returns the closest published shared node strictly preceding key that
-// is observed unmarked (the linearizability requirement of DESIGN.md §6.1),
-// or nil for a head start.
+// can seed a search (Map.usable: observed unmarked, the linearizability
+// requirement of DESIGN.md §6.1), or nil for a head start.
 func (r *ReaderHandle[K, V]) jump(key K) *node.Node[K, V] {
 	var best *node.Node[K, V]
 	var bestKey K
@@ -88,16 +101,11 @@ func (r *ReaderHandle[K, V]) jump(key K) *node.Node[K, V] {
 		// snapshot entry has been retired (or its slot recycled) since
 		// publication.
 		for j := i - 1; j >= 0; j-- {
-			n := entries[j].n
-			if r.m.domain != nil {
-				if !n.LiveAs(entries[j].id, r.tr) {
-					continue
-				}
-			} else if n.Marked(0, r.tr) {
+			if !r.m.usable(entries[j].ref, r.tr) {
 				continue
 			}
 			if best == nil || bestKey < entries[j].key {
-				best, bestKey = n, entries[j].key
+				best, bestKey = entries[j].ref.N, entries[j].key
 			}
 			break
 		}
@@ -105,8 +113,11 @@ func (r *ReaderHandle[K, V]) jump(key K) *node.Node[K, V] {
 	return best
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. It panics on a closed reader.
 func (r *ReaderHandle[K, V]) Get(key K) (V, bool) {
+	if r.closed {
+		panic("core: Get on a closed ReaderHandle")
+	}
 	r.tr.Op()
 	r.pin.Pin()
 	defer r.pin.Unpin()

@@ -69,9 +69,12 @@ type Domain struct {
 	lineage atomic.Uint64
 
 	// slots is the copy-on-write participant table: MinPinned scans the
-	// current slice lock-free; Register appends a fresh slot under regMu.
-	// Participants are unbounded because reader handles register on demand.
+	// current slice lock-free; Register reuses a released slot from free, or
+	// appends a fresh one, under regMu. Reader handles register on demand
+	// and release on Close, so the table is bounded by the participants
+	// open at once.
 	slots atomic.Pointer[[]*padded]
+	free  []*padded
 	regMu sync.Mutex
 
 	// Snapshot registry. minSnapSeq/minSnapEpoch cache the minima over live
@@ -84,7 +87,6 @@ type Domain struct {
 	acquiring    atomic.Int64
 	minSnapSeq   atomic.Uint64
 	minSnapEpoch atomic.Uint64
-	snapSeq      uint64 // ticket id counter, under snapMu
 }
 
 // NewDomain builds a domain. participants is a capacity hint (stripe
@@ -116,23 +118,46 @@ type Pin struct {
 	depth int
 }
 
-// Register hands out a fresh participant slot. Slots are never recycled —
-// an abandoned unpinned slot costs MinPinned one load per scan — so
-// registration is for long-lived participants (stripe handles, reader
-// handles), not per-operation use.
+// Register hands out a participant slot: one a Release returned, or else a
+// fresh one appended to the table. Every slot in the table costs MinPinned
+// one load per scan, and growing the table copies it, so registration is
+// for long-lived participants (stripe handles, reader handles), not
+// per-operation use.
 func (d *Domain) Register() *Pin {
 	if d == nil {
 		return nil
 	}
-	s := &padded{}
 	d.regMu.Lock()
+	defer d.regMu.Unlock()
+	if n := len(d.free); n > 0 {
+		s := d.free[n-1]
+		d.free = d.free[:n-1]
+		return &Pin{d: d, s: s}
+	}
+	s := &padded{}
 	old := *d.slots.Load()
 	slots := make([]*padded, len(old)+1)
 	copy(slots, old)
 	slots[len(old)] = s
 	d.slots.Store(&slots)
-	d.regMu.Unlock()
 	return &Pin{d: d, s: s}
+}
+
+// Release returns the participant's slot for a later Register to reuse. The
+// pin must not be held; the slot stays in the table reading unpinned, so a
+// racing MinPinned scan is unaffected. Using the Pin after Release panics.
+func (p *Pin) Release() {
+	if p == nil {
+		return
+	}
+	if p.depth != 0 || p.s == nil {
+		panic("epoch: Release of a held or already released pin")
+	}
+	d := p.d
+	d.regMu.Lock()
+	d.free = append(d.free, p.s)
+	d.regMu.Unlock()
+	p.s = nil
 }
 
 // Pin publishes the current epoch as this participant's pin and returns it.
@@ -259,7 +284,6 @@ func (d *Domain) MinPinned() uint64 {
 // handles in the sense that the registry holds them; Close is idempotent.
 type Ticket struct {
 	d     *Domain
-	id    uint64
 	seq   uint64
 	epoch uint64
 
@@ -279,8 +303,6 @@ func (d *Domain) Acquire() *Ticket {
 	// cannot see is guaranteed to read a sequence at or above the dead stamp
 	// it is gating on.
 	t := &Ticket{d: d, seq: d.seq.Load(), epoch: d.global.Load()}
-	d.snapSeq++
-	t.id = d.snapSeq
 	d.snaps[t] = struct{}{}
 	d.refreshSnapMinsLocked()
 	d.acquiring.Add(-1)

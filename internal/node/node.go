@@ -277,8 +277,9 @@ func (n *Node[K, V]) VisibleAt(s uint64) bool {
 }
 
 // LockLife acquires the life-stamp spin lock. Critical sections are a few
-// plain stores; contention requires concurrent revive/remove stamping of one
-// node, so the spin is effectively unbounded-free in practice.
+// plain stores plus, with a write-ahead log attached, one buffered append
+// (never an fsync); contention requires concurrent revive/remove stamping
+// of one node, so the spin is effectively unbounded-free in practice.
 func (n *Node[K, V]) LockLife() {
 	for !n.TrySetMaint(MaintLifeLock) {
 		runtime.Gosched()

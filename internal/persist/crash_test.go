@@ -80,10 +80,6 @@ func TestWALCrashChild(t *testing.T) {
 		}
 		appendSeqs(w, 9, 16) // buffered past the flush: fair game for the kill
 		park()
-	case "synced-every":
-		w := mustCreate(SyncEvery)
-		appendSeqs(w, 1, 8)
-		park()
 	case "committed-group":
 		w := mustCreate(SyncGroup)
 		appendSeqs(w, 1, 8)
@@ -91,13 +87,6 @@ func TestWALCrashChild(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendSeqs(w, 9, 16) // unacknowledged: fair game
-		park()
-	case "committed-interval":
-		w := mustCreate(SyncInterval(time.Millisecond))
-		appendSeqs(w, 1, 8)
-		for w.durable.Load() < 8 { // wait out the background flusher
-			time.Sleep(time.Millisecond)
-		}
 		park()
 	case "prune-tmp-synced", "prune-renamed":
 		w := mustCreate(SyncNever)
@@ -188,9 +177,7 @@ func TestWALCrashMatrix(t *testing.T) {
 		{name: "created-empty-log-survives", scenario: "created", kill: true, exact: nil},
 		{name: "buffered-tail-lost", scenario: "buffered", kill: true, exact: nil, short: true},
 		{name: "flushed-prefix-survives", scenario: "flushed", kill: true, exact: seqs(1, 8)},
-		{name: "sync-every-acks-at-stamp-site", scenario: "synced-every", kill: true, exact: seqs(1, 8)},
 		{name: "group-commit-ack-survives", scenario: "committed-group", kill: true, exact: seqs(1, 8), open: true, short: true},
-		{name: "interval-flusher-ack-survives", scenario: "committed-interval", kill: true, exact: seqs(1, 8), open: true},
 		{name: "prune-crash-before-rename-keeps-old-log", scenario: "prune-tmp-synced", kill: false, exact: seqs(1, 10)},
 		{name: "prune-crash-after-rename-keeps-new-log", scenario: "prune-renamed", kill: false, exact: seqs(7, 10), short: true},
 	}

@@ -3,6 +3,7 @@ package persist
 import (
 	"cmp"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -12,13 +13,12 @@ import (
 // process-kill counterpart lives in crash_test.go; FuzzWALSync replays
 // random op/flush/commit/prune/crash schedules over the same invariants.
 
-// crashWAL simulates a process crash in-process: the flusher (if any) is
-// stopped and the file handle abandoned without flush or fsync, so the
-// bufio tail is dropped exactly as SIGKILL would drop it. What the OS page
-// cache would lose in a power failure is outside this simulation — the
-// child-process matrix in crash_test.go covers the kill boundary for real.
+// crashWAL simulates a process crash in-process: the file handle is
+// abandoned without flush or fsync, so the bufio tail is dropped exactly as
+// SIGKILL would drop it. What the OS page cache would lose in a power
+// failure is outside this simulation — the child-process matrix in
+// crash_test.go covers the kill boundary for real.
 func crashWAL[K cmp.Ordered, V any](w *WAL[K, V]) {
-	w.stopFlushLoop()
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
@@ -72,10 +72,7 @@ func TestSyncPolicyParseString(t *testing.T) {
 	}{
 		{"", SyncNever},
 		{"never", SyncNever},
-		{"every", SyncEvery},
 		{"group", SyncGroup},
-		{"interval", SyncInterval(0)},
-		{"interval:2ms", SyncInterval(2 * time.Millisecond)},
 	}
 	for _, c := range cases {
 		got, err := ParseSyncPolicy(c.in)
@@ -91,13 +88,17 @@ func TestSyncPolicyParseString(t *testing.T) {
 			t.Fatalf("round trip %q -> %v -> %q: %v", c.in, got, got.String(), err)
 		}
 	}
-	for _, bad := range []string{"always", "interval:", "interval:bogus", "NEVER"} {
-		if _, err := ParseSyncPolicy(bad); err == nil {
+	// Commit is the only acknowledgment: the retired per-append and
+	// background-flusher labels are rejected, and the error names the two
+	// policies that remain.
+	for _, bad := range []string{"every", "interval", "interval:2ms", "always", "NEVER"} {
+		_, err := ParseSyncPolicy(bad)
+		if err == nil {
 			t.Fatalf("ParseSyncPolicy(%q) succeeded, want error", bad)
 		}
-	}
-	if SyncInterval(0).Interval() != DefaultSyncInterval {
-		t.Fatalf("SyncInterval(0).Interval() = %v, want %v", SyncInterval(0).Interval(), DefaultSyncInterval)
+		if msg := err.Error(); !strings.Contains(msg, "never") || !strings.Contains(msg, "group") {
+			t.Fatalf("ParseSyncPolicy(%q) error %q does not name never and group", bad, msg)
+		}
 	}
 	var zero SyncPolicy
 	if zero != SyncNever {
@@ -116,10 +117,10 @@ func TestWALSyncNeverBufferLost(t *testing.T) {
 	wantSeqs(t, reopenSeqs(t, w.Path())) // nothing: the whole tail was buffered
 }
 
-// TestWALCommitPromise pins what Commit acknowledges under every policy:
+// TestWALCommitPromise pins what Commit acknowledges under each policy:
 // all records appended before the Commit survive a crash right after it.
 func TestWALCommitPromise(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNever, SyncInterval(time.Millisecond), SyncEvery, SyncGroup} {
+	for _, pol := range []SyncPolicy{SyncNever, SyncGroup} {
 		t.Run(pol.String(), func(t *testing.T) {
 			w := newSyncedWAL(t, pol)
 			for s := uint64(1); s <= 8; s++ {
@@ -129,15 +130,10 @@ func TestWALCommitPromise(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Post-acknowledgment appends are fair game for the crash to
-			// lose — but the promise covers 1..8 (under SyncEvery even the
-			// tail survives, having been fsynced at the stamp sites).
+			// lose — but the promise covers 1..8.
 			w.Insert(9, 9, 27)
 			crashWAL(w)
 			got := reopenSeqs(t, w.Path())
-			if pol == SyncEvery {
-				wantSeqs(t, got, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-				return
-			}
 			if len(got) < 8 {
 				t.Fatalf("recovered %v, promise covered 1..8", got)
 			}
@@ -147,41 +143,6 @@ func TestWALCommitPromise(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWALSyncEveryNoAckNeeded: under SyncEvery every stamp site pays its own
-// fsync, so even with no Commit at all, nothing is lost.
-func TestWALSyncEveryNoAckNeeded(t *testing.T) {
-	w := newSyncedWAL(t, SyncEvery)
-	for s := uint64(1); s <= 5; s++ {
-		w.Insert(s, s, s*3)
-	}
-	crashWAL(w)
-	wantSeqs(t, reopenSeqs(t, w.Path()), 1, 2, 3, 4, 5)
-	if st := w.Stats(); st.Fsyncs < 5 {
-		t.Fatalf("WAL stats = %+v, want >= 5 fsyncs (one per append)", st)
-	}
-}
-
-// TestWALSyncIntervalBackground: the flusher makes appends durable with no
-// acknowledgment call, within a few periods.
-func TestWALSyncIntervalBackground(t *testing.T) {
-	w := newSyncedWAL(t, SyncInterval(time.Millisecond))
-	for s := uint64(1); s <= 6; s++ {
-		w.Insert(s, s, s*3)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for w.durable.Load() < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("durable watermark stuck at %d, want >= 6", w.durable.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	crashWAL(w)
-	wantSeqs(t, reopenSeqs(t, w.Path()), 1, 2, 3, 4, 5, 6)
-	if st := w.Stats(); st.Fsyncs == 0 {
-		t.Fatalf("WAL stats = %+v, want background fsyncs", st)
 	}
 }
 
@@ -227,8 +188,8 @@ func TestWALGroupCommitBatches(t *testing.T) {
 	if st.GroupCommits != cohort-1 {
 		t.Fatalf("group commits = %d, want %d (cohort minus its leader)", st.GroupCommits, cohort-1)
 	}
-	if w.durable.Load() < cohort {
-		t.Fatalf("durable watermark = %d, want >= %d", w.durable.Load(), cohort)
+	if w.durable < cohort {
+		t.Fatalf("durable watermark = %d, want >= %d", w.durable, cohort)
 	}
 	crashWAL(w)
 	got := reopenSeqs(t, w.Path())
@@ -317,7 +278,7 @@ func TestWALPruneOffLockAppends(t *testing.T) {
 }
 
 // FuzzWALSync replays random schedules of append/flush/commit/prune/crash
-// against every sync policy and checks the durability invariants after each
+// against both sync policies and checks the durability invariants after each
 // recovery: every promised record above the prune floor is recovered, no
 // record is resurrected from nowhere, and payloads survive intact.
 func FuzzWALSync(f *testing.F) {
@@ -329,7 +290,7 @@ func FuzzWALSync(f *testing.F) {
 		if len(script) > 128 {
 			script = script[:128]
 		}
-		pols := []SyncPolicy{SyncNever, SyncInterval(time.Millisecond), SyncEvery, SyncGroup}
+		pols := []SyncPolicy{SyncNever, SyncGroup}
 		pol := pols[int(polSel)%len(pols)]
 		path := filepath.Join(t.TempDir(), WALFileName)
 		w, err := CreateWAL[uint64, uint64](path, 7, pol)
@@ -386,11 +347,7 @@ func FuzzWALSync(f *testing.F) {
 					w.Insert(seq, seq, seq*3)
 				}
 				appended[seq] = true
-				if pol == SyncEvery {
-					promised[seq] = true // the stamp site itself paid the fsync
-				} else {
-					epoch = append(epoch, seq)
-				}
+				epoch = append(epoch, seq)
 			case 3: // flush: survives crashWAL's buffered-tail drop
 				if w.Flush() == nil {
 					promise()

@@ -27,17 +27,16 @@ import (
 //	op u8 (1=insert, 2=remove) | seq u64 | klen uvarint | key
 //	| insert only: vlen uvarint | value | crc u32 over all preceding bytes
 //
-// Appends are buffered; *when* the buffer becomes durable is the log's
-// SyncPolicy (see sync.go): never (fsync only on Close/Prune/dump),
-// interval (background flusher), every (fsync per append), or group
-// (fsync on Commit, batching concurrent committers). Whatever the policy,
-// the crash contract for the unacknowledged tail is "the tail may be
-// torn". Recovery (OpenWAL) scans from the header, keeps every record
-// whose CRC seals, and physically truncates the file at the first invalid
-// one — a crashed append legitimately leaves a partial record, so the torn
-// tail is discarded rather than rejected. Records that survive with a
-// valid CRC but fail to decode indicate real corruption and fail the open
-// closed (ErrFormat).
+// Appends are buffered and never fsync; Commit is the only acknowledgment,
+// and the log's SyncPolicy (see sync.go) decides what it promises: never (a
+// flush to the OS) or group (an fsync, batching concurrent committers).
+// Whatever the policy, the crash contract for the unacknowledged tail is
+// "the tail may be torn". Recovery (OpenWAL) scans from the header, keeps
+// every record whose CRC seals, and physically truncates the file at the
+// first invalid one — a crashed append legitimately leaves a partial
+// record, so the torn tail is discarded rather than rejected. Records that
+// survive with a valid CRC but fail to decode indicate real corruption and
+// fail the open closed (ErrFormat).
 //
 // The lineage field ties a log to the sequence space it journals: a domain
 // rebuilt from a dump adopts the dump's lineage and advances its sequence
@@ -94,6 +93,10 @@ type WAL[K cmp.Ordered, V any] struct {
 	// alive while leaderSync fsyncs outside mu. Lock order: syncMu before
 	// mu, never the reverse.
 	syncMu sync.Mutex
+	// durable is the highest append ticket an fsync has covered; Commit
+	// waits for durable >= the ticket current at its call. Guarded by
+	// syncMu.
+	durable uint64
 
 	mu      sync.Mutex
 	f       *os.File
@@ -101,15 +104,8 @@ type WAL[K cmp.Ordered, V any] struct {
 	scratch []byte
 	err     error
 	// appended counts records accepted into the buffer — the durability
-	// ticket space. durable is the highest ticket an fsync has covered;
-	// Commit(seq) waits for durable >= the ticket current at its call.
+	// ticket space.
 	appended uint64
-	durable  atomic.Uint64
-
-	// SyncInterval flusher lifecycle; nil channels under other policies.
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
-	stopOnce    sync.Once
 
 	// crashHook, when set (crash-injection tests only), is called at named
 	// durability points; the hook may os.Exit to simulate a crash there.
@@ -119,19 +115,12 @@ type WAL[K cmp.Ordered, V any] struct {
 	pruneHook func()
 }
 
-// newWAL wires a WAL around an open append handle and starts the background
-// flusher when the policy asks for one.
+// newWAL wires a WAL around an open append handle.
 func newWAL[K cmp.Ordered, V any](path string, kc codec[K], vc codec[V], lineage uint64, f *os.File, pol SyncPolicy) *WAL[K, V] {
-	w := &WAL[K, V]{
+	return &WAL[K, V]{
 		path: path, kc: kc, vc: vc, lineage: lineage, pol: pol,
 		f: f, w: bufio.NewWriterSize(f, 1<<16),
 	}
-	if pol.mode == syncInterval {
-		w.stopFlusher = make(chan struct{})
-		w.flusherDone = make(chan struct{})
-		go w.flushLoop(pol.interval)
-	}
-	return w
 }
 
 // crash invokes the crash-injection hook, if any.
@@ -362,9 +351,6 @@ func (w *WAL[K, V]) append(op WALOp, seq uint64, key K, value V) {
 	}
 	w.scratch = b
 	w.appended++
-	if w.pol.mode == syncEvery {
-		w.syncAppendedLocked()
-	}
 }
 
 // Flush pushes buffered records to the OS (no fsync).
@@ -504,7 +490,7 @@ func (w *WAL[K, V]) Prune(upTo uint64) error {
 	w.w = bufio.NewWriterSize(nf, 1<<16)
 	// Everything appended so far sits fsynced in the renamed file (or is
 	// covered by the dump that triggered the prune).
-	w.advanceDurable(w.appended)
+	w.durable = w.appended
 	w.fsyncs.Add(1)
 	return nil
 }
@@ -530,11 +516,9 @@ func readFrom(path string, off int64) ([]byte, error) {
 	return buf, nil
 }
 
-// Close stops the background flusher (if any), flushes, fsyncs, and closes
-// the log. Part of core.MutationSink. Idempotent; returns the first sticky
-// error.
+// Close flushes, fsyncs, and closes the log. Part of core.MutationSink.
+// Idempotent; returns the first sticky error.
 func (w *WAL[K, V]) Close() error {
-	w.stopFlushLoop()
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
@@ -546,7 +530,7 @@ func (w *WAL[K, V]) Close() error {
 		if err := w.f.Sync(); err != nil {
 			w.setErrLocked(err)
 		} else {
-			w.advanceDurable(w.appended)
+			w.durable = w.appended
 		}
 	}
 	if err := w.f.Close(); err != nil && w.err == nil {
@@ -556,7 +540,7 @@ func (w *WAL[K, V]) Close() error {
 	return w.err
 }
 
-// Err returns the sticky I/O error, if any.
+// Err returns the sticky I/O error, if any. Part of core.MutationSink.
 func (w *WAL[K, V]) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

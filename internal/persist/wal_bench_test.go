@@ -5,18 +5,17 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // WAL durability benchmarks, behind `make bench-wal`. Two surfaces:
 // BenchmarkWALAppend is the stamp-site cost alone (what every Insert pays
 // with no acknowledgment), BenchmarkWALCommit is the acknowledged path
 // (append + Commit per operation, concurrent committers) — the spread
-// between SyncNever and SyncEvery is the per-mutation fsync toll, and
-// SyncGroup's position between them is what group commit buys back.
+// between SyncNever and SyncGroup is the fsync toll per acknowledgment that
+// group commit's cohorts share.
 
 func benchPolicies() []SyncPolicy {
-	return []SyncPolicy{SyncNever, SyncInterval(2 * time.Millisecond), SyncEvery, SyncGroup}
+	return []SyncPolicy{SyncNever, SyncGroup}
 }
 
 func BenchmarkWALAppend(b *testing.B) {

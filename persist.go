@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"layeredsg/internal/core"
 	"layeredsg/internal/persist"
@@ -26,41 +25,35 @@ type DumpStats = persist.DumpStats
 // source topology and snapshot sequence, and WAL replay depth.
 type LoadStats = persist.LoadStats
 
-// WALSyncPolicy selects when the write-ahead log fsyncs; see Config.WALSync
-// and DESIGN.md §10's durability-contract table.
+// WALSyncPolicy selects what Barrier promises; see Config.WALSync and
+// DESIGN.md §10's durability-contract table.
 type WALSyncPolicy = persist.SyncPolicy
 
-var (
-	// SyncNever buffers WAL appends; fsync happens only on Close, Prune,
-	// and after dumps. Barrier promises the flushed prefix only (survives a
-	// process crash, not an OS crash). The default.
+const (
+	// SyncNever makes Barrier a flush of the WAL to the OS: the
+	// acknowledged prefix survives a process crash, not an OS crash. The
+	// log fsyncs only on Close and after dumps. The default.
 	SyncNever = persist.SyncNever
-	// SyncEvery flushes and fsyncs the WAL on every append — maximal
-	// durability, one fsync per mutation.
-	SyncEvery = persist.SyncEvery
-	// SyncGroup fsyncs on Barrier/Commit acknowledgment, batching
-	// concurrent acknowledgers into one fsync (group commit).
+	// SyncGroup makes Barrier an fsync, batching concurrent acknowledgers
+	// into one fsync (group commit).
 	SyncGroup = persist.SyncGroup
 )
 
-// SyncInterval returns the WAL policy that fsyncs from a background flusher
-// every d, bounding the un-durable window without an fsync on any hot path.
-func SyncInterval(d time.Duration) WALSyncPolicy { return persist.SyncInterval(d) }
-
-// ParseWALSyncPolicy parses a policy label — "never", "every", "group",
-// "interval" (the default period), or "interval:<duration>" — for flag and
-// config surfaces (cmd/sgbench's -wal-sync).
+// ParseWALSyncPolicy parses a policy label — "never" (or "") and "group" —
+// for flag and config surfaces (cmd/sgbench's -wal-sync).
 func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) { return persist.ParseSyncPolicy(s) }
 
 // Barrier blocks until every mutation acknowledged before the call is
-// durable in the store's write-ahead log, per Config.WALSync: a real fsync
-// under SyncEvery, SyncGroup, and SyncInterval — concurrent Barriers share
-// one fsync (group commit) — and a flush to the OS under SyncNever. The
-// barrier covers the calling goroutine's completed operations; it does not
-// wait for mutations still in flight on other goroutines. A store without a
-// WAL returns nil immediately. The error, when non-nil, is the journal's
-// sticky I/O error: the mutations are applied in memory but their records
-// may not survive a crash.
+// durable in the store's write-ahead log, per Config.WALSync: an fsync under
+// SyncGroup — concurrent Barriers share one fsync (group commit) — and a
+// flush to the OS under SyncNever. Barrier is the log's only
+// acknowledgment: writes never wait for an fsync, so a caller who wants each
+// mutation durable calls Barrier after it, and one who wants a bounded
+// window calls it from a ticker. The barrier covers the calling goroutine's
+// completed operations; it does not wait for mutations still in flight on
+// other goroutines. A store without a WAL returns nil immediately. The
+// error, when non-nil, is the journal's sticky I/O error: the mutations are
+// applied in memory but their records may not survive a crash.
 func (s *Store[K, V]) Barrier() error {
 	if s.closing.Load() {
 		panic("layeredsg: operation on closed Store")

@@ -215,6 +215,9 @@ func BenchmarkReadersBeyondStripes(b *testing.B) {
 			b.Run("reader", func(b *testing.B) {
 				read(b, func(g int, key int64) { rhs[g].Get(key) })
 			})
+			for _, rh := range rhs {
+				rh.Close()
+			}
 		})
 	}
 }

@@ -223,6 +223,7 @@ func TestTortureWithReaders(t *testing.T) {
 		go func(r int) {
 			defer readerWG.Done()
 			rh := m.ReaderHandle(writers + r)
+			defer rh.Close()
 			rng := rand.New(rand.NewSource(int64(1000 + r)))
 			for {
 				select {
@@ -240,6 +241,7 @@ func TestTortureWithReaders(t *testing.T) {
 	readerWG.Wait()
 	// Final agreement between a fresh reader and a writer handle.
 	rh := m.ReaderHandle(writers)
+	defer rh.Close()
 	h := m.Handle(0)
 	for k := int64(0); k < 1024; k++ {
 		if rh.Contains(k) != h.Contains(k) {
