@@ -8,9 +8,12 @@
 #                   internal/sbench (oversubscribed trials); plus the node
 #                   arena's CAS paths: internal/atomicmark, internal/node,
 #                   the internal/direct and internal/competitors baselines,
-#                   and the full TestTorture run over every algorithm
-#                   (including the skip list, whose arena is taller than
-#                   the inline level words)
+#                   and the root tests that -short skips: the full
+#                   TestTorture run over every algorithm (including the skip
+#                   list, whose arena is taller than the inline level
+#                   words), TestTorturePackedRefs, TestTortureWithReaders
+#                   (writers beside ReaderHandles and PublishJumpIndex) and
+#                   TestAlgorithmsTrialSmoke
 #   make race-reclaim — race pass over the reclamation/snapshot surface:
 #                   internal/epoch, the skip graph's reclamation walk,
 #                   internal/core's pass tests, the slot-recycle ABA test,
@@ -80,7 +83,7 @@ vet:
 race:
 	$(GO) test -race -short ./internal/core ./internal/sbench .
 	$(GO) test -race ./internal/atomicmark ./internal/node ./internal/direct ./internal/competitors
-	$(GO) test -race -run '^TestTorture$$' .
+	$(GO) test -race -run '^(TestTorture|TestTorturePackedRefs|TestTortureWithReaders|TestAlgorithmsTrialSmoke)$$' .
 
 race-reclaim:
 	$(GO) test -race ./internal/epoch

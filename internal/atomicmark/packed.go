@@ -182,24 +182,6 @@ func (r *PackedRef) CASMark(expMarked, newMarked bool) bool {
 	}
 }
 
-// CASValid flips the valid bit from expValid to newValid, preserving slot
-// reference and mark. Returns true on success.
-func (r *PackedRef) CASValid(expValid, newValid bool) bool {
-	for {
-		w := r.w.Load()
-		if w&packedValidBit != 0 != expValid {
-			return false
-		}
-		want := w &^ packedValidBit
-		if newValid {
-			want = w | packedValidBit
-		}
-		if r.w.CompareAndSwap(w, want) {
-			return true
-		}
-	}
-}
-
 // CASMarkValid atomically replaces the (marked, valid) pair, preserving the
 // slot reference, provided the current pair equals (expMarked, expValid).
 // This is the paper's casMarkValid: the linearization point of lazy insert
@@ -221,16 +203,4 @@ func (r *PackedRef) CASMarkValid(expMarked, expValid, newMarked, newValid bool) 
 			return true
 		}
 	}
-}
-
-// CASSnapshot performs a full-triple CAS: it succeeds only if the current
-// state equals exp in all three components (slot reference — generation
-// included — plus both bits), installing want. The relink optimization uses
-// it to swing a predecessor across a chain of marked references while
-// asserting the predecessor itself is still unmarked.
-func (r *PackedRef) CASSnapshot(exp, want PackedSnapshot) bool {
-	return r.w.CompareAndSwap(
-		PackWord(exp.Ref, exp.Marked, exp.Valid),
-		PackWord(want.Ref, want.Marked, want.Valid),
-	)
 }

@@ -198,51 +198,6 @@ func TestCASMarkValid(t *testing.T) {
 	}
 }
 
-// TestCASSnapshot checks that the full-triple CAS fails when its expectation
-// differs from the word in any one field: the generation, the mark or the
-// valid flag.
-func TestCASSnapshot(t *testing.T) {
-	var r PackedRef
-	a, b := MakeRef(1, 0), MakeRef(2, 0)
-	r.Init(a, false, true)
-	exp := PackedSnapshot{Ref: a, Marked: false, Valid: true}
-	want := PackedSnapshot{Ref: b, Marked: false, Valid: true}
-	for _, wrong := range []PackedSnapshot{
-		{Ref: MakeRef(1, 1), Marked: false, Valid: true},
-		{Ref: a, Marked: true, Valid: true},
-		{Ref: a, Marked: false, Valid: false},
-	} {
-		if r.CASSnapshot(wrong, want) {
-			t.Fatalf("CASSnapshot expecting %+v succeeded on %+v", wrong, exp)
-		}
-	}
-	if !r.CASSnapshot(exp, want) {
-		t.Fatal("CASSnapshot failed")
-	}
-	if r.CASSnapshot(exp, want) {
-		t.Fatal("stale CASSnapshot succeeded")
-	}
-	if got := r.Load(); got != want {
-		t.Fatalf("Load = %+v want %+v", got, want)
-	}
-}
-
-func TestPackedCASSnapshot(t *testing.T) {
-	var r PackedRef
-	r.Init(3, false, true)
-	exp := PackedSnapshot{Ref: 3, Marked: false, Valid: true}
-	want := PackedSnapshot{Ref: MakeRef(9, 1), Marked: false, Valid: true}
-	if !r.CASSnapshot(exp, want) {
-		t.Fatal("CASSnapshot with exact state failed")
-	}
-	if r.CASSnapshot(exp, want) {
-		t.Fatal("CASSnapshot with stale state succeeded")
-	}
-	if got := r.Load(); got != want {
-		t.Fatalf("state = %+v want %+v", got, want)
-	}
-}
-
 // TestPackedMarkWins races marking against a successor swing: the two never
 // resurrect a successor past a mark.
 func TestPackedMarkWins(t *testing.T) {
@@ -299,24 +254,6 @@ func TestCASMarkPreservesPointerAndValid(t *testing.T) {
 	}
 	if r.CASMark(false, true) {
 		t.Fatal("CASMark with wrong expectation succeeded")
-	}
-}
-
-func TestCASValid(t *testing.T) {
-	var r PackedRef
-	ref := MakeRef(4, 9)
-	r.Init(ref, false, true)
-	if !r.CASValid(true, false) {
-		t.Fatal("CASValid true→false failed")
-	}
-	if r.Valid() {
-		t.Fatal("still valid")
-	}
-	if r.CASValid(true, false) {
-		t.Fatal("CASValid with wrong expectation succeeded")
-	}
-	if got := r.Load(); got.Ref != ref || got.Marked {
-		t.Fatalf("CASValid disturbed other fields: %+v", got)
 	}
 }
 
@@ -386,7 +323,7 @@ func TestQuickTransitions(t *testing.T) {
 		r.Init(refs[0], false, true)
 		cur := PackedSnapshot{Ref: refs[0], Valid: true}
 		for _, op := range ops {
-			switch op % 4 {
+			switch op % 3 {
 			case 0:
 				next := refs[int(op/4)%len(refs)]
 				if r.CASNext(cur.Ref, next) {
@@ -400,10 +337,6 @@ func TestQuickTransitions(t *testing.T) {
 					cur.Marked = !cur.Marked
 				}
 			case 2:
-				if r.CASValid(cur.Valid, !cur.Valid) {
-					cur.Valid = !cur.Valid
-				}
-			case 3:
 				if r.CASMarkValid(cur.Marked, cur.Valid, !cur.Marked, !cur.Valid) {
 					cur.Marked = !cur.Marked
 					cur.Valid = !cur.Valid
@@ -444,27 +377,11 @@ func (m *refModel) casMark(exp, next bool) bool {
 	return true
 }
 
-func (m *refModel) casValid(exp, next bool) bool {
-	if m.valid != exp {
-		return false
-	}
-	m.valid = next
-	return true
-}
-
 func (m *refModel) casMarkValid(expM, expV, newM, newV bool) bool {
 	if m.marked != expM || m.valid != expV {
 		return false
 	}
 	m.marked, m.valid = newM, newV
-	return true
-}
-
-func (m *refModel) casSnapshot(exp, want PackedSnapshot) bool {
-	if m.ref != exp.Ref || m.marked != exp.Marked || m.valid != exp.Valid {
-		return false
-	}
-	m.ref, m.marked, m.valid = want.Ref, want.Marked, want.Valid
 	return true
 }
 
@@ -491,19 +408,13 @@ func TestPackedVsModelDifferential(t *testing.T) {
 			m1, m2 := rng.Intn(2) == 0, rng.Intn(2) == 0
 			v1, v2 := rng.Intn(2) == 0, rng.Intn(2) == 0
 			var okP, okM bool
-			switch rng.Intn(5) {
+			switch rng.Intn(3) {
 			case 0:
 				okP, okM = p.CASNext(a, b), m.casNext(a, b)
 			case 1:
 				okP, okM = p.CASMark(m1, m2), m.casMark(m1, m2)
 			case 2:
-				okP, okM = p.CASValid(v1, v2), m.casValid(v1, v2)
-			case 3:
 				okP, okM = p.CASMarkValid(m1, v1, m2, v2), m.casMarkValid(m1, v1, m2, v2)
-			case 4:
-				exp := PackedSnapshot{Ref: a, Marked: m1, Valid: v1}
-				want := PackedSnapshot{Ref: b, Marked: m2, Valid: v2}
-				okP, okM = p.CASSnapshot(exp, want), m.casSnapshot(exp, want)
 			}
 			if okP != okM {
 				t.Fatalf("trial %d step %d: packed ok=%v model ok=%v", trial, step, okP, okM)

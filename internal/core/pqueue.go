@@ -1,6 +1,9 @@
 package core
 
-import "layeredsg/internal/node"
+import (
+	"layeredsg/internal/node"
+	"layeredsg/internal/obs"
+)
 
 // RemoveMin deletes and returns the smallest logically-present key — the
 // exact-priority-queue adaptation the paper's appendix reports preliminary
@@ -10,10 +13,22 @@ import "layeredsg/internal/node"
 // Remove, so contending consumers each extract a distinct element, and is
 // stamped for snapshots and journaled to the WAL like a Remove.
 func (h *Handle[K, V]) RemoveMin() (K, V, bool) {
+	return h.headWalk(h.removeMin)
+}
+
+// headWalk runs body as one priority-queue operation. The operation is an
+// ordered walk from a head sentinel that consults no index, so it is traced
+// as an obs.OpScan with origin head, and the index section's hit and miss
+// sums over point operations stay exact.
+func (h *Handle[K, V]) headWalk(body func() (K, V, bool)) (K, V, bool) {
 	defer h.tr.Op()
+	h.ot.Begin(obs.OpScan, h.tr)
+	h.ot.SetOrigin(obs.OriginHead)
 	h.enter()
-	defer h.leave()
-	return h.removeMin()
+	k, v, ok := body()
+	h.leave()
+	h.traceEnd(k, ok)
+	return k, v, ok
 }
 
 // removeMin is RemoveMin's body, run inside the caller's operation (its pin,
@@ -56,9 +71,11 @@ func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 	if width <= 0 {
 		width = 2
 	}
-	h.tr.Op()
-	h.enter()
-	defer h.leave()
+	return h.headWalk(func() (K, V, bool) { return h.removeMinRelaxed(width) })
+}
+
+// removeMinRelaxed is RemoveMinRelaxed's body, run inside its operation.
+func (h *Handle[K, V]) removeMinRelaxed(width int) (K, V, bool) {
 	sg := h.m.sg
 	landed := sg.Spray(h.vector, h.rng, width, h.tr)
 	n := landed
@@ -81,9 +98,11 @@ func (h *Handle[K, V]) RemoveMinRelaxed(width int) (K, V, bool) {
 
 // Min returns the smallest logically-present key without removing it.
 func (h *Handle[K, V]) Min() (K, V, bool) {
-	defer h.tr.Op()
-	h.enter()
-	defer h.leave()
+	return h.headWalk(h.peekMin)
+}
+
+// peekMin is Min's body, run inside its operation.
+func (h *Handle[K, V]) peekMin() (K, V, bool) {
 	var zeroK K
 	var zeroV V
 	for n := h.m.sg.BottomHead().Next(0, h.tr); n != nil && n.Kind() != node.Tail; n = n.Next(0, h.tr) {

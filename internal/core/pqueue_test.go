@@ -5,6 +5,9 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"layeredsg/internal/obs"
+	"layeredsg/internal/stats"
 )
 
 // TestRemoveMinOrdering: exact pops return every key once, in ascending
@@ -35,6 +38,62 @@ func TestRemoveMinOrdering(t *testing.T) {
 				t.Fatalf("Len = %d after draining", m.Len())
 			}
 		})
+	}
+}
+
+// TestPriorityQueueOpsTraced: RemoveMin, RemoveMinRelaxed and Min are
+// traced as scans from the head, so the traced operation counts sum to the
+// recorder's, and the index section, which sums the point operations'
+// origins, counts only the inserts.
+func TestPriorityQueueOpsTraced(t *testing.T) {
+	machine := testMachine(t, 2)
+	rec := stats.NewRecorder(machine, nil)
+	tracer := obs.NewTracer(obs.TracerConfig{Name: "pqueue-traced"})
+	defer tracer.Close()
+	m, err := New[int64, int64](Config{
+		Machine:  machine,
+		Kind:     LazyLayeredSG,
+		Recorder: rec,
+		Tracer:   tracer,
+		Seed:     42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	prev := obs.Enabled.Load()
+	obs.Enabled.Store(true)
+	defer obs.Enabled.Store(prev)
+
+	h := m.Handle(0)
+	for k := int64(0); k < 10; k++ {
+		h.Insert(k, k)
+	}
+	for i := 0; i < 3; i++ {
+		if k, _, ok := h.RemoveMin(); !ok || k != int64(i) {
+			t.Fatalf("RemoveMin = %d,%v want %d", k, ok, i)
+		}
+	}
+	if _, _, ok := h.RemoveMinRelaxed(0); !ok {
+		t.Fatal("RemoveMinRelaxed found nothing")
+	}
+	if _, _, ok := h.Min(); !ok {
+		t.Fatal("Min found nothing")
+	}
+
+	s := tracer.Snapshot()
+	var traced uint64
+	for _, op := range s.Ops {
+		traced += op.Count
+	}
+	if ops := rec.ThreadRecorder(0).Ops(); traced != ops || ops != 15 {
+		t.Fatalf("traced %d operations (%v), recorder counted %d, want 15 each", traced, s.Ops, ops)
+	}
+	if sc := s.Ops[obs.OpScan.String()]; sc.Count != 5 || sc.Origins[obs.OriginHead.String()] != 5 {
+		t.Fatalf("scan = %+v, want 5 operations, all from the head", sc)
+	}
+	if x := s.Index; x == nil || x.Hits+x.Misses != 10 {
+		t.Fatalf("index section = %+v, want hits and misses summing to the 10 inserts", x)
 	}
 }
 

@@ -8,12 +8,9 @@
 //     head;
 //   - SkipGraph: "a skip graph without layering" — the partitioned,
 //     height-constrained skip graph, but with every search starting at the
-//     thread's head sentinel instead of a local-structure jump;
-//   - LinkedList: the MaxLevel-0 degenerate case, a lock-free linked list
-//     with relink (a Harris-style list where chains of marked nodes are
-//     unlinked with one CAS).
+//     thread's head sentinel instead of a local-structure jump.
 //
-// All three use the non-lazy protocol with search-time cleanup.
+// Both use the non-lazy protocol with search-time cleanup.
 package direct
 
 import (
@@ -36,8 +33,6 @@ const (
 	SkipList Shape = iota + 1
 	// SkipGraph is the partitioned skip graph operated without local layers.
 	SkipGraph
-	// LinkedList is the height-0 degenerate structure.
-	LinkedList
 )
 
 // String implements fmt.Stringer using the paper's labels.
@@ -47,8 +42,6 @@ func (s Shape) String() string {
 		return "skiplist"
 	case SkipGraph:
 		return "skipgraph_nolayer"
-	case LinkedList:
-		return "linkedlist"
 	default:
 		return fmt.Sprintf("Shape(%d)", int(s))
 	}
@@ -61,7 +54,7 @@ type Config struct {
 	// Shape selects the baseline; required.
 	Shape Shape
 	// Height is the skip list height (the paper uses log2 of the key space).
-	// Ignored for SkipGraph (which uses ceil(log2 T)-1) and LinkedList (0).
+	// Ignored for SkipGraph (which uses ceil(log2 T)-1).
 	Height int
 	// Scheme selects membership vectors for SkipGraph; defaults to NUMAAware.
 	Scheme membership.Scheme
@@ -106,8 +99,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		if err != nil {
 			return nil, err
 		}
-	case LinkedList:
-		sgCfg.MaxLevel = 0
 	default:
 		return nil, fmt.Errorf("direct: unknown shape %d", int(cfg.Shape))
 	}

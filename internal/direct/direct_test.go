@@ -21,7 +21,7 @@ func machine(t *testing.T, threads int) *numa.Machine {
 	return m
 }
 
-func shapes() []Shape { return []Shape{SkipList, SkipGraph, LinkedList} }
+func shapes() []Shape { return []Shape{SkipList, SkipGraph} }
 
 func newMap(t *testing.T, shape Shape, threads int) *Map[int64, int64] {
 	t.Helper()
@@ -150,10 +150,6 @@ func TestSkipGraphPartitionHeight(t *testing.T) {
 	m := newMap(t, SkipGraph, 8)
 	if got := m.SharedStructure().MaxLevel(); got != 2 {
 		t.Fatalf("height = %d want 2 for 8 threads", got)
-	}
-	ll := newMap(t, LinkedList, 8)
-	if got := ll.SharedStructure().MaxLevel(); got != 0 {
-		t.Fatalf("linked list height = %d", got)
 	}
 	sl := newMap(t, SkipList, 8)
 	if got := sl.SharedStructure().MaxLevel(); got != 8 {

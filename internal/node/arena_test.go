@@ -137,18 +137,15 @@ func TestArenaLinkOpsThroughNodeAPI(t *testing.T) {
 	if head.RawNext(1) != n || n.RawNext(1) != tail {
 		t.Fatal("link did not take")
 	}
-	// Mark n's reference and relink head past it with a full-snapshot CAS.
+	// Mark n's reference and relink head past it, as a search's relink does.
 	if !n.CASMark(1, false, true, nil) {
 		t.Fatal("mark failed")
 	}
-	exp := head.RawLoad(1)
-	if exp.Next != n {
+	if exp := head.RawLoad(1); exp.Next != n {
 		t.Fatalf("head snapshot %+v", exp)
 	}
-	want := exp
-	want.Next = tail
-	if !head.CASSnapshot(1, exp, want, nil) {
-		t.Fatal("relink CASSnapshot failed")
+	if !head.CASNext(1, n, tail, nil) {
+		t.Fatal("relink CASNext failed")
 	}
 	if head.RawNext(1) != tail {
 		t.Fatal("relink did not take")

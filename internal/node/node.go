@@ -416,12 +416,6 @@ func (n *Node[K, V]) Next(level int, tr *stats.ThreadRecorder) *Node[K, V] {
 	return n.refNext(level)
 }
 
-// Load returns an atomic snapshot of the level-i reference, recording a read.
-func (n *Node[K, V]) Load(level int, tr *stats.ThreadRecorder) atomicmark.Snapshot[Node[K, V]] {
-	n.read(tr)
-	return n.refLoad(level)
-}
-
 // Marked returns the level-i marked bit, recording a read.
 func (n *Node[K, V]) Marked(level int, tr *stats.ThreadRecorder) bool {
 	n.read(tr)
@@ -442,30 +436,16 @@ func (n *Node[K, V]) cas(tr *stats.ThreadRecorder, ok bool) bool {
 }
 
 // CASNext swings the level-i successor from exp to next, failing if the
-// reference is marked. Records a maintenance CAS.
+// reference is marked. Records a maintenance CAS. The relink optimization
+// uses it to skip a chain of marked references in one CAS: exp is the
+// chain's first node, next the first node past it.
 func (n *Node[K, V]) CASNext(level int, exp, next *Node[K, V], tr *stats.ThreadRecorder) bool {
 	return n.cas(tr, n.word(level).CASNext(refOf(exp), refOf(next)))
-}
-
-// CASSnapshot performs a full-triple CAS on the level-i reference, recording
-// a maintenance CAS. It implements the relink optimization: exp.Next is the
-// `middle` node observed when the predecessor was identified, and want.Next
-// skips the whole chain of marked references.
-func (n *Node[K, V]) CASSnapshot(level int, exp, want atomicmark.Snapshot[Node[K, V]], tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.word(level).CASSnapshot(
-		atomicmark.PackedSnapshot{Ref: refOf(exp.Next), Marked: exp.Marked, Valid: exp.Valid},
-		atomicmark.PackedSnapshot{Ref: refOf(want.Next), Marked: want.Marked, Valid: want.Valid},
-	))
 }
 
 // CASMark flips the level-i marked bit, recording a maintenance CAS.
 func (n *Node[K, V]) CASMark(level int, exp, next bool, tr *stats.ThreadRecorder) bool {
 	return n.cas(tr, n.word(level).CASMark(exp, next))
-}
-
-// CASValid flips the level-i valid bit, recording a maintenance CAS.
-func (n *Node[K, V]) CASValid(level int, exp, next bool, tr *stats.ThreadRecorder) bool {
-	return n.cas(tr, n.word(level).CASValid(exp, next))
 }
 
 // CASMarkValid atomically replaces the level-i (marked, valid) pair,

@@ -112,7 +112,7 @@ func TestInstrumentedAccessRecords(t *testing.T) {
 	if n.Next(0, tr) != tail {
 		t.Fatal("Next wrong")
 	}
-	n.Load(1, tr)
+	n.Marked(1, tr)
 	n.Marked(0, tr)
 	n.MarkValid(0, tr)
 	tr.Op()
@@ -176,7 +176,7 @@ func TestCASMarkValidFlow(t *testing.T) {
 	if !m || v {
 		t.Fatalf("final state %v,%v want marked invalid", m, v)
 	}
-	// Marked reference: CASValid/CASMark on it with stale expectations fail.
+	// Marked reference: a CASMarkValid on it with a stale expectation fails.
 	if n.CASMarkValid(0, false, false, false, true, tr) {
 		t.Fatal("revive of marked node succeeded")
 	}

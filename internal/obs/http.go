@@ -11,7 +11,7 @@ import (
 // DebugMux builds the observability HTTP surface:
 //
 //	/debug/pprof/...  — the standard Go profiling endpoints; CPU profiles
-//	                    carry the Store facade's per-stripe pprof labels
+//	                    carry whatever labels callers set (the Store sets none)
 //	/debug/vars      — expvar, including the "layeredsg" tracer registry
 //	/debug/obs       — the tracer's snapshot (text; ?format=json for JSON)
 //	/debug/trace     — drains the tracer's event rings as a JSON array

@@ -18,8 +18,9 @@
 //     an expvar-published registry, and supports Snapshot() plus text/JSON
 //     dumpers.
 //   - Profiling hooks: DebugMux serves /debug/pprof, /debug/vars, and
-//     /debug/trace; the Store facade applies pprof labels per leased stripe
-//     so CPU profiles attribute samples to stripes.
+//     /debug/trace. The Store facade applies no pprof labels, so a caller's
+//     own labels survive every Store call; per-stripe attribution is each
+//     Event's Stripe.
 package obs
 
 import (
@@ -44,7 +45,9 @@ const (
 	OpRemove
 	// OpGet is a point lookup (Get/Contains).
 	OpGet
-	// OpScan is an ordered traversal (Ascend/RangeScan/Count).
+	// OpScan is an ordered walk: Ascend/RangeScan/Count, and the
+	// priority-queue operations RemoveMin, RemoveMinRelaxed and Min, which
+	// walk from a head sentinel (origin head) and consult no index.
 	OpScan
 
 	nOpKinds = int(OpScan) + 1

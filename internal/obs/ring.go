@@ -31,9 +31,8 @@ type ringSlot struct {
 	w   [eventWords]atomic.Uint64
 }
 
-// DefaultRingCapacity is the per-stripe event capacity when a TracerConfig
-// does not override it.
-const DefaultRingCapacity = 4096
+// ringCapacity is each stripe's event capacity.
+const ringCapacity = 4096
 
 // newRing builds a ring with capacity rounded up to a power of two (min 8).
 func newRing(capacity int) *Ring {

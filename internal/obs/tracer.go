@@ -17,9 +17,6 @@ type TracerConfig struct {
 	// Name labels the tracer in the expvar registry and dumps — typically
 	// the algorithm label (e.g. "lazy_layered_sg").
 	Name string
-	// RingCapacity is the per-stripe event-ring capacity (rounded up to a
-	// power of two); 0 uses DefaultRingCapacity.
-	RingCapacity int
 }
 
 // Tracer is one map's observability hub: per-stripe event rings plus
@@ -30,9 +27,8 @@ type TracerConfig struct {
 // A Tracer is registered in the package's expvar registry at creation;
 // Close unregisters it (important in tests that create many).
 type Tracer struct {
-	name    string
-	ringCap int
-	start   time.Time
+	name  string
+	start time.Time
 
 	mu      sync.Mutex
 	stripes []*StripeTracer
@@ -70,10 +66,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Name == "" {
 		cfg.Name = "layeredsg"
 	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = DefaultRingCapacity
-	}
-	t := &Tracer{name: cfg.Name, ringCap: cfg.RingCapacity, start: time.Now()}
+	t := &Tracer{name: cfg.Name, start: time.Now()}
 	register(t)
 	return t
 }
@@ -110,7 +103,7 @@ func (t *Tracer) Attach(stripes, levelsPerSearch int) {
 		i := len(t.stripes)
 		t.stripes = append(t.stripes, &StripeTracer{
 			t:      t,
-			ring:   newRing(t.ringCap),
+			ring:   newRing(ringCapacity),
 			stripe: int32(i),
 		})
 		t.cursors = append(t.cursors, 0)

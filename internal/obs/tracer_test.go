@@ -21,7 +21,7 @@ func withEnabled(t *testing.T, on bool) {
 
 func newTestTracer(t *testing.T, name string, stripes int) *Tracer {
 	t.Helper()
-	tr := NewTracer(TracerConfig{Name: name, RingCapacity: 64})
+	tr := NewTracer(TracerConfig{Name: name})
 	t.Cleanup(tr.Close)
 	tr.Attach(stripes, 4)
 	return tr

@@ -50,22 +50,6 @@ type Adapter interface {
 	Close()
 }
 
-// Observed marks adapters carrying an observability tracer (the layered
-// variants built with AdapterOptions.Observe). The harness uses it to expose
-// the tracer to debug endpoints; Tracer may return nil.
-type Observed interface {
-	Tracer() *obs.Tracer
-}
-
-// LabelCarrier marks OpHandles that apply pprof goroutine labels around
-// their operations (e.g. the Store facade's per-stripe lease labels). Run
-// hands each worker's labeled context to its handle so the handle composes
-// its labels with the worker's and restores the worker's labels afterwards,
-// instead of erasing them.
-type LabelCarrier interface {
-	SetLabelContext(ctx context.Context)
-}
-
 // Oversubscribable marks adapters whose Handle method accepts any worker
 // index — not just pinned logical threads — and returns handles safe to use
 // from arbitrary goroutines (e.g. the Store facade, which leases confined
@@ -238,6 +222,17 @@ func Preload(machine *numa.Machine, a Adapter, w Workload) error {
 // worker goroutine per machine thread (or Workload.Goroutines workers, when
 // set), each applying the -f 1 operation mix for the workload's duration.
 func Run(machine *numa.Machine, a Adapter, w Workload) (Result, error) {
+	var lat *stats.Histogram
+	if w.LatencySample > 0 {
+		lat = new(stats.Histogram)
+	}
+	return run(machine, a, w, lat)
+}
+
+// run is Run recording its latency samples into lat, which is nil exactly
+// when the workload samples no latency. Result.Latency summarizes every
+// sample lat holds, earlier runs' included.
+func run(machine *numa.Machine, a Adapter, w Workload, lat *stats.Histogram) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -257,11 +252,7 @@ func Run(machine *numa.Machine, a Adapter, w Workload) (Result, error) {
 		effective atomic.Uint64
 		wg        sync.WaitGroup
 		startGate = make(chan struct{})
-		lat       *stats.Histogram
 	)
-	if w.LatencySample > 0 {
-		lat = new(stats.Histogram)
-	}
 	for t := 0; t < workers; t++ {
 		wg.Add(1)
 		go func(t int) {
@@ -270,22 +261,15 @@ func Run(machine *numa.Machine, a Adapter, w Workload) (Result, error) {
 				runtime.LockOSThread()
 				defer runtime.UnlockOSThread()
 			}
-			var labelCtx context.Context
 			if obs.Enabled.Load() {
 				// Label workers so CPU profiles taken during observed trials
-				// attribute samples per worker (stores add a per-stripe label
-				// for the span of each lease).
-				labelCtx = pprof.WithLabels(context.Background(),
-					pprof.Labels("sbench_worker", strconv.Itoa(t)))
-				pprof.SetGoroutineLabels(labelCtx)
+				// attribute samples per worker; a Store's leases leave the
+				// labels alone.
+				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+					pprof.Labels("sbench_worker", strconv.Itoa(t))))
 				defer pprof.SetGoroutineLabels(context.Background())
 			}
 			h := a.Handle(t)
-			if lc, ok := h.(LabelCarrier); ok {
-				// Hand the worker's labels to label-applying handles so leases
-				// restore them instead of clearing to the empty label set.
-				lc.SetLabelContext(labelCtx)
-			}
 			rng := rand.New(rand.NewSource(w.Seed + int64(t)*0x9E3779B9 + 7))
 			nextKey := w.keyGen(rng)
 			var (
@@ -366,16 +350,17 @@ func Trial(machine *numa.Machine, a Adapter, w Workload) (Result, error) {
 }
 
 // Average runs `runs` independent trials, each on a freshly built adapter,
-// and averages throughput — the paper averages 5 runs of 10 s each. Latency
-// quantiles, when sampled, are averaged across runs weighted by sample count
-// — an approximation (true merging would need the raw histograms), accurate
-// when runs behave alike.
+// and averages throughput — the paper averages 5 runs of 10 s each. Latency,
+// when sampled, summarizes every run's samples in one histogram.
 func Average(machine *numa.Machine, build func() (Adapter, error), w Workload, runs int) (Result, error) {
 	if runs <= 0 {
 		return Result{}, fmt.Errorf("sbench: runs must be positive, got %d", runs)
 	}
 	var sum Result
-	var latSamples float64
+	var lat *stats.Histogram
+	if w.LatencySample > 0 {
+		lat = new(stats.Histogram)
+	}
 	for i := 0; i < runs; i++ {
 		a, err := build()
 		if err != nil {
@@ -383,7 +368,11 @@ func Average(machine *numa.Machine, build func() (Adapter, error), w Workload, r
 		}
 		wi := w
 		wi.Seed = w.Seed + int64(i)*104729
-		res, err := Trial(machine, a, wi)
+		err = Preload(machine, a, wi)
+		var res Result
+		if err == nil {
+			res, err = run(machine, a, wi, lat)
+		}
 		a.Close()
 		if err != nil {
 			return Result{}, err
@@ -395,27 +384,11 @@ func Average(machine *numa.Machine, build func() (Adapter, error), w Workload, r
 		sum.OpsPerMs += res.OpsPerMs
 		sum.EffectiveUpdatePct += res.EffectiveUpdatePct
 		sum.Elapsed += res.Elapsed
-		if n := float64(res.Latency.Count); n > 0 {
-			sum.Latency.Count += res.Latency.Count
-			sum.Latency.MeanNs += res.Latency.MeanNs * n
-			sum.Latency.P50Ns += int64(float64(res.Latency.P50Ns) * n)
-			sum.Latency.P90Ns += int64(float64(res.Latency.P90Ns) * n)
-			sum.Latency.P99Ns += int64(float64(res.Latency.P99Ns) * n)
-			sum.Latency.P999Ns += int64(float64(res.Latency.P999Ns) * n)
-			if res.Latency.MaxNs > sum.Latency.MaxNs {
-				sum.Latency.MaxNs = res.Latency.MaxNs
-			}
-			latSamples += n
-		}
 	}
 	sum.OpsPerMs /= float64(runs)
 	sum.EffectiveUpdatePct /= float64(runs)
-	if latSamples > 0 {
-		sum.Latency.MeanNs /= latSamples
-		sum.Latency.P50Ns = int64(float64(sum.Latency.P50Ns) / latSamples)
-		sum.Latency.P90Ns = int64(float64(sum.Latency.P90Ns) / latSamples)
-		sum.Latency.P99Ns = int64(float64(sum.Latency.P99Ns) / latSamples)
-		sum.Latency.P999Ns = int64(float64(sum.Latency.P999Ns) / latSamples)
+	if lat != nil {
+		sum.Latency = lat.Snapshot()
 	}
 	return sum, nil
 }

@@ -151,6 +151,50 @@ func TestAverageAggregates(t *testing.T) {
 	}
 }
 
+// spinAdapter's Contains busy-waits for its delay; inserts and removes are
+// free, so a read-only trial's latency samples all sit at the delay.
+type spinAdapter struct{ delay time.Duration }
+
+func (a *spinAdapter) Name() string             { return "spin" }
+func (a *spinAdapter) Close()                   {}
+func (a *spinAdapter) Handle(int) OpHandle      { return a }
+func (a *spinAdapter) Insert(int64, int64) bool { return true }
+func (a *spinAdapter) Remove(int64) bool        { return true }
+func (a *spinAdapter) Contains(int64) bool {
+	for start := time.Now(); time.Since(start) < a.delay; {
+	}
+	return true
+}
+
+// TestAverageLatencyQuantiles: Average reports the quantiles of every run's
+// samples together. Of two runs whose operations take 100 µs and 1 ms, the
+// first contributes about ten times the samples, so the median sits near
+// 100 µs and p99 near 1 ms; averaging the runs' quantiles reads both near
+// 200 µs, which no operation took.
+func TestAverageLatencyQuantiles(t *testing.T) {
+	delays := []time.Duration{100 * time.Microsecond, time.Millisecond}
+	builds := 0
+	w := Workload{
+		KeySpace:      1 << 10,
+		Duration:      100 * time.Millisecond,
+		Seed:          1,
+		LatencySample: 1,
+	}
+	res, err := Average(machine(t, 1), func() (Adapter, error) {
+		a := &spinAdapter{delay: delays[builds]}
+		builds++
+		return a, nil
+	}, w, len(delays))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := res.Latency
+	if lat.P50Ns >= int64(150*time.Microsecond) || lat.P99Ns <= int64(700*time.Microsecond) {
+		t.Fatalf("p50 %v, p99 %v over %d samples; want p50 < 150µs and p99 > 700µs",
+			time.Duration(lat.P50Ns), time.Duration(lat.P99Ns), lat.Count)
+	}
+}
+
 func TestReadHeavyMix(t *testing.T) {
 	m := machine(t, 2)
 	a := newMapAdapter()

@@ -1,7 +1,6 @@
 package layeredsg
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"layeredsg/internal/direct"
 	"layeredsg/internal/lockedskiplist"
 	"layeredsg/internal/numa"
-	"layeredsg/internal/obs"
 	"layeredsg/internal/sbench"
 	"layeredsg/internal/stats"
 )
@@ -76,18 +74,13 @@ type simpleAdapter struct {
 	name   string
 	handle func(int) sbench.OpHandle
 	close  func()
-	tracer *Tracer
 }
 
 func (a *simpleAdapter) Name() string                 { return a.name }
 func (a *simpleAdapter) Handle(t int) sbench.OpHandle { return a.handle(t) }
 func (a *simpleAdapter) Close()                       { a.close() }
-func (a *simpleAdapter) Tracer() *obs.Tracer          { return a.tracer }
 
-var (
-	_ sbench.Adapter  = (*simpleAdapter)(nil)
-	_ sbench.Observed = (*simpleAdapter)(nil)
-)
+var _ sbench.Adapter = (*simpleAdapter)(nil)
 
 func heightFor(keySpace int64) int {
 	if keySpace <= 2 {
@@ -114,7 +107,7 @@ func layeredBuilder(kind core.Kind) algoBuilder {
 			if err != nil {
 				return nil, err
 			}
-			return &storeAdapter{name: kind.String() + "+store", st: st, tracer: o.Observe}, nil
+			return &storeAdapter{name: kind.String() + "+store", st: st}, nil
 		}
 		lm, err := core.New[int64, int64](cfg)
 		if err != nil {
@@ -124,66 +117,25 @@ func layeredBuilder(kind core.Kind) algoBuilder {
 			name:   kind.String(),
 			handle: func(t int) sbench.OpHandle { return lm.Handle(t) },
 			close:  lm.Close,
-			tracer: o.Observe,
 		}, nil
 	}
 }
 
 // storeAdapter drives a layered map through the Store facade: every worker
-// index maps to the same goroutine-safe Store, and each operation leases a
-// confined handle internally. It is oversubscribable — the harness may run
-// more worker goroutines than machine threads against it.
+// index maps to the same goroutine-safe Store, whose Insert, Remove and
+// Contains each lease a confined handle internally. It is oversubscribable —
+// the harness may run more worker goroutines than machine threads against it.
 type storeAdapter struct {
-	name   string
-	st     *Store[int64, int64]
-	tracer *Tracer
+	name string
+	st   *Store[int64, int64]
 }
 
-func (a *storeAdapter) Name() string                { return a.name }
-func (a *storeAdapter) Handle(int) sbench.OpHandle  { return &storeOpHandle{st: a.st} }
-func (a *storeAdapter) Close()                      { a.st.Close() }
-func (a *storeAdapter) Oversubscribable() bool      { return true }
-func (a *storeAdapter) Store() *Store[int64, int64] { return a.st }
-func (a *storeAdapter) Tracer() *obs.Tracer         { return a.tracer }
+func (a *storeAdapter) Name() string               { return a.name }
+func (a *storeAdapter) Handle(int) sbench.OpHandle { return a.st }
+func (a *storeAdapter) Close()                     { a.st.Close() }
+func (a *storeAdapter) Oversubscribable() bool     { return true }
 
-var (
-	_ sbench.Oversubscribable = (*storeAdapter)(nil)
-	_ sbench.Observed         = (*storeAdapter)(nil)
-)
-
-// storeOpHandle adapts Store's goroutine-safe operations to the per-worker
-// OpHandle interface. It carries the worker's labeled pprof context (handed
-// over by sbench.Run via SetLabelContext) so each lease composes its stripe
-// label onto the worker's labels and restores them on release, instead of
-// erasing them after the worker's first operation.
-type storeOpHandle struct {
-	st  *Store[int64, int64]
-	ctx context.Context
-}
-
-func (h *storeOpHandle) SetLabelContext(ctx context.Context) { h.ctx = ctx }
-
-func (h *storeOpHandle) lease() (int, *stripeHint) { return h.st.acquireCtx(h.ctx) }
-
-func (h *storeOpHandle) Insert(key, value int64) bool {
-	i, hint := h.lease()
-	defer h.st.release(i, hint)
-	return h.st.stripes[i].h.Insert(key, value)
-}
-
-func (h *storeOpHandle) Remove(key int64) bool {
-	i, hint := h.lease()
-	defer h.st.release(i, hint)
-	return h.st.stripes[i].h.Remove(key)
-}
-
-func (h *storeOpHandle) Contains(key int64) bool {
-	i, hint := h.lease()
-	defer h.st.release(i, hint)
-	return h.st.stripes[i].h.Contains(key)
-}
-
-var _ sbench.LabelCarrier = (*storeOpHandle)(nil)
+var _ sbench.Oversubscribable = (*storeAdapter)(nil)
 
 func directBuilder(shape direct.Shape) algoBuilder {
 	return func(m *numa.Machine, o AdapterOptions) (Adapter, error) {

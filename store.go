@@ -2,15 +2,11 @@ package layeredsg
 
 import (
 	"cmp"
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"layeredsg/internal/core"
-	"layeredsg/internal/obs"
 	"layeredsg/internal/stats"
 )
 
@@ -59,14 +55,6 @@ type Store[K cmp.Ordered, V any] struct {
 type storeStripe[K cmp.Ordered, V any] struct {
 	mu sync.Mutex
 	h  *core.Handle[K, V]
-	// labels carries the stripe's pprof goroutine labels
-	// (layeredsg_stripe=<i>), applied for the span of a lease while the
-	// observability layer is enabled, so CPU and block profiles attribute
-	// samples to stripes. labels is the precomputed Background-based context
-	// for unlabeled callers; labelSet composes the same labels onto a
-	// caller-supplied context (DoContext/AcquireContext).
-	labels   context.Context
-	labelSet pprof.LabelSet
 	// leasedGen is the reclamation generation (core.ReclaimGen) the
 	// stripe's last lease ended in: eraseIdle leaves alone a stripe leased
 	// in the current or the previous generation, whose owner erases its own
@@ -75,14 +63,9 @@ type storeStripe[K cmp.Ordered, V any] struct {
 	_         [128]byte //nolint:unused
 }
 
-// stripeHint carries a goroutine's preferred stripe between leases, plus the
-// label state of the current lease: whether stripe labels were applied (so
-// release restores even if obs.Enabled flipped mid-lease) and the caller's
-// labeled context to restore on release (nil means no caller labels).
+// stripeHint carries a goroutine's preferred stripe between leases.
 type stripeHint struct {
-	idx     int
-	labeled bool
-	base    context.Context
+	idx int
 }
 
 // NewStore builds a layered map and wraps it in a goroutine-safe Store. The
@@ -101,8 +84,6 @@ func NewStore[K cmp.Ordered, V any](cfg Config) (*Store[K, V], error) {
 	}
 	for t := 0; t < threads; t++ {
 		s.stripes[t].h = m.Handle(t)
-		s.stripes[t].labelSet = pprof.Labels("layeredsg_stripe", strconv.Itoa(t))
-		s.stripes[t].labels = pprof.WithLabels(context.Background(), s.stripes[t].labelSet)
 	}
 	s.hints.New = func() any {
 		return &stripeHint{idx: int(s.next.Add(1)-1) % threads}
@@ -124,17 +105,13 @@ func (s *Store[K, V]) Stripes() int { return len(s.stripes) }
 // acquisitions that blocked with every stripe busy.
 func (s *Store[K, V]) LeaseStats() LeaseSummary { return s.lr.Summary() }
 
-// acquire leases a stripe for a caller with no labeled context.
-func (s *Store[K, V]) acquire() (int, *stripeHint) {
-	return s.acquireCtx(nil)
-}
-
-// acquireCtx leases a stripe: try the P-affine preferred stripe, then one
+// acquire leases a stripe: try the P-affine preferred stripe, then one
 // try-lock pass over the remaining stripes, then block on the preferred
 // stripe (sync.Mutex handles the wakeup, so no lease is ever lost). It
-// returns the leased stripe and the hint to return on release. ctx carries
-// the caller's pprof labels (nil for none); it is not used for cancellation.
-func (s *Store[K, V]) acquireCtx(ctx context.Context) (int, *stripeHint) {
+// asserts the leased handle's confinement and returns the stripe and the
+// hint to return on release. A lease leaves the caller's goroutine labels
+// alone.
+func (s *Store[K, V]) acquire() (int, *stripeHint) {
 	if s.closing.Load() {
 		panic("layeredsg: operation on closed Store")
 	}
@@ -143,7 +120,7 @@ func (s *Store[K, V]) acquireCtx(ctx context.Context) (int, *stripeHint) {
 	i := hint.idx
 	if s.stripes[i].mu.TryLock() {
 		s.lr.Hit(i)
-		s.beginLease(i, hint, ctx)
+		s.stripes[i].h.BeginExclusive()
 		return i, hint
 	}
 	for k := 1; k < n; k++ {
@@ -154,7 +131,7 @@ func (s *Store[K, V]) acquireCtx(ctx context.Context) (int, *stripeHint) {
 		if s.stripes[j].mu.TryLock() {
 			s.lr.Migrate(j)
 			hint.idx = j // affinity follows the migration
-			s.beginLease(j, hint, ctx)
+			s.stripes[j].h.BeginExclusive()
 			return j, hint
 		}
 	}
@@ -168,7 +145,7 @@ func (s *Store[K, V]) acquireCtx(ctx context.Context) (int, *stripeHint) {
 		s.stripes[i].mu.Unlock()
 		panic("layeredsg: operation on closed Store")
 	}
-	s.beginLease(i, hint, ctx)
+	s.stripes[i].h.BeginExclusive()
 	return i, hint
 }
 
@@ -202,38 +179,8 @@ func (s *Store[K, V]) Close() {
 	}
 }
 
-// beginLease asserts confinement and, while the observability layer is on,
-// labels the leasing goroutine with its stripe so profiles taken through
-// /debug/pprof attribute samples per stripe. When the caller supplied its
-// labeled context (DoContext/AcquireContext), the stripe label is composed
-// onto the caller's labels and release restores them; without one, labeling
-// replaces whatever labels the goroutine held (pprof offers no way to read
-// them back) and release clears to the empty label set.
-func (s *Store[K, V]) beginLease(i int, hint *stripeHint, ctx context.Context) {
-	s.stripes[i].h.BeginExclusive()
-	if obs.Enabled.Load() {
-		if ctx == nil {
-			pprof.SetGoroutineLabels(s.stripes[i].labels)
-		} else {
-			hint.base = ctx
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, s.stripes[i].labelSet))
-		}
-		hint.labeled = true
-	}
-}
-
-// release ends a lease taken by acquire, restoring the caller's goroutine
-// labels (or the empty label set for unlabeled callers).
+// release ends a lease taken by acquire.
 func (s *Store[K, V]) release(i int, hint *stripeHint) {
-	if hint.labeled {
-		hint.labeled = false
-		base := hint.base
-		hint.base = nil
-		if base == nil {
-			base = context.Background()
-		}
-		pprof.SetGoroutineLabels(base)
-	}
 	g := core.ReclaimGen(s.m)
 	s.stripes[i].leasedGen.Store(g)
 	s.stripes[i].h.EndExclusive()
@@ -385,18 +332,6 @@ func (s *Store[K, V]) Do(fn func(h *Handle[K, V])) {
 	fn(s.stripes[i].h)
 }
 
-// DoContext is Do for goroutines that carry pprof labels: ctx must be the
-// context whose labels the calling goroutine currently wears (set via
-// pprof.SetGoroutineLabels or pprof.Do). While the observability layer is
-// enabled, the lease composes its stripe label onto ctx's labels and restores
-// exactly ctx's labels on release — unlike Do, which cannot know the caller's
-// labels and clears them. ctx is not used for cancellation.
-func (s *Store[K, V]) DoContext(ctx context.Context, fn func(h *Handle[K, V])) {
-	i, hint := s.acquireCtx(ctx)
-	defer s.release(i, hint)
-	fn(s.stripes[i].h)
-}
-
 // Lease is an explicitly managed session: an exclusive hold on one stripe's
 // handle. Acquire/Release bracket arbitrary multi-operation sequences where
 // a callback (Do) is inconvenient. A Lease must be released exactly once and
@@ -412,13 +347,6 @@ type Lease[K cmp.Ordered, V any] struct {
 // fits.
 func (s *Store[K, V]) Acquire() *Lease[K, V] {
 	i, hint := s.acquire()
-	return &Lease[K, V]{s: s, stripe: i, hint: hint, h: s.stripes[i].h}
-}
-
-// AcquireContext is Acquire for goroutines that carry pprof labels; see
-// DoContext for the contract on ctx.
-func (s *Store[K, V]) AcquireContext(ctx context.Context) *Lease[K, V] {
-	i, hint := s.acquireCtx(ctx)
 	return &Lease[K, V]{s: s, stripe: i, hint: hint, h: s.stripes[i].h}
 }
 

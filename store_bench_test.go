@@ -115,7 +115,8 @@ func BenchmarkStoreMicro(b *testing.B) {
 //
 //	none     — no tracer attached at all (the PR-1 baseline shape)
 //	disabled — tracer attached, obs.Enabled off (the always-on default)
-//	enabled  — full tracing: event ring writes, metric folds, pprof labels
+//	enabled  — full tracing: event ring writes and metric folds (the Store
+//	           applies no pprof labels)
 //
 // disabled vs. none is the cost the acceptance criterion bounds at < 5%.
 // See EXPERIMENTS.md ("Tracing overhead") for a recorded run.

@@ -59,39 +59,44 @@ func goroutineHasLabel(t *testing.T, key, value string) bool {
 	return bytes.Contains(buf.Bytes(), []byte(`"`+key+`":"`+value+`"`))
 }
 
-// TestStoreLeaseLabelRestore checks the DoContext/AcquireContext contract:
-// while observability is on, a lease composes its stripe label onto the
-// caller's pprof labels and restores the caller's labels on release, rather
-// than erasing them (the sbench worker-attribution regression).
+// TestStoreLeaseLabelRestore checks that a Store leaves the caller's pprof
+// labels alone: with observability on, the caller's labels are present
+// inside a Do lease and after Do, Acquire/Release and Get return (the
+// sbench worker-attribution regression).
 func TestStoreLeaseLabelRestore(t *testing.T) {
 	st := testStore(t, 2, LazyLayeredSG)
 	SetObservability(true)
 	defer SetObservability(false)
 
-	ctx := pprof.WithLabels(context.Background(),
-		pprof.Labels("store_test_caller", "label_restore_probe"))
-	pprof.SetGoroutineLabels(ctx)
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("store_test_caller", "label_restore_probe")))
 	defer pprof.SetGoroutineLabels(context.Background())
+	hasCaller := func() bool { return goroutineHasLabel(t, "store_test_caller", "label_restore_probe") }
 
-	sawBoth := false
-	st.DoContext(ctx, func(h *Handle[int64, int64]) {
+	inside := false
+	st.Do(func(h *Handle[int64, int64]) {
 		h.Insert(1, 1)
-		sawBoth = goroutineHasLabel(t, "store_test_caller", "label_restore_probe") &&
-			(goroutineHasLabel(t, "layeredsg_stripe", "0") ||
-				goroutineHasLabel(t, "layeredsg_stripe", "1"))
+		inside = hasCaller()
 	})
-	if !sawBoth {
-		t.Error("lease did not compose the stripe label onto the caller's labels")
+	if !inside {
+		t.Error("a Do lease replaced the caller's goroutine labels")
 	}
-	if !goroutineHasLabel(t, "store_test_caller", "label_restore_probe") {
-		t.Error("DoContext erased the caller's goroutine labels on release")
+	if !hasCaller() {
+		t.Error("Do cleared the caller's goroutine labels on release")
 	}
 
-	l := st.AcquireContext(ctx)
+	l := st.Acquire()
 	l.Handle().Insert(2, 2)
 	l.Release()
-	if !goroutineHasLabel(t, "store_test_caller", "label_restore_probe") {
-		t.Error("AcquireContext/Release erased the caller's goroutine labels")
+	if !hasCaller() {
+		t.Error("Acquire/Release cleared the caller's goroutine labels")
+	}
+
+	if _, ok := st.Get(2); !ok {
+		t.Error("Get(2) missed a key inserted through a lease")
+	}
+	if !hasCaller() {
+		t.Error("Get cleared the caller's goroutine labels")
 	}
 }
 
