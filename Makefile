@@ -24,10 +24,14 @@
 #                   forcing passes, the Store's Close contract, and the
 #                   FuzzSnapshotOps seed corpus
 #   make race-index — race pass over the shared hash index surface:
-#                   internal/hindex, internal/core's lossy-index test
-#                   (descents after forced index misses), the root
-#                   cross-handle, stale-generation, and index×reclaim
-#                   torture scenarios, and the FuzzIndexOps seed corpus
+#                   internal/hindex (proofs of absence, unpublishes that
+#                   name a life), internal/core's index tests (descents
+#                   after forced index misses, the index's exactness for
+#                   presence, an insert's pending window, proofs beside
+#                   churn and slot reuse, string and float keys that get
+#                   no proofs), the root cross-handle,
+#                   stale-generation, and index×reclaim torture scenarios,
+#                   and the FuzzIndexOps seed corpus
 #   make race-persist — race pass over the persistence surface:
 #                   internal/persist plus the root dump/load scenarios that
 #                   run writers against in-flight dumps (snapshot isolation,
@@ -94,7 +98,7 @@ race-reclaim:
 
 race-index:
 	$(GO) test -race ./internal/hindex
-	$(GO) test -race -run 'TestLossyIndex' ./internal/core
+	$(GO) test -race -run 'TestLossyIndex|TestPendingInsertBlocksProof|TestProofUnderChurn|TestNonIntegerKeysDescend' ./internal/core
 	$(GO) test -race -run 'TestIndex|TestTortureIndexReclaim|FuzzIndexOps' .
 
 race-persist:

@@ -282,12 +282,13 @@ func replayDifferentialOps(t *testing.T, kind core.Kind, data []byte) {
 }
 
 // FuzzIndexOps is the model target for the shared hash index: point
-// operations resolve through hindex fast paths — including miss-fallbacks,
-// stale-entry pruning, and index-accelerated revives — from rotating handles,
-// so keys are served from stripes that do not own them. Every result must
-// match the model, and a replay with forced reclamation passes covers the
-// generation-tag interaction with slot reuse. (internal/core's TestLossyIndex
-// covers the descents an index miss leaves to the local structure.)
+// operations resolve through hindex fast paths — including proven misses,
+// miss-fallbacks, stale-entry pruning, and index-accelerated revives — from
+// rotating handles, so keys are served from stripes that do not own them.
+// Every result must match the model, and a replay with forced reclamation
+// passes covers the generation-tag interaction with slot reuse.
+// (internal/core's TestLossyIndex covers the descents an unproven index miss
+// leaves to the local structure.)
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 1, 2, 1, 3, 1, 0, 1, 3, 1})
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 2, 20, 4, 0, 0, 20, 5, 0})

@@ -170,7 +170,8 @@ type Map[K cmp.Ordered, V any] struct {
 	// hidx is the shared hash index layered over the graph. Point operations
 	// from any stripe consult it before paying a descent; entries are
 	// (node, life-ID) pairs re-verified against the node's marked/valid bits
-	// on every hit, so stale entries fail closed.
+	// on every hit, so stale entries fail closed, and on integer keys a miss
+	// can prove the key absent.
 	hidx *hindex.Index[K, V]
 	// wal is the attached mutation sink (the write-ahead log), nil when no
 	// WAL is configured. Set once before the map is shared; the stamp
@@ -266,9 +267,10 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 	// hands the node to the limbo its slot is freed from. Stale index
 	// entries that slip through (the observer races a republish) fail
 	// closed at lookup time, so the unpublish is an optimization, not a
-	// safety requirement.
+	// safety requirement. The slot is not freed before enterLimbo, so n's
+	// ID is still the retired life's.
 	sg.SetRetireObserver(func(n *node.Node[K, V]) {
-		m.hidx.Unpublish(n.Key(), n)
+		m.hidx.Unpublish(n.Key(), n, n.ID())
 		m.enterLimbo(n)
 	})
 	for t := 0; t < threads; t++ {
@@ -537,32 +539,42 @@ func (m *Map[K, V]) usable(r local.Ref[K, V], tr *stats.ThreadRecorder) bool {
 }
 
 // indexFind resolves key through the shared hash index: O(1) from any
-// stripe, own keys and other threads' alike. A hit is re-verified live (by
-// the check usable applies to local entries) under the operation's pin, so
-// entries whose nodes were retired — or whose arena slots were recycled into
-// new lives — fail closed and are pruned. The index matches on 64-bit hashes,
-// so a live node holding another key is a miss. Callers must still linearize
-// on the node's marked/valid bits, as the paper's contains does on a node its
-// search found. The index is lossy: a miss says nothing about presence, so
-// callers fall back to a descent.
-func (h *Handle[K, V]) indexFind(key K) (*node.Node[K, V], bool) {
-	n, id, ok := h.m.hidx.Lookup(key)
-	if !ok {
-		return nil, false
+// stripe, own keys and other threads' alike. A found entry is re-verified
+// live (by the check usable applies to local entries) under the operation's
+// pin, so entries whose nodes were retired — or whose arena slots were
+// recycled into new lives — fail closed and are pruned by life. The index
+// matches on 64-bit hashes, so a live node holding another key is a miss;
+// hit reports a verified node r.N holding key, on which callers must still
+// linearize through its marked/valid bits, as the paper's contains does on a
+// node its search found. With prove set, absent reports the index's proof
+// that key is not in the map (hindex.Find); reads and removes ask for it and
+// return at once. An insert does not: it is about to link the key itself,
+// and its own lookup reads no pending count. Any other miss says nothing
+// about presence, and callers fall back to a descent.
+func (h *Handle[K, V]) indexFind(key K, prove bool) (r local.Ref[K, V], hit, absent bool) {
+	if prove {
+		r.N, r.ID, absent = h.m.hidx.Find(key)
+	} else {
+		r.N, r.ID, _ = h.m.hidx.Lookup(key)
 	}
-	if !h.m.usable(local.Ref[K, V]{N: n, ID: id}, h.tr) {
-		h.m.hidx.Unpublish(key, n)
-		return nil, false
+	if r.N == nil {
+		return r, false, absent
 	}
-	return n, n.Key() == key
+	if !h.m.usable(r, h.tr) {
+		h.m.hidx.Unpublish(key, r.N, r.ID)
+		return r, false, false
+	}
+	return r, r.N.Key() == key, false
 }
 
 // getStart is the paper's Alg. 4: find the closest local entry strictly
 // below key whose shared node can seed a search, lazily finishing insertions
 // it encounters and pruning entries whose shared nodes are fully retired.
-// The paper's <= is safe only behind a per-thread hash; the shared index is
-// lossy, and a search seeded from the key's own node starts past it. The own
-// entry is skipped, and pruned if unusable like any entry the walk passes.
+// The paper's <= is safe only behind a per-thread hash that answers every
+// own key; the shared index leaves a present key to a descent on a hash
+// collision, in an insert's pending window and for non-integer keys, and a
+// search seeded from the key's own node starts past it. The own entry is
+// skipped, and pruned if unusable like any entry the walk passes.
 func (h *Handle[K, V]) getStart(key K) local.Iterator[K, V] {
 	it, own, ok := h.ls.Below(key)
 	if ok && !h.m.usable(own, h.tr) {
@@ -640,17 +652,24 @@ func (h *Handle[K, V]) Insert(key K, value V) bool {
 }
 
 func (h *Handle[K, V]) insert(key K, value V) bool {
-	if n, ok := h.indexFind(key); ok {
-		done, inserted := h.m.sg.InsertHelper(n, h.tr)
+	if r, hit, _ := h.indexFind(key, false); hit {
+		done, inserted := h.m.sg.InsertHelper(r.N, h.tr)
 		if done {
 			if inserted {
-				h.m.stampRevive(n, h.tr)
+				h.m.stampRevive(r.N, h.tr)
 			}
 			return inserted
 		}
-		h.m.hidx.Unpublish(key, n) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, r.N, r.ID) // Marked since verification; descend.
 	}
-	return h.lazyInsert(key, value)
+	// The shard's pending count covers the descent from before it can link
+	// a node until afterBottomLink has published that node (or the descent
+	// revived a node or found the key present), so no Find proves the key
+	// absent meanwhile (hindex, "Exact for presence").
+	h.m.hidx.BeginInsert(key)
+	ok := h.lazyInsert(key, value)
+	h.m.hidx.EndInsert(key)
+	return ok
 }
 
 // lazyInsert is the paper's Alg. 3 plus the layered bookkeeping of Alg. 1.
@@ -728,15 +747,19 @@ func (h *Handle[K, V]) Remove(key K) bool {
 }
 
 func (h *Handle[K, V]) remove(key K) bool {
-	if n, ok := h.indexFind(key); ok {
-		done, removed := h.m.sg.RemoveHelper(n, h.tr)
+	r, hit, absent := h.indexFind(key, true)
+	if absent {
+		return false // Failed removal linearized within the index's proof.
+	}
+	if hit {
+		done, removed := h.m.sg.RemoveHelper(r.N, h.tr)
 		if done {
 			if removed {
-				h.finishRemove(key, n)
+				h.finishRemove(key, r.N)
 			}
 			return removed
 		}
-		h.m.hidx.Unpublish(key, n) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, r.N, r.ID) // Marked since verification; descend.
 	}
 	return h.lazyRemove(key)
 }
@@ -752,7 +775,7 @@ func (h *Handle[K, V]) finishRemove(key K, n *node.Node[K, V]) {
 	h.m.stampDead(n, h.tr)
 	if !h.m.sg.Lazy() {
 		h.ls.Erase(key)
-		h.m.hidx.Unpublish(key, n)
+		h.m.hidx.Unpublish(key, n, n.ID())
 	}
 }
 
@@ -797,15 +820,19 @@ func (h *Handle[K, V]) Get(key K) (V, bool) {
 
 func (h *Handle[K, V]) get(key K) (V, bool) {
 	var zero V
-	if n, ok := h.indexFind(key); ok {
-		marked, valid := n.MarkValid(0, h.tr)
+	r, hit, absent := h.indexFind(key, true)
+	if absent {
+		return zero, false // Failed contains linearized within the index's proof.
+	}
+	if hit {
+		marked, valid := r.N.MarkValid(0, h.tr)
 		if !marked {
 			if valid {
-				return n.Value(), true // Successful contains on the indexed node (C-i).
+				return r.N.Value(), true // Successful contains on the indexed node (C-i).
 			}
 			return zero, false // Unmarked invalid: logically absent.
 		}
-		h.m.hidx.Unpublish(key, n) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, r.N, r.ID) // Marked since verification; descend.
 	}
 	it := h.getStart(key)
 	start := h.nodeOf(it)

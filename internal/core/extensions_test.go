@@ -158,6 +158,48 @@ func TestReaderHandleConcurrent(t *testing.T) {
 	}
 }
 
+// TestReaderHandleOwnRecorder runs Handle(0) and ReaderHandle(0) side by
+// side on a map with a Recorder, 2,000 Gets each. The reader records into a
+// recorder of its own, so under -race the two never write the same
+// counters, and the Recorder folds the reader's operations into thread 0.
+func TestReaderHandleOwnRecorder(t *testing.T) {
+	machine := testMachine(t, 4)
+	rec := stats.NewRecorder(machine, nil)
+	m, err := New[int64, int64](Config{Machine: machine, Kind: LazyLayeredSG, Recorder: rec, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h := m.Handle(0)
+	const keys, gets = 256, 2000
+	for k := int64(0); k < keys; k += 2 {
+		h.Insert(k, k)
+	}
+	h.PublishJumpIndex()
+	r := m.ReaderHandle(0)
+	defer r.Close()
+	var wg sync.WaitGroup
+	for _, get := range []func(int64) (int64, bool){h.Get, r.Get} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < gets; i++ {
+				if _, ok := get(i % keys); ok != (i%2 == 0) {
+					t.Errorf("Get(%d) = %v", i%keys, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := rec.ThreadRecorder(0).Ops(), uint64(keys/2+gets); got != want {
+		t.Fatalf("thread 0's recorder counted %d operations, want %d (its handle's only)", got, want)
+	}
+	if got, want := rec.Summary().Ops, uint64(keys/2+2*gets); got != want {
+		t.Fatalf("Summary counted %d operations, want %d (the reader's folded in)", got, want)
+	}
+}
+
 // TestReaderHandleClose: Close releases the reader's epoch slot, a second
 // Close does nothing, and a read on a closed reader panics.
 func TestReaderHandleClose(t *testing.T) {

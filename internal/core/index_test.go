@@ -1,41 +1,65 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"layeredsg/internal/local"
+	"layeredsg/internal/stats"
 )
 
-// TestLossyIndex checks the shared index's lossy contract: a point operation
-// answers correctly whether or not the index holds its key. Random
-// Insert/Remove/Get over 64 keys run from 4 handles; before each operation,
-// with probability ½, the key's index entry is unpublished, so the operation
-// falls back to a descent seeded from the handle's local structure, which may
-// hold the key's own node. Every result is checked against a model, then the
-// structure's invariants and Len. The reclaim leg forces reclamation passes
-// as it goes, so retirements and slot reuse interleave with the misses.
+// TestLossyIndex checks that a point operation answers correctly whether or
+// not the index holds its key, and that the index is exact for presence when
+// no entry is unpublished by force. Random Insert/Remove/Get over 64 keys
+// run from 4 handles, every result checked against a model, then the
+// structure's invariants and Len.
+//
+// In the lossy legs, before each operation, with probability ½, the key's
+// index entry is unpublished, so the operation falls back to a descent
+// seeded from the handle's local structure, which may hold the key's own
+// node. Unpublishing a live entry while no insert is pending breaks the
+// index's proof of absence, so each forced loss also raises the key's shard
+// pending count for the rest of the run. The reclaim leg forces reclamation
+// passes as it goes, so retirements and slot reuse interleave with the
+// misses. The exact legs force no loss and check, after every operation,
+// that each present key resolves to its live node and each absent key is
+// proven absent or resolves to a node that is not live or holds another key.
 func TestLossyIndex(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			runLossyIndex(t, newMap(t, kind, 4), nil)
+			runLossyIndex(t, newMap(t, kind, 4), nil, true)
 		})
 	}
 	t.Run("lazy_layered_sg_reclaim", func(t *testing.T) {
 		m := newLazyMap(t, Config{CommissionPeriod: time.Microsecond})
-		runLossyIndex(t, m, func() { m.Reclaim() })
+		runLossyIndex(t, m, func() { m.Reclaim() }, true)
+	})
+	for _, kind := range allKinds() {
+		t.Run("exact/"+kind.String(), func(t *testing.T) {
+			runLossyIndex(t, newMap(t, kind, 4), nil, false)
+		})
+	}
+	t.Run("exact/lazy_layered_sg_reclaim", func(t *testing.T) {
+		m := newLazyMap(t, Config{CommissionPeriod: time.Microsecond})
+		runLossyIndex(t, m, func() { m.Reclaim() }, false)
 	})
 }
 
-func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func()) {
+func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func(), lossy bool) {
 	const keys, ops = 64, 4000
 	rng := rand.New(rand.NewSource(int64(m.Kind())))
 	model := map[int64]bool{}
 	for i := 0; i < ops; i++ {
 		key := rng.Int63n(keys)
 		h := m.Handle(rng.Intn(4))
-		if rng.Intn(2) == 0 {
-			if n, _, ok := m.hidx.Lookup(key); ok {
-				m.hidx.Unpublish(key, n)
+		if lossy && rng.Intn(2) == 0 {
+			if n, id, ok := m.hidx.Lookup(key); ok {
+				m.hidx.Unpublish(key, n, id)
+				m.hidx.BeginInsert(key)
 			}
 		}
 		switch rng.Intn(3) {
@@ -57,6 +81,9 @@ func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func()) {
 		if reclaim != nil && i%64 == 63 {
 			reclaim()
 		}
+		if !lossy {
+			checkExact(t, m, keys, model, i)
+		}
 	}
 	m.Close()
 	if err := m.SharedStructure().Validate(); err != nil {
@@ -65,4 +92,227 @@ func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func()) {
 	if got := m.Len(); got != len(model) {
 		t.Fatalf("Len = %d, model has %d", got, len(model))
 	}
+}
+
+// checkExact asserts the index is exact for presence over keys [0, keys):
+// each key the model holds resolves through Lookup to a live node holding
+// it, and each key it lacks is proven absent or resolves to a node that is
+// not live or holds another key. Key 0 shares hash 1, which gets no proofs,
+// so its miss may also be an unproven one.
+func checkExact(t *testing.T, m *Map[int64, int64], keys int64, model map[int64]bool, op int) {
+	t.Helper()
+	live := func(r local.Ref[int64, int64], key int64) bool {
+		if r.N == nil || !m.usable(r, nil) || r.N.Key() != key {
+			return false
+		}
+		marked, valid := r.N.MarkValid(0, nil)
+		return !marked && valid
+	}
+	for k := int64(0); k < keys; k++ {
+		if model[k] {
+			n, id, _ := m.hidx.Lookup(k)
+			if !live(local.Ref[int64, int64]{N: n, ID: id}, k) {
+				t.Fatalf("op %d: present key %d does not resolve to its live node", op, k)
+			}
+			continue
+		}
+		n, id, absent := m.hidx.Find(k)
+		if n == nil && !absent && k != 0 {
+			t.Fatalf("op %d: absent key %d neither proven absent nor indexed", op, k)
+		}
+		if live(local.Ref[int64, int64]{N: n, ID: id}, k) {
+			t.Fatalf("op %d: absent key %d resolves to a live node", op, k)
+		}
+	}
+}
+
+// TestPendingInsertBlocksProof runs an insert's steps by hand up to its
+// level-0 link: the shard's pending count raised, the node linked, its index
+// entry not yet published. The key is present from the link on, so another
+// handle's Get and Contains must find it by a descent rather than take the
+// index's miss as a proof. The insert then publishes and lowers the count,
+// after which the key resolves through the index.
+func TestPendingInsertBlocksProof(t *testing.T) {
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := newMap(t, kind, 4)
+			h, other := m.Handle(0), m.Handle(1)
+			const key, value = 42, 420
+			h.enter()
+			m.hidx.BeginInsert(key)
+			it := h.getStart(key)
+			if m.sg.LazyRelinkSearch(key, h.nodeOf(it), h.vector, h.res, h.tr) {
+				t.Fatal("key found before its insert")
+			}
+			n := m.sg.NewNode(int64(key), value, h.vector, h.owner, m.sg.RandomTopLevel(h.rng))
+			if !m.sg.LinkLevel0(h.res, n, h.tr) {
+				t.Fatal("level-0 link failed")
+			}
+			m.stampFreshBorn(n)
+			if _, _, absent := m.hidx.Find(key); absent {
+				t.Fatal("Find proved a linked key absent while its insert was pending")
+			}
+			if v, ok := other.Get(key); !ok || v != value {
+				t.Fatalf("Get during the pending window = (%d, %v), want (%d, true)", v, ok, value)
+			}
+			if !other.Contains(key) {
+				t.Fatal("Contains during the pending window = false")
+			}
+			h.afterBottomLink(key, n, it)
+			m.hidx.EndInsert(key)
+			h.live.Add(1)
+			h.leave()
+			if got, _, ok := m.hidx.Lookup(key); !ok || got != n {
+				t.Fatal("the published key does not resolve to its node")
+			}
+			if !other.Remove(key) || other.Contains(key) {
+				t.Fatal("Remove after the insert completed failed")
+			}
+			if err := m.SharedStructure().Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+		})
+	}
+}
+
+// TestProofUnderChurn runs the proof of absence beside everything that
+// tombstones, copies or recycles index entries: two writers cycle their
+// keys through Insert and Remove, reclamation passes retire and free the
+// dead nodes (so slots come back as new lives, often of the same key), and
+// shards rehash as keys come and go. A per-key sequence, odd while the key
+// is present, is raised after each Insert and before each Remove, so a
+// reader that reads the same odd value before and after its Get saw the key
+// present throughout, and the Get must find it. A false proof of absence (a
+// live entry tombstoned by a stale prune, dropped by a rehash or missed by a
+// probe) fails the test.
+func TestProofUnderChurn(t *testing.T) {
+	m := newLazyMap(t, Config{CommissionPeriod: time.Microsecond})
+	const keys, ops = 1024, 6000
+	var seq [keys]atomic.Uint64
+	var done atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer done.Add(1)
+			h := m.Handle(w)
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				k := int64(w + 2*rng.Intn(keys/2)) // Writer w owns the keys ≡ w mod 2.
+				if seq[k].Load()%2 == 1 {
+					seq[k].Add(1)
+					if !h.Remove(k) {
+						t.Errorf("Remove(%d) of a present key = false", k)
+						return
+					}
+				} else {
+					if !h.Insert(k, k) {
+						t.Errorf("Insert(%d) of an absent key = false", k)
+						return
+					}
+					seq[k].Add(1)
+				}
+				if i%256 == 255 {
+					m.Reclaim()
+				}
+			}
+		}(w)
+	}
+	for r := 2; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			h := m.Handle(r)
+			rng := rand.New(rand.NewSource(int64(r)))
+			for done.Load() < 2 {
+				k := rng.Int63n(keys)
+				before := seq[k].Load()
+				_, ok := h.Get(k)
+				if !ok && before%2 == 1 && seq[k].Load() == before {
+					t.Errorf("Get(%d) = false while the key was present throughout", k)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if st := m.SharedStructure().ArenaStats(); st.SlotsReclaimed == 0 {
+		t.Fatal("no slot was reclaimed: the churn never recycled a life")
+	}
+	if err := m.SharedStructure().Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// TestNonIntegerKeysDescend: string- and float-keyed maps get no proofs of
+// absence, so an absent key's Get still descends; an integer key's does
+// not. Float keys show why: -0.0 and +0.0 are one key with two bit patterns
+// and two hashes, so a miss under one hash says nothing about the other.
+func TestNonIntegerKeysDescend(t *testing.T) {
+	machine := testMachine(t, 4)
+	cfg := func(rec *stats.Recorder) Config {
+		return Config{Machine: machine, Kind: LazyLayeredSG, Recorder: rec, Seed: 42}
+	}
+	// Each leg reads through handle 1; its recorder counts the descents.
+	searches := func(rec *stats.Recorder) uint64 { return rec.ThreadRecorder(1).Counters().Searches }
+
+	t.Run("float64", func(t *testing.T) {
+		for _, zeros := range [][2]float64{{0, math.Copysign(0, -1)}, {math.Copysign(0, -1), 0}} {
+			rec := stats.NewRecorder(machine, nil)
+			m, err := New[float64, int64](cfg(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Handle(0).Insert(zeros[0], 1) {
+				t.Fatalf("Insert(%v) = false", zeros[0])
+			}
+			h := m.Handle(1)
+			if _, ok := h.Get(zeros[1]); !ok {
+				t.Fatalf("Get(%v) after Insert(%v) = false", zeros[1], zeros[0])
+			}
+			before := searches(rec)
+			if _, ok := h.Get(0.5); ok {
+				t.Fatal("Get(0.5) found an absent key")
+			}
+			if searches(rec) == before {
+				t.Fatal("an absent float key's Get did not descend")
+			}
+		}
+	})
+	t.Run("string", func(t *testing.T) {
+		rec := stats.NewRecorder(machine, nil)
+		m, err := New[string, int64](cfg(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Handle(0).Insert("present", 1)
+		h := m.Handle(1)
+		before := searches(rec)
+		if _, ok := h.Get("absent"); ok {
+			t.Fatal("Get found an absent string key")
+		}
+		if searches(rec) == before {
+			t.Fatal("an absent string key's Get did not descend")
+		}
+	})
+	t.Run("int64", func(t *testing.T) {
+		rec := stats.NewRecorder(machine, nil)
+		m, err := New[int64, int64](cfg(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Handle(0).Insert(2, 1)
+		h := m.Handle(1)
+		before := searches(rec)
+		if _, ok := h.Get(3); ok {
+			t.Fatal("Get found an absent integer key")
+		}
+		if h.Remove(3) {
+			t.Fatal("Remove of an absent integer key = true")
+		}
+		if searches(rec) != before {
+			t.Fatal("an absent integer key's Get or Remove descended")
+		}
+	})
 }

@@ -64,12 +64,14 @@ type ReaderHandle[K cmp.Ordered, V any] struct {
 }
 
 // ReaderHandle returns a read-only handle attributed to the given logical
-// thread (for locality accounting). It registers an epoch participant slot,
-// which the reclamation pass scans until Close releases it.
+// thread (for locality accounting). Its counters go to a recorder of its own
+// (stats.Recorder.ReaderRecorder), so it may run beside the thread's Handle.
+// It registers an epoch participant slot, which the reclamation pass scans
+// until Close releases it.
 func (m *Map[K, V]) ReaderHandle(thread int) *ReaderHandle[K, V] {
 	var tr *stats.ThreadRecorder
 	if m.cfg.Recorder != nil {
-		tr = m.cfg.Recorder.ThreadRecorder(thread)
+		tr = m.cfg.Recorder.ReaderRecorder(thread)
 	}
 	return &ReaderHandle[K, V]{m: m, tr: tr, pin: m.domain.Register()}
 }

@@ -3,8 +3,9 @@
 // operations (Get/Contains/Insert/Remove by key) from *any* stripe resolve
 // their node in O(1) instead of descending the shared structure from a head
 // tower. The ordered skip graph remains the source of truth for scans and
-// predecessor queries — the index is pure acceleration, and every consumer
-// must re-verify what it finds (see "Fail-closed entries").
+// predecessor queries. Every node the index returns must be re-verified (see
+// "Fail-closed hits"); a miss on an integer key can prove the key absent
+// (see "Exact for presence").
 //
 // # Structure: flat sharded open addressing
 //
@@ -26,21 +27,46 @@
 // live keys rather than distinct keys ever: under key drift, claimed slots
 // stay within 1.5 times the live entries.
 //
-// # Fail-closed entries
+// # Fail-closed hits
 //
-// The index is lossy. Two keys sharing a 64-bit hash share a slot, and a
-// slot's node pointer and life ID are written as two independent atomic
-// stores. Life IDs are drawn from a global counter and never reused
-// (Arena.Free zeroes a slot's ID; reallocation publishes a fresh one), so a
-// torn read that pairs one publish's pointer with another's ID can never
-// validate: node.LiveAs(id) fails unless the pointer and ID belong to the
-// same live, unmarked life. Consumers must therefore gate every use on
-// LiveAs under an epoch pin (or on the node's marked bit when the structure
-// never reclaims slots), then check that the node holds the key they asked
-// for, and treat any failure exactly like a miss. A reader still probing an
-// array that a rehash has replaced may miss an entry published since, but
-// every node it can return was published under the key's hash. Nothing in
-// the map's correctness depends on an entry being present or current.
+// Two keys sharing a 64-bit hash share a slot, and a slot's node pointer and
+// life ID are written as two independent atomic stores. Life IDs are drawn
+// from a global counter and never reused (Arena.Free zeroes a slot's ID;
+// reallocation publishes a fresh one), so a torn read that pairs one
+// publish's pointer with another's ID can never validate: node.LiveAs(id)
+// fails unless the pointer and ID belong to the same live, unmarked life.
+// Consumers must therefore gate every use on LiveAs under an epoch pin (or
+// on the node's marked bit when the structure never reclaims slots), then
+// check that the node holds the key they asked for, and treat any failure
+// like a miss that proves nothing. A reader still probing an array that a
+// rehash has replaced may miss an entry published since, but every node it
+// can return was published under the key's hash.
+//
+// # Exact for presence
+//
+// Each shard keeps a count of pending inserts on a cache line of its own:
+// an insert raises it (BeginInsert) before it can link a node and lowers it
+// (EndInsert) once it has published that node, or revived one, or found the
+// key present.
+// Find proves a key absent when it read its shard's count as 0 before its
+// probe and the probe then met a free or tombstoned slot. The argument:
+//   - A node linked at level 0 before the count read 0 was published
+//     before that read, since its insert raised the count before linking and
+//     lowers it only after publishing.
+//   - Once published, the entry stays until its life ends: a rehash copies
+//     every live entry, and only a retirement, a prune of a marked or
+//     recycled life, or an unpublish after the node was marked tombstones
+//     one. Unpublish names the life (node and life ID), so a stale prune
+//     cannot tombstone a newer life of the same key under the same pointer.
+//   - So a present key's entry is in every array loaded after the count
+//     read 0, until its node is removed; a probe that finds none saw the key
+//     absent at some instant within the lookup.
+//
+// Only keys whose hash is injective get proofs: the integer types, whose
+// Squeeze keeps their bits and whose splitmix64 finalizer is a bijection.
+// Floats do not (+0.0 and -0.0 are one key with two bit patterns), strings
+// do not (FNV-1a collides), nor does hash 1, which the key hashing to 0
+// shares. Their misses prove nothing.
 package hindex
 
 import (
@@ -71,12 +97,16 @@ type slot[K cmp.Ordered, V any] struct {
 	id   atomic.Uint64
 }
 
-// shard keeps the array pointer readers load on its own cache line, apart
-// from the mutex and counters publishers write.
+// shard keeps the array pointer readers load and the pending count inserts
+// write on cache lines of their own, apart from the mutex and counters
+// publishers write.
 type shard[K cmp.Ordered, V any] struct {
 	tab atomic.Pointer[[]slot[K, V]]
 	_   [cacheLine - 8]byte
-	mu  sync.Mutex
+	// pending counts inserts between BeginInsert and EndInsert.
+	pending atomic.Int64
+	_       [cacheLine - 8]byte
+	mu      sync.Mutex
 	// used counts claimed slots (live plus tombstones) and live those
 	// holding a node; publishes and unpublishes count the entries written
 	// and tombstoned. All four are guarded by mu.
@@ -88,11 +118,13 @@ type shard[K cmp.Ordered, V any] struct {
 // Index is the shared hash index. All methods are safe for concurrent use.
 type Index[K cmp.Ordered, V any] struct {
 	shards [nShards]shard[K, V]
+	// exact says K's hash is injective, so Find may prove absence.
+	exact bool
 }
 
 // New builds an empty index.
 func New[K cmp.Ordered, V any]() *Index[K, V] {
-	x := &Index[K, V]{}
+	x := &Index[K, V]{exact: injective[K]()}
 	for i := range x.shards {
 		tab := make([]slot[K, V], minSlots)
 		x.shards[i].tab.Store(&tab)
@@ -131,25 +163,44 @@ func (x *Index[K, V]) Stats() Stats {
 // Lookup returns the node and life ID indexed under key's hash. A true ok
 // only means a non-tombstoned entry existed: the caller owns re-validation
 // (node.LiveAs under a pin, or the marked bit when slots are never
-// reclaimed) and the key check, and must treat a failure exactly like a
-// miss.
+// reclaimed) and the key check, and must treat a failure like a miss. A miss
+// proves nothing; Lookup reads no pending count, which is what an insert
+// about to link the key wants.
 func (x *Index[K, V]) Lookup(key K) (*node.Node[K, V], uint64, bool) {
-	return x.lookup(hash(key))
+	n, id, _ := x.lookup(hash(key), false)
+	return n, id, n != nil
 }
 
-func (x *Index[K, V]) lookup(h uint64) (*node.Node[K, V], uint64, bool) {
-	e, claimed := probe(*x.shardOf(h).tab.Load(), h)
-	if !claimed {
-		return nil, 0, false
-	}
-	// The ID is read after the pointer: pairing a publish's pointer with a
-	// later publish's ID fails LiveAs like any torn pair.
-	n := e.n.Load()
-	if n == nil {
-		return nil, 0, false
-	}
-	return n, e.id.Load(), true
+// Find is Lookup for a read or a removal: a nil node is a miss, and absent
+// reports that the miss proves key absent from the map (see "Exact for
+// presence"). A returned node needs Lookup's checks.
+func (x *Index[K, V]) Find(key K) (n *node.Node[K, V], id uint64, absent bool) {
+	return x.lookup(hash(key), x.exact)
 }
+
+func (x *Index[K, V]) lookup(h uint64, prove bool) (*node.Node[K, V], uint64, bool) {
+	s := x.shardOf(h)
+	// The count is read before the array pointer: see "Exact for presence".
+	quiet := prove && h != 1 && s.pending.Load() == 0
+	e, claimed := probe(*s.tab.Load(), h)
+	if claimed {
+		// The ID is read after the pointer: pairing a publish's pointer with
+		// a later publish's ID fails LiveAs like any torn pair.
+		if n := e.n.Load(); n != nil {
+			return n, e.id.Load(), false
+		}
+	}
+	return nil, 0, quiet
+}
+
+// BeginInsert raises the pending count of key's shard. An insert calls it
+// before it can link a node for key, so no Find in the shard proves absence
+// until the matching EndInsert.
+func (x *Index[K, V]) BeginInsert(key K) { x.shardOf(hash(key)).pending.Add(1) }
+
+// EndInsert lowers the pending count BeginInsert raised, once the insert has
+// published the node it linked, or revived one, or found the key present.
+func (x *Index[K, V]) EndInsert(key K) { x.shardOf(hash(key)).pending.Add(-1) }
 
 // Publish records key → (n, id), claiming or reviving the slot for key's
 // hash. id must be the life ID the publisher observed on n at its
@@ -195,17 +246,18 @@ func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
 	}
 }
 
-// Unpublish tombstones key's entry if it still references n (hygiene on
-// retirement and on reader-detected staleness). It never clobbers a newer
-// publish of a different node.
-func (x *Index[K, V]) Unpublish(key K, n *node.Node[K, V]) {
-	x.unpublish(hash(key), n)
+// Unpublish tombstones key's entry if it still holds life id of n (hygiene
+// on retirement and on reader-detected staleness). Naming the life, not only
+// the node, keeps a stale caller from tombstoning a newer life that a
+// recycled slot took under the same pointer.
+func (x *Index[K, V]) Unpublish(key K, n *node.Node[K, V], id uint64) {
+	x.unpublish(hash(key), n, id)
 }
 
-func (x *Index[K, V]) unpublish(h uint64, n *node.Node[K, V]) {
+func (x *Index[K, V]) unpublish(h uint64, n *node.Node[K, V], id uint64) {
 	s := x.shardOf(h)
 	s.mu.Lock()
-	if e, claimed := probe(*s.tab.Load(), h); claimed && e.n.Load() == n {
+	if e, claimed := probe(*s.tab.Load(), h); claimed && e.n.Load() == n && e.id.Load() == id {
 		e.n.Store(nil)
 		s.live--
 		s.unpublishes++
@@ -308,6 +360,16 @@ func hash[K cmp.Ordered](key K) uint64 {
 		h = 1
 	}
 	return h
+}
+
+// injective reports whether hash is injective on K up to its remap of 0:
+// true for the integer types, whose Squeeze keeps every bit.
+func injective[K cmp.Ordered]() bool {
+	switch any(*new(K)).(type) {
+	case int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64, uintptr:
+		return true
+	}
+	return false
 }
 
 // Squeeze maps a key to 64 bits without allocating (the pointer type switch

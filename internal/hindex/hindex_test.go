@@ -23,8 +23,8 @@ func retire(n *node.Node[int64, int64]) { n.RawStore(0, nil, true, false) }
 // find is the consumer's side of the contract (core's indexFind): a hit
 // counts only if the node is live as the indexed life and holds key.
 func find(x *Index[int64, int64], h uint64, key int64) (*node.Node[int64, int64], bool) {
-	n, id, ok := x.lookup(h)
-	if !ok || !n.LiveAs(id, nil) || n.Key() != key {
+	n, id, _ := x.lookup(h, false)
+	if n == nil || !n.LiveAs(id, nil) || n.Key() != key {
 		return nil, false
 	}
 	return n, true
@@ -115,7 +115,7 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 	x := New[int64, int64]()
 	n1 := newNode(7, 1)
 	x.Publish(7, n1, 1)
-	x.Unpublish(7, n1)
+	x.Unpublish(7, n1, 1)
 	if _, _, ok := x.Lookup(7); ok {
 		t.Fatal("Lookup found a tombstoned entry")
 	}
@@ -131,7 +131,7 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 		t.Fatalf("Lookup(7) after republish = (%p, %d, %v), want n2", n, id, ok)
 	}
 	// Unpublish with a stale node must not clobber the newer publish.
-	x.Unpublish(7, n1)
+	x.Unpublish(7, n1, 1)
 	if _, _, ok := x.Lookup(7); !ok {
 		t.Fatal("stale Unpublish clobbered a newer publish")
 	}
@@ -190,7 +190,7 @@ func TestRehashDropsTombstones(t *testing.T) {
 	for k := int64(0); k < keys; k++ {
 		switch k % 4 {
 		case 0:
-			x.Unpublish(k, nodes[k]) // tombstone
+			x.Unpublish(k, nodes[k], uint64(k+1)) // tombstone
 		case 1:
 			retire(nodes[k]) // dead but still indexed
 		default:
@@ -215,7 +215,7 @@ func TestRehashDropsTombstones(t *testing.T) {
 	ring := make([]*node.Node[int64, int64], window)
 	for k := int64(0); k < 20000; k++ {
 		if old := ring[k%window]; old != nil {
-			y.Unpublish(old.Key(), old)
+			y.Unpublish(old.Key(), old, old.ID())
 		}
 		ring[k%window] = newNode(k, uint64(k+1))
 		y.Publish(k, ring[k%window], uint64(k+1))
@@ -264,8 +264,8 @@ func TestHashCollisionFailsClosed(t *testing.T) {
 	if n, ok := find(x, h, a); !ok || n != na {
 		t.Fatalf("key %d not found under its own hash", a)
 	}
-	if n, _, ok := x.lookup(h); !ok || n.Key() != a {
-		t.Fatalf("lookup(h) = (%v, %v), want key %d's node", n, ok, a)
+	if n, _, _ := x.lookup(h, false); n == nil || n.Key() != a {
+		t.Fatalf("lookup(h) = %v, want key %d's node", n, a)
 	}
 	if _, ok := find(x, h, b); ok {
 		t.Fatalf("key check accepted key %d's node for key %d", a, b)
@@ -274,7 +274,7 @@ func TestHashCollisionFailsClosed(t *testing.T) {
 	// different key.
 	nb := newNode(b, 2)
 	x.publish(h, nb, 2)
-	if n, _, _ := x.lookup(h); n != na {
+	if n, _, _ := x.lookup(h, false); n != na {
 		t.Fatal("publish under a colliding hash displaced a live incumbent")
 	}
 	if _, ok := find(x, h, b); ok {
@@ -325,7 +325,7 @@ func TestConcurrentPublishLookup(t *testing.T) {
 				case 1:
 					x.publish(h, newNode(k+alias, id), id)
 				case 2:
-					if n, _, ok := x.lookup(h); ok && n.Key() != k && n.Key() != k+alias {
+					if n, _, _ := x.lookup(h, false); n != nil && n.Key() != k && n.Key() != k+alias {
 						t.Errorf("lookup under key %d's hash returned a node holding key %d", k, n.Key())
 						return
 					}
@@ -334,11 +334,11 @@ func TestConcurrentPublishLookup(t *testing.T) {
 						return
 					}
 				case 3:
-					if n, _, ok := x.lookup(h); ok {
+					if n, id, _ := x.lookup(h, false); n != nil {
 						if r%2 == 0 {
 							retire(n)
 						} else {
-							x.unpublish(h, n)
+							x.unpublish(h, n, id)
 						}
 					}
 				case 4:
@@ -347,7 +347,7 @@ func TestConcurrentPublishLookup(t *testing.T) {
 					// throughout.
 					n := newNode(fresh, id)
 					x.Publish(fresh, n, id)
-					x.Unpublish(fresh, n)
+					x.Unpublish(fresh, n, id)
 					fresh++
 				}
 			}
@@ -415,7 +415,7 @@ func TestProbeInvariant(t *testing.T) {
 	for phase := int64(0); phase < 4; phase++ {
 		for k := phase * 1500; k < phase*1500+3000; k++ {
 			if n := nodes[k]; n != nil && k%3 == 0 {
-				x.Unpublish(k, n)
+				x.Unpublish(k, n, n.ID())
 				continue
 			}
 			n := newNode(k, uint64(phase<<32)+uint64(k)+1)
@@ -459,7 +459,7 @@ func TestFillSizesOnce(t *testing.T) {
 	}
 	extra := newNode(keys, keys+1)
 	x.Publish(keys, extra, keys+1)
-	x.Unpublish(0, nodes[0])
+	x.Unpublish(0, nodes[0], 1)
 	if _, ok := find(x, hash(int64(0)), 0); ok {
 		t.Fatal("unpublished key still found")
 	}
@@ -467,4 +467,83 @@ func TestFillSizesOnce(t *testing.T) {
 		t.Fatal("key published after Fill not found")
 	}
 	checkLayout(t, x)
+}
+
+// TestUnpublishNamesTheLife: an unpublish naming an older life of a
+// recycled node keeps the newer life's entry. A reader can read (n, life 1),
+// stall while n's slot is freed, reallocated to the same key as life 2 and
+// republished under the same pointer, and then prune what it read. Pruning
+// by node alone would tombstone the live entry, and a later miss would prove
+// a present key absent.
+func TestUnpublishNamesTheLife(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
+	x := New[int64, int64]()
+	old := a.NewData(7, 70, 0, 0, node.Owner{}, 1, 0)
+	x.Publish(7, old, 1)
+	stale, staleID, _ := x.Lookup(7)
+	retire(old)
+	a.Free(old)
+	n := a.NewData(7, 71, 0, 0, node.Owner{}, 2, 0)
+	if n != old {
+		t.Fatal("the arena did not reuse the freed slot")
+	}
+	x.Publish(7, n, 2)
+	x.Unpublish(7, stale, staleID)
+	if got, ok := find(x, hash(int64(7)), 7); !ok || got.ID() != 2 {
+		t.Fatal("an unpublish naming life 1 tombstoned life 2's entry")
+	}
+	if _, _, absent := x.Find(7); absent {
+		t.Fatal("Find proved a published key absent")
+	}
+	x.Unpublish(7, n, 2)
+	if _, _, absent := x.Find(7); !absent {
+		t.Fatal("an unpublish naming the indexed life left its entry")
+	}
+}
+
+// TestFindProvesAbsence checks when a miss is a proof: on an integer key
+// whose hash is not 1, with its shard's pending count at 0, a free or
+// tombstoned slot proves absence; a pending insert anywhere in the shard, a
+// published entry, key 0 (which shares hash 1), and string and float keys
+// prove nothing.
+func TestFindProvesAbsence(t *testing.T) {
+	x := New[int64, int64]()
+	const k = 42
+	if _, _, absent := x.Find(k); !absent {
+		t.Fatal("no proof from a free slot")
+	}
+	n := newNode(k, 1)
+	x.Publish(k, n, 1)
+	if got, _, absent := x.Find(k); got != n || absent {
+		t.Fatalf("Find of a published key = (%p, absent=%v)", got, absent)
+	}
+	x.Unpublish(k, n, 1)
+	if _, _, absent := x.Find(k); !absent {
+		t.Fatal("no proof from a tombstone")
+	}
+	// A pending insert of another key in the same shard blocks proofs.
+	other := int64(k + 1)
+	for x.shardOf(hash(other)) != x.shardOf(hash(int64(k))) {
+		other++
+	}
+	x.BeginInsert(other)
+	if _, _, absent := x.Find(k); absent {
+		t.Fatal("proof while an insert in the shard is pending")
+	}
+	x.EndInsert(other)
+	if _, _, absent := x.Find(k); !absent {
+		t.Fatal("no proof after the pending insert ended")
+	}
+	if hash(int64(0)) != 1 {
+		t.Fatal("key 0 does not share hash 1")
+	}
+	if _, _, absent := x.Find(0); absent {
+		t.Fatal("proof under hash 1")
+	}
+	if _, _, absent := New[string, int64]().Find("absent"); absent {
+		t.Fatal("proof for a string key")
+	}
+	if _, _, absent := New[float64, int64]().Find(0.5); absent {
+		t.Fatal("proof for a float key")
+	}
 }

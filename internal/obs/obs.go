@@ -90,8 +90,10 @@ type Origin uint8
 const (
 	// OriginNone means the origin was not recorded.
 	OriginNone Origin = iota
-	// OriginLocalHit: the operation was answered without a descent, on the
-	// node the shared hash index resolved (the paper's per-thread hash hit).
+	// OriginLocalHit: the operation was answered without a descent by the
+	// shared hash index, on the node it resolved (the paper's per-thread
+	// hash hit) or by its proof that the key is absent; the index section
+	// counts both as hits.
 	OriginLocalHit
 	// OriginLocalJump: a shared search ran, seeded from a nearby node the
 	// local structures supplied (the layered design's jumping role).

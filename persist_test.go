@@ -882,9 +882,11 @@ func TestTorturePersist(t *testing.T) {
 
 // TestLoadDealsEveryStripe dumps keys inserted through one handle and
 // reloads them on a 2×4 machine: the load deals keys over every stripe, so
-// each local structure holds an even share, and an absent-key Get from any
-// stripe jumps in from its own local structure instead of descending from
-// the head.
+// each local structure holds an even share, and an absent-key Insert from
+// any stripe jumps in from its own local structure instead of descending
+// from the head. An absent-key Get does not descend at all: the shared index,
+// filled by the load, proves the key absent. The inserted keys are removed
+// again.
 func TestLoadDealsEveryStripe(t *testing.T) {
 	const n = 1 << 14
 	for _, tc := range []struct {
@@ -938,19 +940,39 @@ func TestLoadDealsEveryStripe(t *testing.T) {
 			SetObservability(true)
 			defer SetObservability(false)
 			const perStripe = 64
+			// Odd keys in the loaded range's upper half, distinct across
+			// stripes (97 is odd, so i → i·97 mod n/2 is a bijection).
+			absent := func(s int, i int64) int64 { return n + 2*((int64(s)*perStripe+i)*97%(n/2)) + 1 }
 			for s := 0; s < m.Threads(); s++ {
-				h := m.Handle(s)
-				h.BeginExclusive()
 				for i := int64(0); i < perStripe; i++ {
-					if _, ok := h.Get(n + 2*(i*97%(n/2)) + 1); ok {
-						t.Fatalf("stripe %d found an absent key", s)
+					if _, ok := st2.Get(absent(s, i)); ok {
+						t.Fatalf("Get(%d) found an absent key", absent(s, i))
 					}
 				}
-				h.EndExclusive()
 			}
-			get := tracer.Snapshot().Ops[obs.OpGet.String()]
-			if head, jump := get.Origins[obs.OriginHead.String()], get.Origins[obs.OriginLocalJump.String()]; head != 0 || jump != uint64(perStripe*m.Threads()) {
-				t.Fatalf("absent-key Gets: %d from the head, %d local jumps; want 0 and %d", head, jump, perStripe*m.Threads())
+			if get := tracer.Snapshot().Ops[obs.OpGet.String()]; get.Origins[obs.OriginLocalHit.String()] != get.Count {
+				t.Fatalf("absent-key Gets: origins %v of %d, want every one a local-hit (a proven miss)", get.Origins, get.Count)
+			}
+			for _, insert := range []bool{true, false} {
+				for s := 0; s < m.Threads(); s++ {
+					h := m.Handle(s)
+					h.BeginExclusive()
+					for i := int64(0); i < perStripe; i++ {
+						if insert && !h.Insert(absent(s, i), 0) {
+							t.Fatalf("stripe %d: Insert(%d) of an absent key = false", s, absent(s, i))
+						}
+						if !insert && !h.Remove(absent(s, i)) {
+							t.Fatalf("stripe %d: Remove(%d) of an inserted key = false", s, absent(s, i))
+						}
+					}
+					h.EndExclusive()
+				}
+				if insert {
+					ins := tracer.Snapshot().Ops[obs.OpInsert.String()]
+					if head, jump := ins.Origins[obs.OriginHead.String()], ins.Origins[obs.OriginLocalJump.String()]; head != 0 || jump != uint64(perStripe*m.Threads()) {
+						t.Fatalf("absent-key Inserts: %d from the head, %d local jumps; want 0 and %d", head, jump, perStripe*m.Threads())
+					}
+				}
 			}
 			checkStoreModel(t, st2, model)
 		})
@@ -1054,7 +1076,9 @@ func BenchmarkLoadFromDisk(b *testing.B) {
 // BenchmarkGetMissAfterLoad measures absent-key Store.Get from 2 goroutines
 // on a 2^16-key store on a 2×4 machine: one reloaded from a dump of keys
 // inserted through one handle, and one filled by rotation through its live
-// handles, the spread a load should match.
+// handles, the spread a load should match. The keys are integers, so each
+// Get times a proven miss: one index probe, no local floor and no descent,
+// whichever way the store was filled.
 func BenchmarkGetMissAfterLoad(b *testing.B) {
 	const n = 1 << 16
 	cfg := persistConfig(persistMachine(b, 2, 4, 8))

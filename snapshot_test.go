@@ -117,12 +117,13 @@ func TestSnapshotRevivalValues(t *testing.T) {
 	if !h.Remove(1) {
 		t.Fatalf("Remove(1) failed")
 	}
-	// A search from a handle with no local entries walks over the dead node
-	// past its commission period and retires it; the passes then relink, arm
-	// and free it.
+	// An insert's search from a handle with no local entries walks over the
+	// dead node past its commission period and retires it; the passes then
+	// relink, arm and free it. (A read or removal of an absent key would not
+	// search: the index proves the key absent.)
 	now.Add(1 << 20)
-	if m.Handle(1).Remove(1 << 40) {
-		t.Fatalf("Remove of an absent key succeeded")
+	if !m.Handle(1).Insert(1<<40, 0) || !m.Handle(1).Remove(1<<40) {
+		t.Fatalf("Insert and Remove of a fresh key failed")
 	}
 	base := m.SharedStructure().ArenaStats().SlotsReclaimed
 	for i := 0; i < 200; i++ {
@@ -547,11 +548,13 @@ func TestInlineRetireReachesLimbo(t *testing.T) {
 	// Let every commission period lapse (expiry compares the injected clock
 	// against each node's allocation stamp), then drive one update-search
 	// across the whole dead region from a handle with no local jump state:
-	// skipDead runs checkRetire on each expired node it walks over.
+	// skipDead runs checkRetire on each expired node it walks over. The
+	// update is an insert of a fresh key: a read or removal of an absent key
+	// would not search, as the index proves the key absent.
 	now.Add(1 << 20)
 	h2 := m.Handle(1)
-	if h2.Remove(int64(1) << 40) {
-		t.Fatalf("Remove of absent key succeeded")
+	if !h2.Insert(int64(1)<<40, 0) {
+		t.Fatalf("Insert of a fresh key failed")
 	}
 	st := m.Reclaim()
 	if st.LimboDepth < keys/2 {
