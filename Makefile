@@ -11,8 +11,7 @@
 #                   and the root tests that -short skips: the full
 #                   TestTorture run over every algorithm (including the skip
 #                   list, whose arena is taller than the inline level
-#                   words), TestTorturePackedRefs, TestTortureWithReaders
-#                   (writers beside ReaderHandles and PublishJumpIndex) and
+#                   words), TestTorturePackedRefs and
 #                   TestAlgorithmsTrialSmoke
 #   make race-reclaim — race pass over the reclamation/snapshot surface:
 #                   internal/epoch, the skip graph's reclamation walk,
@@ -24,14 +23,14 @@
 #                   forcing passes, the Store's Close contract, and the
 #                   FuzzSnapshotOps seed corpus
 #   make race-index — race pass over the shared hash index surface:
-#                   internal/hindex (proofs of absence, unpublishes that
-#                   name a life), internal/core's index tests (descents
-#                   after forced index misses, the index's exactness for
-#                   presence, an insert's pending window, proofs beside
-#                   churn and slot reuse, string and float keys that get
-#                   no proofs), the root cross-handle,
-#                   stale-generation, and index×reclaim torture scenarios,
-#                   and the FuzzIndexOps seed corpus
+#                   internal/hindex (one slot per key under a shared hash,
+#                   proofs of absence, unpublishes that name a life),
+#                   internal/core's index tests (descents after forced
+#                   index misses, the index's exactness for presence, an
+#                   insert's pending window, proofs beside churn and slot
+#                   reuse, proven misses of every key type), the root
+#                   cross-handle, stale-generation, and index×reclaim
+#                   torture scenarios, and the FuzzIndexOps seed corpus
 #   make race-persist — race pass over the persistence surface:
 #                   internal/persist plus the root dump/load scenarios that
 #                   run writers against in-flight dumps (snapshot isolation,
@@ -87,7 +86,7 @@ vet:
 race:
 	$(GO) test -race -short ./internal/core ./internal/sbench .
 	$(GO) test -race ./internal/atomicmark ./internal/node ./internal/direct ./internal/competitors
-	$(GO) test -race -run '^(TestTorture|TestTorturePackedRefs|TestTortureWithReaders|TestAlgorithmsTrialSmoke)$$' .
+	$(GO) test -race -run '^(TestTorture|TestTorturePackedRefs|TestAlgorithmsTrialSmoke)$$' .
 
 race-reclaim:
 	$(GO) test -race ./internal/epoch
@@ -98,7 +97,7 @@ race-reclaim:
 
 race-index:
 	$(GO) test -race ./internal/hindex
-	$(GO) test -race -run 'TestLossyIndex|TestPendingInsertBlocksProof|TestProofUnderChurn|TestNonIntegerKeysDescend' ./internal/core
+	$(GO) test -race -run 'TestLossyIndex|TestPendingInsertBlocksProof|TestProofUnderChurn|TestEveryKeyTypeProvesMisses' ./internal/core
 	$(GO) test -race -run 'TestIndex|TestTortureIndexReclaim|FuzzIndexOps' .
 
 race-persist:

@@ -1,8 +1,5 @@
 // rangescan: time-windowed analytics over a layered map using the weakly
-// consistent ordered traversal (Handle.Ascend) — plus the read-only
-// heterogeneous-workload adaptation: writer threads publish jump indexes and
-// a dedicated reader thread answers point lookups through them (the paper's
-// p. 10 sketch).
+// consistent ordered traversal (Handle.Ascend).
 //
 // Events are keyed by (timestamp << 16 | sequence), so a range scan over a
 // key interval is a time-window query.
@@ -33,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	const writers = 4
-	machine, err := layeredsg.Pin(topo, writers+1) // +1 reader
+	machine, err := layeredsg.Pin(topo, writers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +57,6 @@ func main() {
 					Value:  rng.Float64() * 100,
 				})
 			}
-			h.PublishJumpIndex() // make this writer's keys jumpable by readers
 		}(w)
 	}
 	wg.Wait()
@@ -86,26 +82,4 @@ func main() {
 		n := h.Count(key(bucket, 0), key(bucket+10_000, 0)-1)
 		fmt.Printf("bucket %2ds–%2ds: %5d events\n", bucket/1000, (bucket+10_000)/1000, n)
 	}
-
-	// A read-only thread answers point queries through published jump
-	// indexes — it owns no local structure of its own. Sample real keys via
-	// the ordered scan, then look them up from the reader.
-	var sample []int64
-	i := 0
-	h.Ascend(0, func(k int64, _ Event) bool {
-		if i%40 == 0 {
-			sample = append(sample, k)
-		}
-		i++
-		return true
-	})
-	reader := m.ReaderHandle(writers)
-	hits := 0
-	for _, k := range sample {
-		if _, ok := reader.Get(k); ok {
-			hits++
-		}
-	}
-	reader.Close() // releases its epoch slot for the next reader
-	fmt.Printf("reader thread: %d/%d point lookups hit via published jump indexes\n", hits, len(sample))
 }

@@ -1,6 +1,9 @@
 package layeredsg
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -66,12 +69,12 @@ func fuzzConfig(machine *Machine, kind core.Kind) Config {
 
 // checkModel compares the map's logical contents against the model: size,
 // exact key set, and structural invariants.
-func checkModel(t *testing.T, kind core.Kind, m *Map[int64, int64], model map[int64]int64) {
+func checkModel[K cmp.Ordered](t *testing.T, kind core.Kind, m *Map[K, int64], model map[K]int64) {
 	t.Helper()
 	if got, want := m.Len(), len(model); got != want {
 		t.Fatalf("%v: Len() = %d, model has %d keys", kind, got, want)
 	}
-	want := make([]int64, 0, len(model))
+	want := make([]K, 0, len(model))
 	for k := range model {
 		want = append(want, k)
 	}
@@ -286,60 +289,85 @@ func replayDifferentialOps(t *testing.T, kind core.Kind, data []byte) {
 // miss-fallbacks, stale-entry pruning, and index-accelerated revives — from
 // rotating handles, so keys are served from stripes that do not own them.
 // Every result must match the model, and a replay with forced reclamation
-// passes covers the generation-tag interaction with slot reuse.
-// (internal/core's TestLossyIndex covers the descents an unproven index miss
-// leaves to the local structure.)
+// passes covers the generation-tag interaction with slot reuse. Each
+// sequence replays over int64, string and float64 keys; the float replay
+// maps key byte 63 to -0.0, which aliases +0.0 (byte 8), as the model's Go
+// map does. (internal/core's TestLossyIndex covers the descents an unproven
+// index miss leaves to the local structure.)
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 1, 2, 1, 3, 1, 0, 1, 3, 1})
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 2, 20, 4, 0, 0, 20, 5, 0})
 	f.Add([]byte{0, 5, 2, 5, 0, 5, 2, 5, 0, 5, 3, 5, 6, 0, 7, 0})
+	// Insert +0.0, read -0.0 from the same and another stripe, remove it
+	// as -0.0 and read +0.0.
+	f.Add([]byte{0, 8, 3, 63, 5, 0, 4, 63, 2, 63, 3, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range fuzzKinds {
-			replayIndexOps(t, kind, data, false)
-		}
-		// Reclamation on a fast clock: searches retire expired nodes and the
-		// passes the Reclaim op forces free their slots mid-sequence, so
-		// indexed refs cross slot-reuse boundaries and the LiveAs generation
-		// check earns its keep.
-		replayIndexOps(t, core.LazyLayeredSG, data, true)
+		replayIndexOpsAll(t, data, func(b byte) (int64, int64) {
+			k := int64(b % fuzzKeySpace)
+			return k, k
+		})
+		replayIndexOpsAll(t, data, func(b byte) (string, int64) {
+			k := int64(b % fuzzKeySpace)
+			return fmt.Sprintf("k%02d", k), k
+		})
+		replayIndexOpsAll(t, data, func(b byte) (float64, int64) {
+			i := int64(b%fuzzKeySpace) - 8
+			if i == fuzzKeySpace-9 {
+				return math.Copysign(0, -1), 0
+			}
+			return float64(i) / 2, i
+		})
 	})
 }
 
-func replayIndexOps(t *testing.T, kind core.Kind, data []byte, reclaim bool) {
+// replayIndexOpsAll replays data over every fuzz kind, and once more with
+// reclamation on a fast clock: searches retire expired nodes and the passes
+// the Reclaim op forces free their slots mid-sequence, so indexed refs cross
+// slot-reuse boundaries and the LiveAs generation check earns its keep. key
+// maps a key byte to a key and the value stored under it, one value per key
+// (a revival restores the key's old value, DESIGN §6.4).
+func replayIndexOpsAll[K cmp.Ordered](t *testing.T, data []byte, key func(byte) (K, int64)) {
+	for _, kind := range fuzzKinds {
+		replayIndexOps(t, kind, data, false, key)
+	}
+	replayIndexOps(t, core.LazyLayeredSG, data, true, key)
+}
+
+func replayIndexOps[K cmp.Ordered](t *testing.T, kind core.Kind, data []byte, reclaim bool, keyOf func(byte) (K, int64)) {
 	cfg := fuzzConfig(fuzzMachine(t), kind)
 	var clock atomic.Int64
 	if reclaim {
 		cfg.Clock = func() int64 { return clock.Add(50) }
 	}
-	m, err := New[int64, int64](cfg)
+	m, err := New[K, int64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := map[int64]int64{}
+	model := map[K]int64{}
 	thread := 0
 	h := m.Handle(0)
 	for i := 0; i+1 < len(data); i += 2 {
-		sel, kb := data[i], data[i+1]
-		key := int64(kb) % fuzzKeySpace
-		_, present := model[key]
+		sel := data[i]
+		key, value := keyOf(data[i+1])
+		want, present := model[key]
 		switch sel % 7 {
 		case 0, 1:
-			if got := h.Insert(key, key); got != !present {
-				t.Fatalf("%v op %d: Insert(%d) = %v with present=%v", kind, i/2, key, got, present)
+			if got := h.Insert(key, value); got != !present {
+				t.Fatalf("%v op %d: Insert(%v) = %v with present=%v", kind, i/2, key, got, present)
 			}
-			model[key] = key
+			model[key] = value
 		case 2:
 			if got := h.Remove(key); got != present {
-				t.Fatalf("%v op %d: Remove(%d) = %v with present=%v", kind, i/2, key, got, present)
+				t.Fatalf("%v op %d: Remove(%v) = %v with present=%v", kind, i/2, key, got, present)
 			}
 			delete(model, key)
 		case 3:
-			if v, ok := h.Get(key); ok != present || (ok && v != key) {
-				t.Fatalf("%v op %d: Get(%d) = (%d, %v) with present=%v", kind, i/2, key, v, ok, present)
+			if v, ok := h.Get(key); ok != present || (ok && v != want) {
+				t.Fatalf("%v op %d: Get(%v) = (%d, %v) with present=%v", kind, i/2, key, v, ok, present)
 			}
 		case 4:
 			if got := h.Contains(key); got != present {
-				t.Fatalf("%v op %d: Contains(%d) = %v with present=%v", kind, i/2, key, got, present)
+				t.Fatalf("%v op %d: Contains(%v) = %v with present=%v", kind, i/2, key, got, present)
 			}
 		case 5:
 			// Rotate to the next confined handle, so keys are served from

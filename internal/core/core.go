@@ -157,9 +157,6 @@ type Map[K cmp.Ordered, V any] struct {
 	sg      *skipgraph.SG[K, V]
 	vectors []uint32
 	handles []*Handle[K, V]
-	// jumps holds the per-thread published jump-index snapshots consumed by
-	// read-only handles (see reader.go).
-	jumps []atomic.Pointer[jumpIndex[K, V]]
 	// domain is the epoch/snapshot domain, nil for non-lazy variants.
 	// Handles pin it around operations; snapshots acquire tickets from it;
 	// the reclamation pass frees slots through it.
@@ -168,10 +165,14 @@ type Map[K cmp.Ordered, V any] struct {
 	// snapshot.go); nil exactly when domain is.
 	history *revivalLog[K, V]
 	// hidx is the shared hash index layered over the graph. Point operations
-	// from any stripe consult it before paying a descent; entries are
-	// (node, life-ID) pairs re-verified against the node's marked/valid bits
-	// on every hit, so stale entries fail closed, and on integer keys a miss
-	// can prove the key absent.
+	// from any stripe, on own keys and other threads' alike, consult it
+	// before paying a descent. A node it returns is a live life of the key,
+	// verified under the operation's pin, on which the caller still
+	// linearizes through its marked/valid bits, as the paper's contains does
+	// on a node its search found. Reads and removes use Find, whose proof
+	// that the key is not in the map lets them return at once; an insert
+	// uses Lookup, which reads no pending count, since it is about to link
+	// the key itself. Any other miss falls back to a descent.
 	hidx *hindex.Index[K, V]
 	// wal is the attached mutation sink (the write-ahead log), nil when no
 	// WAL is configured. Set once before the map is shared; the stamp
@@ -220,8 +221,8 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 	}
 	var domain *epoch.Domain
 	if cfg.Kind.lazy() {
-		// Capacity hint: one pin per stripe handle; reader handles grow past
-		// it on demand.
+		// One participant per stripe handle, all registered below before
+		// the map is shared.
 		domain = epoch.NewDomain(threads)
 	}
 	sgCfg := skipgraph.Config{
@@ -254,7 +255,6 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		sg:      sg,
 		vectors: vectors,
 		handles: make([]*Handle[K, V], threads),
-		jumps:   make([]atomic.Pointer[jumpIndex[K, V]], threads),
 		domain:  domain,
 		hidx:    hindex.New[K, V](),
 	}
@@ -529,8 +529,8 @@ func (h *Handle[K, V]) nodeOf(it local.Iterator[K, V]) *node.Node[K, V] {
 // observation plus the life-ID match proving the slot has not been recycled
 // since the entry was recorded. It runs under the caller's pin (taken by the
 // operation wrappers), which is what keeps a true result trustworthy until
-// the operation ends. Handles check local entries and index hits with it,
-// and ReaderHandle checks published jump entries.
+// the operation ends. The shared index applies the same check to every
+// entry it returns.
 func (m *Map[K, V]) usable(r local.Ref[K, V], tr *stats.ThreadRecorder) bool {
 	if m.domain != nil {
 		return r.N.LiveAs(r.ID, tr)
@@ -538,43 +538,14 @@ func (m *Map[K, V]) usable(r local.Ref[K, V], tr *stats.ThreadRecorder) bool {
 	return !r.N.Marked(0, tr)
 }
 
-// indexFind resolves key through the shared hash index: O(1) from any
-// stripe, own keys and other threads' alike. A found entry is re-verified
-// live (by the check usable applies to local entries) under the operation's
-// pin, so entries whose nodes were retired — or whose arena slots were
-// recycled into new lives — fail closed and are pruned by life. The index
-// matches on 64-bit hashes, so a live node holding another key is a miss;
-// hit reports a verified node r.N holding key, on which callers must still
-// linearize through its marked/valid bits, as the paper's contains does on a
-// node its search found. With prove set, absent reports the index's proof
-// that key is not in the map (hindex.Find); reads and removes ask for it and
-// return at once. An insert does not: it is about to link the key itself,
-// and its own lookup reads no pending count. Any other miss says nothing
-// about presence, and callers fall back to a descent.
-func (h *Handle[K, V]) indexFind(key K, prove bool) (r local.Ref[K, V], hit, absent bool) {
-	if prove {
-		r.N, r.ID, absent = h.m.hidx.Find(key)
-	} else {
-		r.N, r.ID, _ = h.m.hidx.Lookup(key)
-	}
-	if r.N == nil {
-		return r, false, absent
-	}
-	if !h.m.usable(r, h.tr) {
-		h.m.hidx.Unpublish(key, r.N, r.ID)
-		return r, false, false
-	}
-	return r, r.N.Key() == key, false
-}
-
 // getStart is the paper's Alg. 4: find the closest local entry strictly
 // below key whose shared node can seed a search, lazily finishing insertions
 // it encounters and pruning entries whose shared nodes are fully retired.
 // The paper's <= is safe only behind a per-thread hash that answers every
-// own key; the shared index leaves a present key to a descent on a hash
-// collision, in an insert's pending window and for non-integer keys, and a
-// search seeded from the key's own node starts past it. The own entry is
-// skipped, and pruned if unusable like any entry the walk passes.
+// own key; the shared index leaves a present key to a descent in an
+// insert's pending window (linked, not yet published), and a search seeded
+// from the key's own node starts past it. The own entry is skipped, and
+// pruned if unusable like any entry the walk passes.
 func (h *Handle[K, V]) getStart(key K) local.Iterator[K, V] {
 	it, own, ok := h.ls.Below(key)
 	if ok && !h.m.usable(own, h.tr) {
@@ -652,15 +623,15 @@ func (h *Handle[K, V]) Insert(key K, value V) bool {
 }
 
 func (h *Handle[K, V]) insert(key K, value V) bool {
-	if r, hit, _ := h.indexFind(key, false); hit {
-		done, inserted := h.m.sg.InsertHelper(r.N, h.tr)
+	if n, id := h.m.hidx.Lookup(key, h.tr); n != nil {
+		done, inserted := h.m.sg.InsertHelper(n, h.tr)
 		if done {
 			if inserted {
-				h.m.stampRevive(r.N, h.tr)
+				h.m.stampRevive(n, h.tr)
 			}
 			return inserted
 		}
-		h.m.hidx.Unpublish(key, r.N, r.ID) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, n, id) // Marked since verification; descend.
 	}
 	// The shard's pending count covers the descent from before it can link
 	// a node until afterBottomLink has published that node (or the descent
@@ -747,19 +718,19 @@ func (h *Handle[K, V]) Remove(key K) bool {
 }
 
 func (h *Handle[K, V]) remove(key K) bool {
-	r, hit, absent := h.indexFind(key, true)
+	n, id, absent := h.m.hidx.Find(key, h.tr)
 	if absent {
 		return false // Failed removal linearized within the index's proof.
 	}
-	if hit {
-		done, removed := h.m.sg.RemoveHelper(r.N, h.tr)
+	if n != nil {
+		done, removed := h.m.sg.RemoveHelper(n, h.tr)
 		if done {
 			if removed {
-				h.finishRemove(key, r.N)
+				h.finishRemove(key, n)
 			}
 			return removed
 		}
-		h.m.hidx.Unpublish(key, r.N, r.ID) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, n, id) // Marked since verification; descend.
 	}
 	return h.lazyRemove(key)
 }
@@ -820,19 +791,19 @@ func (h *Handle[K, V]) Get(key K) (V, bool) {
 
 func (h *Handle[K, V]) get(key K) (V, bool) {
 	var zero V
-	r, hit, absent := h.indexFind(key, true)
+	n, id, absent := h.m.hidx.Find(key, h.tr)
 	if absent {
 		return zero, false // Failed contains linearized within the index's proof.
 	}
-	if hit {
-		marked, valid := r.N.MarkValid(0, h.tr)
+	if n != nil {
+		marked, valid := n.MarkValid(0, h.tr)
 		if !marked {
 			if valid {
-				return r.N.Value(), true // Successful contains on the indexed node (C-i).
+				return n.Value(), true // Successful contains on the indexed node (C-i).
 			}
 			return zero, false // Unmarked invalid: logically absent.
 		}
-		h.m.hidx.Unpublish(key, r.N, r.ID) // Marked since verification; descend.
+		h.m.hidx.Unpublish(key, n, id) // Marked since verification; descend.
 	}
 	it := h.getStart(key)
 	start := h.nodeOf(it)

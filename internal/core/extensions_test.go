@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -64,162 +63,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	})
 	if visited != 10 {
 		t.Fatalf("visited %d want 10", visited)
-	}
-}
-
-func TestReaderHandle(t *testing.T) {
-	for _, kind := range []Kind{LayeredSG, LazyLayeredSG, LayeredSSG} {
-		t.Run(kind.String(), func(t *testing.T) {
-			m := newMap(t, kind, 4)
-			// Writers fill disjoint ranges and publish their jump indexes.
-			for th := 0; th < 4; th++ {
-				h := m.Handle(th)
-				for k := int64(0); k < 100; k++ {
-					h.Insert(int64(th)*1000+k, k)
-				}
-				h.PublishJumpIndex()
-			}
-			r := m.ReaderHandle(0)
-			for th := 0; th < 4; th++ {
-				for k := int64(0); k < 100; k++ {
-					key := int64(th)*1000 + k
-					if v, ok := r.Get(key); !ok || v != k {
-						t.Fatalf("reader Get(%d) = %v,%v", key, v, ok)
-					}
-				}
-				if r.Contains(int64(th)*1000 + 555) {
-					t.Fatal("reader found absent key")
-				}
-			}
-			// Stale snapshots must never produce wrong answers: remove keys
-			// without republishing.
-			for th := 0; th < 4; th++ {
-				h := m.Handle(th)
-				for k := int64(0); k < 100; k += 2 {
-					h.Remove(int64(th)*1000 + k)
-				}
-			}
-			for th := 0; th < 4; th++ {
-				for k := int64(0); k < 100; k++ {
-					key := int64(th)*1000 + k
-					want := k%2 == 1
-					if got := r.Contains(key); got != want {
-						t.Fatalf("stale-snapshot reader Contains(%d)=%v want %v", key, got, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestReaderHandleConcurrent(t *testing.T) {
-	m := newMap(t, LazyLayeredSG, 6)
-	var wg sync.WaitGroup
-	// 4 writers churn + publish; 2 readers hammer Contains.
-	for th := 0; th < 4; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			h := m.Handle(th)
-			rng := rand.New(rand.NewSource(int64(th)))
-			for i := 0; i < 2000; i++ {
-				k := rng.Int63n(256)
-				if rng.Intn(2) == 0 {
-					h.Insert(k, k)
-				} else {
-					h.Remove(k)
-				}
-				if i%50 == 0 {
-					h.PublishJumpIndex()
-				}
-			}
-		}(th)
-	}
-	for rth := 0; rth < 2; rth++ {
-		wg.Add(1)
-		go func(rth int) {
-			defer wg.Done()
-			r := m.ReaderHandle(4 + rth)
-			defer r.Close()
-			rng := rand.New(rand.NewSource(int64(100 + rth)))
-			for i := 0; i < 4000; i++ {
-				r.Contains(rng.Int63n(256))
-			}
-		}(rth)
-	}
-	wg.Wait()
-	// Post-condition: reader agrees with a writer handle on every key.
-	r := m.ReaderHandle(5)
-	h := m.Handle(0)
-	for k := int64(0); k < 256; k++ {
-		if r.Contains(k) != h.Contains(k) {
-			t.Fatalf("reader/writer disagree on %d", k)
-		}
-	}
-}
-
-// TestReaderHandleOwnRecorder runs Handle(0) and ReaderHandle(0) side by
-// side on a map with a Recorder, 2,000 Gets each. The reader records into a
-// recorder of its own, so under -race the two never write the same
-// counters, and the Recorder folds the reader's operations into thread 0.
-func TestReaderHandleOwnRecorder(t *testing.T) {
-	machine := testMachine(t, 4)
-	rec := stats.NewRecorder(machine, nil)
-	m, err := New[int64, int64](Config{Machine: machine, Kind: LazyLayeredSG, Recorder: rec, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	h := m.Handle(0)
-	const keys, gets = 256, 2000
-	for k := int64(0); k < keys; k += 2 {
-		h.Insert(k, k)
-	}
-	h.PublishJumpIndex()
-	r := m.ReaderHandle(0)
-	defer r.Close()
-	var wg sync.WaitGroup
-	for _, get := range []func(int64) (int64, bool){h.Get, r.Get} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(0); i < gets; i++ {
-				if _, ok := get(i % keys); ok != (i%2 == 0) {
-					t.Errorf("Get(%d) = %v", i%keys, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got, want := rec.ThreadRecorder(0).Ops(), uint64(keys/2+gets); got != want {
-		t.Fatalf("thread 0's recorder counted %d operations, want %d (its handle's only)", got, want)
-	}
-	if got, want := rec.Summary().Ops, uint64(keys/2+2*gets); got != want {
-		t.Fatalf("Summary counted %d operations, want %d (the reader's folded in)", got, want)
-	}
-}
-
-// TestReaderHandleClose: Close releases the reader's epoch slot, a second
-// Close does nothing, and a read on a closed reader panics.
-func TestReaderHandleClose(t *testing.T) {
-	for _, kind := range []Kind{LayeredSG, LazyLayeredSG} {
-		t.Run(kind.String(), func(t *testing.T) {
-			m := newMap(t, kind, 4)
-			m.Handle(0).Insert(1, 10)
-			r := m.ReaderHandle(0)
-			if v, ok := r.Get(1); !ok || v != 10 {
-				t.Fatalf("reader Get(1) = %v,%v before Close", v, ok)
-			}
-			r.Close()
-			r.Close()
-			defer func() {
-				if recover() == nil {
-					t.Fatal("Get on a closed ReaderHandle did not panic")
-				}
-			}()
-			r.Get(1)
-		})
 	}
 }
 
@@ -305,7 +148,7 @@ func TestRemoveMinReinsert(t *testing.T) {
 							done <- "pop did not return key 5"
 							return
 						}
-						if _, _, ok := m.hidx.Lookup(5); ok && !kind.lazy() {
+						if u := m.hidx.Stats().Unpublishes; u != uint64(round+1) && !kind.lazy() {
 							done <- "index entry survived a non-lazy pop"
 							return
 						}
@@ -378,24 +221,5 @@ func TestSparseLocalStructuresSmaller(t *testing.T) {
 	want := 1.0 / float64(int(1)<<uint(sparse.MaxLevel()))
 	if got < want*0.7 || got > want*1.3 {
 		t.Fatalf("sparse local tree fraction %.4f want ≈%.4f", got, want)
-	}
-}
-
-// TestReaderWithNoPublishedIndexes: readers must work (from the head) before
-// any writer publishes.
-func TestReaderWithNoPublishedIndexes(t *testing.T) {
-	m := newMap(t, LayeredSG, 4)
-	h := m.Handle(1)
-	for k := int64(0); k < 20; k++ {
-		h.Insert(k, k)
-	}
-	r := m.ReaderHandle(0)
-	for k := int64(0); k < 20; k++ {
-		if !r.Contains(k) {
-			t.Fatalf("reader missed %d without published indexes", k)
-		}
-	}
-	if r.Contains(99) {
-		t.Fatal("reader found absent key")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"layeredsg/internal/local"
+	"layeredsg/internal/numa"
 	"layeredsg/internal/stats"
 )
 
@@ -57,7 +60,7 @@ func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func(), lossy boo
 		key := rng.Int63n(keys)
 		h := m.Handle(rng.Intn(4))
 		if lossy && rng.Intn(2) == 0 {
-			if n, id, ok := m.hidx.Lookup(key); ok {
+			if n, id := m.hidx.Lookup(key, nil); n != nil {
 				m.hidx.Unpublish(key, n, id)
 				m.hidx.BeginInsert(key)
 			}
@@ -96,9 +99,8 @@ func runLossyIndex(t *testing.T, m *Map[int64, int64], reclaim func(), lossy boo
 
 // checkExact asserts the index is exact for presence over keys [0, keys):
 // each key the model holds resolves through Lookup to a live node holding
-// it, and each key it lacks is proven absent or resolves to a node that is
-// not live or holds another key. Key 0 shares hash 1, which gets no proofs,
-// so its miss may also be an unproven one.
+// it, and each key it lacks is proven absent or resolves to a node of the
+// key that is not live.
 func checkExact(t *testing.T, m *Map[int64, int64], keys int64, model map[int64]bool, op int) {
 	t.Helper()
 	live := func(r local.Ref[int64, int64], key int64) bool {
@@ -110,14 +112,14 @@ func checkExact(t *testing.T, m *Map[int64, int64], keys int64, model map[int64]
 	}
 	for k := int64(0); k < keys; k++ {
 		if model[k] {
-			n, id, _ := m.hidx.Lookup(k)
+			n, id := m.hidx.Lookup(k, nil)
 			if !live(local.Ref[int64, int64]{N: n, ID: id}, k) {
 				t.Fatalf("op %d: present key %d does not resolve to its live node", op, k)
 			}
 			continue
 		}
-		n, id, absent := m.hidx.Find(k)
-		if n == nil && !absent && k != 0 {
+		n, id, absent := m.hidx.Find(k, nil)
+		if n == nil && !absent {
 			t.Fatalf("op %d: absent key %d neither proven absent nor indexed", op, k)
 		}
 		if live(local.Ref[int64, int64]{N: n, ID: id}, k) {
@@ -149,7 +151,7 @@ func TestPendingInsertBlocksProof(t *testing.T) {
 				t.Fatal("level-0 link failed")
 			}
 			m.stampFreshBorn(n)
-			if _, _, absent := m.hidx.Find(key); absent {
+			if _, _, absent := m.hidx.Find(key, nil); absent {
 				t.Fatal("Find proved a linked key absent while its insert was pending")
 			}
 			if v, ok := other.Get(key); !ok || v != value {
@@ -162,7 +164,7 @@ func TestPendingInsertBlocksProof(t *testing.T) {
 			m.hidx.EndInsert(key)
 			h.live.Add(1)
 			h.leave()
-			if got, _, ok := m.hidx.Lookup(key); !ok || got != n {
+			if got, _ := m.hidx.Lookup(key, nil); got != n {
 				t.Fatal("the published key does not resolve to its node")
 			}
 			if !other.Remove(key) || other.Contains(key) {
@@ -245,74 +247,107 @@ func TestProofUnderChurn(t *testing.T) {
 	}
 }
 
-// TestNonIntegerKeysDescend: string- and float-keyed maps get no proofs of
-// absence, so an absent key's Get still descends; an integer key's does
-// not. Float keys show why: -0.0 and +0.0 are one key with two bit patterns
-// and two hashes, so a miss under one hash says nothing about the other.
-func TestNonIntegerKeysDescend(t *testing.T) {
+// TestEveryKeyTypeProvesMisses: the index proves the miss of every key
+// type, so an absent key's Get or Remove never descends, whether the key is
+// an integer, a float (whose -0.0 and +0.0 are one key with two bit
+// patterns) or a string, and whether or not it shares its hash with another
+// key: key 0, whose hash is remapped to 1, and the int64 whose hash is 1 are
+// the one integer pair that does. Hits do not descend either.
+func TestEveryKeyTypeProvesMisses(t *testing.T) {
 	machine := testMachine(t, 4)
-	cfg := func(rec *stats.Recorder) Config {
-		return Config{Machine: machine, Kind: LazyLayeredSG, Recorder: rec, Seed: 42}
-	}
 	// Each leg reads through handle 1; its recorder counts the descents.
-	searches := func(rec *stats.Recorder) uint64 { return rec.ThreadRecorder(1).Counters().Searches }
+	check := func(t *testing.T, rec *stats.Recorder, what string, op func() bool, want bool) {
+		t.Helper()
+		before := rec.ThreadRecorder(1).Counters().Searches
+		if got := op(); got != want {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+		if rec.ThreadRecorder(1).Counters().Searches != before {
+			t.Fatalf("%s descended", what)
+		}
+	}
 
 	t.Run("float64", func(t *testing.T) {
 		for _, zeros := range [][2]float64{{0, math.Copysign(0, -1)}, {math.Copysign(0, -1), 0}} {
-			rec := stats.NewRecorder(machine, nil)
-			m, err := New[float64, int64](cfg(rec))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec, m := newRecordedMap[float64](t, machine)
 			if !m.Handle(0).Insert(zeros[0], 1) {
 				t.Fatalf("Insert(%v) = false", zeros[0])
 			}
 			h := m.Handle(1)
-			if _, ok := h.Get(zeros[1]); !ok {
-				t.Fatalf("Get(%v) after Insert(%v) = false", zeros[1], zeros[0])
-			}
-			before := searches(rec)
-			if _, ok := h.Get(0.5); ok {
-				t.Fatal("Get(0.5) found an absent key")
-			}
-			if searches(rec) == before {
-				t.Fatal("an absent float key's Get did not descend")
-			}
+			check(t, rec, fmt.Sprintf("Contains(%v) after Insert(%v)", zeros[1], zeros[0]), func() bool { return h.Contains(zeros[1]) }, true)
+			check(t, rec, "Contains(0.5)", func() bool { return h.Contains(0.5) }, false)
+			check(t, rec, "Remove(0.5)", func() bool { return h.Remove(0.5) }, false)
+			check(t, rec, fmt.Sprintf("Remove(%v)", zeros[1]), func() bool { return h.Remove(zeros[1]) }, true)
+			check(t, rec, fmt.Sprintf("Contains(%v) after its removal", zeros[0]), func() bool { return h.Contains(zeros[0]) }, false)
 		}
 	})
 	t.Run("string", func(t *testing.T) {
-		rec := stats.NewRecorder(machine, nil)
-		m, err := New[string, int64](cfg(rec))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec, m := newRecordedMap[string](t, machine)
 		m.Handle(0).Insert("present", 1)
 		h := m.Handle(1)
-		before := searches(rec)
-		if _, ok := h.Get("absent"); ok {
-			t.Fatal("Get found an absent string key")
-		}
-		if searches(rec) == before {
-			t.Fatal("an absent string key's Get did not descend")
-		}
+		check(t, rec, `Contains("present")`, func() bool { return h.Contains("present") }, true)
+		check(t, rec, `Contains("absent")`, func() bool { return h.Contains("absent") }, false)
+		check(t, rec, `Remove("absent")`, func() bool { return h.Remove("absent") }, false)
 	})
 	t.Run("int64", func(t *testing.T) {
-		rec := stats.NewRecorder(machine, nil)
-		m, err := New[int64, int64](cfg(rec))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec, m := newRecordedMap[int64](t, machine)
 		m.Handle(0).Insert(2, 1)
 		h := m.Handle(1)
-		before := searches(rec)
-		if _, ok := h.Get(3); ok {
-			t.Fatal("Get found an absent integer key")
+		check(t, rec, "Contains(3)", func() bool { return h.Contains(3) }, false)
+		check(t, rec, "Remove(3)", func() bool { return h.Remove(3) }, false)
+	})
+	t.Run("key0", func(t *testing.T) {
+		rec, m := newRecordedMap[int64](t, machine)
+		alias := int64(unmix(1))
+		for _, k := range []int64{0, alias} {
+			if !m.Handle(0).Insert(k, k) {
+				t.Fatalf("Insert(%d) = false", k)
+			}
 		}
-		if h.Remove(3) {
-			t.Fatal("Remove of an absent integer key = true")
+		if e := m.hidx.Stats().Entries; e != 2 {
+			t.Fatalf("index holds %d entries for key 0 and key %d, want 2", e, alias)
 		}
-		if searches(rec) != before {
-			t.Fatal("an absent integer key's Get or Remove descended")
+		h := m.Handle(1)
+		for i, k := range []int64{0, alias} {
+			other := []int64{alias, 0}[i]
+			check(t, rec, fmt.Sprintf("Contains(%d)", k), func() bool { return h.Contains(k) }, true)
+			check(t, rec, fmt.Sprintf("Remove(%d)", k), func() bool { return h.Remove(k) }, true)
+			check(t, rec, fmt.Sprintf("Contains(%d) after its removal", k), func() bool { return h.Contains(k) }, false)
+			check(t, rec, fmt.Sprintf("Remove(%d) after its removal", k), func() bool { return h.Remove(k) }, false)
+			if i == 0 {
+				check(t, rec, fmt.Sprintf("Contains(%d) beside the removed key %d", other, k), func() bool { return h.Contains(other) }, true)
+			}
 		}
 	})
+}
+
+// newRecordedMap builds a lazy map with a recorder on machine.
+func newRecordedMap[K cmp.Ordered](t *testing.T, machine *numa.Machine) (*stats.Recorder, *Map[K, int64]) {
+	t.Helper()
+	rec := stats.NewRecorder(machine, nil)
+	m, err := New[K, int64](Config{Machine: machine, Kind: LazyLayeredSG, Recorder: rec, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return rec, m
+}
+
+// unmix inverts the splitmix64 finalizer internal/hindex hashes keys with:
+// each xorshift is undone by the xorshifts at its multiples, each multiply
+// by its inverse mod 2^64.
+func unmix(h uint64) uint64 {
+	inv := func(c uint64) uint64 { // Newton's iteration doubles the correct low bits.
+		x := c
+		for i := 0; i < 6; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	h ^= h>>31 ^ h>>62
+	h *= inv(0x94d049bb133111eb)
+	h ^= h>>27 ^ h>>54
+	h *= inv(0xbf58476d1ce4e5b9)
+	h ^= h>>30 ^ h>>60
+	return h
 }

@@ -9,9 +9,10 @@
 //  1. Memory safety. A reader that loaded a packed reference while pinned
 //     must be able to dereference it: a slot is returned to its arena free
 //     list only after every pin taken before the slot's retire epoch has
-//     been released (MinPinned has advanced past it). Pins are per-thread
-//     padded slots; Pin publishes the current epoch with a store-recheck
-//     loop so a racing Advance cannot strand a pin in the past.
+//     been released (MinPinned has advanced past it). Pins are padded
+//     slots of a participant table NewDomain sizes once, one per stripe
+//     handle; Pin publishes the current epoch with a store-recheck loop so
+//     a racing Advance cannot strand a pin in the past.
 //
 //  2. Snapshot traversal. A snapshot iterator runs under its ticket, which
 //     participates in MinPinned through the registry's minimum epoch — so
@@ -68,14 +69,10 @@ type Domain struct {
 	// appending into the same sequence space.
 	lineage atomic.Uint64
 
-	// slots is the copy-on-write participant table: MinPinned scans the
-	// current slice lock-free; Register reuses a released slot from free, or
-	// appends a fresh one, under regMu. Reader handles register on demand
-	// and release on Close, so the table is bounded by the participants
-	// open at once.
-	slots atomic.Pointer[[]*padded]
-	free  []*padded
-	regMu sync.Mutex
+	// slots is the participant table, sized once by NewDomain: MinPinned
+	// scans it lock-free, and Register hands out its entries in order.
+	slots      []padded
+	registered int
 
 	// Snapshot registry. minSnapSeq/minSnapEpoch cache the minima over live
 	// tickets (NoSequence when none); acquiring counts Acquire calls that
@@ -89,15 +86,10 @@ type Domain struct {
 	minSnapEpoch atomic.Uint64
 }
 
-// NewDomain builds a domain. participants is a capacity hint (stripe
-// handles); registration grows past it freely.
+// NewDomain builds a domain with a table of participants slots, one per
+// Register call (at least one).
 func NewDomain(participants int) *Domain {
-	if participants < 1 {
-		participants = 1
-	}
-	d := &Domain{}
-	slots := make([]*padded, 0, participants)
-	d.slots.Store(&slots)
+	d := &Domain{slots: make([]padded, max(participants, 1))}
 	d.global.Store(1)
 	d.snaps = make(map[*Ticket]struct{})
 	d.snapCond = sync.NewCond(&d.snapMu)
@@ -118,46 +110,19 @@ type Pin struct {
 	depth int
 }
 
-// Register hands out a participant slot: one a Release returned, or else a
-// fresh one appended to the table. Every slot in the table costs MinPinned
-// one load per scan, and growing the table copies it, so registration is
-// for long-lived participants (stripe handles, reader handles), not
-// per-operation use.
+// Register hands out the table's next participant slot, and panics once
+// NewDomain's participants are all registered. It is not safe for
+// concurrent use: the layered map registers one participant per stripe
+// handle before the domain is shared.
 func (d *Domain) Register() *Pin {
 	if d == nil {
 		return nil
 	}
-	d.regMu.Lock()
-	defer d.regMu.Unlock()
-	if n := len(d.free); n > 0 {
-		s := d.free[n-1]
-		d.free = d.free[:n-1]
-		return &Pin{d: d, s: s}
+	if d.registered == len(d.slots) {
+		panic("epoch: Register past the participants NewDomain sized the table for")
 	}
-	s := &padded{}
-	old := *d.slots.Load()
-	slots := make([]*padded, len(old)+1)
-	copy(slots, old)
-	slots[len(old)] = s
-	d.slots.Store(&slots)
-	return &Pin{d: d, s: s}
-}
-
-// Release returns the participant's slot for a later Register to reuse. The
-// pin must not be held; the slot stays in the table reading unpinned, so a
-// racing MinPinned scan is unaffected. Using the Pin after Release panics.
-func (p *Pin) Release() {
-	if p == nil {
-		return
-	}
-	if p.depth != 0 || p.s == nil {
-		panic("epoch: Release of a held or already released pin")
-	}
-	d := p.d
-	d.regMu.Lock()
-	d.free = append(d.free, p.s)
-	d.regMu.Unlock()
-	p.s = nil
+	d.registered++
+	return &Pin{d: d, s: &d.slots[d.registered-1]}
 }
 
 // Pin publishes the current epoch as this participant's pin and returns it.
@@ -268,8 +233,8 @@ func (d *Domain) MinPinned() uint64 {
 		return NoSequence
 	}
 	min := d.minSnapEpoch.Load()
-	for _, s := range *d.slots.Load() {
-		if p := s.pinned.Load(); p != 0 && p < min {
+	for i := range d.slots {
+		if p := d.slots[i].pinned.Load(); p != 0 && p < min {
 			min = p
 		}
 	}

@@ -3,9 +3,9 @@
 // operations (Get/Contains/Insert/Remove by key) from *any* stripe resolve
 // their node in O(1) instead of descending the shared structure from a head
 // tower. The ordered skip graph remains the source of truth for scans and
-// predecessor queries. Every node the index returns must be re-verified (see
-// "Fail-closed hits"); a miss on an integer key can prove the key absent
-// (see "Exact for presence").
+// predecessor queries. A lookup returns only a live life of the key (see
+// "One slot per key"), and a miss can prove the key absent (see "Exact for
+// presence").
 //
 // # Structure: flat sharded open addressing
 //
@@ -14,33 +14,41 @@
 // {hash, node, life ID}; every slot field is an atomic word. The top bits
 // of a key's 64-bit hash pick the shard, the low bits the home slot, so a
 // lookup is one shard-header load plus a probe that usually stays in one
-// cache line of the array. Lookup takes no lock and allocates nothing.
-// Publish, Unpublish and the rehash take the shard's mutex.
+// cache line of the array. Lookup allocates nothing and takes no lock,
+// unless it meets an entry of an ended life to prune. Publish, Unpublish
+// and the rehash take the shard's mutex.
 //
-// Slots hold the hash, not the key. A slot claims its hash once and keeps
-// it for the array's lifetime: unpublishing tombstones the slot (node = nil)
-// and a later publish under the same hash revives it in place. Once claimed
-// slots (live plus tombstones) pass half the array, or tombstones outnumber
-// half the live entries, the publisher rebuilds the shard into a fresh array
-// holding only live entries, sized for them, and swaps it in. Tombstones
-// therefore last until their shard's next rehash, and index memory tracks
-// live keys rather than distinct keys ever: under key drift, claimed slots
-// stay within 1.5 times the live entries.
+// A slot claims a hash once and keeps it for the array's lifetime:
+// unpublishing tombstones the slot (node = nil) and a later publish under
+// the same hash reuses it in place. Once claimed slots (live plus
+// tombstones) pass half the array, or tombstones outnumber half the live
+// entries, the publisher rebuilds the shard into a fresh array holding only
+// live entries, sized for them, and swaps it in. Tombstones therefore last
+// until their shard's next rehash, and index memory tracks live keys rather
+// than distinct keys ever: under key drift, claimed slots stay within 1.5
+// times the live entries.
 //
-// # Fail-closed hits
+// # One slot per key
 //
-// Two keys sharing a 64-bit hash share a slot, and a slot's node pointer and
-// life ID are written as two independent atomic stores. Life IDs are drawn
-// from a global counter and never reused (Arena.Free zeroes a slot's ID;
-// reallocation publishes a fresh one), so a torn read that pairs one
-// publish's pointer with another's ID can never validate: node.LiveAs(id)
-// fails unless the pointer and ID belong to the same live, unmarked life.
-// Consumers must therefore gate every use on LiveAs under an epoch pin (or
-// on the node's marked bit when the structure never reclaims slots), then
-// check that the node holds the key they asked for, and treat any failure
-// like a miss that proves nothing. A reader still probing an array that a
-// rehash has replaced may miss an entry published since, but every node it
-// can return was published under the key's hash.
+// The key lives in the node, not in the slot, so a probe that meets its
+// hash checks the entry's node: LiveAs(id) first, then the key, so the key
+// read belongs to a confirmed life. An entry that is not a live life of the
+// key (a tombstone, a retired or recycled life, or another key's node under
+// the same hash) is passed over, and the probe goes on to the free slot
+// that ends the run; an entry of an ended life is pruned on the way.
+// Publish gives a second key under a shared hash a slot of its own, so two
+// keys never compete for one entry.
+//
+// An entry's node pointer and life ID are two independent atomic stores.
+// Life IDs are drawn from a global counter and never reused (Arena.Free
+// zeroes a slot's ID; reallocation publishes a fresh one), so a torn read
+// that pairs one publish's pointer with another's ID can never validate:
+// node.LiveAs(id) fails unless the pointer and ID belong to the same live,
+// unmarked life. The confirmation holds while the caller's epoch pin does
+// (or, where slots are never reclaimed, until the node is marked); the
+// caller still linearizes on the node's marked/valid bits. A reader still
+// probing an array that a rehash has replaced may miss an entry published
+// since, but never returns another key's node.
 //
 // # Exact for presence
 //
@@ -49,24 +57,25 @@
 // (EndInsert) once it has published that node, or revived one, or found the
 // key present.
 // Find proves a key absent when it read its shard's count as 0 before its
-// probe and the probe then met a free or tombstoned slot. The argument:
+// probe and the probe then met no live life of the key before the free slot
+// that ends the run. The argument:
 //   - A node linked at level 0 before the count read 0 was published
 //     before that read, since its insert raised the count before linking and
 //     lowers it only after publishing.
 //   - Once published, the entry stays until its life ends: a rehash copies
-//     every live entry, and only a retirement, a prune of a marked or
-//     recycled life, or an unpublish after the node was marked tombstones
-//     one. Unpublish names the life (node and life ID), so a stale prune
-//     cannot tombstone a newer life of the same key under the same pointer.
+//     every live entry, a publish reuses only tombstones and entries of
+//     ended lives, and only a retirement, a prune of an ended life, or an
+//     unpublish after the node was marked tombstones one. Unpublish names
+//     the life (node and life ID), so a stale caller cannot tombstone a
+//     newer life of the same key under the same pointer.
 //   - So a present key's entry is in every array loaded after the count
 //     read 0, until its node is removed; a probe that finds none saw the key
 //     absent at some instant within the lookup.
 //
-// Only keys whose hash is injective get proofs: the integer types, whose
-// Squeeze keeps their bits and whose splitmix64 finalizer is a bijection.
-// Floats do not (+0.0 and -0.0 are one key with two bit patterns), strings
-// do not (FNV-1a collides), nor does hash 1, which the key hashing to 0
-// shares. Their misses prove nothing.
+// The rule holds for every key type: hash folds -0.0 onto +0.0, the one
+// float key with two bit patterns, and keys that share a hash each hold a
+// slot of their own: key 0, whose hash is remapped to 1, and the integer
+// key whose hash is 1, or two strings whose FNV-1a hashes collide.
 package hindex
 
 import (
@@ -76,6 +85,7 @@ import (
 	"sync/atomic"
 
 	"layeredsg/internal/node"
+	"layeredsg/internal/stats"
 )
 
 const (
@@ -118,13 +128,11 @@ type shard[K cmp.Ordered, V any] struct {
 // Index is the shared hash index. All methods are safe for concurrent use.
 type Index[K cmp.Ordered, V any] struct {
 	shards [nShards]shard[K, V]
-	// exact says K's hash is injective, so Find may prove absence.
-	exact bool
 }
 
 // New builds an empty index.
 func New[K cmp.Ordered, V any]() *Index[K, V] {
-	x := &Index[K, V]{exact: injective[K]()}
+	x := &Index[K, V]{}
 	for i := range x.shards {
 		tab := make([]slot[K, V], minSlots)
 		x.shards[i].tab.Store(&tab)
@@ -160,37 +168,46 @@ func (x *Index[K, V]) Stats() Stats {
 	return st
 }
 
-// Lookup returns the node and life ID indexed under key's hash. A true ok
-// only means a non-tombstoned entry existed: the caller owns re-validation
-// (node.LiveAs under a pin, or the marked bit when slots are never
-// reclaimed) and the key check, and must treat a failure like a miss. A miss
-// proves nothing; Lookup reads no pending count, which is what an insert
-// about to link the key wants.
-func (x *Index[K, V]) Lookup(key K) (*node.Node[K, V], uint64, bool) {
-	n, id, _ := x.lookup(hash(key), false)
-	return n, id, n != nil
+// Lookup returns the life indexed for key, confirmed live and holding key
+// (see "One slot per key"), or a nil node; tr records the read of each node
+// the probe checks. A miss proves nothing: Lookup reads no pending count,
+// which is what an insert about to link the key wants.
+func (x *Index[K, V]) Lookup(key K, tr *stats.ThreadRecorder) (*node.Node[K, V], uint64) {
+	n, id, _ := x.lookup(key, hash(key), false, tr)
+	return n, id
 }
 
-// Find is Lookup for a read or a removal: a nil node is a miss, and absent
-// reports that the miss proves key absent from the map (see "Exact for
-// presence"). A returned node needs Lookup's checks.
-func (x *Index[K, V]) Find(key K) (n *node.Node[K, V], id uint64, absent bool) {
-	return x.lookup(hash(key), x.exact)
+// Find is Lookup for a read or a removal: absent reports that its miss
+// proves key absent from the map (see "Exact for presence").
+func (x *Index[K, V]) Find(key K, tr *stats.ThreadRecorder) (n *node.Node[K, V], id uint64, absent bool) {
+	return x.lookup(key, hash(key), true, tr)
 }
 
-func (x *Index[K, V]) lookup(h uint64, prove bool) (*node.Node[K, V], uint64, bool) {
+func (x *Index[K, V]) lookup(key K, h uint64, prove bool, tr *stats.ThreadRecorder) (*node.Node[K, V], uint64, bool) {
 	s := x.shardOf(h)
 	// The count is read before the array pointer: see "Exact for presence".
-	quiet := prove && h != 1 && s.pending.Load() == 0
-	e, claimed := probe(*s.tab.Load(), h)
-	if claimed {
-		// The ID is read after the pointer: pairing a publish's pointer with
-		// a later publish's ID fails LiveAs like any torn pair.
-		if n := e.n.Load(); n != nil {
-			return n, e.id.Load(), false
+	quiet := prove && s.pending.Load() == 0
+	tab := *s.tab.Load()
+	mask := uint64(len(tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch tab[i].hash.Load() {
+		case 0:
+			return nil, 0, quiet
+		case h:
+			// The ID is read after the pointer: pairing a publish's pointer
+			// with a later publish's ID fails LiveAs like any torn pair.
+			n, id := tab[i].n.Load(), tab[i].id.Load()
+			switch {
+			case n == nil:
+			case !n.LiveAs(id, tr):
+				// A marked or recycled life the retire observer has not
+				// reached yet: prune it, by life.
+				x.unpublish(h, n, id)
+			case n.Key() == key:
+				return n, id, false
+			}
 		}
 	}
-	return nil, 0, quiet
 }
 
 // BeginInsert raises the pending count of key's shard. An insert calls it
@@ -202,40 +219,56 @@ func (x *Index[K, V]) BeginInsert(key K) { x.shardOf(hash(key)).pending.Add(1) }
 // published the node it linked, or revived one, or found the key present.
 func (x *Index[K, V]) EndInsert(key K) { x.shardOf(hash(key)).pending.Add(-1) }
 
-// Publish records key → (n, id), claiming or reviving the slot for key's
-// hash. id must be the life ID the publisher observed on n at its
-// linearization point (insert link, revive CAS). A live incumbent keeps the
-// slot: at most one unmarked node per key exists at any instant, so it
-// proves the caller's node is the stale one — or it holds another key with
-// the same hash, which the consumer's key check turns into misses.
+// Publish records key → (n, id). id must be the life ID the publisher
+// observed on n at its linearization point (insert link, revive CAS). An
+// entry already holding n takes the new ID. A live incumbent of key keeps
+// its slot: at most one unmarked node per key exists at any instant, so it
+// proves the caller's node is the stale one. Otherwise the entry goes to the
+// first tombstone or ended life under key's hash, or claims the free slot
+// that ends the run; another key's live entry under the same hash keeps
+// its own slot.
 func (x *Index[K, V]) Publish(key K, n *node.Node[K, V], id uint64) {
-	x.publish(hash(key), n, id)
+	x.publish(key, hash(key), n, id)
 }
 
-func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
+func (x *Index[K, V]) publish(key K, h uint64, n *node.Node[K, V], id uint64) {
 	s := x.shardOf(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tab := *s.tab.Load()
-	e, claimed := probe(tab, h)
-	if claimed {
-		cur := e.n.Load()
-		switch {
+	mask := uint64(len(tab) - 1)
+	var reuse *slot[K, V]
+	i := h & mask
+	for ; tab[i].hash.Load() != 0; i = (i + 1) & mask {
+		e := &tab[i]
+		if e.hash.Load() != h {
+			continue
+		}
+		switch cur := e.n.Load(); {
 		case cur == n:
 			s.publishes++
 			e.id.Store(id)
 			return
-		case cur == nil:
-			s.live++
-		case cur.LiveAs(e.id.Load(), nil):
-			return
+		case cur != nil && cur.LiveAs(e.id.Load(), nil):
+			if cur.Key() == key {
+				return
+			}
+			continue
 		}
-		s.publishes++
-		e.id.Store(id)
-		e.n.Store(n)
-		return
+		if reuse == nil {
+			reuse = e
+		}
 	}
 	s.publishes++
+	if reuse != nil {
+		if reuse.n.Load() == nil {
+			s.live++
+		}
+		reuse.id.Store(id)
+		reuse.n.Store(n)
+		return
+	}
+	e := &tab[i]
 	e.id.Store(id)
 	e.n.Store(n)
 	e.hash.Store(h)
@@ -246,10 +279,10 @@ func (x *Index[K, V]) publish(h uint64, n *node.Node[K, V], id uint64) {
 	}
 }
 
-// Unpublish tombstones key's entry if it still holds life id of n (hygiene
-// on retirement and on reader-detected staleness). Naming the life, not only
-// the node, keeps a stale caller from tombstoning a newer life that a
-// recycled slot took under the same pointer.
+// Unpublish tombstones the entry holding life id of n, if key's run still
+// has one (hygiene on retirement and on a removal's staleness). Naming the
+// life, not only the node, keeps a stale caller from tombstoning a newer
+// life that a recycled slot took under the same pointer.
 func (x *Index[K, V]) Unpublish(key K, n *node.Node[K, V], id uint64) {
 	x.unpublish(hash(key), n, id)
 }
@@ -257,12 +290,17 @@ func (x *Index[K, V]) Unpublish(key K, n *node.Node[K, V], id uint64) {
 func (x *Index[K, V]) unpublish(h uint64, n *node.Node[K, V], id uint64) {
 	s := x.shardOf(h)
 	s.mu.Lock()
-	if e, claimed := probe(*s.tab.Load(), h); claimed && e.n.Load() == n && e.id.Load() == id {
-		e.n.Store(nil)
-		s.live--
-		s.unpublishes++
+	defer s.mu.Unlock()
+	tab := *s.tab.Load()
+	mask := uint64(len(tab) - 1)
+	for i := h & mask; tab[i].hash.Load() != 0; i = (i + 1) & mask {
+		if e := &tab[i]; e.n.Load() == n && e.id.Load() == id {
+			e.n.Store(nil)
+			s.live--
+			s.unpublishes++
+			return
+		}
 	}
-	s.mu.Unlock()
 }
 
 // rehash rebuilds the shard from old's live entries into an array at most
@@ -277,11 +315,7 @@ func (s *shard[K, V]) rehash(old []slot[K, V]) {
 		if n == nil || !n.LiveAs(id, nil) {
 			continue
 		}
-		h := old[i].hash.Load()
-		e, _ := probe(tab, h)
-		e.hash.Store(h)
-		e.n.Store(n)
-		e.id.Store(id)
+		claim(tab, old[i].hash.Load(), n, id)
 		live++
 	}
 	s.used, s.live = live, live
@@ -297,11 +331,10 @@ func slotsFor(live int) int {
 	return size
 }
 
-// Fill publishes nodes into an empty index that no other goroutine can reach
-// yet (a bulk load's last step), each under its key and current life ID. It
-// sizes every shard's array once for its share, as a rehash would, so no
-// publish during the fill rehashes. Of two keys sharing a hash, the first
-// keeps the slot.
+// Fill publishes nodes, each of a distinct key, into an empty index that no
+// other goroutine can reach yet (a bulk load's last step), each under its
+// key and current life ID. It sizes every shard's array once for its share,
+// as a rehash would, so no publish during the fill rehashes.
 func (x *Index[K, V]) Fill(nodes []*node.Node[K, V]) {
 	var share [nShards]int
 	for _, n := range nodes {
@@ -314,32 +347,25 @@ func (x *Index[K, V]) Fill(nodes []*node.Node[K, V]) {
 	for _, n := range nodes {
 		h := hash(n.Key())
 		s := x.shardOf(h)
-		e, claimed := probe(*s.tab.Load(), h)
-		if claimed {
-			continue
-		}
-		e.id.Store(n.ID())
-		e.n.Store(n)
-		e.hash.Store(h)
+		claim(*s.tab.Load(), h, n, n.ID())
 		s.used++
 		s.live++
 		s.publishes++
 	}
 }
 
-// probe returns the slot holding h (claimed) or the free slot that ends
-// h's probe run. A claim past half an array rehashes it, so a free slot
-// always ends the run.
-func probe[K cmp.Ordered, V any](tab []slot[K, V], h uint64) (*slot[K, V], bool) {
+// claim writes (h, n, id) into the free slot that ends h's probe run, in an
+// array no reader can reach yet. A claim past half an array rehashes it, so
+// a free slot always ends the run.
+func claim[K cmp.Ordered, V any](tab []slot[K, V], h uint64, n *node.Node[K, V], id uint64) {
 	mask := uint64(len(tab) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch tab[i].hash.Load() {
-		case h:
-			return &tab[i], true
-		case 0:
-			return &tab[i], false
-		}
+	i := h & mask
+	for tab[i].hash.Load() != 0 {
+		i = (i + 1) & mask
 	}
+	tab[i].hash.Store(h)
+	tab[i].n.Store(n)
+	tab[i].id.Store(id)
 }
 
 func (x *Index[K, V]) shardOf(h uint64) *shard[K, V] {
@@ -348,8 +374,13 @@ func (x *Index[K, V]) shardOf(h uint64) *shard[K, V] {
 
 // hash maps a key to 64 well-mixed, nonzero bits: its Squeeze through a
 // splitmix64 finalizer, so dense integer key spaces spread across shards and
-// slots. 0 marks a free slot, so a key hashing to 0 shares hash 1.
+// slots. -0.0 folds onto +0.0, which compares equal to it. 0 marks a free
+// slot, so a key hashing to 0 shares hash 1.
 func hash[K cmp.Ordered](key K) uint64 {
+	var zero K
+	if key == zero {
+		key = zero
+	}
 	h := Squeeze(key)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -360,16 +391,6 @@ func hash[K cmp.Ordered](key K) uint64 {
 		h = 1
 	}
 	return h
-}
-
-// injective reports whether hash is injective on K up to its remap of 0:
-// true for the integer types, whose Squeeze keeps every bit.
-func injective[K cmp.Ordered]() bool {
-	switch any(*new(K)).(type) {
-	case int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64, uintptr:
-		return true
-	}
-	return false
 }
 
 // Squeeze maps a key to 64 bits without allocating (the pointer type switch

@@ -2,6 +2,7 @@ package hindex
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -20,15 +21,9 @@ func newNode(key int64, id uint64) *node.Node[int64, int64] {
 // fails from then on.
 func retire(n *node.Node[int64, int64]) { n.RawStore(0, nil, true, false) }
 
-// find is the consumer's side of the contract (core's indexFind): a hit
-// counts only if the node is live as the indexed life and holds key.
-func find(x *Index[int64, int64], h uint64, key int64) (*node.Node[int64, int64], bool) {
-	n, id, _ := x.lookup(h, false)
-	if n == nil || !n.LiveAs(id, nil) || n.Key() != key {
-		return nil, false
-	}
-	return n, true
-}
+// hashOne is the int64 key whose splitmix64 finalizer is 1: it shares hash
+// 1 with key 0, whose finalizer is 0 (internal/core's unmix derives it).
+const hashOne = -7607213358146402862
 
 // rehashAll rebuilds every shard, as a claim past half its array would.
 func rehashAll(x *Index[int64, int64]) {
@@ -41,9 +36,9 @@ func rehashAll(x *Index[int64, int64]) {
 }
 
 // checkLayout asserts the open-addressing invariants of every shard: each
-// claimed hash belongs to its shard, is claimed once, and is reachable from
-// its home slot without crossing a free slot; the counters match the array;
-// and a free slot remains.
+// claimed hash belongs to its shard and is reachable from its home slot
+// without crossing a free slot; no two entries hold one node, nor two live
+// entries one key; the counters match the array; and a free slot remains.
 func checkLayout(t *testing.T, x *Index[int64, int64]) {
 	t.Helper()
 	for si := range x.shards {
@@ -52,7 +47,8 @@ func checkLayout(t *testing.T, x *Index[int64, int64]) {
 		tab := *s.tab.Load()
 		mask := uint64(len(tab) - 1)
 		used, live := 0, 0
-		seen := map[uint64]bool{}
+		nodes := map[*node.Node[int64, int64]]bool{}
+		keys := map[int64]bool{}
 		for i := range tab {
 			h := tab[i].hash.Load()
 			if h == 0 {
@@ -62,16 +58,22 @@ func checkLayout(t *testing.T, x *Index[int64, int64]) {
 				continue
 			}
 			used++
-			if tab[i].n.Load() != nil {
+			if n := tab[i].n.Load(); n != nil {
 				live++
+				if nodes[n] {
+					t.Errorf("shard %d: node of key %d in two slots", si, n.Key())
+				}
+				nodes[n] = true
+				if n.LiveAs(tab[i].id.Load(), nil) {
+					if keys[n.Key()] {
+						t.Errorf("shard %d: key %d has two live entries", si, n.Key())
+					}
+					keys[n.Key()] = true
+				}
 			}
 			if x.shardOf(h) != s {
 				t.Errorf("shard %d slot %d: hash %#x belongs to another shard", si, i, h)
 			}
-			if seen[h] {
-				t.Errorf("shard %d: hash %#x claimed twice", si, h)
-			}
-			seen[h] = true
 			for j := h & mask; j != uint64(i); j = (j + 1) & mask {
 				if tab[j].hash.Load() == 0 {
 					t.Errorf("shard %d: hash %#x at slot %d is cut off from home slot %d", si, h, i, h&mask)
@@ -98,13 +100,12 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 		x.Publish(k, nodes[k], uint64(k+1))
 	}
 	for k := int64(0); k < keys; k++ {
-		n, id, ok := x.Lookup(k)
-		if !ok || n != nodes[k] || id != uint64(k+1) {
-			t.Fatalf("Lookup(%d) = (%p, %d, %v), want (%p, %d, true)", k, n, id, ok, nodes[k], k+1)
+		if n, id := x.Lookup(k, nil); n != nodes[k] || id != uint64(k+1) {
+			t.Fatalf("Lookup(%d) = (%p, %d), want (%p, %d)", k, n, id, nodes[k], k+1)
 		}
 	}
-	if _, _, ok := x.Lookup(keys + 1); ok {
-		t.Fatal("Lookup of an unpublished key returned ok")
+	if n, _ := x.Lookup(keys+1, nil); n != nil {
+		t.Fatal("Lookup of an unpublished key returned a node")
 	}
 	if st := x.Stats(); st.Entries != keys {
 		t.Fatalf("Stats.Entries = %d, want %d", st.Entries, keys)
@@ -116,7 +117,7 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 	n1 := newNode(7, 1)
 	x.Publish(7, n1, 1)
 	x.Unpublish(7, n1, 1)
-	if _, _, ok := x.Lookup(7); ok {
+	if n, _ := x.Lookup(7, nil); n != nil {
 		t.Fatal("Lookup found a tombstoned entry")
 	}
 	// A republish revives the same slot in place.
@@ -126,13 +127,12 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 	if got := x.Stats().Entries; got != before {
 		t.Fatalf("republish claimed a new slot: Entries %d -> %d", before, got)
 	}
-	n, id, ok := x.Lookup(7)
-	if !ok || n != n2 || id != 2 {
-		t.Fatalf("Lookup(7) after republish = (%p, %d, %v), want n2", n, id, ok)
+	if n, id := x.Lookup(7, nil); n != n2 || id != 2 {
+		t.Fatalf("Lookup(7) after republish = (%p, %d), want n2", n, id)
 	}
 	// Unpublish with a stale node must not clobber the newer publish.
 	x.Unpublish(7, n1, 1)
-	if _, _, ok := x.Lookup(7); !ok {
+	if n, _ := x.Lookup(7, nil); n != n2 {
 		t.Fatal("stale Unpublish clobbered a newer publish")
 	}
 }
@@ -143,17 +143,18 @@ func TestPublishKeepsLiveIncumbent(t *testing.T) {
 	x.Publish(3, live, 10)
 	// A laggard publish from a previous life must lose to the live incumbent.
 	x.Publish(3, newNode(3, 4), 4)
-	n, id, ok := x.Lookup(3)
-	if !ok || n != live || id != 10 {
-		t.Fatalf("Lookup(3) = (%p, %d, %v), want the live incumbent", n, id, ok)
+	if n, id := x.Lookup(3, nil); n != live || id != 10 {
+		t.Fatalf("Lookup(3) = (%p, %d), want the live incumbent", n, id)
 	}
 	// Once the incumbent is retired (marked), a new publish wins.
 	retire(live)
 	next := newNode(3, 11)
 	x.Publish(3, next, 11)
-	n, id, ok = x.Lookup(3)
-	if !ok || n != next || id != 11 {
-		t.Fatalf("Lookup(3) after retire = (%p, %d, %v), want the new life", n, id, ok)
+	if n, id := x.Lookup(3, nil); n != next || id != 11 {
+		t.Fatalf("Lookup(3) after retire = (%p, %d), want the new life", n, id)
+	}
+	if st := x.Stats(); st.Entries != 1 {
+		t.Fatalf("the new life claimed a second slot: Entries = %d", st.Entries)
 	}
 }
 
@@ -167,8 +168,8 @@ func TestGrowthKeepsAllEntriesReachable(t *testing.T) {
 		t.Fatalf("Stats.Slots = %d for %d entries, want at least twice as many", st.Slots, keys)
 	}
 	for k := int64(0); k < keys; k++ {
-		if _, id, ok := x.Lookup(k); !ok || id != uint64(k+1) {
-			t.Fatalf("Lookup(%d) after growth = (id=%d, ok=%v)", k, id, ok)
+		if n, id := x.Lookup(k, nil); n == nil || id != uint64(k+1) {
+			t.Fatalf("Lookup(%d) after growth = (%p, id=%d)", k, n, id)
 		}
 	}
 	checkLayout(t, x)
@@ -202,9 +203,9 @@ func TestRehashDropsTombstones(t *testing.T) {
 		t.Fatalf("Stats.Entries after rehash = %d, want the %d live entries", st.Entries, live)
 	}
 	for k := int64(0); k < keys; k++ {
-		_, _, ok := x.Lookup(k)
-		if want := k%4 >= 2; ok != want {
-			t.Fatalf("Lookup(%d) after rehash ok=%v, want %v", k, ok, want)
+		n, _ := x.Lookup(k, nil)
+		if want := k%4 >= 2; (n != nil) != want {
+			t.Fatalf("Lookup(%d) after rehash = %p, want found=%v", k, n, want)
 		}
 	}
 	checkLayout(t, x)
@@ -243,64 +244,64 @@ func TestCollidingBuckets(t *testing.T) {
 		x.Publish(keys[i], n, uint64(i+1))
 	}
 	for i, k := range keys {
-		if n, id, ok := x.Lookup(k); !ok || id != uint64(i+1) || n.Key() != k {
-			t.Fatalf("Lookup(%q) = (id=%d, ok=%v)", k, id, ok)
+		if n, id := x.Lookup(k, nil); n == nil || id != uint64(i+1) || n.Key() != k {
+			t.Fatalf("Lookup(%q) = (%p, id=%d)", k, n, id)
 		}
 	}
-	if _, _, ok := x.Lookup("key-99999"); ok {
-		t.Fatal("Lookup of an unpublished string key returned ok")
+	if n, _ := x.Lookup("key-99999", nil); n != nil {
+		t.Fatal("Lookup of an unpublished string key returned a node")
 	}
 }
 
 // TestHashCollisionFailsClosed forces two keys onto one 64-bit hash through
-// the hash-taking internals. The slot serves whichever key's node holds it,
-// and the consumer's key check turns the other key's lookups into misses.
+// the hash-taking internals. Each key gets a slot of its own: both are found
+// while present, a lookup of one never returns the other's node, and each
+// one's miss is proven once it is removed, whether the other is present or
+// not.
 func TestHashCollisionFailsClosed(t *testing.T) {
 	x := New[int64, int64]()
 	const a, b = 1, 2
 	h := hash(int64(a))
-	na := newNode(a, 1)
-	x.publish(h, na, 1)
-	if n, ok := find(x, h, a); !ok || n != na {
-		t.Fatalf("key %d not found under its own hash", a)
+	na, nb := newNode(a, 1), newNode(b, 2)
+	x.publish(a, h, na, 1)
+	x.publish(b, h, nb, 2)
+	expect := func(key int64, want *node.Node[int64, int64]) {
+		t.Helper()
+		n, _, absent := x.lookup(key, h, true, nil)
+		if n != want || absent != (want == nil) {
+			t.Fatalf("lookup(%d) = (%p, absent=%v), want %p", key, n, absent, want)
+		}
 	}
-	if n, _, _ := x.lookup(h, false); n == nil || n.Key() != a {
-		t.Fatalf("lookup(h) = %v, want key %d's node", n, a)
+	expect(a, na)
+	expect(b, nb)
+	if st := x.Stats(); st.Entries != 2 {
+		t.Fatalf("two keys under one hash claimed %d slots, want 2", st.Entries)
 	}
-	if _, ok := find(x, h, b); ok {
-		t.Fatalf("key check accepted key %d's node for key %d", a, b)
-	}
-	// b's publish loses to the live incumbent, even though it holds a
-	// different key.
-	nb := newNode(b, 2)
-	x.publish(h, nb, 2)
-	if n, _, _ := x.lookup(h, false); n != na {
-		t.Fatal("publish under a colliding hash displaced a live incumbent")
-	}
-	if _, ok := find(x, h, b); ok {
-		t.Fatalf("key %d resolved while key %d holds the slot", b, a)
-	}
-	// Once a retires, b takes the slot and a's lookups miss.
+	// a retires (its entry stays until a rehash), then b is unpublished.
 	retire(na)
-	x.publish(h, nb, 2)
-	if n, ok := find(x, h, b); !ok || n != nb {
-		t.Fatalf("key %d not found after the incumbent retired", b)
+	expect(a, nil)
+	expect(b, nb)
+	x.unpublish(h, nb, 2)
+	expect(a, nil)
+	expect(b, nil)
+	// A new life of a reuses a slot under the hash, beside b's new life.
+	na2, nb2 := newNode(a, 3), newNode(b, 4)
+	x.publish(a, h, na2, 3)
+	x.publish(b, h, nb2, 4)
+	expect(a, na2)
+	expect(b, nb2)
+	if st := x.Stats(); st.Entries != 2 {
+		t.Fatalf("new lives claimed fresh slots: Entries = %d, want 2", st.Entries)
 	}
-	if _, ok := find(x, h, a); ok {
-		t.Fatalf("key check accepted key %d's node for key %d", b, a)
-	}
-	if st := x.Stats(); st.Entries != 1 {
-		t.Fatalf("colliding keys claimed %d slots, want 1", st.Entries)
-	}
+	checkLayout(t, x)
 }
 
 // TestConcurrentPublishLookup hammers the index from many goroutines with
 // publishes, lookups, tombstones, retirements, and the rehashes that fresh
-// keys trigger, primarily as a -race target. Every node published under
-// key k's hash holds k or k's alias (a distinct key forced onto the same
-// hash), so the integrity rule is the consumer's key check: a lookup may
-// miss, but a node it returns must hold one of those two keys, and a hit
-// that passes the check holds k.
+// keys trigger, primarily as a -race target. Key k and its alias (a
+// distinct key forced onto k's hash) are both published under that hash,
+// so the integrity rule is one slot per key: a lookup of either may miss,
+// but a node it returns holds the key it asked for.
 func TestConcurrentPublishLookup(t *testing.T) {
 	x := New[int64, int64]()
 	const (
@@ -321,20 +322,19 @@ func TestConcurrentPublishLookup(t *testing.T) {
 				id := uint64(w*rounds+r) + 1
 				switch r % 5 {
 				case 0:
-					x.publish(h, newNode(k, id), id)
+					x.publish(k, h, newNode(k, id), id)
 				case 1:
-					x.publish(h, newNode(k+alias, id), id)
+					x.publish(k+alias, h, newNode(k+alias, id), id)
 				case 2:
-					if n, _, _ := x.lookup(h, false); n != nil && n.Key() != k && n.Key() != k+alias {
-						t.Errorf("lookup under key %d's hash returned a node holding key %d", k, n.Key())
-						return
-					}
-					if n, ok := find(x, h, k); ok && n.Key() != k {
-						t.Errorf("key check passed key %d's node for key %d", n.Key(), k)
-						return
+					for _, key := range []int64{k, k + alias} {
+						if n, _, _ := x.lookup(key, h, false, nil); n != nil && n.Key() != key {
+							t.Errorf("lookup(%d) returned a node holding key %d", key, n.Key())
+							return
+						}
 					}
 				case 3:
-					if n, id, _ := x.lookup(h, false); n != nil {
+					key := k + alias*int64(r/5%2)
+					if n, id, _ := x.lookup(key, h, false, nil); n != nil {
 						if r%2 == 0 {
 							retire(n)
 						} else {
@@ -355,19 +355,22 @@ func TestConcurrentPublishLookup(t *testing.T) {
 	}
 	wg.Wait()
 	checkLayout(t, x)
-	// Every key is resolvable after a fresh publish once the storm's
-	// survivor retires: in real use the lazy protocol guarantees at most one
-	// unmarked node per key, and live incumbents win publish races.
+	// Every key and alias is resolvable after a fresh publish once the
+	// storm's survivor retires: in real use the lazy protocol guarantees at
+	// most one unmarked node per key, and live incumbents win publish races.
 	for k := int64(0); k < keys; k++ {
-		if n, _, ok := x.Lookup(k); ok {
-			retire(n)
-		}
-		n := newNode(k, uint64(1<<40)+uint64(k))
-		x.Publish(k, n, n.ID())
-		if got, ok := find(x, hash(k), k); !ok || got != n {
-			t.Fatalf("find(%d) after final publish = (%p, ok=%v), want %p", k, got, ok, n)
+		for _, key := range []int64{k, k + alias} {
+			if n, _, _ := x.lookup(key, hash(k), false, nil); n != nil {
+				retire(n)
+			}
+			n := newNode(key, uint64(1<<40)+uint64(key))
+			x.publish(key, hash(k), n, n.ID())
+			if got, _, _ := x.lookup(key, hash(k), false, nil); got != n {
+				t.Fatalf("lookup(%d) after final publish = %p, want %p", key, got, n)
+			}
 		}
 	}
+	checkLayout(t, x)
 }
 
 // TestConcurrentGrowth races rehashes against publishes: every entry
@@ -387,7 +390,7 @@ func TestConcurrentGrowth(t *testing.T) {
 			for i := int64(0); i < perW; i++ {
 				k := base + i
 				x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
-				if _, _, ok := x.Lookup(base); !ok {
+				if n, _ := x.Lookup(base, nil); n == nil {
 					t.Errorf("Lookup(%d) missed during growth", base)
 					return
 				}
@@ -396,8 +399,8 @@ func TestConcurrentGrowth(t *testing.T) {
 	}
 	wg.Wait()
 	for k := int64(0); k < workers*perW; k++ {
-		if _, id, ok := x.Lookup(k); !ok || id != uint64(k+1) {
-			t.Fatalf("Lookup(%d) = (id=%d, ok=%v) after concurrent growth", k, id, ok)
+		if n, id := x.Lookup(k, nil); n == nil || id != uint64(k+1) {
+			t.Fatalf("Lookup(%d) = (%p, id=%d) after concurrent growth", k, n, id)
 		}
 	}
 	if st := x.Stats(); st.Entries != workers*perW {
@@ -431,21 +434,23 @@ func TestProbeInvariant(t *testing.T) {
 	checkLayout(t, x)
 }
 
-// TestFillSizesOnce: a bulk fill publishes every node, sizes each shard as a
-// rehash would so the layout holds at most a third of its slots, and later
-// publishes and unpublishes work on the filled arrays.
+// TestFillSizesOnce: a bulk fill publishes every node, each in a slot of its
+// own even where two keys share a hash (key 0 and hashOne), sizes each shard
+// as a rehash would so the layout holds at most a third of its slots, and
+// later publishes and unpublishes work on the filled arrays.
 func TestFillSizesOnce(t *testing.T) {
 	x := New[int64, int64]()
 	const keys = 5000
-	nodes := make([]*node.Node[int64, int64], keys)
+	nodes := make([]*node.Node[int64, int64], keys, keys+1)
 	for k := range nodes {
 		nodes[k] = newNode(int64(k), uint64(k+1))
 	}
+	nodes = append(nodes, newNode(hashOne, keys+1))
 	x.Fill(nodes)
 	checkLayout(t, x)
-	for k, n := range nodes {
-		if got, ok := find(x, hash(int64(k)), int64(k)); !ok || got != n {
-			t.Fatalf("key %d: (%p, %v) after Fill, want (%p, true)", k, got, ok, n)
+	for _, n := range nodes {
+		if got, _ := x.Lookup(n.Key(), nil); got != n {
+			t.Fatalf("key %d: %p after Fill, want %p", n.Key(), got, n)
 		}
 	}
 	for i := range x.shards {
@@ -454,16 +459,19 @@ func TestFillSizesOnce(t *testing.T) {
 			t.Fatalf("shard %d: %d slots for %d entries, want %d", i, len(*s.tab.Load()), s.live, slotsFor(s.live))
 		}
 	}
-	if st := x.Stats(); st.Entries != keys {
-		t.Fatalf("Stats.Entries = %d, want %d", st.Entries, keys)
+	if st := x.Stats(); st.Entries != keys+1 {
+		t.Fatalf("Stats.Entries = %d, want %d", st.Entries, keys+1)
 	}
-	extra := newNode(keys, keys+1)
-	x.Publish(keys, extra, keys+1)
+	extra := newNode(keys, keys+2)
+	x.Publish(keys, extra, keys+2)
 	x.Unpublish(0, nodes[0], 1)
-	if _, ok := find(x, hash(int64(0)), 0); ok {
-		t.Fatal("unpublished key still found")
+	if n, _, absent := x.Find(0, nil); n != nil || !absent {
+		t.Fatal("unpublished key 0 not proven absent")
 	}
-	if got, ok := find(x, hash(int64(keys)), keys); !ok || got != extra {
+	if got, _ := x.Lookup(hashOne, nil); got != nodes[keys] {
+		t.Fatal("key 0's unpublish lost the key sharing its hash")
+	}
+	if got, _ := x.Lookup(keys, nil); got != extra {
 		t.Fatal("key published after Fill not found")
 	}
 	checkLayout(t, x)
@@ -480,7 +488,7 @@ func TestUnpublishNamesTheLife(t *testing.T) {
 	x := New[int64, int64]()
 	old := a.NewData(7, 70, 0, 0, node.Owner{}, 1, 0)
 	x.Publish(7, old, 1)
-	stale, staleID, _ := x.Lookup(7)
+	stale, staleID := x.Lookup(7, nil)
 	retire(old)
 	a.Free(old)
 	n := a.NewData(7, 71, 0, 0, node.Owner{}, 2, 0)
@@ -489,36 +497,35 @@ func TestUnpublishNamesTheLife(t *testing.T) {
 	}
 	x.Publish(7, n, 2)
 	x.Unpublish(7, stale, staleID)
-	if got, ok := find(x, hash(int64(7)), 7); !ok || got.ID() != 2 {
+	if got, id := x.Lookup(7, nil); got != n || id != 2 {
 		t.Fatal("an unpublish naming life 1 tombstoned life 2's entry")
 	}
-	if _, _, absent := x.Find(7); absent {
+	if _, _, absent := x.Find(7, nil); absent {
 		t.Fatal("Find proved a published key absent")
 	}
 	x.Unpublish(7, n, 2)
-	if _, _, absent := x.Find(7); !absent {
+	if _, _, absent := x.Find(7, nil); !absent {
 		t.Fatal("an unpublish naming the indexed life left its entry")
 	}
 }
 
-// TestFindProvesAbsence checks when a miss is a proof: on an integer key
-// whose hash is not 1, with its shard's pending count at 0, a free or
-// tombstoned slot proves absence; a pending insert anywhere in the shard, a
-// published entry, key 0 (which shares hash 1), and string and float keys
-// prove nothing.
+// TestFindProvesAbsence checks when a miss is a proof: with its shard's
+// pending count at 0, a probe that meets no live life of the key proves
+// absence, on every key type and on both keys sharing hash 1; a pending
+// insert anywhere in the shard, or a published entry, proves nothing.
 func TestFindProvesAbsence(t *testing.T) {
 	x := New[int64, int64]()
 	const k = 42
-	if _, _, absent := x.Find(k); !absent {
+	if _, _, absent := x.Find(k, nil); !absent {
 		t.Fatal("no proof from a free slot")
 	}
 	n := newNode(k, 1)
 	x.Publish(k, n, 1)
-	if got, _, absent := x.Find(k); got != n || absent {
+	if got, _, absent := x.Find(k, nil); got != n || absent {
 		t.Fatalf("Find of a published key = (%p, absent=%v)", got, absent)
 	}
 	x.Unpublish(k, n, 1)
-	if _, _, absent := x.Find(k); !absent {
+	if _, _, absent := x.Find(k, nil); !absent {
 		t.Fatal("no proof from a tombstone")
 	}
 	// A pending insert of another key in the same shard blocks proofs.
@@ -527,23 +534,38 @@ func TestFindProvesAbsence(t *testing.T) {
 		other++
 	}
 	x.BeginInsert(other)
-	if _, _, absent := x.Find(k); absent {
+	if _, _, absent := x.Find(k, nil); absent {
 		t.Fatal("proof while an insert in the shard is pending")
 	}
 	x.EndInsert(other)
-	if _, _, absent := x.Find(k); !absent {
+	if _, _, absent := x.Find(k, nil); !absent {
 		t.Fatal("no proof after the pending insert ended")
 	}
-	if hash(int64(0)) != 1 {
-		t.Fatal("key 0 does not share hash 1")
+	// Key 0 and hashOne share hash 1: each one's entry proves nothing about
+	// the other.
+	if hash(int64(0)) != 1 || hash(int64(hashOne)) != 1 {
+		t.Fatalf("hash(0) = %#x and hash(%d) = %#x, want both 1", hash(int64(0)), int64(hashOne), hash(int64(hashOne)))
 	}
-	if _, _, absent := x.Find(0); absent {
-		t.Fatal("proof under hash 1")
+	zero := newNode(0, 2)
+	x.Publish(0, zero, 2)
+	if got, _, absent := x.Find(hashOne, nil); got != nil || !absent {
+		t.Fatalf("Find(%d) beside key 0 = (%p, absent=%v), want a proof", int64(hashOne), got, absent)
 	}
-	if _, _, absent := New[string, int64]().Find("absent"); absent {
-		t.Fatal("proof for a string key")
+	if got, _, _ := x.Find(0, nil); got != zero {
+		t.Fatal("key 0 not found under hash 1")
 	}
-	if _, _, absent := New[float64, int64]().Find(0.5); absent {
-		t.Fatal("proof for a float key")
+	if _, _, absent := New[string, int64]().Find("absent", nil); !absent {
+		t.Fatal("no proof for a string key")
+	}
+	// -0.0 and +0.0 are one key: an entry under either answers both.
+	f := New[float64, int64]()
+	if _, _, absent := f.Find(0.5, nil); !absent {
+		t.Fatal("no proof for a float key")
+	}
+	fa := node.NewArena[float64, int64](1, 1)
+	negZero := fa.NewData(math.Copysign(0, -1), 0, 0, 0, node.Owner{}, 3, 0)
+	f.Publish(negZero.Key(), negZero, 3)
+	if got, _, absent := f.Find(0, nil); got != negZero || absent {
+		t.Fatalf("Find(+0.0) after Publish(-0.0) = (%p, absent=%v)", got, absent)
 	}
 }

@@ -196,7 +196,7 @@ func (a *Arena[K, V]) Free(n *Node[K, V]) {
 		panic("node: Free of a sentinel or nil")
 	}
 	// Zero the life ID before anything else: stale-pointer holders (local
-	// structures, jump indexes) validate with LiveAs, which loads the marked
+	// structures, the hash index) validate with LiveAs, which loads the marked
 	// word before the ID — so clearing the ID first guarantees no validator
 	// can pair the old ID with this slot's reset (or next life's) words.
 	n.id.Store(0)

@@ -89,7 +89,7 @@ type Node[K cmp.Ordered, V any] struct {
 	value  V
 	// id is the node's unique life ID: a fresh value every (re)allocation,
 	// zeroed by Arena.Free before the slot's references are reset. Atomic
-	// because local structures and jump indexes validate their raw pointers
+	// because local structures and the hash index validate their raw pointers
 	// against it (see LiveAs) while reclamation rewrites it. It sits in the
 	// first line because an index hit's LiveAs reads it beside w[0].
 	id atomic.Uint64
@@ -192,7 +192,7 @@ func (n *Node[K, V]) ID() uint64 { return n.id.Load() }
 
 // LiveAs reports whether the node is still the same un-retired life that was
 // observed when `id` was captured. Callers holding a raw pointer from a local
-// structure or jump index must gate every dereference on it, under an epoch
+// structure or the hash index must gate every dereference on it, under an epoch
 // pin. The load order is what makes the check sound: the marked word is read
 // first, the ID second. Arena.Free zeroes the ID before resetting the packed
 // words and reallocation publishes the new ID only after re-initializing

@@ -109,13 +109,12 @@ func spinTable(topo *numa.Topology, myNode int, per time.Duration) []int32 {
 	return out
 }
 
-// SetLatency attaches a latency model to every thread and reader recorder.
-// Call before handing recorders to workers; not safe to call concurrently
-// with recording.
+// SetLatency attaches a latency model to every thread recorder. Call before
+// handing recorders to workers; not safe to call concurrently with recording.
 func (r *Recorder) SetLatency(model LatencyModel) {
 	calibrate()
 	topo := r.machine.Topology()
-	for _, tr := range r.all() {
+	for _, tr := range r.trs {
 		tr.readSpin = spinTable(topo, tr.node, model.ReadPenaltyPerDistance)
 		tr.casSpin = spinTable(topo, tr.node, model.CASPenaltyPerDistance)
 	}

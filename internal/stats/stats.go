@@ -11,11 +11,7 @@
 // functions nil-check), which is how throughput-only trials run.
 package stats
 
-import (
-	"sync"
-
-	"layeredsg/internal/numa"
-)
+import "layeredsg/internal/numa"
 
 // AccessSink receives the raw shared-node access stream. The cache simulator
 // (internal/cachesim) implements it to reproduce Table 2. A nil sink is
@@ -230,10 +226,6 @@ func (tr *ThreadRecorder) Ops() uint64 {
 type Recorder struct {
 	machine *numa.Machine
 	trs     []*ThreadRecorder
-	// readers holds the recorders handed out by ReaderRecorder, each folded
-	// into its thread's aggregates; guarded by mu.
-	mu      sync.Mutex
-	readers []*ThreadRecorder
 }
 
 // NewRecorder creates a recorder for every logical thread of the machine.
@@ -258,35 +250,6 @@ func (r *Recorder) ThreadRecorder(thread int) *ThreadRecorder {
 	return r.trs[thread]
 }
 
-// ReaderRecorder returns a new recorder attributed to a logical thread, for
-// a worker that records beside the thread's own (a read-only handle): the
-// thread's recorder has plain counters only its owner may write. The
-// Recorder keeps it and folds it into the thread's Summary and heatmap rows.
-// Safe for concurrent use.
-func (r *Recorder) ReaderRecorder(thread int) *ThreadRecorder {
-	own := r.trs[thread]
-	tr := &ThreadRecorder{
-		thread:   thread,
-		node:     own.node,
-		casRow:   make([]uint64, len(r.trs)),
-		readRow:  make([]uint64, len(r.trs)),
-		readSpin: own.readSpin,
-		casSpin:  own.casSpin,
-		sink:     own.sink,
-	}
-	r.mu.Lock()
-	r.readers = append(r.readers, tr)
-	r.mu.Unlock()
-	return tr
-}
-
-// all returns the per-thread recorders followed by the readers'.
-func (r *Recorder) all() []*ThreadRecorder {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append(r.trs[:len(r.trs):len(r.trs)], r.readers...)
-}
-
 // Threads returns the number of per-thread recorders.
 func (r *Recorder) Threads() int {
 	return len(r.trs)
@@ -309,12 +272,12 @@ type Summary struct {
 	Deferrals uint64
 }
 
-// Summary aggregates all per-thread counters, readers' included. Call only
-// after every worker has stopped.
+// Summary aggregates all per-thread counters. Call only after every worker
+// has stopped.
 func (r *Recorder) Summary() Summary {
 	var s Summary
 	var lr, rr, lc, rc, succ, fail, visited, searches, relinkNodes uint64
-	for _, tr := range r.all() {
+	for _, tr := range r.trs {
 		lr += tr.localReads
 		rr += tr.remoteReads
 		lc += tr.localCAS
@@ -361,13 +324,9 @@ func (r *Recorder) ReadHeatmap() [][]uint64 {
 
 func (r *Recorder) heatmap(row func(*ThreadRecorder) []uint64) [][]uint64 {
 	out := make([][]uint64, len(r.trs))
-	for i := range out {
+	for i, tr := range r.trs {
 		out[i] = make([]uint64, len(r.trs))
-	}
-	for _, tr := range r.all() {
-		for j, c := range row(tr) {
-			out[tr.thread][j] += c
-		}
+		copy(out[i], row(tr))
 	}
 	return out
 }

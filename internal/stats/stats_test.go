@@ -98,34 +98,6 @@ func TestHeatmaps(t *testing.T) {
 	}
 }
 
-// TestReaderRecorderFolds checks that a reader's recorder counts apart from
-// its thread's and is folded into that thread's Summary and heatmap rows.
-func TestReaderRecorderFolds(t *testing.T) {
-	m := machine(t, 3)
-	r := NewRecorder(m, nil)
-	own, reader := r.ThreadRecorder(1), r.ReaderRecorder(1)
-	if reader == own || reader.Thread() != 1 || reader.Node() != own.Node() {
-		t.Fatalf("reader recorder = %p thread %d node %d, want a new recorder for thread 1 on node %d",
-			reader, reader.Thread(), reader.Node(), own.Node())
-	}
-	own.Read(0, 0, 1)
-	own.Op()
-	reader.Read(0, 0, 2)
-	reader.Read(2, 1, 3)
-	reader.CAS(2, 1, 3, true)
-	reader.Op()
-	if own.Ops() != 1 || reader.Ops() != 1 {
-		t.Fatalf("ops: thread %d, reader %d; want 1 and 1", own.Ops(), reader.Ops())
-	}
-	if s := r.Summary(); s.Ops != 2 || s.LocalReadsPerOp != 1 || s.RemoteReadsPerOp != 0.5 || s.RemoteCASPerOp != 0.5 {
-		t.Fatalf("summary = %+v, want 2 ops, 1 local and 0.5 remote reads, 0.5 remote CAS per op", s)
-	}
-	reads, cas := r.ReadHeatmap(), r.CASHeatmap()
-	if reads[1][0] != 2 || reads[1][2] != 1 || cas[1][2] != 1 || reads[0][0] != 0 {
-		t.Fatalf("heatmaps: reads %v, cas %v; want the reader's accesses on row 1", reads, cas)
-	}
-}
-
 func TestNegativeOwnerIgnoredInHeatmap(t *testing.T) {
 	m := machine(t, 2)
 	r := NewRecorder(m, nil)

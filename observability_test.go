@@ -38,19 +38,22 @@ func TestTracerSnapshotSections(t *testing.T) {
 	SetObservability(true)
 	defer SetObservability(false)
 
-	const keys = 2048
-	for round := int64(0); round < 3; round++ {
-		for k := round * keys; k < (round+1)*keys; k++ {
-			st.Insert(k, k)
+	// Every insert comes before every removal: a search that walks dead
+	// nodes may retire them itself, and those retirements are not the
+	// pass's. After the last insert no operation searches: the removals and
+	// the reads of present keys hit the index, and reads of removed keys
+	// answer on their unretired nodes.
+	const keys = 6144
+	for k := int64(0); k < keys; k++ {
+		st.Insert(k, k)
+	}
+	for k := int64(0); k < keys; k++ {
+		if k%16 != 0 {
+			st.Remove(k)
 		}
-		for k := round * keys; k < (round+1)*keys; k++ {
-			if k%16 != 0 {
-				st.Remove(k)
-			}
-		}
-		for k := round * keys; k < (round+1)*keys; k++ {
-			st.Get(k)
-		}
+	}
+	for k := int64(0); k < keys; k++ {
+		st.Get(k)
 	}
 	for i := 0; i < 4; i++ {
 		st.Map().Reclaim()
@@ -64,8 +67,8 @@ func TestTracerSnapshotSections(t *testing.T) {
 	}
 
 	s := tracer.Snapshot()
-	if r := s.Reclaim; r == nil || r.Passes == 0 || r.Retired == 0 || r.Freed == 0 || r.LiveKeys != 3*keys/16 || r.SlotsPerLiveKey == 0 {
-		t.Fatalf("reclaim section = %+v, want passes, retirements, frees, %d live keys and slots per live key", r, 3*keys/16)
+	if r := s.Reclaim; r == nil || r.Passes == 0 || r.Retired == 0 || r.Freed == 0 || r.LiveKeys != keys/16 || r.SlotsPerLiveKey == 0 {
+		t.Fatalf("reclaim section = %+v, want passes, retirements, frees, %d live keys and slots per live key", r, keys/16)
 	}
 	if a := s.Arena; a == nil || a.SlotsUsed == 0 || a.SlotsReclaimed == 0 || len(a.Shards) != sockets {
 		t.Fatalf("arena section = %+v, want used and reclaimed slots over %d shards", a, sockets)

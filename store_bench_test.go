@@ -8,11 +8,12 @@
 package layeredsg
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
 
-	"layeredsg/internal/core"
 	"layeredsg/internal/experiments"
 	"layeredsg/internal/sbench"
 )
@@ -155,25 +156,52 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("enabled", run(true, true))
 }
 
-// BenchmarkReadersBeyondStripes prices the paper's read-only threads (p. 10)
-// against the Store when readers outnumber stripes: 16 goroutines on a
-// 2×4×1 machine (8 stripes) each Get a uniform key of [0, 2^20) from a store
-// holding its 2^19 even keys, so half the reads miss. "store" reads through
-// Store.Get, which leases a stripe per read; "reader" gives each goroutine
-// its own ReaderHandle, which seeds a search from the jump indexes every
-// handle published after the fill. The "dealt" fill spreads the keys over
-// every stripe's local structure, as a load does; "stripe0" inserts them all
-// through stripe 0, so the other stripes' local structures are empty.
+// BenchmarkReadersBeyondStripes prices Store.Get when readers outnumber
+// stripes: 16 goroutines on a 2×4×1 machine (8 stripes) each Get a uniform
+// key of [0, 2^20) from a store holding its 2^19 even keys, so half the
+// reads miss and the index proves each miss. The "dealt" fill spreads the
+// keys over every stripe's local structure, as a load does; "stripe0"
+// inserts them all through stripe 0, so the other stripes' local structures
+// are empty. "store" keys the store by the integer, "store-string" by its
+// fixed-width decimal form (the keys are formatted before the timer runs).
 //
 //	go test -run '^$' -bench ReadersBeyondStripes -benchtime 2s
 func BenchmarkReadersBeyondStripes(b *testing.B) {
-	const (
-		keySpace = 1 << 20
-		readers  = 16
-	)
 	machine := persistMachine(b, 2, 4, 8)
-	read := func(b *testing.B, get func(g int, key int64)) {
-		b.ResetTimer()
+	strs := make([]string, readersKeySpace)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("%07d", i)
+	}
+	for _, fill := range []string{"dealt", "stripe0"} {
+		b.Run(fill, func(b *testing.B) {
+			readersBeyondStripes(b, machine, "store", fill == "stripe0", func(i int64) int64 { return i })
+			readersBeyondStripes(b, machine, "store-string", fill == "stripe0", func(i int64) string { return strs[i] })
+		})
+	}
+}
+
+const readersKeySpace = 1 << 20
+
+// readersBeyondStripes fills a store with key(i) for the even i of
+// [0, readersKeySpace), through stripe 0 alone or dealt over every stripe,
+// and runs the named sub-benchmark: 16 goroutines each Get key(i) for a
+// uniform i.
+func readersBeyondStripes[K cmp.Ordered](b *testing.B, machine *Machine, name string, stripe0 bool, key func(int64) K) {
+	const readers = 16
+	st, err := NewStore[K, int64](Config{Machine: machine, Kind: LazyLayeredSG})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	m := st.Map()
+	for i := int64(0); i < readersKeySpace/2; i++ {
+		t := int(i) % m.Threads()
+		if stripe0 {
+			t = 0
+		}
+		m.Handle(t).Insert(key(2*i), i)
+	}
+	b.Run(name, func(b *testing.B) {
 		var wg sync.WaitGroup
 		for g := 0; g < readers; g++ {
 			wg.Add(1)
@@ -181,44 +209,11 @@ func BenchmarkReadersBeyondStripes(b *testing.B) {
 				defer wg.Done()
 				rng := rand.New(rand.NewPCG(uint64(g), 1))
 				for i := g; i < b.N; i += readers {
-					get(g, rng.Int64N(keySpace))
+					st.Get(key(rng.Int64N(readersKeySpace)))
 				}
 			}(g)
 		}
 		wg.Wait()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-	}
-	for _, fill := range []string{"dealt", "stripe0"} {
-		b.Run(fill, func(b *testing.B) {
-			st, err := NewStore[int64, int64](Config{Machine: machine, Kind: LazyLayeredSG})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			m := st.Map()
-			for i := int64(0); i < keySpace/2; i++ {
-				t := int(i) % m.Threads()
-				if fill == "stripe0" {
-					t = 0
-				}
-				m.Handle(t).Insert(2*i, i)
-			}
-			for t := 0; t < m.Threads(); t++ {
-				m.Handle(t).PublishJumpIndex()
-			}
-			rhs := make([]*core.ReaderHandle[int64, int64], readers)
-			for g := range rhs {
-				rhs[g] = m.ReaderHandle(g % m.Threads())
-			}
-			b.Run("store", func(b *testing.B) {
-				read(b, func(_ int, key int64) { st.Get(key) })
-			})
-			b.Run("reader", func(b *testing.B) {
-				read(b, func(g int, key int64) { rhs[g].Get(key) })
-			})
-			for _, rh := range rhs {
-				rh.Close()
-			}
-		})
-	}
+	})
 }

@@ -177,79 +177,6 @@ func TestTorturePackedRefs(t *testing.T) {
 	}
 }
 
-// TestTortureWithReaders mixes writer handles, read-only reader handles, and
-// periodic jump-index publication on the layered map, with oversubscription
-// (more logical threads than any real host core count).
-func TestTortureWithReaders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("torture is slow")
-	}
-	// Deliberately oversubscribed relative to the clamped writer count, but
-	// still bounded by the host so tiny CI runners finish in sane time.
-	writers, readers := clampThreads(12), clampThreads(4)
-	machine := testMachine(t, writers+readers)
-	m, err := New[int64, int64](Config{
-		Machine:          machine,
-		Kind:             LazyLayeredSG,
-		CommissionPeriod: 20 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var writerWG, readerWG sync.WaitGroup
-	stop := make(chan struct{})
-	for wIdx := 0; wIdx < writers; wIdx++ {
-		writerWG.Add(1)
-		go func(wIdx int) {
-			defer writerWG.Done()
-			h := m.Handle(wIdx)
-			rng := rand.New(rand.NewSource(int64(wIdx)))
-			for i := 0; i < 8000; i++ {
-				key := rng.Int63n(1024)
-				if rng.Intn(2) == 0 {
-					h.Insert(key, key)
-				} else {
-					h.Remove(key)
-				}
-				if i%200 == 0 {
-					h.PublishJumpIndex()
-					runtime.Gosched()
-				}
-			}
-		}(wIdx)
-	}
-	for r := 0; r < readers; r++ {
-		readerWG.Add(1)
-		go func(r int) {
-			defer readerWG.Done()
-			rh := m.ReaderHandle(writers + r)
-			defer rh.Close()
-			rng := rand.New(rand.NewSource(int64(1000 + r)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rh.Contains(rng.Int63n(1024))
-				runtime.Gosched()
-			}
-		}(r)
-	}
-	writerWG.Wait()
-	close(stop)
-	readerWG.Wait()
-	// Final agreement between a fresh reader and a writer handle.
-	rh := m.ReaderHandle(writers)
-	defer rh.Close()
-	h := m.Handle(0)
-	for k := int64(0); k < 1024; k++ {
-		if rh.Contains(k) != h.Contains(k) {
-			t.Fatalf("reader/writer disagree on %d", k)
-		}
-	}
-}
-
 // TestJitteryClock injects a non-monotonic clock into the lazy protocol: the
 // commission logic must stay safe (no panics, no lost keys) even when time
 // jumps backwards.
